@@ -22,12 +22,12 @@ from .model import (Architecture, Backbone, ClassifierHead, TrainedModel,
                     forward, load_model, predict, save_model, train_stage1,
                     train_stage2)
 from .optim import OptimSpec, OptimState, lr_at, optimizer_step
-from .sampling import (EpochStream, SamplerSpec, bags_filter_batch,
-                       make_epoch_stream, make_sampler, sampling_weights)
+from .sampling import (SamplerSpec, bags_filter_batch, make_epoch_stream,
+                       make_sampler, sampling_weights)
 
 __all__ = [
     "Architecture", "Backbone", "BagsHeads", "ClassStats", "ClassifierHead",
-    "Dataset", "EpochStream", "EvalReport", "ExperimentConfig", "GroupLayout",
+    "Dataset", "EvalReport", "ExperimentConfig", "GroupLayout",
     "LossSpec", "LossValue", "OptimSpec", "OptimState", "RunManifest",
     "SSBMask", "SamplerSpec", "SplitSpec", "SyntheticSpec", "TrainedModel",
     "bags_filter_batch", "bags_infer", "bags_scores", "bags_train_heads",

@@ -13,6 +13,7 @@ from .data import SyntheticSpec, generate_synthetic, save_embeddings
 from .experiment import (DEFAULT_CONFIG_YAML, ExperimentConfig, config_from_dict,
                          emit_f1_delta, run_experiment)
 from .metrics import compare_methods, load_report
+from .model import METHODS
 
 
 def _apply_set(doc: dict, assignment: str) -> None:
@@ -71,8 +72,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     doc = _load_doc(args)
-    section = (doc.get("dataset") or {}).get("synthetic") or {}
-    overrides = {
+    section = {**yaml.safe_load(DEFAULT_CONFIG_YAML)["dataset"]["synthetic"],
+               **((doc.get("dataset") or {}).get("synthetic") or {})}
+    flags = {
         "num_classes": args.classes,
         "feature_dim": args.dim,
         "head_count": args.head_count,
@@ -81,17 +83,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         "noise_sigma": args.noise,
         "seed": args.data_seed,
     }
-    for key, value in overrides.items():
-        if value is not None:
-            section[key] = value
+    section.update({k: v for k, v in flags.items() if v is not None})
     section.setdefault("seed", int(doc.get("seed", 0)))
     spec = SyntheticSpec(
-        num_classes=int(section.get("num_classes", 20)),
-        feature_dim=int(section.get("feature_dim", 16)),
-        head_count=int(section.get("head_count", 1000)),
-        imbalance_factor=float(section.get("imbalance_factor", 200.0)),
-        class_separation=float(section.get("class_separation", 5.0)),
-        noise_sigma=float(section.get("noise_sigma", 1.0)),
+        num_classes=int(section["num_classes"]),
+        feature_dim=int(section["feature_dim"]),
+        head_count=int(section["head_count"]),
+        imbalance_factor=float(section["imbalance_factor"]),
+        class_separation=float(section["class_separation"]),
+        noise_sigma=float(section["noise_sigma"]),
         seed=int(section["seed"]),
     )
     dataset = generate_synthetic(spec)
@@ -168,8 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=_cmd_gen)
 
     train = sub.add_parser("train", help="run a single method end to end")
-    train.add_argument("--method", required=True,
-                       choices=("baseline", "sqrt_samp", "cb_focal", "bags", "ssb"))
+    train.add_argument("--method", required=True, choices=METHODS)
     _add_common_flags(train)
     train.set_defaults(func=_cmd_train)
 

@@ -23,8 +23,6 @@ GROUP_LIMITS: tuple[tuple[float, float], ...] = (
     (1000.0, math.inf),
 )
 
-_COUNT_THRESHOLDS = (10, 100, 1000)
-
 _HEADER_RE = re.compile(r"^C=(\d+) D=(\d+)$")
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,16 +16,14 @@ from .data import (Dataset, SplitSpec, SyntheticSpec, compute_class_stats,
                    generate_synthetic, load_embeddings, split_dataset)
 from .losses import LossSpec
 from .metrics import EvalReport, compare_methods, evaluate, save_report
-from .model import (METHODS, Architecture, TrainedModel, predict, save_model,
-                    train_stage1, train_stage2)
+from .model import (METHODS, SAMPLER_Q, Architecture, TrainedModel, predict,
+                    save_model, train_stage1, train_stage2)
 from .optim import OptimSpec
 from .seeding import derive_seed
 
 _BACKGROUND_GROUP_CHOICES = ("auto", "on", "off")
 
 _ONE_STAGE_CAPABLE = ("sqrt_samp", "cb_focal")
-
-_ONE_STAGE_SAMPLER_Q = {"sqrt_samp": 0.5, "cb_focal": 1.0}
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,15 +78,7 @@ class ExperimentConfig:
             "one_stage": self.one_stage,
             "shared_stage1": self.shared_stage1,
             "dataset": {
-                "synthetic": None if self.synthetic is None else {
-                    "num_classes": self.synthetic.num_classes,
-                    "feature_dim": self.synthetic.feature_dim,
-                    "head_count": self.synthetic.head_count,
-                    "imbalance_factor": self.synthetic.imbalance_factor,
-                    "class_separation": self.synthetic.class_separation,
-                    "noise_sigma": self.synthetic.noise_sigma,
-                    "seed": self.synthetic.seed,
-                },
+                "synthetic": None if self.synthetic is None else asdict(self.synthetic),
                 "embeddings": self.embeddings_path,
                 "background_class": self.background,
                 "eval": {"mode": self.eval_mode, "per_class": self.eval_per_class},
@@ -113,16 +103,8 @@ class ExperimentConfig:
 
 
 def _optim_dict(spec: OptimSpec) -> dict:
-    return {
-        "lr_init": spec.lr_init,
-        "weight_decay": spec.weight_decay,
-        "beta1": spec.beta1,
-        "beta2": spec.beta2,
-        "eps": spec.eps,
-        "batch_size": spec.batch_size,
-        "epochs": spec.epochs,
-        "warmup_epochs": spec.warmup_epochs,
-    }
+    """Optimizer fields; the seed is left out, as each fit derives its own."""
+    return {k: v for k, v in asdict(spec).items() if k != "seed"}
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +414,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
                 step = "one-stage training"
                 spec = replace(config.stage1, seed=derive_seed(config.seed, "one-stage", method))
                 model = train_stage1(train, arch, spec, _loss_for(method, config),
-                                     sampler_q=_ONE_STAGE_SAMPLER_Q[method], method=method)
+                                     sampler_q=SAMPLER_Q[method], method=method)
             else:
                 step = "stage-1 training"
                 base = stage1_for(method)

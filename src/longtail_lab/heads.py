@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import GROUP_LIMITS, ClassStats, Dataset, compute_class_stats
 from .losses import LossSpec, softmax
-from .model import ClassifierHead, EpochLog, TrainedModel, fit_head
+from .model import SAMPLER_Q, ClassifierHead, EpochLog, TrainedModel, fit_head
 from .optim import OptimSpec
 from .sampling import bags_filter_batch
 from .seeding import derive_seed
@@ -98,16 +98,9 @@ class SSBMask:
     def from_layout(cls, layout: GroupLayout) -> "SSBMask":
         return cls(head_mask=layout.group_of == HEAD_GROUP)
 
-    @classmethod
-    def from_stats(cls, stats: ClassStats) -> "SSBMask":
-        return cls(head_mask=stats.groups == HEAD_GROUP)
-
     @property
     def num_classes(self) -> int:
         return int(self.head_mask.shape[0])
-
-    def as_matrix(self) -> np.ndarray:
-        return np.diag(self.head_mask.astype(np.float64))
 
 
 def ssb_aggregate(p_i, p_sqrt, mask: SSBMask) -> np.ndarray:
@@ -189,8 +182,8 @@ def bags_train_heads(model: TrainedModel, dataset: Dataset, layout: GroupLayout,
             in_group = effective.groups[labels[rows]] == group
             return rows, np.where(in_group, local, slot)
 
-        logs.append(fit_head(head, feats, labels, stats.counts, 1.0, head_optim, loss,
-                             batch_hook=group_hook))
+        logs.append(fit_head(head, feats, labels, stats.counts, SAMPLER_Q["bags"], head_optim,
+                             loss, batch_hook=group_hook))
         heads[k] = head
 
     background_head = None
@@ -204,7 +197,7 @@ def bags_train_heads(model: TrainedModel, dataset: Dataset, layout: GroupLayout,
         def background_hook(epoch: int, step: int, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return batch, (labels[batch] == bg).astype(np.int64)
 
-        logs.append(fit_head(background_head, feats, labels, stats.counts, 1.0,
+        logs.append(fit_head(background_head, feats, labels, stats.counts, SAMPLER_Q["bags"],
                              bg_optim, loss, batch_hook=background_hook))
 
     merged = [EpochLog(epoch=e, mean_loss=float(np.mean([lg[e].mean_loss for lg in logs])),

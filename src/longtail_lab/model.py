@@ -23,8 +23,8 @@ METHODS = ("baseline", "sqrt_samp", "cb_focal", "bags", "ssb")
 
 STAGE2_METHODS = ("sqrt_samp", "cb_focal", "bags", "ssb")
 
-# Sampling exponent used by each stage-2 method's epoch stream.
-STAGE2_SAMPLER_Q = {"sqrt_samp": 0.5, "cb_focal": 1.0, "bags": 1.0, "ssb": 0.5}
+# Sampling exponent of each method's epoch stream, in stage 2 or one-stage runs.
+SAMPLER_Q = {"sqrt_samp": 0.5, "cb_focal": 1.0, "bags": 1.0, "ssb": 0.5}
 
 _CHECKPOINT_MAGIC = b"LTLABCKPT1\n"
 
@@ -182,17 +182,22 @@ BatchHook = Callable[[int, int, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 def fit_head(head: ClassifierHead, features: np.ndarray, labels: np.ndarray,
              counts: np.ndarray, q: float, optim: OptimSpec, loss: LossSpec,
-             batch_hook: BatchHook | None = None) -> list[EpochLog]:
-    """Train one linear head in place on fixed features.
+             batch_hook: BatchHook | None = None,
+             backbone: Backbone | None = None) -> list[EpochLog]:
+    """Train one linear head in place; the one training loop of the package.
 
-    ``batch_hook(epoch, step, batch_indices) -> (kept_indices, targets)`` lets
-    callers filter and relabel each batch (used by the grouped heads); the
-    default trains on the batch as drawn with the dataset labels.
+    Without ``backbone`` the head trains on fixed ``features``.  With one,
+    ``features`` are the backbone's raw inputs and its layers train jointly
+    with the head.  ``batch_hook(epoch, step, batch_indices) -> (kept_indices,
+    targets)`` lets callers filter and relabel each batch (used by the grouped
+    heads); the default trains on the batch as drawn with the dataset labels.
     """
     n = features.shape[0]
     if optim.epochs == 0:
         return []
-    params = [head.weight, head.bias]
+    layers = backbone.num_layers if backbone is not None else 0
+    params = [p for i in range(layers) for p in (backbone.weights[i], backbone.biases[i])]
+    params += [head.weight, head.bias]
     state = OptimState(params)
     steps_per_epoch = math.ceil(n / optim.batch_size)
     total_steps = optim.epochs * steps_per_epoch
@@ -201,7 +206,7 @@ def fit_head(head: ClassifierHead, features: np.ndarray, labels: np.ndarray,
     gstep = 0
     for epoch in range(optim.epochs):
         sampler = make_sampler(counts, q, derive_seed(optim.seed, "stream", epoch))
-        stream = make_epoch_stream(labels, sampler, n).indices
+        stream = make_epoch_stream(labels, sampler, n)
         loss_sum, rows = 0.0, 0
         lr = 0.0
         for step in range(steps_per_epoch):
@@ -210,13 +215,18 @@ def fit_head(head: ClassifierHead, features: np.ndarray, labels: np.ndarray,
                 rows_idx, targets = batch, labels[batch]
             else:
                 rows_idx, targets = batch_hook(epoch, step, batch)
-            logits = head.logits(features[rows_idx])
+            h = features[rows_idx]
+            if layers:
+                h, caches = backbone.forward_cached(h)
+            logits = head.logits(h)
             if not np.isfinite(logits).all():
                 raise RuntimeError(f"training diverged: non-finite logits at epoch {epoch}")
             value = batch_loss(logits, targets, counts, loss)
             if not math.isfinite(value.total):
                 raise RuntimeError(f"training diverged: non-finite loss at epoch {epoch}")
-            grads = [value.grad_logits.T @ features[rows_idx], value.grad_logits.sum(axis=0)]
+            grads = [value.grad_logits.T @ h, value.grad_logits.sum(axis=0)]
+            if layers:
+                grads = backbone.backward(value.grad_logits @ head.weight, caches) + grads
             lr = lr_at(gstep, total_steps, warmup_steps, optim.lr_init)
             optimizer_step(params, grads, state, optim, lr)
             gstep += 1
@@ -252,41 +262,8 @@ def train_stage1(dataset: Dataset, arch: Architecture, optim: OptimSpec,
     rng = np.random.default_rng(derive_seed(optim.seed, "init"))
     backbone = Backbone.build(arch.feature_dim, arch.hidden, rng)
     head = ClassifierHead.create(arch.num_classes, backbone.output_dim(arch.feature_dim), rng)
-
-    n = dataset.num_instances
-    log: list[EpochLog] = []
-    if optim.epochs > 0:
-        params = []
-        for w, b in zip(backbone.weights, backbone.biases):
-            params.extend((w, b))
-        params.extend((head.weight, head.bias))
-        state = OptimState(params)
-        steps_per_epoch = math.ceil(n / optim.batch_size)
-        total_steps = optim.epochs * steps_per_epoch
-        warmup_steps = optim.warmup_epochs * steps_per_epoch
-        gstep = 0
-        for epoch in range(optim.epochs):
-            sampler = make_sampler(stats.counts, sampler_q, derive_seed(optim.seed, "stream", epoch))
-            stream = make_epoch_stream(dataset.labels, sampler, n).indices
-            loss_sum = 0.0
-            lr = 0.0
-            for step in range(steps_per_epoch):
-                batch = stream[step * optim.batch_size:(step + 1) * optim.batch_size]
-                x, y = dataset.features[batch], dataset.labels[batch]
-                h, caches = backbone.forward_cached(x)
-                logits = head.logits(h)
-                if not np.isfinite(logits).all():
-                    raise RuntimeError(f"training diverged: non-finite logits at epoch {epoch}")
-                value = batch_loss(logits, y, stats.counts, loss)
-                if not math.isfinite(value.total):
-                    raise RuntimeError(f"training diverged: non-finite loss at epoch {epoch}")
-                grads = backbone.backward(value.grad_logits @ head.weight, caches)
-                grads.extend((value.grad_logits.T @ h, value.grad_logits.sum(axis=0)))
-                lr = lr_at(gstep, total_steps, warmup_steps, optim.lr_init)
-                optimizer_step(params, grads, state, optim, lr)
-                gstep += 1
-                loss_sum += value.total * batch.shape[0]
-            log.append(EpochLog(epoch=epoch, mean_loss=loss_sum / n, lr=lr))
+    log = fit_head(head, dataset.features, dataset.labels, stats.counts, sampler_q, optim,
+                   loss, backbone=backbone)
     return TrainedModel(backbone=backbone, head=head, stats=stats, method=method,
                         train_log=log, class_names=dataset.class_names,
                         background_class=dataset.background_class)
@@ -318,7 +295,7 @@ def train_stage2(model: TrainedModel, dataset: Dataset, method: str,
         return TrainedModel(backbone=backbone, head=model.head.copy(),
                             train_log=log, bags=bags, layout=layout, **common)
     feats = backbone.features(dataset.features)
-    q = STAGE2_SAMPLER_Q[method]
+    q = SAMPLER_Q[method]
     new_head, log = train_linear_head(feats, dataset.labels, stats.counts, q, optim, loss)
     if method == "ssb":
         layout = build_group_layout(stats, background_class=dataset.background_class, for_ssb=True)
@@ -437,25 +414,51 @@ def save_model(model: TrainedModel, path: str) -> None:
 
 
 def load_model(path: str) -> TrainedModel:
-    """Reconstruct a TrainedModel from a checkpoint written by save_model."""
+    """Reconstruct a TrainedModel from a checkpoint written by save_model.
+
+    A corrupt, truncated or over-long file raises ValueError naming the path
+    and the field at fault.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    pos = len(_CHECKPOINT_MAGIC)
+    if blob[:pos] != _CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: not a longtail-lab checkpoint")
+    if len(blob) < pos + 8:
+        raise ValueError(f"{path}: truncated header length field")
+    (header_len,) = struct.unpack_from("<Q", blob, pos)
+    pos += 8
+    if len(blob) < pos + header_len:
+        raise ValueError(f"{path}: truncated header ({len(blob) - pos} of {header_len} bytes)")
+    try:
+        header = json.loads(blob[pos:pos + header_len].decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: header is not valid JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
+    if header.get("version") != 1:
+        raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')}")
+    try:
+        return _model_from_header(header, blob, pos + header_len, path)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing checkpoint field {exc.args[0]!r}") from None
+
+
+def _model_from_header(header: dict, blob: bytes, pos: int, path: str) -> TrainedModel:
+    """The model a parsed header declares; its tensors start at ``blob[pos]``."""
     from .heads import BagsHeads
 
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_CHECKPOINT_MAGIC))
-        if magic != _CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a longtail-lab checkpoint")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        if header.get("version") != 1:
-            raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')}")
-        arrays: dict[str, np.ndarray] = {}
-        for entry in header["params"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise ValueError(f"{path}: truncated parameter {entry['name']}")
-            arrays[entry["name"]] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    arrays: dict[str, np.ndarray] = {}
+    for entry in header["params"]:
+        shape = tuple(entry["shape"])
+        count = math.prod(shape)
+        if len(blob) < pos + count * 8:
+            raise ValueError(f"{path}: truncated parameter {entry['name']}")
+        arrays[entry["name"]] = np.frombuffer(blob, dtype="<f8", count=count, offset=pos
+                                              ).astype(np.float64).reshape(shape)
+        pos += count * 8
+    if pos != len(blob):
+        raise ValueError(f"{path}: {len(blob) - pos} trailing bytes after the last parameter")
 
     num_layers = sum(1 for name in arrays if name.startswith("backbone.") and name.endswith(".weight"))
     backbone = Backbone(

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -51,23 +50,17 @@ def make_sampler(counts, q: float, seed: int) -> SamplerSpec:
     return SamplerSpec(q=q, class_probs=sampling_weights(counts, q), seed=seed)
 
 
-@dataclass(eq=False)
-class EpochStream:
-    """Ordered instance indices for one training epoch."""
+def make_epoch_stream(dataset: Dataset | np.ndarray, sampler: SamplerSpec,
+                      epoch_len: int) -> np.ndarray:
+    """One epoch of int64 instance indices, deterministic in the sampler seed.
 
-    indices: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.indices = np.ascontiguousarray(self.indices, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return int(self.indices.shape[0])
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices)
-
-
-def _stream_indices(labels: np.ndarray, sampler: SamplerSpec, epoch_len: int) -> np.ndarray:
+    q=1 yields seeded permutations of all instances (an exact empirical
+    epoch); q<1 draws with replacement, class first by p_j, then an instance
+    uniformly within that class.  Accepts a Dataset or a bare label array.
+    """
+    if epoch_len < 1:
+        raise ValueError("epoch_len must be >= 1")
+    labels = np.asarray(getattr(dataset, "labels", dataset), dtype=np.int64)
     n = labels.shape[0]
     rng = np.random.default_rng(sampler.seed)
     if sampler.q == 1.0:
@@ -86,20 +79,6 @@ def _stream_indices(labels: np.ndarray, sampler: SamplerSpec, epoch_len: int) ->
     u = rng.random(epoch_len)
     pick = np.minimum((u * counts[cls]).astype(np.int64), counts[cls] - 1)
     return order[starts[cls] + pick]
-
-
-def make_epoch_stream(dataset: Dataset | np.ndarray, sampler: SamplerSpec,
-                      epoch_len: int) -> EpochStream:
-    """Build one epoch of instance indices, deterministic in the sampler seed.
-
-    q=1 yields seeded permutations of all instances (an exact empirical
-    epoch); q<1 draws with replacement, class first by p_j, then an instance
-    uniformly within that class.  Accepts a Dataset or a bare label array.
-    """
-    if epoch_len < 1:
-        raise ValueError("epoch_len must be >= 1")
-    labels = np.asarray(getattr(dataset, "labels", dataset), dtype=np.int64)
-    return EpochStream(indices=_stream_indices(labels, sampler, epoch_len))
 
 
 def bags_filter_batch(batch_labels, group: int, stats: ClassStats,

@@ -192,7 +192,7 @@ def test_criterion_2_gradient_check():
 def test_criterion_3_sampler_distribution():
     dataset = dataset_with_counts([100, 4], seed=0)
     stream = make_epoch_stream(dataset, make_sampler([100, 4], 0.5, seed=5), 10**5)
-    observed = np.bincount(dataset.labels[stream.indices], minlength=2)
+    observed = np.bincount(dataset.labels[stream], minlength=2)
     expected = np.array([10 / 12, 2 / 12]) * 10**5
     pvalue = float(chisquare(observed, expected).pvalue)
     announce(3, "10^5-draw epoch stream at q=0.5 passes chi-square at 0.001",

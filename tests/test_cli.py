@@ -1,11 +1,17 @@
 """Command-line interface: subcommands, overrides, and error reporting."""
+import hashlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
 import yaml
 
+import longtail_lab
 from longtail_lab import load_embeddings
-from longtail_lab.cli import main
+from longtail_lab.cli import build_parser, main
+from longtail_lab.model import METHODS
 
 
 def write_config(path, out_dir, methods=("baseline", "sqrt_samp")):
@@ -37,8 +43,37 @@ class TestGen:
         assert ds.num_classes == 3 and ds.feature_dim == 4
         assert "wrote" in capsys.readouterr().out
 
+    # sha256 of gen's output per mix of flags and config file; keys that
+    # neither supplies fall back to the default config document.
+    @pytest.mark.parametrize("config, flags, digest", [
+        (None, ["--classes", "3", "--dim", "4", "--head-count", "40", "--imbalance", "8",
+                "--separation", "3.5", "--noise", "1.0", "--data-seed", "2"],
+         "836806e3416a0ace5ce2d95743a32cf528b9eee9227027fcec1f08c5556bdfff"),
+        ("seed: 4\ndataset:\n  synthetic: {num_classes: 5, head_count: 50}\n",
+         ["--dim", "3", "--imbalance", "10"],
+         "db3158d2eaf17db13684207e3de7f826b0714701f4028cee161e46c0b30d39e9"),
+        ("seed: 0\n", [],
+         "de642d03d15be66b5465b2a58b092779d245176887fb1d0ab8447af08c857497"),
+        (None, [], "de642d03d15be66b5465b2a58b092779d245176887fb1d0ab8447af08c857497"),
+    ], ids=["all_flags", "partial_config", "config_without_dataset", "no_config"])
+    def test_writes_pinned_bytes(self, tmp_path, config, flags, digest):
+        out = tmp_path / "data.txt"
+        argv = ["gen", "--out", str(out)] + flags
+        if config is not None:
+            (tmp_path / "cfg.yaml").write_text(config)
+            argv += ["--config", str(tmp_path / "cfg.yaml")]
+        assert main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestTrain:
+    def test_method_choices_are_methods(self):
+        parser = build_parser()
+        for method in METHODS:
+            assert parser.parse_args(["train", "--method", method]).method == method
+        with pytest.raises(SystemExit):
+            parser.parse_args(["train", "--method", "mystery"])
+
     def test_single_method_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.yaml", tmp_path / "run")
         code = main(["train", "--config", str(cfg), "--method", "baseline"])
@@ -123,7 +158,11 @@ class TestErrors:
 
 class TestEntryPoint:
     def test_console_script_version(self):
+        # The child imports the same package as this process, however pytest found it.
+        src = str(Path(longtail_lab.__file__).resolve().parents[1])
+        paths = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
         proc = subprocess.run([sys.executable, "-m", "longtail_lab.cli", "--version"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "longtail-lab" in proc.stdout

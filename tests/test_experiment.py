@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 import yaml
 
-from longtail_lab import (compute_class_stats, config_from_dict, emit_f1_delta,
-                          generate_synthetic, load_model, load_report,
+from longtail_lab import (compute_class_stats, config_from_dict, default_config,
+                          emit_f1_delta, generate_synthetic, load_model, load_report,
                           run_experiment, save_embeddings)
 from longtail_lab.experiment import (DEFAULT_CONFIG_YAML, load_manifest,
                                      prepare_datasets)
@@ -84,6 +84,11 @@ class TestConfig:
         doc = tiny_doc("x")
         doc["stage2"]["epochs"] = 5
         assert config_from_dict(doc).digest() != base.digest()
+
+    def test_default_digest_is_pinned(self):
+        # The digest names a run's results; it must not move with code layout.
+        assert default_config().digest() == \
+            "bc5b906e57e8c1476f23ee72a411155c00c58091bc073149a2721d83be836441"
 
     def test_stage2_inherits_stage1_values(self):
         doc = tiny_doc("x")

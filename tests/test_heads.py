@@ -20,17 +20,17 @@ class TestGroupLayout:
         assert layout.group_of.tolist() == [4, 3, 2, 1]
         assert not layout.has_background_group
         mask = SSBMask.from_layout(layout)
-        assert mask.as_matrix().trace() == 1
+        assert mask.head_mask.tolist() == [True, False, False, False]
 
     def test_all_head_classes_identity_mask(self):
         layout = build_group_layout(stats_for([2000, 1500, 1000]), for_ssb=True)
         mask = SSBMask.from_layout(layout)
-        np.testing.assert_array_equal(mask.as_matrix(), np.eye(3))
+        assert mask.head_mask.all()
 
     def test_no_head_classes_zero_mask(self):
         layout = build_group_layout(stats_for([999, 50, 5]), for_ssb=True)
         mask = SSBMask.from_layout(layout)
-        np.testing.assert_array_equal(mask.as_matrix(), np.zeros((3, 3)))
+        assert not mask.head_mask.any()
 
     def test_ssb_background_placed_by_count(self):
         stats = stats_for([5000, 50, 5])
@@ -72,11 +72,17 @@ class TestSSBMask:
     def test_idempotent_and_diagonal(self):
         mask = SSBMask.from_layout(build_group_layout(stats_for([5000, 500, 5000, 5]),
                                                       for_ssb=True))
-        q = mask.as_matrix()
+        assert mask.head_mask.tolist() == [True, False, True, False]
+        # The paper's form: p = Q p_i + (I - Q) p_sqrt with Q the diagonal head mask.
+        q = np.diag(mask.head_mask.astype(np.float64))
         np.testing.assert_array_equal(q, q.T)
         np.testing.assert_array_equal(q @ q, q)
         np.testing.assert_array_equal(q @ (np.eye(4) - q), np.zeros((4, 4)))
         assert q.trace() == 2
+        rng = np.random.default_rng(0)
+        p_i, p_sqrt = rng.random(4), rng.random(4)
+        np.testing.assert_array_equal(ssb_aggregate(p_i, p_sqrt, mask),
+                                      q @ p_i + (np.eye(4) - q) @ p_sqrt)
 
 
 class TestSSBAggregate:

@@ -1,6 +1,11 @@
 """Model forward/backward, two-stage training contracts, prediction, checkpoints."""
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longtail_lab import (Architecture, Backbone, ClassifierHead, Dataset,
                           LossSpec, OptimSpec, batch_loss, forward,
@@ -274,6 +279,59 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError, match="not a longtail-lab checkpoint"):
             load_model(str(path))
+
+
+MAGIC_LEN = len(b"LTLABCKPT1\n")
+
+
+@pytest.fixture(scope="module")
+def checkpoint_file(tmp_path_factory, stage1_setup):
+    path = tmp_path_factory.mktemp("ckpt") / "baseline.ckpt"
+    save_model(stage1_setup[1], str(path))
+    return path
+
+
+def rejects(path, *fragments) -> None:
+    """load_model raises ValueError whose message names the path and each fragment."""
+    with pytest.raises(ValueError) as info:
+        load_model(str(path))
+    for text in (str(path),) + fragments:
+        assert text in str(info.value)
+
+
+class TestCorruptCheckpoint:
+    def test_truncated_length_field(self, tmp_path, checkpoint_file):
+        path = tmp_path / "cut.ckpt"
+        path.write_bytes(checkpoint_file.read_bytes()[:MAGIC_LEN + 5])
+        rejects(path, "header length")
+
+    def test_tensor_missing_from_header(self, tmp_path, checkpoint_file, stage1_setup):
+        blob = checkpoint_file.read_bytes()
+        (header_len,) = struct.unpack_from("<Q", blob, MAGIC_LEN)
+        start = MAGIC_LEN + 8
+        header = json.loads(blob[start:start + header_len])
+        assert header["params"][-1]["name"] == "head.bias"
+        header["params"].pop()
+        new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        bias_bytes = 8 * stage1_setup[1].head.bias.size
+        path = tmp_path / "nobias.ckpt"
+        path.write_bytes(blob[:MAGIC_LEN] + struct.pack("<Q", len(new)) + new
+                         + blob[start + header_len:-bias_bytes])
+        rejects(path, "'head.bias'")
+
+    def test_trailing_bytes(self, tmp_path, checkpoint_file):
+        path = tmp_path / "long.ckpt"
+        path.write_bytes(checkpoint_file.read_bytes() + bytes(8))
+        rejects(path, "trailing bytes")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_truncation_rejected(self, checkpoint_file, data):
+        blob = checkpoint_file.read_bytes()
+        cut = data.draw(st.integers(min_value=0, max_value=len(blob) - 1), label="cut")
+        path = checkpoint_file.with_name("truncated.ckpt")
+        path.write_bytes(blob[:cut])
+        rejects(path)
 
 
 class TestBackboneUnit:

@@ -69,43 +69,44 @@ class TestEpochStream:
     def test_q1_is_permutation(self):
         ds = dataset_with_counts([6, 3, 2])
         stream = make_epoch_stream(ds, make_sampler([6, 3, 2], 1.0, seed=4), 11)
-        assert sorted(stream.indices.tolist()) == list(range(11))
+        assert stream.dtype == np.int64
+        assert sorted(stream.tolist()) == list(range(11))
 
     def test_q1_longer_than_n_tiles_permutations(self):
         ds = dataset_with_counts([4, 2])
         stream = make_epoch_stream(ds, make_sampler([4, 2], 1.0, seed=4), 13)
         assert len(stream) == 13
-        assert sorted(stream.indices[:6].tolist()) == list(range(6))
+        assert sorted(stream[:6].tolist()) == list(range(6))
 
     def test_fixed_seed_reproducible(self):
         ds = dataset_with_counts([50, 10])
         sampler = make_sampler([50, 10], 0.5, seed=77)
         a = make_epoch_stream(ds, sampler, 1000)
         b = make_epoch_stream(ds, sampler, 1000)
-        assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a, b)
 
     def test_all_indices_valid(self):
         ds = dataset_with_counts([5, 5, 5])
         stream = make_epoch_stream(ds, make_sampler([5, 5, 5], 0.0, seed=0), 500)
-        assert stream.indices.min() >= 0 and stream.indices.max() < 15
+        assert stream.min() >= 0 and stream.max() < 15
 
     def test_uniform_share_concentrates(self):
         ds = dataset_with_counts([90, 10])
         stream = make_epoch_stream(ds, make_sampler([90, 10], 0.0, seed=21), 10**5)
-        share0 = (ds.labels[stream.indices] == 0).mean()
+        share0 = (ds.labels[stream] == 0).mean()
         assert abs(share0 - 0.5) < 0.01
 
     def test_chisquare_against_target_distribution(self):
         ds = dataset_with_counts([100, 4])
         stream = make_epoch_stream(ds, make_sampler([100, 4], 0.5, seed=5), 10**5)
-        observed = np.bincount(ds.labels[stream.indices], minlength=2)
+        observed = np.bincount(ds.labels[stream], minlength=2)
         expected = np.array([10 / 12, 2 / 12]) * 10**5
         assert chisquare(observed, expected).pvalue > 0.001
 
     def test_within_class_draws_cover_instances(self):
         ds = dataset_with_counts([3, 3])
         stream = make_epoch_stream(ds, make_sampler([3, 3], 0.0, seed=2), 2000)
-        assert set(stream.indices.tolist()) == set(range(6))
+        assert set(stream.tolist()) == set(range(6))
 
 
 class TestBagsFilterBatch:
