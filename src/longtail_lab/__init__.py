@@ -14,8 +14,8 @@ from .data import (ClassStats, Dataset, SplitSpec, SyntheticSpec,
 from .experiment import (ExperimentConfig, RunManifest, config_from_dict,
                          default_config, emit_f1_delta, load_config,
                          run_experiment)
-from .heads import (BagsHeads, GroupLayout, SSBMask, bags_infer, bags_scores,
-                    bags_train_heads, build_group_layout, ssb_aggregate)
+from .heads import (GroupLayout, bags_infer, bags_scores, bags_train_heads,
+                    build_group_layout, ssb_aggregate)
 from .losses import LossSpec, LossValue, batch_loss, cb_weight, focal_loss, softmax
 from .metrics import EvalReport, compare_methods, evaluate, load_report, save_report
 from .model import (Architecture, Backbone, ClassifierHead, TrainedModel,
@@ -26,10 +26,10 @@ from .sampling import (SamplerSpec, bags_filter_batch, make_epoch_stream,
                        make_sampler, sampling_weights)
 
 __all__ = [
-    "Architecture", "Backbone", "BagsHeads", "ClassStats", "ClassifierHead",
+    "Architecture", "Backbone", "ClassStats", "ClassifierHead",
     "Dataset", "EvalReport", "ExperimentConfig", "GroupLayout",
     "LossSpec", "LossValue", "OptimSpec", "OptimState", "RunManifest",
-    "SSBMask", "SamplerSpec", "SplitSpec", "SyntheticSpec", "TrainedModel",
+    "SamplerSpec", "SplitSpec", "SyntheticSpec", "TrainedModel",
     "bags_filter_batch", "bags_infer", "bags_scores", "bags_train_heads",
     "batch_loss", "build_group_layout", "cb_weight", "compare_methods",
     "compute_class_stats", "config_from_dict", "default_config",

@@ -9,9 +9,9 @@ from pathlib import Path
 import yaml
 
 from . import __version__
-from .data import SyntheticSpec, generate_synthetic, save_embeddings
-from .experiment import (DEFAULT_CONFIG_YAML, ExperimentConfig, config_from_dict,
-                         emit_f1_delta, run_experiment)
+from .data import generate_synthetic, save_embeddings
+from .experiment import (DEFAULT_CONFIG_YAML, config_from_dict, emit_f1_delta,
+                         run_experiment, synthetic_spec)
 from .metrics import compare_methods, load_report
 from .model import METHODS
 
@@ -55,10 +55,6 @@ def _load_doc(args: argparse.Namespace) -> dict:
     return doc
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    return config_from_dict(_load_doc(args))
-
-
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="YAML configuration document")
     parser.add_argument("--seed", type=int, help="master seed override")
@@ -74,26 +70,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     doc = _load_doc(args)
     section = {**yaml.safe_load(DEFAULT_CONFIG_YAML)["dataset"]["synthetic"],
                **((doc.get("dataset") or {}).get("synthetic") or {})}
-    flags = {
-        "num_classes": args.classes,
-        "feature_dim": args.dim,
-        "head_count": args.head_count,
-        "imbalance_factor": args.imbalance,
-        "class_separation": args.separation,
-        "noise_sigma": args.noise,
-        "seed": args.data_seed,
-    }
+    flags = {k: getattr(args, k) for k in ("num_classes", "feature_dim", "head_count",
+                                           "imbalance_factor", "class_separation", "noise_sigma")}
+    flags["seed"] = args.data_seed
     section.update({k: v for k, v in flags.items() if v is not None})
-    section.setdefault("seed", int(doc.get("seed", 0)))
-    spec = SyntheticSpec(
-        num_classes=int(section["num_classes"]),
-        feature_dim=int(section["feature_dim"]),
-        head_count=int(section["head_count"]),
-        imbalance_factor=float(section["imbalance_factor"]),
-        class_separation=float(section["class_separation"]),
-        noise_sigma=float(section["noise_sigma"]),
-        seed=int(section["seed"]),
-    )
+    spec = synthetic_spec(section, default_seed=int(doc.get("seed", 0)))
     dataset = generate_synthetic(spec)
     save_embeddings(dataset, args.out)
     print(f"wrote {dataset.num_instances} instances over {dataset.num_classes} "
@@ -102,7 +83,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    config = replace(_config_from_args(args), methods=(args.method,))
+    config = replace(config_from_dict(_load_doc(args)), methods=(args.method,))
     manifest = run_experiment(config)
     entry = manifest.methods[args.method]
     print(f"{args.method}: checkpoint {entry['checkpoint']}, report {entry['report']} "
@@ -111,7 +92,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+    config = config_from_dict(_load_doc(args))
     run_experiment(config)
     table_path = Path(config.output_dir) / "reports" / "comparison.txt"
     sys.stdout.write(table_path.read_text(encoding="utf-8"))
@@ -157,12 +138,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="write a synthetic dataset in the embedding format")
     gen.add_argument("--out", required=True, help="output embedding file")
-    gen.add_argument("--classes", type=int, help="number of classes")
-    gen.add_argument("--dim", type=int, help="feature dimension")
+    gen.add_argument("--classes", type=int, dest="num_classes", help="number of classes")
+    gen.add_argument("--dim", type=int, dest="feature_dim", help="feature dimension")
     gen.add_argument("--head-count", type=int, help="instances of the largest class")
-    gen.add_argument("--imbalance", type=float, help="largest/smallest count ratio")
-    gen.add_argument("--separation", type=float, help="centroid distance scale")
-    gen.add_argument("--noise", type=float, help="within-class noise sigma")
+    gen.add_argument("--imbalance", type=float, dest="imbalance_factor",
+                     help="largest/smallest count ratio")
+    gen.add_argument("--separation", type=float, dest="class_separation",
+                     help="centroid distance scale")
+    gen.add_argument("--noise", type=float, dest="noise_sigma", help="within-class noise sigma")
     gen.add_argument("--data-seed", type=int, help="dataset seed")
     gen.add_argument("--config", help="YAML config supplying dataset.synthetic defaults")
     gen.set_defaults(func=_cmd_gen)

@@ -1,8 +1,8 @@
 """Synthetic long-tail datasets, embedding-file ingestion, and per-class statistics.
 
-Class counts are summarized twice from the same decade boundaries: accuracy
-``bins`` 1-4 for evaluation and classifier-head ``groups`` 1-4.  Both use
-half-open intervals [10^(k-1), 10^k), with the top interval open-ended.
+Class counts are summarized by decade: ``bins`` 1-4 are the half-open
+intervals [10^(k-1), 10^k), the top one open-ended.  They group classes both
+for binned accuracy and for the grouped classifier heads.
 """
 from __future__ import annotations
 
@@ -99,18 +99,16 @@ class Dataset:
 
 @dataclass(eq=False)
 class ClassStats:
-    """Per-class training counts with their bin and group assignments."""
+    """Per-class training counts with their count-decade bins."""
 
     counts: np.ndarray
     bins: np.ndarray
-    groups: np.ndarray
 
     def __post_init__(self) -> None:
         self.counts = np.ascontiguousarray(self.counts, dtype=np.int64)
         self.bins = np.ascontiguousarray(self.bins, dtype=np.int64)
-        self.groups = np.ascontiguousarray(self.groups, dtype=np.int64)
-        if not (self.counts.shape == self.bins.shape == self.groups.shape):
-            raise ValueError("counts, bins, and groups must have one entry per class")
+        if self.counts.shape != self.bins.shape:
+            raise ValueError("counts and bins must have one entry per class")
 
     @property
     def num_classes(self) -> int:
@@ -125,7 +123,7 @@ def count_decade(n: int | np.ndarray) -> int | np.ndarray:
 
 
 def compute_class_stats(dataset: Dataset) -> ClassStats:
-    """Count training instances per class and assign count bins and groups.
+    """Count training instances per class and assign their count bins.
 
     Every class must appear at least once; classes with zero instances are a
     data error here, not something to drop silently.
@@ -134,8 +132,7 @@ def compute_class_stats(dataset: Dataset) -> ClassStats:
     if (counts == 0).any():
         missing = [dataset.class_names[j] for j in np.flatnonzero(counts == 0)]
         raise ValueError(f"classes with zero training instances: {', '.join(missing)}")
-    decades = count_decade(counts)
-    return ClassStats(counts=counts, bins=decades, groups=decades.copy())
+    return ClassStats(counts=counts, bins=count_decade(counts))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -152,54 +153,83 @@ def _as_section(doc: dict, key: str) -> dict:
     return value
 
 
+def _value(section: dict, key: str, where: str, kind: type, default=None):
+    """``section[key]``, else ``default`` (with none, the key is required),
+    checked to be an int, not a bool, or for ``kind`` float a finite number."""
+    name = f"{where}.{key}".lstrip(".")
+    if key not in section and default is None:
+        raise ValueError(f"config key {name} is required")
+    value = section.get(key, default)
+    ok = isinstance(value, (int, float) if kind is float else int) and not isinstance(value, bool)
+    if not (ok and (kind is int or math.isfinite(value))):
+        raise ValueError(f"config key {name} must be "
+                         f"{'an integer' if kind is int else 'a finite number'}, got {value!r}")
+    return value
+
+
+_SYNTHETIC_TYPES = {"num_classes": int, "feature_dim": int, "head_count": int,
+                    "imbalance_factor": float, "class_separation": float,
+                    "noise_sigma": float}
+
+
+def synthetic_spec(section: dict, default_seed: int) -> SyntheticSpec:
+    """``dataset.synthetic`` as a SyntheticSpec, whose ``seed`` defaults to ``default_seed``."""
+    where = "dataset.synthetic"
+    if not isinstance(section, dict):
+        raise ValueError(f"config section {where} must be a mapping")
+    _check_keys(section, (*_SYNTHETIC_TYPES, "seed"), where)
+    values = {k: kind(_value(section, k, where, kind)) for k, kind in _SYNTHETIC_TYPES.items()}
+    try:
+        return SyntheticSpec(**values, seed=int(_value(section, "seed", where, int, default_seed)))
+    except ValueError as exc:
+        raise ValueError(f"config section {where}: {exc}") from None
+
+
+_OPTIM_TYPES = {"lr_init": float, "weight_decay": float, "beta1": float, "beta2": float,
+                "eps": float, "batch_size": int, "epochs": int, "warmup_epochs": int}
+
+
 def _optim_from(section: dict, where: str, base: OptimSpec, seed: int) -> OptimSpec:
-    _check_keys(section, ("lr_init", "weight_decay", "beta1", "beta2", "eps",
-                          "batch_size", "epochs", "warmup_epochs"), where)
-    kwargs = {k: section[k] for k in section}
-    return replace(base, seed=seed, **kwargs)
+    _check_keys(section, tuple(_OPTIM_TYPES), where)
+    kwargs = {k: _value(section, k, where, _OPTIM_TYPES[k]) for k in section}
+    try:
+        return replace(base, seed=seed, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"config section {where}: {exc}") from None
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Build and validate an ExperimentConfig from a nested config mapping."""
+    """Build and validate an ExperimentConfig; each error names its dotted config key."""
     if not isinstance(doc, dict):
         raise ValueError("config document must be a mapping")
     _check_keys(doc, ("seed", "output_dir", "methods", "one_stage", "shared_stage1",
                       "dataset", "split", "model", "stage1", "stage2", "loss", "bags"),
                 "top level")
-    seed = int(doc.get("seed", 0))
+    seed = _value(doc, "seed", "", int, 0)
 
     dataset = _as_section(doc, "dataset")
     _check_keys(dataset, ("synthetic", "embeddings", "background_class", "eval"), "dataset")
     synthetic = None
     if dataset.get("synthetic") is not None:
-        syn = dataset["synthetic"]
-        _check_keys(syn, ("num_classes", "feature_dim", "head_count", "imbalance_factor",
-                          "class_separation", "noise_sigma", "seed"), "dataset.synthetic")
-        synthetic = SyntheticSpec(
-            num_classes=int(syn["num_classes"]),
-            feature_dim=int(syn["feature_dim"]),
-            head_count=int(syn["head_count"]),
-            imbalance_factor=float(syn["imbalance_factor"]),
-            class_separation=float(syn["class_separation"]),
-            noise_sigma=float(syn["noise_sigma"]),
-            seed=int(syn.get("seed", derive_seed(seed, "dataset"))),
-        )
+        synthetic = synthetic_spec(dataset["synthetic"], derive_seed(seed, "dataset"))
     eval_section = dataset.get("eval") or {}
     _check_keys(eval_section, ("mode", "per_class"), "dataset.eval")
 
     split_section = _as_section(doc, "split")
     _check_keys(split_section, ("train", "val", "test", "seed", "stratified"), "split")
     split = SplitSpec(
-        train_fraction=float(split_section.get("train", 0.70)),
-        val_fraction=float(split_section.get("val", 0.15)),
-        test_fraction=float(split_section.get("test", 0.15)),
-        seed=int(split_section.get("seed", derive_seed(seed, "split"))),
+        train_fraction=float(_value(split_section, "train", "split", float, 0.70)),
+        val_fraction=float(_value(split_section, "val", "split", float, 0.15)),
+        test_fraction=float(_value(split_section, "test", "split", float, 0.15)),
+        seed=int(_value(split_section, "seed", "split", int, derive_seed(seed, "split"))),
         stratified=bool(split_section.get("stratified", True)),
     )
 
     model_section = _as_section(doc, "model")
     _check_keys(model_section, ("hidden",), "model")
-    hidden = tuple(int(h) for h in model_section.get("hidden") or ())
+    hidden = model_section.get("hidden") or []
+    if not isinstance(hidden, list) or not all(type(h) is int and h > 0 for h in hidden):
+        raise ValueError(f"config key model.hidden must list positive integers, got {hidden!r}")
 
     stage1 = _optim_from(_as_section(doc, "stage1"), "stage1", OptimSpec(), seed=0)
     stage2_defaults = replace(stage1, epochs=12, warmup_epochs=1)
@@ -223,14 +253,14 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         embeddings_path=dataset.get("embeddings"),
         background=dataset.get("background_class"),
         eval_mode=str(eval_section.get("mode", "split")),
-        eval_per_class=int(eval_section.get("per_class", 100)),
+        eval_per_class=int(_value(eval_section, "per_class", "dataset.eval", int, 100)),
         split=split,
-        hidden=hidden,
+        hidden=tuple(hidden),
         stage1=stage1,
         stage2=stage2,
-        gamma=float(loss_section.get("gamma", 2.0)),
-        cb_beta=float(loss_section.get("cb_beta", 0.9)),
-        bags_beta=float(bags_section.get("beta", 8.0)),
+        gamma=float(_value(loss_section, "gamma", "loss", float, 2.0)),
+        cb_beta=float(_value(loss_section, "cb_beta", "loss", float, 0.9)),
+        bags_beta=float(_value(bags_section, "beta", "bags", float, 8.0)),
         bags_background_group=str(bags_section.get("background_group", "auto")),
     )
 
@@ -313,19 +343,7 @@ class RunManifest:
         return files
 
     def to_json(self) -> str:
-        payload = {
-            "format": "longtail-lab-manifest",
-            "version": 1,
-            "tool_version": self.tool_version,
-            "config_digest": self.config_digest,
-            "dataset_digest": self.dataset_digest,
-            "one_stage": self.one_stage,
-            "methods": self.methods,
-            "comparison_csv": self.comparison_csv,
-            "comparison_txt": self.comparison_txt,
-            "f1_delta_csv": self.f1_delta_csv,
-            "failure": self.failure,
-        }
+        payload = {"format": "longtail-lab-manifest", "version": 1, **asdict(self)}
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def save(self, path: str) -> None:
@@ -342,17 +360,7 @@ def load_manifest(path: str) -> RunManifest:
         obj = json.load(fh)
     if obj.get("format") != "longtail-lab-manifest":
         raise ValueError("not a longtail-lab manifest")
-    return RunManifest(
-        config_digest=obj["config_digest"],
-        dataset_digest=obj["dataset_digest"],
-        tool_version=obj["tool_version"],
-        one_stage=obj["one_stage"],
-        methods=obj["methods"],
-        comparison_csv=obj["comparison_csv"],
-        comparison_txt=obj["comparison_txt"],
-        f1_delta_csv=obj["f1_delta_csv"],
-        failure=obj["failure"],
-    )
+    return RunManifest(**{f.name: obj[f.name] for f in fields(RunManifest)})
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,11 @@ class GroupLayout:
     group_of: np.ndarray
     has_background_group: bool
     background_class: int | None = None
-    limits: tuple[tuple[float, float], ...] = GROUP_LIMITS
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "group_of",
                            np.ascontiguousarray(self.group_of, dtype=np.int64))
-        valid = set(range(0, len(self.limits) + 1))
+        valid = set(range(0, len(GROUP_LIMITS) + 1))
         if not set(self.group_of.tolist()) <= valid:
             raise ValueError(f"group indices must lie in {sorted(valid)}")
         zeros = np.flatnonzero(self.group_of == 0)
@@ -68,7 +67,7 @@ def build_group_layout(stats: ClassStats, background_class: int | None = None,
     group.  Otherwise a background group is used exactly when a background
     class is designated (or explicitly via ``with_background_group``).
     """
-    groups = stats.groups.copy()
+    groups = stats.bins.copy()
     if for_ssb:
         return GroupLayout(group_of=groups, has_background_group=False,
                            background_class=background_class)
@@ -82,86 +81,50 @@ def build_group_layout(stats: ClassStats, background_class: int | None = None,
                        background_class=background_class)
 
 
-@dataclass(frozen=True, eq=False)
-class SSBMask:
-    """Diagonal selection mask: True where a class belongs to the top count group."""
-
-    head_mask: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "head_mask",
-                           np.ascontiguousarray(self.head_mask, dtype=bool))
-        if self.head_mask.ndim != 1:
-            raise ValueError("mask must be one flag per class")
-
-    @classmethod
-    def from_layout(cls, layout: GroupLayout) -> "SSBMask":
-        return cls(head_mask=layout.group_of == HEAD_GROUP)
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.head_mask.shape[0])
-
-
-def ssb_aggregate(p_i, p_sqrt, mask: SSBMask) -> np.ndarray:
-    """Combine the two branch outputs: head-group coordinates from the
-    instance-sampled branch, all others from the square-root branch.
+def ssb_aggregate(p_i, p_sqrt, head_mask) -> np.ndarray:
+    """Combine the two branch outputs: where ``head_mask`` is True (the
+    classes of the top count group) from the instance-sampled branch, all
+    others from the square-root branch.
 
     The result is not a probability vector; its sum is generally not 1.
     """
     p_i = np.asarray(p_i, dtype=np.float64)
     p_sqrt = np.asarray(p_sqrt, dtype=np.float64)
+    head_mask = np.asarray(head_mask, dtype=bool)
     if p_i.shape != p_sqrt.shape:
         raise ValueError(f"branch outputs disagree in shape: {p_i.shape} vs {p_sqrt.shape}")
-    if p_i.shape[-1] != mask.num_classes:
-        raise ValueError(f"expected {mask.num_classes} classes, got {p_i.shape[-1]}")
-    return np.where(mask.head_mask, p_i, p_sqrt)
-
-
-@dataclass(eq=False)
-class BagsHeads:
-    """One classifier head per non-empty group (group size + 1 "others" output),
-    plus an optional binary foreground/background head."""
-
-    layout: GroupLayout
-    heads: dict[int, ClassifierHead]
-    background_head: ClassifierHead | None = None
-
-    def __post_init__(self) -> None:
-        for k, head in self.heads.items():
-            expected = self.layout.classes_in(k).size + 1
-            if head.num_outputs != expected:
-                raise ValueError(f"group {k} head has {head.num_outputs} outputs, "
-                                 f"expected {expected}")
-        if self.background_head is not None and self.background_head.num_outputs != 2:
-            raise ValueError("background head must have exactly 2 outputs")
+    if head_mask.shape != p_i.shape[-1:]:
+        raise ValueError(f"expected one mask flag per class, got mask shape {head_mask.shape} "
+                         f"for {p_i.shape[-1]} classes")
+    return np.where(head_mask, p_i, p_sqrt)
 
 
 def bags_train_heads(model: TrainedModel, dataset: Dataset, layout: GroupLayout,
                      optim: OptimSpec, loss: LossSpec | None = None,
-                     bags_beta: float = 8.0) -> tuple[BagsHeads, list[EpochLog]]:
+                     bags_beta: float = 8.0) -> tuple[dict[str, ClassifierHead], list[EpochLog]]:
     """Train the grouped heads on frozen stage-1 features.
 
     Each group head sees every in-group instance of a batch plus an
     undersampled set of out-of-group instances relabeled "others".  Heads use
     independent derived seeds, so training order cannot affect results.
-    Returns the heads and a per-epoch log averaged across heads.
+    Returns one head per non-empty group (group size + 1 "others" outputs)
+    and, with a background group, the binary foreground/background head, by
+    name; and a per-epoch log averaged across heads.
     """
     loss = loss or LossSpec(kind="cross_entropy")
     stats = compute_class_stats(dataset)
     # Group membership must follow the layout, not the raw count decades: a
     # designated background class lives in group 0 even when its count shares
     # a decade with other classes.
-    effective = ClassStats(counts=stats.counts, bins=stats.bins,
-                           groups=layout.group_of.copy())
+    group_of = layout.group_of
     feats = model.backbone.features(dataset.features)
     labels = dataset.labels
     dim = feats.shape[1]
 
     slot_of = np.full(layout.num_classes, -1, dtype=np.int64)
-    heads: dict[int, ClassifierHead] = {}
+    heads: dict[str, ClassifierHead] = {}
     logs: list[list[EpochLog]] = []
-    for k in range(1, len(layout.limits) + 1):
+    for k in range(1, len(GROUP_LIMITS) + 1):
         members = layout.classes_in(k)
         if members.size == 0:
             logger.warning("grouped-head training: group %d has no classes; skipped", k)
@@ -175,18 +138,17 @@ def bags_train_heads(model: TrainedModel, dataset: Dataset, layout: GroupLayout,
 
         def group_hook(epoch: int, step: int, batch: np.ndarray,
                        group: int = k, slot: int = others_slot) -> tuple[np.ndarray, np.ndarray]:
-            kept = bags_filter_batch(labels[batch], group, effective, bags_beta,
+            kept = bags_filter_batch(labels[batch], group, group_of, bags_beta,
                                      seed=derive_seed(head_seed, "filter", epoch, step))
             rows = batch[kept]
             local = slot_of[labels[rows]]
-            in_group = effective.groups[labels[rows]] == group
+            in_group = group_of[labels[rows]] == group
             return rows, np.where(in_group, local, slot)
 
         logs.append(fit_head(head, feats, labels, stats.counts, SAMPLER_Q["bags"], head_optim,
                              loss, batch_hook=group_hook))
-        heads[k] = head
+        heads[f"bags.group{k}"] = head
 
-    background_head = None
     if layout.has_background_group:
         bg = layout.background_class
         bg_seed = derive_seed(optim.seed, "bags-background")
@@ -199,14 +161,15 @@ def bags_train_heads(model: TrainedModel, dataset: Dataset, layout: GroupLayout,
 
         logs.append(fit_head(background_head, feats, labels, stats.counts, SAMPLER_Q["bags"],
                              bg_optim, loss, batch_hook=background_hook))
+        heads["bags.background"] = background_head
 
     merged = [EpochLog(epoch=e, mean_loss=float(np.mean([lg[e].mean_loss for lg in logs])),
                        lr=logs[0][e].lr)
               for e in range(optim.epochs)] if logs else []
-    return BagsHeads(layout=layout, heads=heads, background_head=background_head), merged
+    return heads, merged
 
 
-def bags_infer(heads: BagsHeads, group_logits: dict[int, np.ndarray],
+def bags_infer(layout: GroupLayout, group_logits: dict[int, np.ndarray],
                background_logits: np.ndarray | None = None) -> np.ndarray:
     """Remap per-group logits to a score vector over the original classes.
 
@@ -224,30 +187,35 @@ def bags_infer(heads: BagsHeads, group_logits: dict[int, np.ndarray],
         if background_logits is not None:
             background_logits = np.atleast_2d(background_logits)
     batch = next(iter(group_logits.values())).shape[0]
-    scores = np.zeros((batch, heads.layout.num_classes))
+    scores = np.zeros((batch, layout.num_classes))
     for k, logits in group_logits.items():
-        members = heads.layout.classes_in(k)
+        members = layout.classes_in(k)
         probs = softmax(logits)
         if probs.shape[1] != members.size + 1:
             raise ValueError(f"group {k} logits have {probs.shape[1]} outputs, "
                              f"expected {members.size + 1}")
         scores[:, members] = probs[:, :members.size]
-    if heads.layout.has_background_group:
+    if layout.has_background_group:
         if background_logits is None:
             raise ValueError("layout has a background group but no background logits given")
         bg_probs = softmax(background_logits)
-        bg = heads.layout.background_class
-        foreground = np.ones(heads.layout.num_classes, dtype=bool)
+        if bg_probs.shape[1] != 2:
+            raise ValueError(f"background logits have {bg_probs.shape[1]} outputs, expected 2")
+        bg = layout.background_class
+        foreground = np.ones(layout.num_classes, dtype=bool)
         foreground[bg] = False
         scores[:, foreground] *= bg_probs[:, 0][:, None]
         scores[:, bg] = bg_probs[:, 1]
     return scores[0] if squeeze else scores
 
 
-def bags_scores(heads: BagsHeads, features: np.ndarray) -> np.ndarray:
-    """Score vectors for backbone features, via each group head and bags_infer."""
-    group_logits = {k: head.logits(features) for k, head in heads.heads.items()}
+def bags_scores(layout: GroupLayout, heads: dict[str, ClassifierHead],
+                features: np.ndarray) -> np.ndarray:
+    """Score vectors for backbone features, via each group head in ``heads``
+    and bags_infer; heads of other names are ignored."""
+    group_logits = {k: heads[f"bags.group{k}"].logits(features)
+                    for k in range(1, len(GROUP_LIMITS) + 1) if f"bags.group{k}" in heads}
     background_logits = None
-    if heads.background_head is not None:
-        background_logits = heads.background_head.logits(features)
-    return bags_infer(heads, group_logits, background_logits)
+    if "bags.background" in heads:
+        background_logits = heads["bags.background"].logits(features)
+    return bags_infer(layout, group_logits, background_logits)

@@ -10,14 +10,14 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .data import ClassStats, Dataset, compute_class_stats
+from .data import GROUP_LIMITS, ClassStats, Dataset, compute_class_stats, count_decade
 from .losses import LossSpec, batch_loss, softmax
 from .optim import OptimSpec, OptimState, lr_at, optimizer_step
 from .sampling import make_epoch_stream, make_sampler
 from .seeding import derive_seed
 
 if TYPE_CHECKING:
-    from .heads import BagsHeads, GroupLayout
+    from .heads import GroupLayout
 
 METHODS = ("baseline", "sqrt_samp", "cb_focal", "bags", "ssb")
 
@@ -119,6 +119,10 @@ class ClassifierHead:
     weight: np.ndarray
     bias: np.ndarray
 
+    def __post_init__(self) -> None:
+        if self.weight.ndim != 2 or self.bias.shape != self.weight.shape[:1]:
+            raise ValueError(f"head weight {self.weight.shape} and bias {self.bias.shape} disagree")
+
     @classmethod
     def create(cls, num_outputs: int, in_dim: int, rng: np.random.Generator) -> "ClassifierHead":
         return cls(weight=_uniform_init(rng, num_outputs, in_dim),
@@ -144,22 +148,35 @@ class EpochLog:
 
 @dataclass(eq=False)
 class TrainedModel:
-    """Backbone plus the head(s) a method produced, with its training log."""
+    """Backbone plus the named heads a method produced, with its training log.
+
+    ``heads`` maps each head's checkpoint prefix to the head: ``head`` (the
+    stage-1 or retrained classifier), ``sqrt_head`` (ssb's square-root
+    branch), ``bags.group<k>`` and ``bags.background``.  ``scores`` combines
+    them as the method prescribes, with ``layout`` grouping the classes.
+    """
 
     backbone: Backbone
-    head: ClassifierHead
+    heads: dict[str, ClassifierHead]
     stats: ClassStats
     method: str
     train_log: list[EpochLog]
     class_names: tuple[str, ...]
     background_class: int | None = None
-    sqrt_head: ClassifierHead | None = None
-    bags: "BagsHeads | None" = None
     layout: "GroupLayout | None" = None
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method tag must be one of {METHODS}, got {self.method!r}")
+        sizes = {"stats.counts": self.stats.num_classes,
+                 **{f"{name} outputs": self.heads[name].num_outputs
+                    for name in ("head", "sqrt_head") if name in self.heads}}
+        if self.layout is not None:
+            sizes["layout.group_of"] = self.layout.num_classes
+        for field, size in sizes.items():
+            if size != self.num_classes:
+                raise ValueError(f"class_names has {self.num_classes} entries "
+                                 f"but {field} has {size}")
 
     @property
     def num_classes(self) -> int:
@@ -168,13 +185,14 @@ class TrainedModel:
 
 def forward(model: TrainedModel, features: np.ndarray) -> np.ndarray:
     """Logits of the model's primary head; pure in parameters and input."""
+    head = model.heads["head"]
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("features must be (batch, dim)")
-    expected = model.backbone.weights[0].shape[1] if model.backbone.weights else model.head.weight.shape[1]
+    expected = model.backbone.weights[0].shape[1] if model.backbone.weights else head.weight.shape[1]
     if x.shape[1] != expected:
         raise ValueError(f"feature dimension {x.shape[1]} does not match model input {expected}")
-    return model.head.logits(model.backbone.features(x))
+    return head.logits(model.backbone.features(x))
 
 
 BatchHook = Callable[[int, int, np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -264,7 +282,7 @@ def train_stage1(dataset: Dataset, arch: Architecture, optim: OptimSpec,
     head = ClassifierHead.create(arch.num_classes, backbone.output_dim(arch.feature_dim), rng)
     log = fit_head(head, dataset.features, dataset.labels, stats.counts, sampler_q, optim,
                    loss, backbone=backbone)
-    return TrainedModel(backbone=backbone, head=head, stats=stats, method=method,
+    return TrainedModel(backbone=backbone, heads={"head": head}, stats=stats, method=method,
                         train_log=log, class_names=dataset.class_names,
                         background_class=dataset.background_class)
 
@@ -292,39 +310,39 @@ def train_stage2(model: TrainedModel, dataset: Dataset, method: str,
         layout = build_group_layout(stats, background_class=dataset.background_class,
                                     with_background_group=bags_background)
         bags, log = bags_train_heads(model, dataset, layout, optim, bags_beta=bags_beta)
-        return TrainedModel(backbone=backbone, head=model.head.copy(),
-                            train_log=log, bags=bags, layout=layout, **common)
+        return TrainedModel(backbone=backbone, heads={"head": model.heads["head"].copy(), **bags},
+                            train_log=log, layout=layout, **common)
     feats = backbone.features(dataset.features)
     q = SAMPLER_Q[method]
     new_head, log = train_linear_head(feats, dataset.labels, stats.counts, q, optim, loss)
     if method == "ssb":
         layout = build_group_layout(stats, background_class=dataset.background_class, for_ssb=True)
-        return TrainedModel(backbone=backbone, head=model.head.copy(),
-                            train_log=log, sqrt_head=new_head, layout=layout, **common)
-    return TrainedModel(backbone=backbone, head=new_head, train_log=log, **common)
+        return TrainedModel(backbone=backbone,
+                            heads={"head": model.heads["head"].copy(), "sqrt_head": new_head},
+                            train_log=log, layout=layout, **common)
+    return TrainedModel(backbone=backbone, heads={"head": new_head}, train_log=log, **common)
 
 
 def scores(model: TrainedModel, features: np.ndarray) -> np.ndarray:
-    """Final per-class score vectors for the model's method.
+    """Final per-class score vectors; the one place that combines a method's heads.
 
-    Softmax probabilities for single-head methods; grouped-softmax remapping
-    for bags; the masked two-branch combination for ssb.  The bags and ssb
-    vectors need not sum to 1.
+    Softmax of ``head`` for single-head methods; grouped-softmax remapping of
+    the ``bags.*`` heads for bags; for ssb, ``head`` on the top count group
+    and ``sqrt_head`` elsewhere.  The bags and ssb vectors need not sum to 1.
     """
-    from .heads import SSBMask, bags_scores, ssb_aggregate
+    from .heads import HEAD_GROUP, bags_scores, ssb_aggregate
 
     h = model.backbone.features(np.asarray(features, dtype=np.float64))
+    if model.method in ("ssb", "bags") and model.layout is None or (
+            model.method == "ssb" and "sqrt_head" not in model.heads):
+        raise ValueError(f"{model.method} model is missing its group layout or square-root head")
     if model.method == "ssb":
-        if model.sqrt_head is None or model.layout is None:
-            raise ValueError("ssb model is missing its square-root head or layout")
-        p_i = softmax(model.head.logits(h))
-        p_sqrt = softmax(model.sqrt_head.logits(h))
-        return ssb_aggregate(p_i, p_sqrt, SSBMask.from_layout(model.layout))
+        p_i = softmax(model.heads["head"].logits(h))
+        p_sqrt = softmax(model.heads["sqrt_head"].logits(h))
+        return ssb_aggregate(p_i, p_sqrt, model.layout.group_of == HEAD_GROUP)
     if model.method == "bags":
-        if model.bags is None:
-            raise ValueError("bags model is missing its grouped heads")
-        return bags_scores(model.bags, h)
-    return softmax(model.head.logits(h))
+        return bags_scores(model.layout, model.heads, h)
+    return softmax(model.heads["head"].logits(h))
 
 
 def predict(model: TrainedModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -343,45 +361,17 @@ def predict(model: TrainedModel, features: np.ndarray) -> tuple[np.ndarray, np.n
 def _model_params(model: TrainedModel) -> list[tuple[str, np.ndarray]]:
     entries: list[tuple[str, np.ndarray]] = []
     for i, (w, b) in enumerate(zip(model.backbone.weights, model.backbone.biases)):
-        entries.append((f"backbone.{i}.weight", w))
-        entries.append((f"backbone.{i}.bias", b))
-    entries.append(("head.weight", model.head.weight))
-    entries.append(("head.bias", model.head.bias))
-    if model.sqrt_head is not None:
-        entries.append(("sqrt_head.weight", model.sqrt_head.weight))
-        entries.append(("sqrt_head.bias", model.sqrt_head.bias))
-    if model.bags is not None:
-        for k in sorted(model.bags.heads):
-            entries.append((f"bags.group{k}.weight", model.bags.heads[k].weight))
-            entries.append((f"bags.group{k}.bias", model.bags.heads[k].bias))
-        if model.bags.background_head is not None:
-            entries.append(("bags.background.weight", model.bags.background_head.weight))
-            entries.append(("bags.background.bias", model.bags.background_head.bias))
+        entries += [(f"backbone.{i}.weight", w), (f"backbone.{i}.bias", b)]
+    for name, head in model.heads.items():
+        entries += [(f"{name}.weight", head.weight), (f"{name}.bias", head.bias)]
     return entries
 
 
-def _layout_to_json(layout) -> dict:
+def _header(model: TrainedModel, entries: list[tuple[str, np.ndarray]]) -> dict:
+    """The checkpoint header of ``model``, whose tensors are ``entries``."""
+    layout = model.layout
+    group_heads = [name for name in model.heads if name.startswith("bags.group")]
     return {
-        "group_of": layout.group_of.tolist(),
-        "has_background_group": layout.has_background_group,
-        "background_class": layout.background_class,
-        "limits": [[lo, None if math.isinf(hi) else hi] for lo, hi in layout.limits],
-    }
-
-
-def _layout_from_json(obj) -> "GroupLayout":
-    from .heads import GroupLayout
-
-    limits = tuple((lo, math.inf if hi is None else hi) for lo, hi in obj["limits"])
-    return GroupLayout(group_of=np.asarray(obj["group_of"], dtype=np.int64),
-                       has_background_group=obj["has_background_group"],
-                       background_class=obj["background_class"], limits=limits)
-
-
-def save_model(model: TrainedModel, path: str) -> None:
-    """Write a bit-exact checkpoint of the model and its training metadata."""
-    entries = _model_params(model)
-    header = {
         "format": "longtail-lab-checkpoint",
         "version": 1,
         "endianness": "little",
@@ -393,18 +383,28 @@ def save_model(model: TrainedModel, path: str) -> None:
         "stats": {
             "counts": model.stats.counts.tolist(),
             "bins": model.stats.bins.tolist(),
-            "groups": model.stats.groups.tolist(),
+            "groups": model.stats.bins.tolist(),
         },
-        "layout": None if model.layout is None else _layout_to_json(model.layout),
-        "bags": None if model.bags is None else {
-            "groups": sorted(model.bags.heads),
-            "has_background_head": model.bags.background_head is not None,
+        "layout": None if layout is None else {
+            "group_of": layout.group_of.tolist(),
+            "has_background_group": layout.has_background_group,
+            "background_class": layout.background_class,
+            "limits": [[lo, None if math.isinf(hi) else hi] for lo, hi in GROUP_LIMITS],
+        },
+        "bags": None if not any(name.startswith("bags.") for name in model.heads) else {
+            "groups": sorted(int(name.removeprefix("bags.group")) for name in group_heads),
+            "has_background_head": "bags.background" in model.heads,
         },
         "train_log": [{"epoch": e.epoch, "mean_loss": e.mean_loss, "lr": e.lr}
                       for e in model.train_log],
         "params": [{"name": name, "shape": list(arr.shape)} for name, arr in entries],
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def save_model(model: TrainedModel, path: str) -> None:
+    """Write a bit-exact checkpoint of the model and its training metadata."""
+    entries = _model_params(model)
+    blob = json.dumps(_header(model, entries), sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
         fh.write(_CHECKPOINT_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
@@ -416,8 +416,9 @@ def save_model(model: TrainedModel, path: str) -> None:
 def load_model(path: str) -> TrainedModel:
     """Reconstruct a TrainedModel from a checkpoint written by save_model.
 
-    A corrupt, truncated or over-long file raises ValueError naming the path
-    and the field at fault.
+    A corrupt, truncated or over-long file, a header field of the wrong type,
+    and a header that differs from the one the rebuilt model would be saved
+    with raise ValueError naming the path and the field at fault.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -439,63 +440,101 @@ def load_model(path: str) -> TrainedModel:
     if header.get("version") != 1:
         raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')}")
     try:
-        return _model_from_header(header, blob, pos + header_len, path)
+        model = _model_from_header(header, blob, pos + header_len)
+        field = _first_difference(header, _header(model, _model_params(model)))
     except KeyError as exc:
         raise ValueError(f"{path}: missing checkpoint field {exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if field is not None:
+        raise ValueError(f"{path}: checkpoint field {field!r} disagrees with the rebuilt model")
+    return model
 
 
-def _model_from_header(header: dict, blob: bytes, pos: int, path: str) -> TrainedModel:
-    """The model a parsed header declares; its tensors start at ``blob[pos]``."""
-    from .heads import BagsHeads
+# The type of each header field a model is rebuilt from: a list holds one
+# type per item, ``(kind, None)`` may also be null, and float takes ints too.
+_HEADER_TYPES = {
+    "method": str, "class_names": [str], "background_class": (int, None), "backbone_frozen": bool,
+    "stats": {"counts": [int]},
+    "layout": ({"group_of": [int], "has_background_group": bool, "background_class": (int, None)},
+               None),
+    "train_log": [{"epoch": int, "mean_loss": float, "lr": float}],
+    "params": [{"name": str, "shape": [int]}],
+}
 
+
+def _check_types(value, kind, where: str) -> None:
+    """Raise ValueError naming the first field of ``value`` not of type ``kind``."""
+    if isinstance(kind, tuple):
+        if value is None and None in kind:
+            return
+        kind = kind[0]
+    if isinstance(kind, dict) and isinstance(value, dict):
+        for key, sub in kind.items():
+            if key not in value:
+                raise KeyError(f"{where}.{key}".lstrip("."))
+            _check_types(value[key], sub, f"{where}.{key}".lstrip("."))
+    elif isinstance(kind, list) and isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_types(item, kind[0], f"{where}[{i}]")
+    elif (isinstance(kind, (dict, list)) or isinstance(value, bool) != (kind is bool)
+          or not isinstance(value, (int, float) if kind is float else kind)):
+        raise ValueError(f"checkpoint field {where!r} has the wrong type ({type(value).__name__})")
+
+
+def _first_difference(stored, expected, where: str = "") -> str | None:
+    """Dotted name of the first field where two headers differ, or None."""
+    if isinstance(stored, dict) and isinstance(expected, dict):
+        for key in sorted(stored.keys() | expected.keys()):
+            if key not in stored or key not in expected:
+                return where + key
+            if (found := _first_difference(stored[key], expected[key], f"{where}{key}.")):
+                return found
+        return None
+    same = json.dumps(stored, sort_keys=True) == json.dumps(expected, sort_keys=True)
+    return None if same else where[:-1]
+
+
+def _model_from_header(header: dict, blob: bytes, pos: int) -> TrainedModel:
+    """The model a parsed header declares; its tensors start at ``blob[pos]``.
+
+    Heads are rebuilt from the parameter names: every ``<name>.weight`` and
+    ``<name>.bias`` pair outside the backbone is the head ``name``.
+    """
+    from .heads import GroupLayout
+
+    _check_types(header, _HEADER_TYPES, "")
     arrays: dict[str, np.ndarray] = {}
     for entry in header["params"]:
-        shape = tuple(entry["shape"])
+        name, shape = entry["name"], tuple(entry["shape"])
+        if min(shape, default=0) < 0:
+            raise ValueError(f"parameter {name} has a negative dimension")
         count = math.prod(shape)
         if len(blob) < pos + count * 8:
-            raise ValueError(f"{path}: truncated parameter {entry['name']}")
-        arrays[entry["name"]] = np.frombuffer(blob, dtype="<f8", count=count, offset=pos
-                                              ).astype(np.float64).reshape(shape)
+            raise ValueError(f"truncated parameter {name}")
+        arrays[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=pos
+                                     ).astype(np.float64).reshape(shape)
         pos += count * 8
     if pos != len(blob):
-        raise ValueError(f"{path}: {len(blob) - pos} trailing bytes after the last parameter")
+        raise ValueError(f"{len(blob) - pos} trailing bytes after the last parameter")
 
-    num_layers = sum(1 for name in arrays if name.startswith("backbone.") and name.endswith(".weight"))
-    backbone = Backbone(
-        weights=[arrays[f"backbone.{i}.weight"] for i in range(num_layers)],
-        biases=[arrays[f"backbone.{i}.bias"] for i in range(num_layers)],
-        frozen=header["backbone_frozen"],
-    )
-    head = ClassifierHead(weight=arrays["head.weight"], bias=arrays["head.bias"])
-    stats = ClassStats(counts=np.asarray(header["stats"]["counts"], dtype=np.int64),
-                       bins=np.asarray(header["stats"]["bins"], dtype=np.int64),
-                       groups=np.asarray(header["stats"]["groups"], dtype=np.int64))
-    layout = None if header["layout"] is None else _layout_from_json(header["layout"])
-    sqrt_head = None
-    if "sqrt_head.weight" in arrays:
-        sqrt_head = ClassifierHead(weight=arrays["sqrt_head.weight"], bias=arrays["sqrt_head.bias"])
-    bags = None
-    if header["bags"] is not None:
-        group_heads = {
-            int(k): ClassifierHead(weight=arrays[f"bags.group{k}.weight"],
-                                   bias=arrays[f"bags.group{k}.bias"])
-            for k in header["bags"]["groups"]
-        }
-        background_head = None
-        if header["bags"]["has_background_head"]:
-            background_head = ClassifierHead(weight=arrays["bags.background.weight"],
-                                             bias=arrays["bags.background.bias"])
-        bags = BagsHeads(layout=layout, heads=group_heads, background_head=background_head)
+    prefixes = [name.removesuffix(".weight") for name in arrays if name.endswith(".weight")]
+    layers = range(sum(p.startswith("backbone.") for p in prefixes))
+    layout = header["layout"]
+    counts = np.asarray(header["stats"]["counts"], dtype=np.int64)
     return TrainedModel(
-        backbone=backbone,
-        head=head,
-        stats=stats,
+        backbone=Backbone(weights=[arrays[f"backbone.{i}.weight"] for i in layers],
+                          biases=[arrays[f"backbone.{i}.bias"] for i in layers],
+                          frozen=header["backbone_frozen"]),
+        heads={p: ClassifierHead(weight=arrays[f"{p}.weight"], bias=arrays[f"{p}.bias"])
+               for p in prefixes if not p.startswith("backbone.")},
+        stats=ClassStats(counts=counts, bins=count_decade(counts)),
         method=header["method"],
-        train_log=[EpochLog(int(e["epoch"]), float(e["mean_loss"]), float(e["lr"]))
-                   for e in header["train_log"]],
+        train_log=[EpochLog(e["epoch"], e["mean_loss"], e["lr"]) for e in header["train_log"]],
         class_names=tuple(header["class_names"]),
         background_class=header["background_class"],
-        sqrt_head=sqrt_head,
-        bags=bags,
-        layout=layout,
+        layout=None if layout is None else GroupLayout(
+            group_of=np.asarray(layout["group_of"], dtype=np.int64),
+            has_background_group=layout["has_background_group"],
+            background_class=layout["background_class"]),
     )

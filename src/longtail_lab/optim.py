@@ -30,6 +30,8 @@ class OptimSpec:
     def __post_init__(self) -> None:
         if self.lr_init <= 0:
             raise ValueError("lr_init must be > 0")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
         if self.eps <= 0:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClassStats, Dataset
+from .data import Dataset
 
 
 def sampling_weights(counts, q: float) -> np.ndarray:
@@ -81,19 +81,20 @@ def make_epoch_stream(dataset: Dataset | np.ndarray, sampler: SamplerSpec,
     return order[starts[cls] + pick]
 
 
-def bags_filter_batch(batch_labels, group: int, stats: ClassStats,
+def bags_filter_batch(batch_labels, group: int, group_of: np.ndarray,
                       bags_beta: float = 8.0, seed: int = 0) -> np.ndarray:
     """Within-batch undersampling of out-of-group instances for one group head.
 
-    Keeps every in-group instance and at most ceil(bags_beta * n_k) "others",
-    chosen uniformly, where n_k is the in-group count in the batch.  A batch
+    ``group_of`` maps each class to its group.  Keeps every in-group instance
+    and at most ceil(bags_beta * n_k) "others", chosen uniformly, where n_k is
+    the in-group count in the batch.  A batch
     with no in-group instances keeps min(ceil(bags_beta), available) others so
     the head still sees its "others" output.  Returns sorted batch positions.
     """
     if bags_beta <= 0:
         raise ValueError("bags_beta must be > 0")
     labels = np.asarray(batch_labels, dtype=np.int64)
-    in_group = stats.groups[labels] == group
+    in_group = group_of[labels] == group
     others = np.flatnonzero(~in_group)
     n_k = int(in_group.sum())
     cap = math.ceil(bags_beta * n_k) if n_k > 0 else min(math.ceil(bags_beta), others.size)

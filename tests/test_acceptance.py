@@ -10,14 +10,15 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from longtail_lab import (Architecture, BagsHeads, ClassifierHead, LossSpec,
-                          OptimSpec, SSBMask, bags_infer, batch_loss, cb_weight,
+from longtail_lab import (Architecture, ClassifierHead, LossSpec,
+                          OptimSpec, bags_infer, batch_loss, cb_weight,
                           compute_class_stats, evaluate, focal_loss,
                           build_group_layout, load_model, load_report, lr_at,
                           make_epoch_stream, make_sampler, predict,
                           run_experiment, sampling_weights, softmax,
                           ssb_aggregate, train_stage1, train_stage2)
 from longtail_lab.experiment import config_from_dict
+from longtail_lab.heads import HEAD_GROUP
 from longtail_lab.model import scores as model_scores
 
 from conftest import dataset_with_counts, finite_difference_grad, max_relative_error
@@ -109,7 +110,7 @@ def test_criterion_1_formula_oracles():
         c = int(rng.integers(2, 12))
         head = rng.random(c) < 0.5
         p_i, p_sqrt = rng.random(c), rng.random(c)
-        got = ssb_aggregate(p_i, p_sqrt, SSBMask(head_mask=head))
+        got = ssb_aggregate(p_i, p_sqrt, head)
         expected = [p_i[a] if head[a] else p_sqrt[a] for a in range(c)]
         worst = max(worst, float(np.abs(got - expected).max()))
 
@@ -124,12 +125,9 @@ def test_criterion_1_formula_oracles():
         heads = {k: ClassifierHead(weight=np.zeros((len(m) + 1, 1)),
                                    bias=np.zeros(len(m) + 1))
                  for k, m in members.items() if m and k > 0}
-        background_head = (ClassifierHead(weight=np.zeros((2, 1)), bias=np.zeros(2))
-                           if layout.has_background_group else None)
-        bags = BagsHeads(layout=layout, heads=heads, background_head=background_head)
         group_logits = {k: rng.normal(size=len(members[k]) + 1) for k in heads}
         background_logits = rng.normal(size=2) if layout.has_background_group else None
-        got = bags_infer(bags, group_logits, background_logits)
+        got = bags_infer(layout, group_logits, background_logits)
         expected = _oracle_bags_infer(layout.group_of.tolist(), members, background,
                                       {k: v.tolist() for k, v in group_logits.items()},
                                       None if background_logits is None
@@ -222,8 +220,8 @@ def test_criterion_4_two_stage_contract():
             details.append(f"{method}: backbone changed")
         ok &= same
         if method == "ssb":
-            fi_same = (np.array_equal(retrained.head.weight, stage1.head.weight)
-                       and np.array_equal(retrained.head.bias, stage1.head.bias))
+            fi_same = (np.array_equal(retrained.heads["head"].weight, stage1.heads["head"].weight)
+                       and np.array_equal(retrained.heads["head"].bias, stage1.heads["head"].bias))
             if not fi_same:
                 details.append("ssb: f_i differs from the stage-1 head")
             ok &= fi_same
@@ -312,9 +310,9 @@ def test_criterion_6_ssb_coordinate_identity():
     rng = np.random.default_rng(10)
     test_feats = rng.normal(size=(400, 6))
     combined = model_scores(ssb, test_feats)
-    p_i = softmax(ssb.head.logits(test_feats))
-    p_sqrt = softmax(ssb.sqrt_head.logits(test_feats))
-    mask = SSBMask.from_layout(ssb.layout).head_mask
+    p_i = softmax(ssb.heads["head"].logits(test_feats))
+    p_sqrt = softmax(ssb.heads["sqrt_head"].logits(test_feats))
+    mask = ssb.layout.group_of == HEAD_GROUP
     head_exact = np.array_equal(combined[:, mask], p_i[:, mask])
     tail_exact = np.array_equal(combined[:, ~mask], p_sqrt[:, ~mask])
     announce(6, "SSB scores equal f_i coordinates on head classes and f_sqrt "

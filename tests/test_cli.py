@@ -66,6 +66,16 @@ class TestGen:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+    def test_unknown_synthetic_key_rejected(self, tmp_path, capsys):
+        (tmp_path / "cfg.yaml").write_text("dataset:\n  synthetic: {num_clases: 3}\n")
+        code = main(["gen", "--out", str(tmp_path / "data.txt"),
+                     "--config", str(tmp_path / "cfg.yaml")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "dataset.synthetic" in err and "num_clases" in err
+        assert not (tmp_path / "data.txt").exists()
+
+
 class TestTrain:
     def test_method_choices_are_methods(self):
         parser = build_parser()

@@ -97,11 +97,6 @@ class TestClassStats:
         ds = dataset_with_counts([count, 20])
         stats = compute_class_stats(ds)
         assert stats.bins[0] == expected
-        assert stats.groups[0] == expected
-
-    def test_bins_and_groups_agree(self):
-        stats = compute_class_stats(dataset_with_counts([3, 12, 150, 1200, 7]))
-        assert np.array_equal(stats.bins, stats.groups)
 
     def test_counts_sum_to_n(self, tiny_dataset):
         stats = compute_class_stats(tiny_dataset)

@@ -49,6 +49,22 @@ class TestConfig:
         with pytest.raises(ValueError, match="stage1"):
             config_from_dict(doc)
 
+    # Each value is rejected by config_from_dict, with its key in the message.
+    @pytest.mark.parametrize("section, key, value, fragments", [
+        ("stage1", "epochs", 3.5, ["stage1.epochs", "integer"]),
+        ("stage1", "lr_init", float("nan"), ["stage1.lr_init", "finite"]),
+        ("stage1", "weight_decay", -5, ["stage1", "weight_decay", ">= 0"]),
+        ("stage1", "batch_size", "abc", ["stage1.batch_size", "integer"]),
+        ("model", "hidden", 5, ["model.hidden", "positive integers"]),
+    ], ids=["float_epochs", "nan_lr", "negative_decay", "string_batch", "scalar_hidden"])
+    def test_bad_value_names_its_key(self, section, key, value, fragments):
+        doc = tiny_doc("x")
+        doc.setdefault(section, {})[key] = value
+        with pytest.raises(ValueError) as info:
+            config_from_dict(doc)
+        for text in fragments:
+            assert text in str(info.value)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
             config_from_dict(tiny_doc("x", methods=["baseline", "mystery"]))
@@ -157,8 +173,8 @@ class TestRunExperiment:
         run_experiment(config)
         base = load_model(str(tmp_path / "run" / "checkpoints" / "baseline.ckpt"))
         ssb = load_model(str(tmp_path / "run" / "checkpoints" / "ssb.ckpt"))
-        assert np.array_equal(base.head.weight, ssb.head.weight)
-        assert np.array_equal(base.head.bias, ssb.head.bias)
+        assert np.array_equal(base.heads["head"].weight, ssb.heads["head"].weight)
+        assert np.array_equal(base.heads["head"].bias, ssb.heads["head"].bias)
         for name in ("comparison.csv", "comparison.txt", "f1_delta.csv"):
             assert (tmp_path / "run" / "reports" / name).exists()
 
@@ -199,7 +215,7 @@ class TestRunExperiment:
         run_experiment(config)
         base = load_model(str(tmp_path / "run" / "checkpoints" / "baseline.ckpt"))
         ssb = load_model(str(tmp_path / "run" / "checkpoints" / "ssb.ckpt"))
-        assert not np.array_equal(base.head.weight, ssb.head.weight)
+        assert not np.array_equal(base.heads["head"].weight, ssb.heads["head"].weight)
 
     def test_embeddings_source(self, tmp_path):
         emb = tmp_path / "data.txt"

@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
-from longtail_lab import (Architecture, BagsHeads, ClassifierHead, GroupLayout,
-                          LossSpec, OptimSpec, SSBMask, bags_infer, bags_scores,
+from longtail_lab import (Architecture, ClassifierHead, GroupLayout,
+                          LossSpec, OptimSpec, bags_infer, bags_scores,
                           bags_train_heads, build_group_layout, compute_class_stats,
                           softmax, ssb_aggregate, train_stage1)
+from longtail_lab.heads import HEAD_GROUP
 
 from conftest import dataset_with_counts
 
@@ -19,18 +20,15 @@ class TestGroupLayout:
         layout = build_group_layout(stats_for([5000, 500, 50, 5]), for_ssb=True)
         assert layout.group_of.tolist() == [4, 3, 2, 1]
         assert not layout.has_background_group
-        mask = SSBMask.from_layout(layout)
-        assert mask.head_mask.tolist() == [True, False, False, False]
+        assert (layout.group_of == HEAD_GROUP).tolist() == [True, False, False, False]
 
     def test_all_head_classes_identity_mask(self):
         layout = build_group_layout(stats_for([2000, 1500, 1000]), for_ssb=True)
-        mask = SSBMask.from_layout(layout)
-        assert mask.head_mask.all()
+        assert (layout.group_of == HEAD_GROUP).all()
 
     def test_no_head_classes_zero_mask(self):
         layout = build_group_layout(stats_for([999, 50, 5]), for_ssb=True)
-        mask = SSBMask.from_layout(layout)
-        assert not mask.head_mask.any()
+        assert not (layout.group_of == HEAD_GROUP).any()
 
     def test_ssb_background_placed_by_count(self):
         stats = stats_for([5000, 50, 5])
@@ -70,11 +68,11 @@ class TestGroupLayout:
 
 class TestSSBMask:
     def test_idempotent_and_diagonal(self):
-        mask = SSBMask.from_layout(build_group_layout(stats_for([5000, 500, 5000, 5]),
-                                                      for_ssb=True))
-        assert mask.head_mask.tolist() == [True, False, True, False]
+        mask = build_group_layout(stats_for([5000, 500, 5000, 5]),
+                                  for_ssb=True).group_of == HEAD_GROUP
+        assert mask.tolist() == [True, False, True, False]
         # The paper's form: p = Q p_i + (I - Q) p_sqrt with Q the diagonal head mask.
-        q = np.diag(mask.head_mask.astype(np.float64))
+        q = np.diag(mask.astype(np.float64))
         np.testing.assert_array_equal(q, q.T)
         np.testing.assert_array_equal(q @ q, q)
         np.testing.assert_array_equal(q @ (np.eye(4) - q), np.zeros((4, 4)))
@@ -87,18 +85,18 @@ class TestSSBMask:
 
 class TestSSBAggregate:
     def test_coordinate_selection_example(self):
-        mask = SSBMask(head_mask=np.array([True, False]))
+        mask = np.array([True, False])
         out = ssb_aggregate([0.7, 0.3], [0.4, 0.6], mask)
         np.testing.assert_allclose(out, [0.7, 0.6])
         assert out.sum() == pytest.approx(1.3)
 
     def test_identity_mask_returns_instance_branch(self):
-        mask = SSBMask(head_mask=np.ones(3, dtype=bool))
+        mask = np.ones(3, dtype=bool)
         p_i = np.array([0.5, 0.2, 0.3])
         np.testing.assert_array_equal(ssb_aggregate(p_i, [0.1, 0.1, 0.8], mask), p_i)
 
     def test_zero_mask_returns_sqrt_branch(self):
-        mask = SSBMask(head_mask=np.zeros(3, dtype=bool))
+        mask = np.zeros(3, dtype=bool)
         p_sqrt = np.array([0.1, 0.1, 0.8])
         np.testing.assert_array_equal(ssb_aggregate([0.5, 0.2, 0.3], p_sqrt, mask), p_sqrt)
 
@@ -107,78 +105,63 @@ class TestSSBAggregate:
         for _ in range(100):
             c = int(rng.integers(2, 12))
             head = rng.random(c) < 0.5
-            mask = SSBMask(head_mask=head)
+            mask = head
             p_i, p_sqrt = rng.random(c), rng.random(c)
             out = ssb_aggregate(p_i, p_sqrt, mask)
             for a in range(c):
                 assert out[a] == (p_i[a] if head[a] else p_sqrt[a])
 
     def test_batched_rows(self):
-        mask = SSBMask(head_mask=np.array([True, False]))
+        mask = np.array([True, False])
         p_i = np.array([[0.7, 0.3], [0.6, 0.4]])
         p_sqrt = np.array([[0.4, 0.6], [0.5, 0.5]])
         np.testing.assert_allclose(ssb_aggregate(p_i, p_sqrt, mask),
                                    [[0.7, 0.6], [0.6, 0.5]])
 
     def test_length_mismatch_rejected(self):
-        mask = SSBMask(head_mask=np.array([True, False]))
+        mask = np.array([True, False])
         with pytest.raises(ValueError):
             ssb_aggregate([0.5, 0.5, 0.0], [0.5, 0.5, 0.0], mask)
         with pytest.raises(ValueError):
             ssb_aggregate([0.5, 0.5], [0.5, 0.3, 0.2], mask)
 
 
-def manual_bags(layout, weight_by_group, background_weight=None):
-    heads = {k: ClassifierHead(weight=np.zeros((w, 1)), bias=np.zeros(w))
-             for k, w in weight_by_group.items()}
-    background = None
-    if background_weight is not None:
-        background = ClassifierHead(weight=np.zeros((2, 1)), bias=np.zeros(2))
-    return BagsHeads(layout=layout, heads=heads, background_head=background)
-
-
 class TestBagsInfer:
     def test_remap_drops_others(self):
         layout = build_group_layout(stats_for([50, 20]))
-        bags = manual_bags(layout, {2: 3})
         logits = np.log(np.array([0.5, 0.3, 0.2]))
-        scores = bags_infer(bags, {2: logits})
+        scores = bags_infer(layout, {2: logits})
         np.testing.assert_allclose(scores, [0.5, 0.3], atol=1e-12)
 
     def test_foreground_rescaling(self):
         layout = build_group_layout(stats_for([50, 20, 5000]), background_class=2)
-        bags = manual_bags(layout, {2: 3}, background_weight=True)
         group_logits = np.log(np.array([0.5, 0.3, 0.2]))
         background_logits = np.log(np.array([0.8, 0.2]))
-        scores = bags_infer(bags, {2: group_logits}, background_logits)
+        scores = bags_infer(layout, {2: group_logits}, background_logits)
         np.testing.assert_allclose(scores, [0.4, 0.24, 0.2], atol=1e-12)
 
     def test_no_background_group_unscaled(self):
         layout = build_group_layout(stats_for([50, 20]))
-        bags = manual_bags(layout, {2: 3})
-        scores = bags_infer(bags, {2: np.log(np.array([0.6, 0.3, 0.1]))})
+        scores = bags_infer(layout, {2: np.log(np.array([0.6, 0.3, 0.1]))})
         np.testing.assert_allclose(scores, [0.6, 0.3], atol=1e-12)
 
     def test_degenerate_single_group_equals_restricted_softmax(self):
         layout = build_group_layout(stats_for([50, 20, 30]))
         rng = np.random.default_rng(4)
         head = ClassifierHead(weight=rng.normal(size=(4, 6)), bias=rng.normal(size=4))
-        bags = BagsHeads(layout=layout, heads={2: head})
         feats = rng.normal(size=(9, 6))
-        scores = bags_scores(bags, feats)
+        scores = bags_scores(layout, {"bags.group2": head}, feats)
         np.testing.assert_allclose(scores, softmax(head.logits(feats))[:, :3], atol=1e-15)
 
     def test_missing_background_logits_rejected(self):
         layout = build_group_layout(stats_for([50, 20, 5000]), background_class=2)
-        bags = manual_bags(layout, {2: 3}, background_weight=True)
         with pytest.raises(ValueError, match="background"):
-            bags_infer(bags, {2: np.zeros(3)})
+            bags_infer(layout, {2: np.zeros(3)})
 
     def test_arity_mismatch_rejected(self):
         layout = build_group_layout(stats_for([50, 20]))
-        bags = manual_bags(layout, {2: 3})
         with pytest.raises(ValueError, match="outputs"):
-            bags_infer(bags, {2: np.zeros((1, 5))})
+            bags_infer(layout, {2: np.zeros((1, 5))})
 
 
 @pytest.fixture(scope="module")
@@ -200,30 +183,30 @@ class TestBagsTraining:
         ds, model, _ = toy
         stats = compute_class_stats(ds)
         layout = build_group_layout(stats)
-        head_before = model.head.weight.copy()
+        head_before = model.heads["head"].weight.copy()
         bags_train_heads(model, ds, layout, OptimSpec(seed=3).for_classifier())
-        assert np.array_equal(model.head.weight, head_before)
+        assert np.array_equal(model.heads["head"].weight, head_before)
 
     def test_group_heads_have_expected_arity(self, toy):
         ds, model, _ = toy
         layout = build_group_layout(compute_class_stats(ds))
-        bags, log = bags_train_heads(model, ds, layout, OptimSpec(seed=3).for_classifier())
-        assert set(bags.heads) == {1, 3}
-        assert bags.heads[1].num_outputs == 3  # 2 classes + others
-        assert bags.heads[3].num_outputs == 3
+        heads, log = bags_train_heads(model, ds, layout, OptimSpec(seed=3).for_classifier())
+        assert set(heads) == {"bags.group1", "bags.group3"}
+        assert heads["bags.group1"].num_outputs == 3  # 2 classes + others
+        assert heads["bags.group3"].num_outputs == 3
         assert len(log) == 12
 
     def test_tail_group_head_beats_majority_baseline(self, toy):
         ds, model, centers = toy
         layout = build_group_layout(compute_class_stats(ds))
-        bags, _ = bags_train_heads(model, ds, layout, OptimSpec(seed=3).for_classifier())
+        heads, _ = bags_train_heads(model, ds, layout, OptimSpec(seed=3).for_classifier())
         rng = np.random.default_rng(9)
         val_feats = np.concatenate([centers[c] + rng.standard_normal((25, 6))
                                     for c in (0, 1)])
         val_labels = np.repeat([0, 1], 25)
         # The group head's own discrimination on its in-group slice: argmax
         # over its real-class outputs, "others" excluded.
-        probs = softmax(bags.heads[1].logits(val_feats))
+        probs = softmax(heads["bags.group1"].logits(val_feats))
         preds = probs[:, :2].argmax(axis=1)
         majority_baseline = 0.5
         assert (preds == val_labels).mean() > majority_baseline
@@ -233,8 +216,8 @@ class TestBagsTraining:
         layout = build_group_layout(compute_class_stats(ds))
         assert layout.classes_in(2).size == 0
         with caplog.at_level("WARNING"):
-            bags, _ = bags_train_heads(model, ds, layout, OptimSpec(seed=3).for_classifier())
-        assert 2 not in bags.heads
+            heads, _ = bags_train_heads(model, ds, layout, OptimSpec(seed=3).for_classifier())
+        assert "bags.group2" not in heads
         assert any("group 2" in message for message in caplog.messages)
 
     def test_deterministic_given_seed(self, toy):
@@ -242,8 +225,8 @@ class TestBagsTraining:
         layout = build_group_layout(compute_class_stats(ds))
         a, _ = bags_train_heads(model, ds, layout, OptimSpec(seed=3).for_classifier())
         b, _ = bags_train_heads(model, ds, layout, OptimSpec(seed=3).for_classifier())
-        for k in a.heads:
-            assert np.array_equal(a.heads[k].weight, b.heads[k].weight)
+        for name in a:
+            assert np.array_equal(a[name].weight, b[name].weight)
 
     def test_background_sharing_a_decade_with_another_class(self):
         # The background class is pulled into group 0 even though its count
@@ -255,8 +238,8 @@ class TestBagsTraining:
                              LossSpec(kind="cross_entropy"))
         layout = build_group_layout(compute_class_stats(ds), background_class=0)
         assert layout.group_of.tolist() == [0, 3, 2, 1]
-        bags, _ = bags_train_heads(model, ds, layout, OptimSpec(seed=2).for_classifier())
-        assert bags.heads[3].num_outputs == 2  # class 1 + others
-        scores = bags_scores(bags, ds.features[:10])
+        heads, _ = bags_train_heads(model, ds, layout, OptimSpec(seed=2).for_classifier())
+        assert heads["bags.group3"].num_outputs == 2  # class 1 + others
+        scores = bags_scores(layout, heads, ds.features[:10])
         assert scores.shape == (10, 4)
         assert np.isfinite(scores).all()

@@ -34,8 +34,8 @@ def make_model(weight, bias, dataset, hidden=()):
     arch = Architecture(dataset.feature_dim, dataset.num_classes, hidden)
     model = train_stage1(dataset, arch, OptimSpec(epochs=0, warmup_epochs=0, seed=0),
                          LossSpec(kind="cross_entropy"))
-    model.head.weight[...] = weight
-    model.head.bias[...] = bias
+    model.heads["head"].weight[...] = weight
+    model.heads["head"].bias[...] = bias
     return model
 
 
@@ -92,7 +92,7 @@ class TestStage1:
                              OptimSpec(epochs=0, warmup_epochs=0, seed=3),
                              LossSpec(kind="cross_entropy"))
         assert model.train_log == []
-        assert model.head.weight.shape == (2, 4)
+        assert model.heads["head"].weight.shape == (2, 4)
 
     def test_same_seed_identical_weights(self):
         ds = blob_dataset()
@@ -100,7 +100,7 @@ class TestStage1:
         spec = OptimSpec(epochs=5, warmup_epochs=1, seed=11)
         a = train_stage1(ds, arch, spec, LossSpec(kind="cross_entropy"))
         b = train_stage1(ds, arch, spec, LossSpec(kind="cross_entropy"))
-        assert np.array_equal(a.head.weight, b.head.weight)
+        assert np.array_equal(a.heads["head"].weight, b.heads["head"].weight)
         for wa, wb in zip(a.backbone.weights, b.backbone.weights):
             assert np.array_equal(wa, wb)
 
@@ -161,16 +161,16 @@ class TestStage2:
         ds, model = stage1_setup
         ssb = train_stage2(model, ds, "ssb", OptimSpec(seed=5).for_classifier(),
                            LossSpec(kind="cross_entropy"))
-        assert np.array_equal(ssb.head.weight, model.head.weight)
-        assert np.array_equal(ssb.head.bias, model.head.bias)
-        assert ssb.sqrt_head is not None
-        assert not np.array_equal(ssb.sqrt_head.weight, ssb.head.weight)
+        assert np.array_equal(ssb.heads["head"].weight, model.heads["head"].weight)
+        assert np.array_equal(ssb.heads["head"].bias, model.heads["head"].bias)
+        assert "sqrt_head" in ssb.heads
+        assert not np.array_equal(ssb.heads["sqrt_head"].weight, ssb.heads["head"].weight)
 
     def test_sqrt_head_replaced_not_finetuned(self, stage1_setup):
         ds, model = stage1_setup
         sqrt = train_stage2(model, ds, "sqrt_samp", OptimSpec(seed=5).for_classifier(),
                             LossSpec(kind="cross_entropy"))
-        assert not np.array_equal(sqrt.head.weight, model.head.weight)
+        assert not np.array_equal(sqrt.heads["head"].weight, model.heads["head"].weight)
 
     def test_unknown_method_rejected(self, stage1_setup):
         ds, model = stage1_setup
@@ -187,8 +187,8 @@ class TestStage2:
         via_stage2 = train_stage2(stage1, ds, "sqrt_samp", optim, loss)
         counts = np.bincount(ds.labels, minlength=3)
         direct, _ = train_linear_head(ds.features, ds.labels, counts, 0.5, optim, loss)
-        assert np.array_equal(via_stage2.head.weight, direct.weight)
-        assert np.array_equal(via_stage2.head.bias, direct.bias)
+        assert np.array_equal(via_stage2.heads["head"].weight, direct.weight)
+        assert np.array_equal(via_stage2.heads["head"].bias, direct.bias)
 
 
 class TestPredict:
@@ -233,8 +233,8 @@ class TestCheckpoint:
         path = tmp_path / f"{method}.ckpt"
         save_model(trained, str(path))
         loaded = load_model(str(path))
-        assert np.array_equal(loaded.head.weight, trained.head.weight)
-        assert np.array_equal(loaded.head.bias, trained.head.bias)
+        assert np.array_equal(loaded.heads["head"].weight, trained.heads["head"].weight)
+        assert np.array_equal(loaded.heads["head"].bias, trained.heads["head"].bias)
         for wa, wb in zip(loaded.backbone.weights, trained.backbone.weights):
             assert np.array_equal(wa, wb)
         assert loaded.method == trained.method
@@ -266,7 +266,7 @@ class TestCheckpoint:
                              LossSpec(kind="cross_entropy"))
         bags = train_stage2(model, ds, "bags", OptimSpec(seed=4).for_classifier(),
                             LossSpec(kind="cross_entropy"))
-        assert bags.bags.background_head is not None
+        assert "bags.background" in bags.heads
         path = tmp_path / "bags.ckpt"
         save_model(bags, str(path))
         loaded = load_model(str(path))
@@ -313,7 +313,7 @@ class TestCorruptCheckpoint:
         assert header["params"][-1]["name"] == "head.bias"
         header["params"].pop()
         new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        bias_bytes = 8 * stage1_setup[1].head.bias.size
+        bias_bytes = 8 * stage1_setup[1].heads["head"].bias.size
         path = tmp_path / "nobias.ckpt"
         path.write_bytes(blob[:MAGIC_LEN] + struct.pack("<Q", len(new)) + new
                          + blob[start + header_len:-bias_bytes])
@@ -323,6 +323,29 @@ class TestCorruptCheckpoint:
         path = tmp_path / "long.ckpt"
         path.write_bytes(checkpoint_file.read_bytes() + bytes(8))
         rejects(path, "trailing bytes")
+
+    # Each edit fails the type checks or the header check: the header a
+    # rebuilt model would be saved with must equal the stored one.
+    @pytest.mark.parametrize("edit, fragment", [
+        (lambda h: h.update(params=5), "'params'"),
+        (lambda h: h.update(layout="x"), "'layout'"),
+        (lambda h: h.update(train_log=[{"epoch": "a"}]), "'train_log[0].epoch'"),
+        (lambda h: h.update(method="nope"), "method"),
+        (lambda h: h.update(class_names=h["class_names"][:3]), "class_names"),
+        (lambda h: h["stats"].update(bins=[1] * len(h["stats"]["bins"])), "'stats.bins'"),
+    ], ids=["params_not_a_list", "layout_not_an_object", "epoch_not_an_int",
+            "unknown_method", "class_names_cut", "bins_disagree"])
+    def test_bad_header_field_named(self, tmp_path, checkpoint_file, edit, fragment):
+        blob = checkpoint_file.read_bytes()
+        (header_len,) = struct.unpack_from("<Q", blob, MAGIC_LEN)
+        start = MAGIC_LEN + 8
+        header = json.loads(blob[start:start + header_len])
+        edit(header)
+        new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        path = tmp_path / "edited.ckpt"
+        path.write_bytes(blob[:MAGIC_LEN] + struct.pack("<Q", len(new)) + new
+                         + blob[start + header_len:])
+        rejects(path, fragment)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

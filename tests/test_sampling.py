@@ -113,7 +113,7 @@ class TestBagsFilterBatch:
     def test_undersamples_others_to_beta_times_in_group(self):
         stats = compute_class_stats(dataset_with_counts([5, 2000]))
         labels = np.array([0, 0] + [1] * 64)  # class 0 is group 1, class 1 group 4
-        kept = bags_filter_batch(labels, group=1, stats=stats, bags_beta=8.0, seed=3)
+        kept = bags_filter_batch(labels, group=1, group_of=stats.bins, bags_beta=8.0, seed=3)
         in_group = (labels[kept] == 0).sum()
         others = (labels[kept] == 1).sum()
         assert in_group == 2 and others == 16
@@ -121,13 +121,13 @@ class TestBagsFilterBatch:
     def test_batch_entirely_in_group_unchanged(self):
         stats = compute_class_stats(dataset_with_counts([5, 2000]))
         labels = np.zeros(10, dtype=np.int64)
-        kept = bags_filter_batch(labels, group=1, stats=stats)
+        kept = bags_filter_batch(labels, group=1, group_of=stats.bins)
         assert kept.tolist() == list(range(10))
 
     def test_no_in_group_keeps_ceil_beta_others(self):
         stats = compute_class_stats(dataset_with_counts([5, 2000]))
         labels = np.ones(64, dtype=np.int64)
-        kept = bags_filter_batch(labels, group=1, stats=stats, bags_beta=8.0, seed=3)
+        kept = bags_filter_batch(labels, group=1, group_of=stats.bins, bags_beta=8.0, seed=3)
         assert kept.size == 8
 
     def test_never_drops_in_group(self):
@@ -136,12 +136,12 @@ class TestBagsFilterBatch:
         for trial in range(50):
             labels = rng.integers(0, 3, size=rng.integers(1, 80))
             for group in (1, 2, 4):
-                kept = bags_filter_batch(labels, group, stats, bags_beta=2.5, seed=trial)
-                in_positions = np.flatnonzero(stats.groups[labels] == group)
+                kept = bags_filter_batch(labels, group, stats.bins, bags_beta=2.5, seed=trial)
+                in_positions = np.flatnonzero(stats.bins[labels] == group)
                 assert set(in_positions.tolist()) <= set(kept.tolist())
 
     def test_cap_is_ceiling(self):
         stats = compute_class_stats(dataset_with_counts([5, 2000]))
         labels = np.array([0] + [1] * 30)
-        kept = bags_filter_batch(labels, group=1, stats=stats, bags_beta=2.5, seed=1)
+        kept = bags_filter_batch(labels, group=1, group_of=stats.bins, bags_beta=2.5, seed=1)
         assert (labels[kept] == 1).sum() == math.ceil(2.5 * 1)
