@@ -10,8 +10,8 @@ import yaml
 
 from . import __version__
 from .data import generate_synthetic, save_embeddings
-from .experiment import (DEFAULT_CONFIG_YAML, config_from_dict, emit_f1_delta,
-                         run_experiment, synthetic_spec)
+from .experiment import (DEFAULT_CONFIG_YAML, _as_section, _value, config_from_dict,
+                         emit_f1_delta, run_experiment, synthetic_spec)
 from .metrics import compare_methods, load_report
 from .model import METHODS
 
@@ -69,12 +69,12 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 def _cmd_gen(args: argparse.Namespace) -> int:
     doc = _load_doc(args)
     section = {**yaml.safe_load(DEFAULT_CONFIG_YAML)["dataset"]["synthetic"],
-               **((doc.get("dataset") or {}).get("synthetic") or {})}
+               **_as_section(_as_section(doc, "dataset"), "synthetic")}
     flags = {k: getattr(args, k) for k in ("num_classes", "feature_dim", "head_count",
                                            "imbalance_factor", "class_separation", "noise_sigma")}
     flags["seed"] = args.data_seed
     section.update({k: v for k, v in flags.items() if v is not None})
-    spec = synthetic_spec(section, default_seed=int(doc.get("seed", 0)))
+    spec = synthetic_spec(section, default_seed=_value(doc, "seed", "", int, 0))
     dataset = generate_synthetic(spec)
     save_embeddings(dataset, args.out)
     print(f"wrote {dataset.num_instances} instances over {dataset.num_classes} "

@@ -99,20 +99,22 @@ class Dataset:
 
 @dataclass(eq=False)
 class ClassStats:
-    """Per-class training counts with their count-decade bins."""
+    """Per-class training counts; their count-decade bins are derived."""
 
     counts: np.ndarray
-    bins: np.ndarray
 
     def __post_init__(self) -> None:
         self.counts = np.ascontiguousarray(self.counts, dtype=np.int64)
-        self.bins = np.ascontiguousarray(self.bins, dtype=np.int64)
-        if self.counts.shape != self.bins.shape:
-            raise ValueError("counts and bins must have one entry per class")
+        if self.counts.ndim != 1:
+            raise ValueError("counts must have one entry per class")
 
     @property
     def num_classes(self) -> int:
         return int(self.counts.shape[0])
+
+    @property
+    def bins(self) -> np.ndarray:
+        return count_decade(self.counts)
 
 
 def count_decade(n: int | np.ndarray) -> int | np.ndarray:
@@ -132,7 +134,7 @@ def compute_class_stats(dataset: Dataset) -> ClassStats:
     if (counts == 0).any():
         missing = [dataset.class_names[j] for j in np.flatnonzero(counts == 0)]
         raise ValueError(f"classes with zero training instances: {', '.join(missing)}")
-    return ClassStats(counts=counts, bins=count_decade(counts))
+    return ClassStats(counts=counts)
 
 
 @dataclass(frozen=True)

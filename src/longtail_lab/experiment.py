@@ -20,6 +20,7 @@ from .metrics import EvalReport, compare_methods, evaluate, save_report
 from .model import (METHODS, SAMPLER_Q, Architecture, TrainedModel, predict,
                     save_model, train_stage1, train_stage2)
 from .optim import OptimSpec
+from .schema import check_types, read_document
 from .seeding import derive_seed
 
 _BACKGROUND_GROUP_CHOICES = ("auto", "on", "off")
@@ -192,6 +193,8 @@ _OPTIM_TYPES = {"lr_init": float, "weight_decay": float, "beta1": float, "beta2"
 def _optim_from(section: dict, where: str, base: OptimSpec, seed: int) -> OptimSpec:
     _check_keys(section, tuple(_OPTIM_TYPES), where)
     kwargs = {k: _value(section, k, where, _OPTIM_TYPES[k]) for k in section}
+    if (epochs := kwargs.get("epochs", base.epochs)) < 1:
+        raise ValueError(f"config key {where}.epochs must be >= 1, got {epochs!r}")
     try:
         return replace(base, seed=seed, **kwargs)
     except ValueError as exc:
@@ -342,9 +345,11 @@ class RunManifest:
                                  self.f1_delta_csv) if p)
         return files
 
+    def to_dict(self) -> dict:
+        return {"format": "longtail-lab-manifest", "version": 1, **asdict(self)}
+
     def to_json(self) -> str:
-        payload = {"format": "longtail-lab-manifest", "version": 1, **asdict(self)}
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def save(self, path: str) -> None:
         root = Path(path).parent
@@ -355,12 +360,32 @@ class RunManifest:
             fh.write(self.to_json())
 
 
+# The type of each manifest field, and of each entry of its ``methods``.
+_MANIFEST_TYPES = {
+    "config_digest": str, "dataset_digest": str, "tool_version": str, "one_stage": bool,
+    "methods": dict, "comparison_csv": (str, None), "comparison_txt": (str, None),
+    "f1_delta_csv": (str, None), "failure": ({"method": str, "step": str, "error": str}, None),
+}
+_METHOD_ENTRY_TYPES = {"checkpoint": str, "report": str, "seconds": float}
+
+
+def _manifest_from_fields(stored: dict) -> RunManifest:
+    for method, entry in stored["methods"].items():
+        check_types(entry, _METHOD_ENTRY_TYPES, f"methods.{method}")
+    return RunManifest(**{f.name: stored[f.name] for f in fields(RunManifest)})
+
+
 def load_manifest(path: str) -> RunManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if obj.get("format") != "longtail-lab-manifest":
-        raise ValueError("not a longtail-lab manifest")
-    return RunManifest(**{f.name: obj[f.name] for f in fields(RunManifest)})
+    """The manifest stored at ``path``.  A file that is not a manifest, or
+    whose fields are missing, mistyped or unknown, raises ValueError naming
+    the path and the field."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            stored = json.load(fh)
+        return read_document(stored, "manifest", _MANIFEST_TYPES, _manifest_from_fields,
+                             RunManifest.to_dict)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -58,19 +58,14 @@ class GroupLayout:
 
 
 def build_group_layout(stats: ClassStats, background_class: int | None = None,
-                       for_ssb: bool = False,
                        with_background_group: bool | None = None) -> GroupLayout:
-    """Assign classes to count groups.
+    """Assign classes to their count bins, and the background class to group 0
+    when there is a background group.
 
-    For the two-branch layout (``for_ssb``) every class, background included,
-    is placed purely by its training count and there is never a background
-    group.  Otherwise a background group is used exactly when a background
-    class is designated (or explicitly via ``with_background_group``).
+    By default a background group is used exactly when a background class is
+    designated; ``with_background_group`` forces it on or off.
     """
     groups = stats.bins.copy()
-    if for_ssb:
-        return GroupLayout(group_of=groups, has_background_group=False,
-                           background_class=background_class)
     if with_background_group is None:
         with_background_group = background_class is not None
     if with_background_group:

@@ -7,9 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClassStats
-
-REPORT_VERSION = 1
+from .data import ClassStats, count_decade
+from .schema import read_document
 
 
 @dataclass(eq=False)
@@ -37,11 +36,7 @@ class EvalReport:
 def evaluate(predictions, true_labels, stats: ClassStats, *, method: str = "",
              seed: int = 0, config_digest: str = "", dataset_digest: str = "",
              class_names: tuple[str, ...] | None = None) -> EvalReport:
-    """Score predictions against labels, binned by training-count decade.
-
-    Per-class F1 uses the 0/0 convention: a class with no true positives and
-    no false positives (or no false negatives) scores 0.
-    """
+    """Score predictions against labels, binned by training-count decade."""
     preds = np.asarray(predictions, dtype=np.int64)
     true = np.asarray(true_labels, dtype=np.int64)
     if preds.shape != true.shape or preds.ndim != 1:
@@ -52,29 +47,53 @@ def evaluate(predictions, true_labels, stats: ClassStats, *, method: str = "",
     for name, arr in (("predictions", preds), ("labels", true)):
         if arr.min() < 0 or arr.max() >= num_classes:
             raise ValueError(f"{name} must lie in [0, {num_classes})")
-
     confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(confusion, (true, preds), 1)
-    correct = preds == true
-    acc_all = float(correct.mean())
-
-    acc_bins: dict[int, float] = {}
-    instance_bins = stats.bins[true]
-    for b in range(1, 5):
-        mask = instance_bins == b
-        if mask.any():
-            acc_bins[b] = float(correct[mask].mean())
-
-    tp = np.diag(confusion).astype(np.float64)
-    fp = confusion.sum(axis=0) - tp
-    fn = confusion.sum(axis=1) - tp
-    denom = 2 * tp + fp + fn
-    per_class_f1 = np.divide(2 * tp, denom, out=np.zeros(num_classes), where=denom > 0)
     names = class_names if class_names is not None else tuple(
         str(j) for j in range(num_classes))
+    return build_report(confusion, stats.counts, method=method, seed=seed,
+                        config_digest=config_digest, dataset_digest=dataset_digest,
+                        class_names=names)
+
+
+def build_report(confusion: np.ndarray, train_counts: np.ndarray, *, method: str, seed: int,
+                 config_digest: str, dataset_digest: str,
+                 class_names: tuple[str, ...]) -> EvalReport:
+    """The report of a test confusion matrix, binned by training-count decade.
+
+    Every figure is derived from ``confusion`` and ``train_counts``; the other
+    arguments only identify the run.  Per-class F1 uses the 0/0 convention: a
+    class with no true positives and no false positives (or no false
+    negatives) scores 0.
+    """
+    num_classes = len(class_names)
+    if confusion.shape != (num_classes, num_classes):
+        raise ValueError(f"confusion has shape {confusion.shape}; expected one row and "
+                         f"one column for each of the {num_classes} class names")
+    if train_counts.shape != (num_classes,):
+        raise ValueError(f"train_counts has shape {train_counts.shape}; expected one "
+                         f"count for each of the {num_classes} class names")
+    if (confusion < 0).any() or (train_counts < 1).any():
+        raise ValueError("confusion entries must be >= 0 and train_counts >= 1")
+    tp = np.diag(confusion)
+    rows = confusion.sum(axis=1)
+    if rows.sum() == 0:
+        raise ValueError("empty test set: confusion sums to 0")
+    class_bins = count_decade(train_counts)
+    acc_bins: dict[int, float] = {}
+    for b in range(1, 5):
+        members = class_bins == b
+        if rows[members].any():
+            acc_bins[b] = int(tp[members].sum()) / int(rows[members].sum())
+
+    fp = confusion.sum(axis=0) - tp
+    fn = rows - tp
+    denom = 2 * tp + fp + fn
+    per_class_f1 = np.divide(2 * tp.astype(np.float64), denom, out=np.zeros(num_classes),
+                             where=denom > 0)
     return EvalReport(
         acc_bins=acc_bins,
-        acc_all=acc_all,
+        acc_all=int(tp.sum()) / int(rows.sum()),
         macro_f1=float(per_class_f1.mean()),
         per_class_f1=per_class_f1,
         confusion=confusion,
@@ -82,17 +101,16 @@ def evaluate(predictions, true_labels, stats: ClassStats, *, method: str = "",
         seed=seed,
         config_digest=config_digest,
         dataset_digest=dataset_digest,
-        class_names=names,
-        train_counts=stats.counts.copy(),
-        class_bins=stats.bins.copy(),
+        class_names=tuple(class_names),
+        train_counts=train_counts.copy(),
+        class_bins=class_bins,
     )
 
 
-def report_to_json(report: EvalReport) -> str:
-    """Deterministic JSON rendering; floats keep full precision via repr."""
-    payload = {
+def _report_fields(report: EvalReport) -> dict:
+    return {
         "format": "longtail-lab-report",
-        "version": REPORT_VERSION,
+        "version": 1,
         "method": report.method,
         "seed": report.seed,
         "config_digest": report.config_digest,
@@ -106,29 +124,49 @@ def report_to_json(report: EvalReport) -> str:
         "train_counts": report.train_counts.tolist(),
         "class_bins": report.class_bins.tolist(),
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def report_to_json(report: EvalReport) -> str:
+    """Deterministic JSON rendering; floats keep full precision via repr."""
+    return json.dumps(_report_fields(report), sort_keys=True, indent=2) + "\n"
+
+
+# The type of each report field a report is rebuilt from.
+_REPORT_TYPES = {"method": str, "seed": int, "config_digest": str, "dataset_digest": str,
+                 "class_names": [str], "train_counts": [int], "confusion": [[int]]}
+
+
+def _int64(stored: dict, key: str) -> np.ndarray:
+    try:
+        return np.array(stored[key], dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise ValueError(f"field {key!r} is not a rectangular array of int64 values") from None
+
+
+def _report_from_fields(stored: dict) -> EvalReport:
+    return build_report(_int64(stored, "confusion"), _int64(stored, "train_counts"),
+                        method=stored["method"], seed=stored["seed"],
+                        config_digest=stored["config_digest"],
+                        dataset_digest=stored["dataset_digest"],
+                        class_names=tuple(stored["class_names"]))
 
 
 def report_from_json(text: str) -> EvalReport:
-    obj = json.loads(text)
-    if obj.get("format") != "longtail-lab-report":
-        raise ValueError("not a longtail-lab report")
-    if obj.get("version") != REPORT_VERSION:
-        raise ValueError(f"unsupported report version {obj.get('version')}")
-    return EvalReport(
-        acc_bins={int(k): float(v) for k, v in obj["acc_bins"].items()},
-        acc_all=float(obj["acc_all"]),
-        macro_f1=float(obj["macro_f1"]),
-        per_class_f1=np.asarray(obj["per_class_f1"], dtype=np.float64),
-        confusion=np.asarray(obj["confusion"], dtype=np.int64),
-        method=obj["method"],
-        seed=int(obj["seed"]),
-        config_digest=obj["config_digest"],
-        dataset_digest=obj["dataset_digest"],
-        class_names=tuple(obj["class_names"]),
-        train_counts=np.asarray(obj["train_counts"], dtype=np.int64),
-        class_bins=np.asarray(obj["class_bins"], dtype=np.int64),
-    )
+    """The report a JSON text stores, rebuilt from its confusion matrix, train
+    counts and identity fields.
+
+    The text must be exactly what ``report_to_json`` renders for the rebuilt
+    report; otherwise ValueError names the first field that differs.
+    """
+    try:
+        stored = json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"report is not valid JSON: {exc}") from None
+    report = read_document(stored, "report", _REPORT_TYPES, _report_from_fields,
+                           _report_fields)
+    if text != report_to_json(report):
+        raise ValueError("report text differs from its rendering in whitespace or key order")
+    return report
 
 
 def save_report(report: EvalReport, path: str) -> None:
@@ -137,8 +175,13 @@ def save_report(report: EvalReport, path: str) -> None:
 
 
 def load_report(path: str) -> EvalReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        return report_from_json(fh.read())
+    """The report stored at ``path``; see ``report_from_json``.  Every error
+    is a ValueError that starts with the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return report_from_json(fh.read())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(eq=False)

@@ -10,10 +10,11 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .data import GROUP_LIMITS, ClassStats, Dataset, compute_class_stats, count_decade
+from .data import GROUP_LIMITS, ClassStats, Dataset, compute_class_stats
 from .losses import LossSpec, batch_loss, softmax
 from .optim import OptimSpec, OptimState, lr_at, optimizer_step
 from .sampling import make_epoch_stream, make_sampler
+from .schema import read_document
 from .seeding import derive_seed
 
 if TYPE_CHECKING:
@@ -163,36 +164,67 @@ class TrainedModel:
     train_log: list[EpochLog]
     class_names: tuple[str, ...]
     background_class: int | None = None
-    layout: "GroupLayout | None" = None
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method tag must be one of {METHODS}, got {self.method!r}")
-        sizes = {"stats.counts": self.stats.num_classes,
-                 **{f"{name} outputs": self.heads[name].num_outputs
-                    for name in ("head", "sqrt_head") if name in self.heads}}
-        if self.layout is not None:
-            sizes["layout.group_of"] = self.layout.num_classes
-        for field, size in sizes.items():
-            if size != self.num_classes:
-                raise ValueError(f"class_names has {self.num_classes} entries "
-                                 f"but {field} has {size}")
+        if self.stats.num_classes != self.num_classes:
+            raise ValueError(f"class_names has {self.num_classes} entries "
+                             f"but stats.counts has {self.stats.num_classes}")
+        for name, outputs in self._combined_heads().items():
+            if name not in self.heads:
+                raise ValueError(f"{self.method} model is missing its {name!r} head")
+            if self.heads[name].num_outputs != outputs:
+                raise ValueError(f"head {name!r} has {self.heads[name].num_outputs} outputs, "
+                                 f"expected {outputs}")
 
     @property
     def num_classes(self) -> int:
         return len(self.class_names)
 
+    def _combined_heads(self) -> dict[str, int]:
+        """The output count of every head ``scores`` combines for this method."""
+        if self.method == "ssb":
+            return {"head": self.num_classes, "sqrt_head": self.num_classes}
+        if self.method != "bags":
+            return {"head": self.num_classes}
+        layout = _group_layout(self)
+        sizes = {f"bags.group{k}": members.size + 1 for k in range(1, len(GROUP_LIMITS) + 1)
+                 if (members := layout.classes_in(k)).size}
+        if layout.has_background_group:
+            sizes["bags.background"] = 2
+        return sizes
 
-def forward(model: TrainedModel, features: np.ndarray) -> np.ndarray:
-    """Logits of the model's primary head; pure in parameters and input."""
-    head = model.heads["head"]
+
+def _group_layout(model: TrainedModel) -> "GroupLayout | None":
+    """The class grouping of a bags or ssb model, derived from its count bins.
+
+    bags has a background group exactly when it trained a background head;
+    ssb never has one.
+    """
+    from .heads import build_group_layout
+
+    if model.method not in ("bags", "ssb"):
+        return None
+    return build_group_layout(model.stats, background_class=model.background_class,
+                              with_background_group="bags.background" in model.heads)
+
+
+def _inputs(model: TrainedModel, features: np.ndarray) -> np.ndarray:
+    """``features`` as float64 rows, checked against the model's input width."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("features must be (batch, dim)")
-    expected = model.backbone.weights[0].shape[1] if model.backbone.weights else head.weight.shape[1]
-    if x.shape[1] != expected:
-        raise ValueError(f"feature dimension {x.shape[1]} does not match model input {expected}")
-    return head.logits(model.backbone.features(x))
+    first = (model.backbone.weights or [next(iter(model.heads.values())).weight])[0]
+    if x.shape[1] != first.shape[1]:
+        raise ValueError(f"feature dimension {x.shape[1]} does not match model input "
+                         f"{first.shape[1]}")
+    return x
+
+
+def forward(model: TrainedModel, features: np.ndarray) -> np.ndarray:
+    """Logits of the model's primary head; pure in parameters and input."""
+    return model.heads["head"].logits(model.backbone.features(_inputs(model, features)))
 
 
 BatchHook = Callable[[int, int, np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -311,15 +343,14 @@ def train_stage2(model: TrainedModel, dataset: Dataset, method: str,
                                     with_background_group=bags_background)
         bags, log = bags_train_heads(model, dataset, layout, optim, bags_beta=bags_beta)
         return TrainedModel(backbone=backbone, heads={"head": model.heads["head"].copy(), **bags},
-                            train_log=log, layout=layout, **common)
+                            train_log=log, **common)
     feats = backbone.features(dataset.features)
     q = SAMPLER_Q[method]
     new_head, log = train_linear_head(feats, dataset.labels, stats.counts, q, optim, loss)
     if method == "ssb":
-        layout = build_group_layout(stats, background_class=dataset.background_class, for_ssb=True)
         return TrainedModel(backbone=backbone,
                             heads={"head": model.heads["head"].copy(), "sqrt_head": new_head},
-                            train_log=log, layout=layout, **common)
+                            train_log=log, **common)
     return TrainedModel(backbone=backbone, heads={"head": new_head}, train_log=log, **common)
 
 
@@ -327,21 +358,18 @@ def scores(model: TrainedModel, features: np.ndarray) -> np.ndarray:
     """Final per-class score vectors; the one place that combines a method's heads.
 
     Softmax of ``head`` for single-head methods; grouped-softmax remapping of
-    the ``bags.*`` heads for bags; for ssb, ``head`` on the top count group
+    the ``bags.*`` heads for bags; for ssb, ``head`` on the top count bin
     and ``sqrt_head`` elsewhere.  The bags and ssb vectors need not sum to 1.
     """
     from .heads import HEAD_GROUP, bags_scores, ssb_aggregate
 
-    h = model.backbone.features(np.asarray(features, dtype=np.float64))
-    if model.method in ("ssb", "bags") and model.layout is None or (
-            model.method == "ssb" and "sqrt_head" not in model.heads):
-        raise ValueError(f"{model.method} model is missing its group layout or square-root head")
+    h = model.backbone.features(_inputs(model, features))
     if model.method == "ssb":
         p_i = softmax(model.heads["head"].logits(h))
         p_sqrt = softmax(model.heads["sqrt_head"].logits(h))
-        return ssb_aggregate(p_i, p_sqrt, model.layout.group_of == HEAD_GROUP)
+        return ssb_aggregate(p_i, p_sqrt, model.stats.bins == HEAD_GROUP)
     if model.method == "bags":
-        return bags_scores(model.layout, model.heads, h)
+        return bags_scores(_group_layout(model), model.heads, h)
     return softmax(model.heads["head"].logits(h))
 
 
@@ -369,7 +397,7 @@ def _model_params(model: TrainedModel) -> list[tuple[str, np.ndarray]]:
 
 def _header(model: TrainedModel, entries: list[tuple[str, np.ndarray]]) -> dict:
     """The checkpoint header of ``model``, whose tensors are ``entries``."""
-    layout = model.layout
+    layout = _group_layout(model)
     group_heads = [name for name in model.heads if name.startswith("bags.group")]
     return {
         "format": "longtail-lab-checkpoint",
@@ -435,64 +463,23 @@ def load_model(path: str) -> TrainedModel:
         header = json.loads(blob[pos:pos + header_len].decode("utf-8"))
     except ValueError as exc:
         raise ValueError(f"{path}: header is not valid JSON: {exc}") from None
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: header is not a JSON object")
-    if header.get("version") != 1:
-        raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')}")
     try:
-        model = _model_from_header(header, blob, pos + header_len)
-        field = _first_difference(header, _header(model, _model_params(model)))
+        return read_document(header, "checkpoint", _HEADER_TYPES,
+                             lambda h: _model_from_header(h, blob, pos + header_len),
+                             lambda model: _header(model, _model_params(model)))
     except KeyError as exc:
-        raise ValueError(f"{path}: missing checkpoint field {exc.args[0]!r}") from None
+        raise ValueError(f"{path}: checkpoint parameter {exc.args[0]!r} is missing") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if field is not None:
-        raise ValueError(f"{path}: checkpoint field {field!r} disagrees with the rebuilt model")
-    return model
 
 
-# The type of each header field a model is rebuilt from: a list holds one
-# type per item, ``(kind, None)`` may also be null, and float takes ints too.
+# The type of each header field a model is rebuilt from.
 _HEADER_TYPES = {
     "method": str, "class_names": [str], "background_class": (int, None), "backbone_frozen": bool,
     "stats": {"counts": [int]},
-    "layout": ({"group_of": [int], "has_background_group": bool, "background_class": (int, None)},
-               None),
     "train_log": [{"epoch": int, "mean_loss": float, "lr": float}],
     "params": [{"name": str, "shape": [int]}],
 }
-
-
-def _check_types(value, kind, where: str) -> None:
-    """Raise ValueError naming the first field of ``value`` not of type ``kind``."""
-    if isinstance(kind, tuple):
-        if value is None and None in kind:
-            return
-        kind = kind[0]
-    if isinstance(kind, dict) and isinstance(value, dict):
-        for key, sub in kind.items():
-            if key not in value:
-                raise KeyError(f"{where}.{key}".lstrip("."))
-            _check_types(value[key], sub, f"{where}.{key}".lstrip("."))
-    elif isinstance(kind, list) and isinstance(value, list):
-        for i, item in enumerate(value):
-            _check_types(item, kind[0], f"{where}[{i}]")
-    elif (isinstance(kind, (dict, list)) or isinstance(value, bool) != (kind is bool)
-          or not isinstance(value, (int, float) if kind is float else kind)):
-        raise ValueError(f"checkpoint field {where!r} has the wrong type ({type(value).__name__})")
-
-
-def _first_difference(stored, expected, where: str = "") -> str | None:
-    """Dotted name of the first field where two headers differ, or None."""
-    if isinstance(stored, dict) and isinstance(expected, dict):
-        for key in sorted(stored.keys() | expected.keys()):
-            if key not in stored or key not in expected:
-                return where + key
-            if (found := _first_difference(stored[key], expected[key], f"{where}{key}.")):
-                return found
-        return None
-    same = json.dumps(stored, sort_keys=True) == json.dumps(expected, sort_keys=True)
-    return None if same else where[:-1]
 
 
 def _model_from_header(header: dict, blob: bytes, pos: int) -> TrainedModel:
@@ -501,9 +488,6 @@ def _model_from_header(header: dict, blob: bytes, pos: int) -> TrainedModel:
     Heads are rebuilt from the parameter names: every ``<name>.weight`` and
     ``<name>.bias`` pair outside the backbone is the head ``name``.
     """
-    from .heads import GroupLayout
-
-    _check_types(header, _HEADER_TYPES, "")
     arrays: dict[str, np.ndarray] = {}
     for entry in header["params"]:
         name, shape = entry["name"], tuple(entry["shape"])
@@ -520,21 +504,15 @@ def _model_from_header(header: dict, blob: bytes, pos: int) -> TrainedModel:
 
     prefixes = [name.removesuffix(".weight") for name in arrays if name.endswith(".weight")]
     layers = range(sum(p.startswith("backbone.") for p in prefixes))
-    layout = header["layout"]
-    counts = np.asarray(header["stats"]["counts"], dtype=np.int64)
     return TrainedModel(
         backbone=Backbone(weights=[arrays[f"backbone.{i}.weight"] for i in layers],
                           biases=[arrays[f"backbone.{i}.bias"] for i in layers],
                           frozen=header["backbone_frozen"]),
         heads={p: ClassifierHead(weight=arrays[f"{p}.weight"], bias=arrays[f"{p}.bias"])
                for p in prefixes if not p.startswith("backbone.")},
-        stats=ClassStats(counts=counts, bins=count_decade(counts)),
+        stats=ClassStats(counts=header["stats"]["counts"]),
         method=header["method"],
         train_log=[EpochLog(e["epoch"], e["mean_loss"], e["lr"]) for e in header["train_log"]],
         class_names=tuple(header["class_names"]),
         background_class=header["background_class"],
-        layout=None if layout is None else GroupLayout(
-            group_of=np.asarray(layout["group_of"], dtype=np.int64),
-            has_background_group=layout["has_background_group"],
-            background_class=layout["background_class"]),
     )

@@ -312,7 +312,7 @@ def test_criterion_6_ssb_coordinate_identity():
     combined = model_scores(ssb, test_feats)
     p_i = softmax(ssb.heads["head"].logits(test_feats))
     p_sqrt = softmax(ssb.heads["sqrt_head"].logits(test_feats))
-    mask = ssb.layout.group_of == HEAD_GROUP
+    mask = ssb.stats.bins == HEAD_GROUP
     head_exact = np.array_equal(combined[:, mask], p_i[:, mask])
     tail_exact = np.array_equal(combined[:, ~mask], p_sqrt[:, ~mask])
     announce(6, "SSB scores equal f_i coordinates on head classes and f_sqrt "

@@ -76,6 +76,19 @@ class TestGen:
         assert not (tmp_path / "data.txt").exists()
 
 
+    @pytest.mark.parametrize("config, key", [
+        ("seed: abc\n", "seed"),
+        ("dataset:\n  synthetic: [1, 2]\n", "synthetic"),
+    ], ids=["seed_not_an_integer", "synthetic_not_a_mapping"])
+    def test_bad_config_value_names_its_key(self, tmp_path, capsys, config, key):
+        (tmp_path / "cfg.yaml").write_text(config)
+        code = main(["gen", "--out", str(tmp_path / "data.txt"),
+                     "--config", str(tmp_path / "cfg.yaml")])
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "data.txt").exists()
+
+
 class TestTrain:
     def test_method_choices_are_methods(self):
         parser = build_parser()

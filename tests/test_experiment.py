@@ -1,9 +1,12 @@
 """Configuration document, experiment runner, manifest, and F1-delta table."""
 import copy
+import json
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longtail_lab import (compute_class_stats, config_from_dict, default_config,
                           emit_f1_delta, generate_synthetic, load_model, load_report,
@@ -56,7 +59,10 @@ class TestConfig:
         ("stage1", "weight_decay", -5, ["stage1", "weight_decay", ">= 0"]),
         ("stage1", "batch_size", "abc", ["stage1.batch_size", "integer"]),
         ("model", "hidden", 5, ["model.hidden", "positive integers"]),
-    ], ids=["float_epochs", "nan_lr", "negative_decay", "string_batch", "scalar_hidden"])
+        ("stage1", "epochs", 0, ["stage1.epochs", ">= 1"]),
+        ("stage2", "epochs", 0, ["stage2.epochs", ">= 1"]),
+    ], ids=["float_epochs", "nan_lr", "negative_decay", "string_batch", "scalar_hidden",
+            "no_stage1_epochs", "no_stage2_epochs"])
     def test_bad_value_names_its_key(self, section, key, value, fragments):
         doc = tiny_doc("x")
         doc.setdefault(section, {})[key] = value
@@ -275,3 +281,84 @@ class TestManifest:
         (tmp_path / "run" / manifest.methods["baseline"]["checkpoint"]).unlink()
         with pytest.raises(RuntimeError, match="missing"):
             manifest.save(str(tmp_path / "run" / "manifest.json"))
+
+
+@pytest.fixture(scope="module")
+def manifest_file(tmp_path_factory):
+    out = tmp_path_factory.mktemp("manifest") / "run"
+    run_experiment(config_from_dict(tiny_doc(str(out), methods=["baseline", "sqrt_samp"])))
+    return out / "manifest.json"
+
+
+def manifest_rejected(path, *fragments) -> None:
+    """load_manifest raises ValueError whose message names the path and each fragment."""
+    with pytest.raises(ValueError) as info:
+        load_manifest(str(path))
+    for text in (str(path),) + fragments:
+        assert text in str(info.value)
+
+
+def write_manifest(manifest_file, document):
+    path = manifest_file.with_name("edited.json")
+    path.write_text(json.dumps(document), encoding="utf-8")
+    return path
+
+
+def stored_manifest(manifest_file) -> dict:
+    return json.loads(manifest_file.read_text(encoding="utf-8"))
+
+
+class TestManifestReader:
+    def test_round_trip(self, manifest_file):
+        manifest = load_manifest(str(manifest_file))
+        assert manifest.to_json() == manifest_file.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("edit, fragment", [
+        (lambda m: m.update(methods="oops"), "'methods'"),
+        (lambda m: m.pop("config_digest"), "'config_digest'"),
+        (lambda m: m["methods"]["baseline"].update(seconds="1s"), "'methods.baseline.seconds'"),
+        (lambda m: m["methods"]["sqrt_samp"].pop("report"), "'methods.sqrt_samp.report'"),
+        (lambda m: m.update(failure={"method": "bags"}), "'failure.step'"),
+        (lambda m: m.update(extra=1), "'extra'"),
+    ], ids=["methods_a_string", "digest_missing", "seconds_a_string", "entry_without_report",
+            "failure_without_step", "unknown_field"])
+    def test_bad_field_named(self, manifest_file, edit, fragment):
+        document = stored_manifest(manifest_file)
+        edit(document)
+        manifest_rejected(write_manifest(manifest_file, document), fragment)
+
+    @settings(max_examples=50, deadline=None)
+    @given(document=st.none() | st.booleans() | st.integers() | st.text()
+           | st.lists(st.integers(), max_size=3))
+    def test_any_non_object_rejected(self, manifest_file, document):
+        manifest_rejected(write_manifest(manifest_file, document), "not a JSON object")
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_any_dropped_field_named(self, manifest_file, data):
+        document = stored_manifest(manifest_file)
+        key = data.draw(st.sampled_from(sorted(document)), label="key")
+        del document[key]
+        manifest_rejected(write_manifest(manifest_file, document), f"'{key}'")
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), value=st.sampled_from([5, 1.5, True, "oops", [1, 2], {"a": 1}]))
+    def test_any_field_of_another_type_named(self, manifest_file, data, value):
+        document = stored_manifest(manifest_file)
+        key = data.draw(st.sampled_from(sorted(document)), label="key")
+        if type(value) is type(document[key]):
+            return
+        document[key] = value
+        manifest_rejected(write_manifest(manifest_file, document), f"'{key}")
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_any_truncation_rejected(self, manifest_file, data):
+        text = manifest_file.read_bytes()
+        cut = data.draw(st.integers(min_value=0, max_value=len(text) - 1), label="cut")
+        path = manifest_file.with_name("truncated.json")
+        path.write_bytes(text[:cut])
+        if text[:cut].rstrip() == text.rstrip():  # only the final newline is gone
+            assert load_manifest(str(path)).to_json() == text.decode("utf-8")
+        else:
+            manifest_rejected(path)

@@ -9,7 +9,8 @@ import hashlib
 import pytest
 import yaml
 
-from longtail_lab import config_from_dict, run_experiment
+from longtail_lab import (config_from_dict, load_model, load_report, run_experiment,
+                          save_model, save_report)
 from longtail_lab.experiment import DEFAULT_CONFIG_YAML
 
 GOLDEN = {
@@ -61,6 +62,20 @@ def checkpoint_digests(checkpoints_dir) -> dict[str, str]:
             for path in sorted(checkpoints_dir.glob("*.ckpt"))}
 
 
+def assert_reload_resaves_same_bytes(run, tmp_path) -> None:
+    """Every report and checkpoint of a run, read back and saved again, is
+    byte-identical to the file it was read from."""
+    paths = sorted(run.glob("reports/*.json")) + sorted(run.glob("checkpoints/*.ckpt"))
+    assert len(paths) == 10
+    for path in paths:
+        copy = tmp_path / f"resaved-{path.name}"
+        if path.suffix == ".json":
+            save_report(load_report(str(path)), str(copy))
+        else:
+            save_model(load_model(str(path)), str(copy))
+        assert copy.read_bytes() == path.read_bytes(), path.name
+
+
 def short_run(out_dir, one_stage: bool, background_class=None):
     doc = yaml.safe_load(DEFAULT_CONFIG_YAML)
     doc["output_dir"] = str(out_dir)
@@ -79,9 +94,11 @@ def test_short_default_run_reports_are_pinned(tmp_path, one_stage):
     assert reports_digest(run / "reports") == GOLDEN[one_stage]
     run_id = "one_stage" if one_stage else "two_stage"
     assert checkpoint_digests(run / "checkpoints") == CHECKPOINTS[run_id]
+    assert_reload_resaves_same_bytes(run, tmp_path)
 
 
 def test_background_run_is_pinned(tmp_path):
     run = short_run(tmp_path / "run", one_stage=False, background_class=0)
     assert reports_digest(run / "reports") == GOLDEN_BACKGROUND
     assert checkpoint_digests(run / "checkpoints") == CHECKPOINTS["background"]
+    assert_reload_resaves_same_bytes(run, tmp_path)

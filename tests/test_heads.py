@@ -5,8 +5,9 @@ import pytest
 from longtail_lab import (Architecture, ClassifierHead, GroupLayout,
                           LossSpec, OptimSpec, bags_infer, bags_scores,
                           bags_train_heads, build_group_layout, compute_class_stats,
-                          softmax, ssb_aggregate, train_stage1)
+                          softmax, ssb_aggregate, train_stage1, train_stage2)
 from longtail_lab.heads import HEAD_GROUP
+from longtail_lab.model import scores
 
 from conftest import dataset_with_counts
 
@@ -17,24 +18,31 @@ def stats_for(counts):
 
 class TestGroupLayout:
     def test_ssb_layout_by_count(self):
-        layout = build_group_layout(stats_for([5000, 500, 50, 5]), for_ssb=True)
-        assert layout.group_of.tolist() == [4, 3, 2, 1]
+        stats = stats_for([5000, 500, 50, 5])
+        layout = build_group_layout(stats)
+        assert layout.group_of.tolist() == stats.bins.tolist() == [4, 3, 2, 1]
         assert not layout.has_background_group
-        assert (layout.group_of == HEAD_GROUP).tolist() == [True, False, False, False]
+        assert (stats.bins == HEAD_GROUP).tolist() == [True, False, False, False]
 
     def test_all_head_classes_identity_mask(self):
-        layout = build_group_layout(stats_for([2000, 1500, 1000]), for_ssb=True)
-        assert (layout.group_of == HEAD_GROUP).all()
+        assert (stats_for([2000, 1500, 1000]).bins == HEAD_GROUP).all()
 
     def test_no_head_classes_zero_mask(self):
-        layout = build_group_layout(stats_for([999, 50, 5]), for_ssb=True)
-        assert not (layout.group_of == HEAD_GROUP).any()
+        assert not (stats_for([999, 50, 5]).bins == HEAD_GROUP).any()
 
     def test_ssb_background_placed_by_count(self):
-        stats = stats_for([5000, 50, 5])
-        layout = build_group_layout(stats, background_class=0, for_ssb=True)
-        assert layout.group_of.tolist() == [4, 2, 1]
-        assert not layout.has_background_group
+        # ssb scores a background class by its count bin, like any other class.
+        ds = dataset_with_counts([1200, 50, 5], background_class=0)
+        loss = LossSpec(kind="cross_entropy")
+        stage1 = train_stage1(ds, Architecture(3, 3), OptimSpec(epochs=0, warmup_epochs=0),
+                              loss)
+        ssb = train_stage2(stage1, ds, "ssb", OptimSpec(epochs=0, warmup_epochs=0, seed=1),
+                           loss)
+        x = ds.features[:4]
+        p_i = softmax(ssb.heads["head"].logits(x))
+        p_sqrt = softmax(ssb.heads["sqrt_head"].logits(x))
+        assert not np.array_equal(p_i[:, 0], p_sqrt[:, 0])
+        np.testing.assert_array_equal(scores(ssb, x), np.hstack([p_i[:, :1], p_sqrt[:, 1:]]))
 
     def test_bags_background_group(self):
         layout = build_group_layout(stats_for([5000, 50, 5]), background_class=0)
@@ -55,21 +63,19 @@ class TestGroupLayout:
     def test_layout_invariant_to_class_order(self):
         counts = [5000, 500, 50, 5]
         perm = [2, 0, 3, 1]
-        direct = build_group_layout(stats_for(counts), for_ssb=True).group_of
-        permuted = build_group_layout(stats_for([counts[p] for p in perm]),
-                                      for_ssb=True).group_of
+        direct = build_group_layout(stats_for(counts)).group_of
+        permuted = build_group_layout(stats_for([counts[p] for p in perm])).group_of
         assert permuted.tolist() == [int(direct[p]) for p in perm]
 
     def test_groups_partition_classes(self):
-        layout = build_group_layout(stats_for([2000, 800, 30, 4, 120]), for_ssb=True)
+        layout = build_group_layout(stats_for([2000, 800, 30, 4, 120]))
         seen = np.concatenate([layout.classes_in(k) for k in range(5)])
         assert sorted(seen.tolist()) == list(range(5))
 
 
 class TestSSBMask:
     def test_idempotent_and_diagonal(self):
-        mask = build_group_layout(stats_for([5000, 500, 5000, 5]),
-                                  for_ssb=True).group_of == HEAD_GROUP
+        mask = stats_for([5000, 500, 5000, 5]).bins == HEAD_GROUP
         assert mask.tolist() == [True, False, True, False]
         # The paper's form: p = Q p_i + (I - Q) p_sqrt with Q the diagonal head mask.
         q = np.diag(mask.astype(np.float64))

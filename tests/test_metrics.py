@@ -1,6 +1,11 @@
-"""Evaluation metrics against brute-force oracles and comparison-table ranking."""
+"""Evaluation metrics against brute-force oracles, comparison-table ranking,
+and the report reader."""
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longtail_lab import (compare_methods, compute_class_stats, evaluate,
                           load_report, save_report)
@@ -138,6 +143,88 @@ class TestEvaluate:
         assert loaded.class_names == ("a", "b", "c")
         assert report_to_json(loaded) == report_to_json(report)
         assert report_from_json(report_to_json(report)).macro_f1 == report.macro_f1
+
+
+@pytest.fixture(scope="module")
+def report_file(tmp_path_factory):
+    stats = stats_for([1500, 600, 45, 3])
+    rng = np.random.default_rng(3)
+    true = rng.integers(0, 4, size=60)
+    preds = np.where(rng.random(60) < 0.7, true, rng.integers(0, 4, size=60))
+    report = evaluate(preds, true, stats, method="ssb", seed=4, config_digest="cfg",
+                      dataset_digest="data", class_names=("a", "b", "c", "d"))
+    path = tmp_path_factory.mktemp("report") / "ssb.json"
+    save_report(report, str(path))
+    return path
+
+
+def report_rejected(path, *fragments) -> None:
+    """load_report raises ValueError whose message names the path and each fragment."""
+    with pytest.raises(ValueError) as info:
+        load_report(str(path))
+    for text in (str(path),) + fragments:
+        assert text in str(info.value)
+
+
+def write_edited(report_file, edit):
+    stored = json.loads(report_file.read_text(encoding="utf-8"))
+    edit(stored)
+    path = report_file.with_name("edited.json")
+    path.write_text(json.dumps(stored, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    return path
+
+
+# Fields a report derives from its confusion matrix and train counts.
+DERIVED = ("acc_all", "acc_bins", "macro_f1", "per_class_f1", "class_bins")
+
+
+class TestCorruptReport:
+    @pytest.mark.parametrize("edit, fragment", [
+        (lambda r: r.update(acc_all=0.99), "'acc_all'"),
+        (lambda r: r["acc_bins"].update({"1": 1.0}), "'acc_bins.1'"),
+        (lambda r: r.update(confusion=5), "'confusion'"),
+        (lambda r: r.update(confusion=[[1, 2], [3]]), "'confusion'"),
+        (lambda r: r.update(train_counts=r["train_counts"][:3]), "train_counts"),
+        (lambda r: r.update(seed=True), "'seed'"),
+        (lambda r: r.update(format="longtail-lab-manifest"), "'format'"),
+        (lambda r: r.update(version=2), "'version'"),
+    ], ids=["acc_all_edited", "acc_bin_edited", "confusion_scalar", "confusion_ragged",
+            "train_counts_cut", "seed_bool", "wrong_format", "wrong_version"])
+    def test_bad_field_named(self, report_file, edit, fragment):
+        report_rejected(write_edited(report_file, edit), fragment)
+
+    def test_every_dropped_field_named(self, report_file):
+        for key in json.loads(report_file.read_text(encoding="utf-8")):
+            report_rejected(write_edited(report_file, lambda r: r.pop(key)), f"'{key}'")
+
+    def test_reformatted_text_rejected(self, report_file):
+        path = report_file.with_name("compact.json")
+        path.write_text(json.dumps(json.loads(report_file.read_text(encoding="utf-8"))),
+                        encoding="utf-8")
+        report_rejected(path, "whitespace")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_truncation_rejected(self, report_file, data):
+        text = report_file.read_bytes()
+        cut = data.draw(st.integers(min_value=0, max_value=len(text) - 1), label="cut")
+        path = report_file.with_name("truncated.json")
+        path.write_bytes(text[:cut])
+        report_rejected(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(key=st.sampled_from(DERIVED),
+           value=st.recursive(st.none() | st.booleans() | st.integers() | st.floats()
+                              | st.text(max_size=3),
+                              lambda inner: st.lists(inner, max_size=3)
+                              | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+                              max_leaves=6))
+    def test_any_derived_field_edit_named(self, report_file, key, value):
+        stored = json.loads(report_file.read_text(encoding="utf-8"))
+        if json.dumps(value, sort_keys=True) == json.dumps(stored[key], sort_keys=True):
+            return
+        report_rejected(write_edited(report_file, lambda r: r.update({key: value})),
+                        f"'{key}")
 
 
 def fake_report(method, acc_all, acc_bins, macro_f1, digest="shared"):

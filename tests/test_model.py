@@ -47,6 +47,15 @@ class TestForward:
         assert np.array_equal(logits, np.zeros((5, 2)))
         np.testing.assert_allclose(softmax(logits), 0.5)
 
+    @pytest.mark.parametrize("method", ["baseline", "sqrt_samp", "bags", "ssb"])
+    def test_predict_rejects_wrong_width(self, stage1_setup, method):
+        ds, model = stage1_setup
+        if method != "baseline":
+            model = train_stage2(model, ds, method, OptimSpec(seed=5).for_classifier(),
+                                 LossSpec(kind="cross_entropy"))
+        with pytest.raises(ValueError, match="feature dimension 7 does not match model input 6"):
+            predict(model, np.zeros((3, 7)))
+
     def test_identity_head_passes_features_through(self):
         ds = blob_dataset(counts=(10, 10, 10), dim=3)
         model = make_model(np.eye(3), np.zeros(3), ds)
@@ -318,6 +327,32 @@ class TestCorruptCheckpoint:
         path.write_bytes(blob[:MAGIC_LEN] + struct.pack("<Q", len(new)) + new
                          + blob[start + header_len:-bias_bytes])
         rejects(path, "'head.bias'")
+
+    # A checkpoint consistent with itself that lacks a head its method combines.
+    @pytest.mark.parametrize("method, head", [("ssb", "sqrt_head"), ("bags", "bags.group1")])
+    def test_missing_combined_head_named(self, tmp_path, stage1_setup, method, head):
+        ds, model = stage1_setup
+        trained = train_stage2(model, ds, method, OptimSpec(seed=5).for_classifier(),
+                               LossSpec(kind="cross_entropy"))
+        full = tmp_path / "full.ckpt"
+        save_model(trained, str(full))
+        blob = full.read_bytes()
+        (header_len,) = struct.unpack_from("<Q", blob, MAGIC_LEN)
+        start = MAGIC_LEN + 8
+        header = json.loads(blob[start:start + header_len])
+        body, pos = b"", start + header_len
+        kept = []
+        for entry in header["params"]:
+            size = 8 * int(np.prod(entry["shape"]))
+            if entry["name"] not in (f"{head}.weight", f"{head}.bias"):
+                kept.append(entry)
+                body += blob[pos:pos + size]
+            pos += size
+        header["params"] = kept
+        new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        path = tmp_path / "cut.ckpt"
+        path.write_bytes(blob[:MAGIC_LEN] + struct.pack("<Q", len(new)) + new + body)
+        rejects(path, f"'{head}'")
 
     def test_trailing_bytes(self, tmp_path, checkpoint_file):
         path = tmp_path / "long.ckpt"
