@@ -17,15 +17,13 @@ from .data import (Dataset, SplitSpec, SyntheticSpec, compute_class_stats,
                    generate_synthetic, load_embeddings, split_dataset)
 from .losses import LossSpec
 from .metrics import EvalReport, compare_methods, evaluate, save_report
-from .model import (METHODS, SAMPLER_Q, Architecture, TrainedModel, predict,
-                    save_model, train_stage1, train_stage2)
+from .model import (METHODS, Architecture, TrainedModel, predict, save_model,
+                    train_stage1, train_stage2)
 from .optim import OptimSpec
 from .schema import check_types, read_document
 from .seeding import derive_seed
 
 _BACKGROUND_GROUP_CHOICES = ("auto", "on", "off")
-
-_ONE_STAGE_CAPABLE = ("sqrt_samp", "cb_focal")
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +54,7 @@ class ExperimentConfig:
             raise ValueError("at least one method is required")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
-            raise ValueError(f"unknown method(s) {unknown}; expected a subset of {METHODS}")
+            raise ValueError(f"unknown method(s) {unknown}; expected a subset of {tuple(METHODS)}")
         if len(set(self.methods)) != len(self.methods):
             raise ValueError("duplicate method in methods list")
         if (self.synthetic is None) == (self.embeddings_path is None):
@@ -235,8 +233,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ValueError(f"config key model.hidden must list positive integers, got {hidden!r}")
 
     stage1 = _optim_from(_as_section(doc, "stage1"), "stage1", OptimSpec(), seed=0)
-    stage2_defaults = replace(stage1, epochs=12, warmup_epochs=1)
-    stage2 = _optim_from(_as_section(doc, "stage2"), "stage2", stage2_defaults, seed=0)
+    stage2 = _optim_from(_as_section(doc, "stage2"), "stage2", stage1.for_classifier(), seed=0)
 
     loss_section = _as_section(doc, "loss")
     _check_keys(loss_section, ("gamma", "cb_beta"), "loss")
@@ -393,10 +390,10 @@ def load_manifest(path: str) -> RunManifest:
 # ---------------------------------------------------------------------------
 
 
-def _loss_for(method: str, config: ExperimentConfig) -> LossSpec:
-    if method == "cb_focal":
-        return LossSpec(kind="cb_focal", gamma=config.gamma, cb_beta=config.cb_beta)
-    return LossSpec(kind="cross_entropy")
+def _loss(kind: str, config: ExperimentConfig) -> LossSpec:
+    if kind == "cb_focal":
+        return LossSpec(kind=kind, gamma=config.gamma, cb_beta=config.cb_beta)
+    return LossSpec(kind=kind)
 
 
 def run_experiment(config: ExperimentConfig) -> RunManifest:
@@ -429,8 +426,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
         tag = "stage1" if config.shared_stage1 else f"stage1:{method}"
         if tag not in stage1_cache:
             spec = replace(config.stage1, seed=derive_seed(config.seed, tag))
-            stage1_cache[tag] = train_stage1(train, arch, spec,
-                                             LossSpec(kind="cross_entropy"))
+            stage1_cache[tag] = train_stage1(train, arch, spec, LossSpec(kind="cross_entropy"))
         return stage1_cache[tag]
 
     bags_background = {"auto": None, "on": True, "off": False}[config.bags_background_group]
@@ -440,22 +436,21 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     try:
         for method in config.methods:
             started = time.perf_counter()
-            if method == "baseline":
+            entry = METHODS[method]
+            if entry.stage2 is None:
                 step = "stage-1 training"
-                model = stage1_for("baseline")
-            elif config.one_stage and method in _ONE_STAGE_CAPABLE:
+                model = stage1_for(method)
+            elif config.one_stage and entry.one_stage:
                 step = "one-stage training"
                 spec = replace(config.stage1, seed=derive_seed(config.seed, "one-stage", method))
-                model = train_stage1(train, arch, spec, _loss_for(method, config),
-                                     sampler_q=SAMPLER_Q[method], method=method)
+                model = train_stage1(train, arch, spec, _loss(entry.loss, config), method=method)
             else:
                 step = "stage-1 training"
                 base = stage1_for(method)
                 step = "stage-2 training"
                 spec = replace(config.stage2, seed=derive_seed(config.seed, "stage2", method))
-                model = train_stage2(base, train, method, spec, _loss_for(method, config),
-                                     bags_beta=config.bags_beta,
-                                     bags_background=bags_background)
+                model = train_stage2(base, train, method, spec, _loss(entry.loss, config),
+                                     bags_beta=config.bags_beta, bags_background=bags_background)
             step = "evaluation"
             preds, _ = predict(model, test.features)
             report = evaluate(preds, test.labels, stats, method=method, seed=config.seed,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import GROUP_LIMITS, ClassStats, Dataset, compute_class_stats
 from .losses import LossSpec, softmax
-from .model import SAMPLER_Q, ClassifierHead, EpochLog, TrainedModel, fit_head
+from .model import METHODS, ClassifierHead, EpochLog, TrainedModel, fit_head
 from .optim import OptimSpec
 from .sampling import bags_filter_batch
 from .seeding import derive_seed
@@ -94,10 +94,10 @@ def ssb_aggregate(p_i, p_sqrt, head_mask) -> np.ndarray:
     return np.where(head_mask, p_i, p_sqrt)
 
 
-def bags_train_heads(model: TrainedModel, dataset: Dataset, layout: GroupLayout,
-                     optim: OptimSpec, loss: LossSpec | None = None,
-                     bags_beta: float = 8.0) -> tuple[dict[str, ClassifierHead], list[EpochLog]]:
-    """Train the grouped heads on frozen stage-1 features.
+def bags_train_heads(model: TrainedModel, dataset: Dataset, optim: OptimSpec, loss: LossSpec,
+                     bags_beta: float = 8.0, with_background_group: bool | None = None
+                     ) -> tuple[dict[str, ClassifierHead], list[EpochLog]]:
+    """Train the grouped heads of ``build_group_layout`` on frozen stage-1 features.
 
     Each group head sees every in-group instance of a batch plus an
     undersampled set of out-of-group instances relabeled "others".  Heads use
@@ -106,8 +106,8 @@ def bags_train_heads(model: TrainedModel, dataset: Dataset, layout: GroupLayout,
     and, with a background group, the binary foreground/background head, by
     name; and a per-epoch log averaged across heads.
     """
-    loss = loss or LossSpec(kind="cross_entropy")
     stats = compute_class_stats(dataset)
+    layout = build_group_layout(stats, dataset.background_class, with_background_group)
     # Group membership must follow the layout, not the raw count decades: a
     # designated background class lives in group 0 even when its count shares
     # a decade with other classes.
@@ -140,7 +140,7 @@ def bags_train_heads(model: TrainedModel, dataset: Dataset, layout: GroupLayout,
             in_group = group_of[labels[rows]] == group
             return rows, np.where(in_group, local, slot)
 
-        logs.append(fit_head(head, feats, labels, stats.counts, SAMPLER_Q["bags"], head_optim,
+        logs.append(fit_head(head, feats, labels, stats.counts, METHODS["bags"].q, head_optim,
                              loss, batch_hook=group_hook))
         heads[f"bags.group{k}"] = head
 
@@ -154,7 +154,7 @@ def bags_train_heads(model: TrainedModel, dataset: Dataset, layout: GroupLayout,
         def background_hook(epoch: int, step: int, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return batch, (labels[batch] == bg).astype(np.int64)
 
-        logs.append(fit_head(background_head, feats, labels, stats.counts, SAMPLER_Q["bags"],
+        logs.append(fit_head(background_head, feats, labels, stats.counts, METHODS["bags"].q,
                              bg_optim, loss, batch_hook=background_hook))
         heads["bags.background"] = background_head
 

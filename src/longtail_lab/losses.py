@@ -53,7 +53,6 @@ class LossSpec:
     kind: str
     gamma: float | None = None
     cb_beta: float | None = None
-    class_weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in LOSS_KINDS:
@@ -69,11 +68,6 @@ class LossSpec:
             raise ValueError("cb_beta is required for cb_focal and only for cb_focal")
         if self.cb_beta is not None and not 0.0 <= self.cb_beta < 1.0:
             raise ValueError("cb_beta must lie in [0, 1)")
-        if self.class_weights is not None:
-            w = np.ascontiguousarray(self.class_weights, dtype=np.float64)
-            if (w <= 0).any():
-                raise ValueError("class_weights must all be > 0")
-            object.__setattr__(self, "class_weights", w)
 
 
 @dataclass(eq=False)
@@ -127,10 +121,6 @@ def batch_loss(logits, labels, counts, spec: LossSpec) -> LossValue:
         if (counts < 1).any():
             raise ValueError("cb_focal needs every class count >= 1")
         weights = weights * (1.0 - spec.cb_beta) / (1.0 - spec.cb_beta ** counts[labels])
-    if spec.class_weights is not None:
-        if spec.class_weights.shape != (num_classes,):
-            raise ValueError("class_weights must have one entry per class")
-        weights = weights * spec.class_weights[labels]
 
     per_instance = weights * (1.0 - p) ** gamma * (-np.log(p))
     onehot = np.zeros_like(probs)

@@ -139,8 +139,8 @@ _REPORT_TYPES = {"method": str, "seed": int, "config_digest": str, "dataset_dige
 def _int64(stored: dict, key: str) -> np.ndarray:
     try:
         return np.array(stored[key], dtype=np.int64)
-    except (ValueError, OverflowError):
-        raise ValueError(f"field {key!r} is not a rectangular array of int64 values") from None
+    except ValueError:
+        raise ValueError(f"field {key!r} is not a rectangular array") from None
 
 
 def _report_from_fields(stored: dict) -> EvalReport:

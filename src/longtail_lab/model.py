@@ -20,13 +20,6 @@ from .seeding import derive_seed
 if TYPE_CHECKING:
     from .heads import GroupLayout
 
-METHODS = ("baseline", "sqrt_samp", "cb_focal", "bags", "ssb")
-
-STAGE2_METHODS = ("sqrt_samp", "cb_focal", "bags", "ssb")
-
-# Sampling exponent of each method's epoch stream, in stage 2 or one-stage runs.
-SAMPLER_Q = {"sqrt_samp": 0.5, "cb_focal": 1.0, "bags": 1.0, "ssb": 0.5}
-
 _CHECKPOINT_MAGIC = b"LTLABCKPT1\n"
 
 
@@ -120,10 +113,6 @@ class ClassifierHead:
     weight: np.ndarray
     bias: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.weight.ndim != 2 or self.bias.shape != self.weight.shape[:1]:
-            raise ValueError(f"head weight {self.weight.shape} and bias {self.bias.shape} disagree")
-
     @classmethod
     def create(cls, num_outputs: int, in_dim: int, rng: np.random.Generator) -> "ClassifierHead":
         return cls(weight=_uniform_init(rng, num_outputs, in_dim),
@@ -154,7 +143,7 @@ class TrainedModel:
     ``heads`` maps each head's checkpoint prefix to the head: ``head`` (the
     stage-1 or retrained classifier), ``sqrt_head`` (ssb's square-root
     branch), ``bags.group<k>`` and ``bags.background``.  ``scores`` combines
-    them as the method prescribes, with ``layout`` grouping the classes.
+    them by the ``combine`` rule of the method's ``METHODS`` record.
     """
 
     backbone: Backbone
@@ -167,11 +156,24 @@ class TrainedModel:
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
-            raise ValueError(f"method tag must be one of {METHODS}, got {self.method!r}")
+            raise ValueError(f"method tag must be one of {tuple(METHODS)}, got {self.method!r}")
         if self.stats.num_classes != self.num_classes:
             raise ValueError(f"class_names has {self.num_classes} entries "
                              f"but stats.counts has {self.stats.num_classes}")
-        for name, outputs in self._combined_heads().items():
+        # Each layer reads the previous layer's output; every head reads the backbone's.
+        width = None
+        layers = [(f"backbone.{i}", w, b)
+                  for i, (w, b) in enumerate(zip(self.backbone.weights, self.backbone.biases))]
+        for name, weight, bias in layers + [(n, h.weight, h.bias) for n, h in self.heads.items()]:
+            if weight.ndim != 2 or width not in (None, weight.shape[1]):
+                wanted = "a matrix" if width is None else f"a matrix of {width} columns"
+                raise ValueError(f"parameter '{name}.weight' has shape {list(weight.shape)}, "
+                                 f"not {wanted}")
+            if bias.shape != weight.shape[:1]:
+                raise ValueError(f"parameter '{name}.weight' has {weight.shape[0]} rows but "
+                                 f"'{name}.bias' has shape {list(bias.shape)}")
+            width = weight.shape[0 if name.startswith("backbone.") else 1]
+        for name, outputs in METHODS[self.method].heads(self).items():
             if name not in self.heads:
                 raise ValueError(f"{self.method} model is missing its {name!r} head")
             if self.heads[name].num_outputs != outputs:
@@ -182,32 +184,20 @@ class TrainedModel:
     def num_classes(self) -> int:
         return len(self.class_names)
 
-    def _combined_heads(self) -> dict[str, int]:
-        """The output count of every head ``scores`` combines for this method."""
-        if self.method == "ssb":
-            return {"head": self.num_classes, "sqrt_head": self.num_classes}
-        if self.method != "bags":
-            return {"head": self.num_classes}
-        layout = _group_layout(self)
-        sizes = {f"bags.group{k}": members.size + 1 for k in range(1, len(GROUP_LIMITS) + 1)
-                 if (members := layout.classes_in(k)).size}
-        if layout.has_background_group:
-            sizes["bags.background"] = 2
-        return sizes
+
+def _heads_module():
+    """``heads.py``, looked up at call time: it imports this module."""
+    from . import heads
+    return heads
 
 
 def _group_layout(model: TrainedModel) -> "GroupLayout | None":
-    """The class grouping of a bags or ssb model, derived from its count bins.
-
-    bags has a background group exactly when it trained a background head;
-    ssb never has one.
-    """
-    from .heads import build_group_layout
-
-    if model.method not in ("bags", "ssb"):
+    """A grouped method's class grouping; with a background group iff a background head trained."""
+    if not METHODS[model.method].grouped:
         return None
-    return build_group_layout(model.stats, background_class=model.background_class,
-                              with_background_group="bags.background" in model.heads)
+    return _heads_module().build_group_layout(
+        model.stats, background_class=model.background_class,
+        with_background_group="bags.background" in model.heads)
 
 
 def _inputs(model: TrainedModel, features: np.ndarray) -> np.ndarray:
@@ -298,22 +288,86 @@ def train_linear_head(features: np.ndarray, labels: np.ndarray, counts: np.ndarr
     return head, log
 
 
-def train_stage1(dataset: Dataset, arch: Architecture, optim: OptimSpec,
-                 loss: LossSpec, sampler_q: float = 1.0,
-                 method: str = "baseline") -> TrainedModel:
-    """First-stage training: backbone and head jointly on the raw distribution.
+def _fit_new_head(name: str) -> Callable:
+    """Stage-2 trainer of one fresh head, ``name``, on the frozen features."""
+    def fit(model, dataset, stats, q, optim, loss, **_):
+        feats = model.backbone.features(dataset.features)
+        head, log = train_linear_head(feats, dataset.labels, stats.counts, q, optim, loss)
+        return {name: head}, log
+    return fit
 
-    ``sampler_q`` defaults to 1 (instance sampling); single-stage regimes
-    reuse this entry point with their own sampler exponent and loss.
+
+def _fit_bags(model, dataset, stats, q, optim, loss, bags_beta, bags_background):
+    return _heads_module().bags_train_heads(model, dataset, optim, loss, bags_beta=bags_beta,
+                                            with_background_group=bags_background)
+
+
+def _bags_heads(model: TrainedModel) -> dict[str, int]:
+    """A head per non-empty count group, its classes plus "others"; the background head."""
+    layout = _group_layout(model)
+    sizes = {f"bags.group{k}": members.size + 1 for k in range(1, len(GROUP_LIMITS) + 1)
+             if (members := layout.classes_in(k)).size}
+    if layout.has_background_group:
+        sizes["bags.background"] = 2
+    return sizes
+
+
+def _ssb_combine(model: TrainedModel, h: np.ndarray) -> np.ndarray:
+    """``head`` on the top count bin, ``sqrt_head`` elsewhere."""
+    module = _heads_module()
+    return module.ssb_aggregate(softmax(model.heads["head"].logits(h)),
+                                softmax(model.heads["sqrt_head"].logits(h)),
+                                model.stats.bins == module.HEAD_GROUP)
+
+
+@dataclass(frozen=True)
+class Method:
+    """How one method differs from the baseline, whose values are the defaults.
+
+    ``q`` and ``loss`` are the sampling exponent and loss kind of the method's
+    own fit: stage 2, or one stage where ``one_stage`` allows it.  ``stage2(model,
+    dataset, stats, q, optim, loss, bags_beta=, bags_background=)`` returns the
+    heads it trained on frozen stage-1 features, and the log.  ``heads(model)``
+    gives the output count of every head ``combine(model, h)`` reads to score
+    backbone features ``h``.  ``grouped`` methods group classes by count decade.
     """
+
+    q: float = 1.0
+    loss: str = "cross_entropy"
+    one_stage: bool = False
+    stage2: Callable | None = None
+    heads: Callable[[TrainedModel], dict[str, int]] = lambda model: {"head": model.num_classes}
+    combine: Callable[[TrainedModel, np.ndarray], np.ndarray] = (
+        lambda model, h: softmax(model.heads["head"].logits(h)))
+    grouped: bool = False
+
+
+# Every method, in report order.  A new rule is a new entry.
+METHODS = {
+    "baseline": Method(one_stage=True),
+    "sqrt_samp": Method(q=0.5, one_stage=True, stage2=_fit_new_head("head")),
+    "cb_focal": Method(loss="cb_focal", one_stage=True, stage2=_fit_new_head("head")),
+    "bags": Method(stage2=_fit_bags, heads=_bags_heads, grouped=True,
+                   combine=lambda m, h: _heads_module().bags_scores(_group_layout(m), m.heads, h)),
+    "ssb": Method(q=0.5, stage2=_fit_new_head("sqrt_head"), combine=_ssb_combine, grouped=True,
+                  heads=lambda model: dict.fromkeys(("head", "sqrt_head"), model.num_classes)),
+}
+
+
+def train_stage1(dataset: Dataset, arch: Architecture, optim: OptimSpec,
+                 loss: LossSpec, method: str = "baseline") -> TrainedModel:
+    """First-stage training: backbone and head jointly, sampled at ``method``'s
+    q; instance sampling for the baseline, which every stage 2 starts from."""
+    if method not in METHODS or not METHODS[method].one_stage:
+        raise ValueError(f"{method} cannot train in one stage")
     if arch.feature_dim != dataset.feature_dim or arch.num_classes != dataset.num_classes:
         raise ValueError("architecture does not match dataset dimensions")
     stats = compute_class_stats(dataset)
     rng = np.random.default_rng(derive_seed(optim.seed, "init"))
     backbone = Backbone.build(arch.feature_dim, arch.hidden, rng)
     head = ClassifierHead.create(arch.num_classes, backbone.output_dim(arch.feature_dim), rng)
-    log = fit_head(head, dataset.features, dataset.labels, stats.counts, sampler_q, optim,
-                   loss, backbone=backbone)
+    log = fit_head(head, dataset.features, dataset.labels, stats.counts, METHODS[method].q,
+                   optim, loss, backbone=backbone)
     return TrainedModel(backbone=backbone, heads={"head": head}, stats=stats, method=method,
                         train_log=log, class_names=dataset.class_names,
                         background_class=dataset.background_class)
@@ -322,55 +376,27 @@ def train_stage1(dataset: Dataset, arch: Architecture, optim: OptimSpec,
 def train_stage2(model: TrainedModel, dataset: Dataset, method: str,
                  optim: OptimSpec, loss: LossSpec, bags_beta: float = 8.0,
                  bags_background: bool | None = None) -> TrainedModel:
-    """Second-stage training: backbone frozen, classifier replaced and retrained.
+    """Second-stage training: backbone frozen, ``method``'s trainer fits its heads.
 
-    sqrt_samp trains one fresh head under square-root sampling; cb_focal under
-    instance sampling with the class-balanced loss; bags trains grouped heads;
-    ssb trains the square-root branch and keeps the stage-1 head verbatim.
-    ``bags_background`` forces the foreground/background group on or off; by
-    default it is used exactly when the dataset designates a background class.
+    ``bags_background`` forces bags' foreground/background group on or off;
+    by default it is used exactly when the dataset designates a background class.
     """
-    from .heads import bags_train_heads, build_group_layout
-
-    if method not in STAGE2_METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {STAGE2_METHODS}")
+    if method not in METHODS or METHODS[method].stage2 is None:
+        raise ValueError(f"unknown method {method!r}: it has no second stage")
     backbone = model.backbone.copy(frozen=True)
     stats = compute_class_stats(dataset)
-    common = dict(stats=stats, method=method, class_names=dataset.class_names,
-                  background_class=dataset.background_class)
-    if method == "bags":
-        layout = build_group_layout(stats, background_class=dataset.background_class,
-                                    with_background_group=bags_background)
-        bags, log = bags_train_heads(model, dataset, layout, optim, bags_beta=bags_beta)
-        return TrainedModel(backbone=backbone, heads={"head": model.heads["head"].copy(), **bags},
-                            train_log=log, **common)
-    feats = backbone.features(dataset.features)
-    q = SAMPLER_Q[method]
-    new_head, log = train_linear_head(feats, dataset.labels, stats.counts, q, optim, loss)
-    if method == "ssb":
-        return TrainedModel(backbone=backbone,
-                            heads={"head": model.heads["head"].copy(), "sqrt_head": new_head},
-                            train_log=log, **common)
-    return TrainedModel(backbone=backbone, heads={"head": new_head}, train_log=log, **common)
+    new, log = METHODS[method].stage2(model, dataset, stats, METHODS[method].q, optim, loss,
+                                      bags_beta=bags_beta, bags_background=bags_background)
+    # The stage-1 head stays unless the trainer retrained it.
+    return TrainedModel(backbone=backbone, heads={"head": model.heads["head"].copy(), **new},
+                        stats=stats, method=method, train_log=log,
+                        class_names=dataset.class_names, background_class=dataset.background_class)
 
 
 def scores(model: TrainedModel, features: np.ndarray) -> np.ndarray:
-    """Final per-class score vectors; the one place that combines a method's heads.
-
-    Softmax of ``head`` for single-head methods; grouped-softmax remapping of
-    the ``bags.*`` heads for bags; for ssb, ``head`` on the top count bin
-    and ``sqrt_head`` elsewhere.  The bags and ssb vectors need not sum to 1.
-    """
-    from .heads import HEAD_GROUP, bags_scores, ssb_aggregate
-
-    h = model.backbone.features(_inputs(model, features))
-    if model.method == "ssb":
-        p_i = softmax(model.heads["head"].logits(h))
-        p_sqrt = softmax(model.heads["sqrt_head"].logits(h))
-        return ssb_aggregate(p_i, p_sqrt, model.stats.bins == HEAD_GROUP)
-    if model.method == "bags":
-        return bags_scores(_group_layout(model), model.heads, h)
-    return softmax(model.heads["head"].logits(h))
+    """Final per-class score vectors: the ``combine`` rule of the model's
+    method on its backbone features.  The bags and ssb vectors need not sum to 1."""
+    return METHODS[model.method].combine(model, model.backbone.features(_inputs(model, features)))
 
 
 def predict(model: TrainedModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

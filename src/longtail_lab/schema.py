@@ -5,7 +5,8 @@ renders to the same fields.
 
 A type ``kind`` is a Python type, a list holding the type of every item, a
 dict of required keys and their kinds, or ``(kind, None)`` for a nullable
-field; float accepts ints too, and int never accepts bools.
+field; float accepts ints too, and int never accepts bools nor values
+outside the int64 range.
 """
 from __future__ import annotations
 
@@ -34,6 +35,8 @@ def check_types(value, kind, where: str = "") -> None:
     elif (isinstance(kind, (dict, list)) or isinstance(value, bool) != (kind is bool)
           or not isinstance(value, (int, float) if kind is float else kind)):
         raise ValueError(f"field {where!r} has the wrong type ({type(value).__name__})")
+    elif kind is int and not -2**63 <= value < 2**63:
+        raise ValueError(f"field {where!r} lies outside the int64 range")
 
 
 def first_difference(stored, expected, where: str = "") -> str | None:

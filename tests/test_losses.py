@@ -150,13 +150,6 @@ class TestBatchLoss:
         with pytest.raises(ValueError):
             LossSpec(kind="nope")
 
-    def test_class_weights_applied(self):
-        logits = np.zeros((2, 2))
-        spec = LossSpec(kind="cross_entropy", class_weights=np.array([2.0, 0.5]))
-        value = batch_loss(logits, [0, 1], None, spec)
-        np.testing.assert_allclose(value.per_instance,
-                                   [2.0 * math.log(2), 0.5 * math.log(2)], atol=1e-12)
-
 
 class TestGradientsAgainstFiniteDifferences:
     SPECS = [

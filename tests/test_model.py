@@ -11,6 +11,7 @@ from longtail_lab import (Architecture, Backbone, ClassifierHead, Dataset,
                           LossSpec, OptimSpec, batch_loss, forward,
                           generate_synthetic, load_model, predict, save_model,
                           softmax, train_stage1, train_stage2)
+from longtail_lab import model as model_module
 from longtail_lab.model import train_linear_head
 
 from conftest import max_relative_error
@@ -133,6 +134,24 @@ class TestStage1:
         with pytest.raises(ValueError):
             train_stage1(ds, Architecture(9, 2, ()), OptimSpec(seed=0),
                          LossSpec(kind="cross_entropy"))
+
+    def test_one_stage_method_samples_at_its_q(self, monkeypatch):
+        drawn_at, make_sampler = [], model_module.make_sampler
+
+        def recording(counts, q, seed):
+            drawn_at.append(q)
+            return make_sampler(counts, q, seed)
+
+        monkeypatch.setattr(model_module, "make_sampler", recording)
+        ds = blob_dataset()
+        spec = OptimSpec(epochs=3, warmup_epochs=1, seed=0)
+        model = train_stage1(ds, Architecture(4, 2, ()), spec, LossSpec(kind="cross_entropy"),
+                             method="sqrt_samp")
+        assert model.method == "sqrt_samp"
+        assert drawn_at == [0.5] * 3
+        with pytest.raises(ValueError, match="ssb cannot train in one stage"):
+            train_stage1(ds, Architecture(4, 2, ()), spec, LossSpec(kind="cross_entropy"),
+                         method="ssb")
 
     def test_divergence_reports_epoch(self):
         ds = blob_dataset()
@@ -368,8 +387,11 @@ class TestCorruptCheckpoint:
         (lambda h: h.update(method="nope"), "method"),
         (lambda h: h.update(class_names=h["class_names"][:3]), "class_names"),
         (lambda h: h["stats"].update(bins=[1] * len(h["stats"]["bins"])), "'stats.bins'"),
+        (lambda h: h["stats"]["counts"].__setitem__(0, 2**70), "'stats.counts[0]'"),
+        (lambda h: h["params"][0]["shape"].reverse(), "'backbone.0.weight'"),
     ], ids=["params_not_a_list", "layout_not_an_object", "epoch_not_an_int",
-            "unknown_method", "class_names_cut", "bins_disagree"])
+            "unknown_method", "class_names_cut", "bins_disagree", "count_beyond_int64",
+            "weight_transposed"])
     def test_bad_header_field_named(self, tmp_path, checkpoint_file, edit, fragment):
         blob = checkpoint_file.read_bytes()
         (header_len,) = struct.unpack_from("<Q", blob, MAGIC_LEN)
