@@ -287,13 +287,27 @@ def split_dataset(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, 
 def load_embeddings(path: str) -> Dataset:
     """Read a dataset from the plain-text embedding format.
 
-    Line 1: ``C=<int> D=<int>``.  Line 2: C comma-separated class names.
-    Each following line: ``<label>,<f_1>,...,<f_D>`` with an optional trailing
-    ``crop=<0|1>`` field (recorded by detector pipelines, ignored here).
-    Malformed content is reported with its 1-based line number.
+    Line 1: ``C=<int> D=<int>``.  Line 2: C distinct comma-separated class
+    names.  Each following line: ``<label>,<f_1>,...,<f_D>`` with an optional
+    trailing ``crop=<0|1>`` field (recorded by detector pipelines, ignored
+    here).  Data lines are ASCII without ``_``, and the label is plain digits.
+    Malformed content raises ValueError naming the path and the 1-based line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        try:
+            text = blob.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = blob.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"line {line}: not UTF-8 text (byte {exc.start})") from None
+        return _parse_embeddings(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse_embeddings(text: str) -> Dataset:
+    lines = text.split("\n")
     while lines and lines[-1] == "":
         lines.pop()
     if len(lines) < 2:
@@ -309,9 +323,14 @@ def load_embeddings(path: str) -> Dataset:
         raise ValueError(f"line 2: expected {num_classes} class names, got {len(names)}")
     if any(not n.strip() for n in names):
         raise ValueError("line 2: empty class name")
+    if len(set(names)) != len(names):
+        duplicate = next(n for i, n in enumerate(names) if n in names[:i])
+        raise ValueError(f"line 2: duplicate class name {duplicate!r}")
 
     features, labels = [], []
     for lineno, line in enumerate(lines[2:], start=3):
+        if "_" in line or not line.isascii():
+            raise ValueError(f"line {lineno}: numbers must be ASCII, without '_'")
         fields = line.split(",")
         if fields and fields[-1].startswith("crop="):
             crop = fields.pop()
@@ -321,11 +340,10 @@ def load_embeddings(path: str) -> Dataset:
             raise ValueError(
                 f"line {lineno}: expected label plus {dim} features, got {len(fields)} fields"
             )
-        try:
-            label = int(fields[0])
-        except ValueError:
-            raise ValueError(f"line {lineno}: label {fields[0]!r} is not an integer") from None
-        if not 0 <= label < num_classes:
+        if not fields[0].isdigit():
+            raise ValueError(f"line {lineno}: label {fields[0]!r} is not a non-negative integer")
+        label = int(fields[0])
+        if label >= num_classes:
             raise ValueError(f"line {lineno}: label {label} out of range [0, {num_classes})")
         try:
             row = [float(v) for v in fields[1:]]

@@ -68,7 +68,11 @@ class ExperimentConfig:
         if self.bags_background_group not in _BACKGROUND_GROUP_CHOICES:
             raise ValueError(f"bags background_group must be one of {_BACKGROUND_GROUP_CHOICES}")
         if self.bags_beta <= 0:
-            raise ValueError("bags beta must be > 0")
+            raise ValueError(f"config key bags.beta must be > 0, got {self.bags_beta!r}")
+        if not 0.0 <= self.cb_beta < 1.0:
+            raise ValueError(f"config key loss.cb_beta must lie in [0, 1), got {self.cb_beta!r}")
+        if self.gamma < 0:
+            raise ValueError(f"config key loss.gamma must be >= 0, got {self.gamma!r}")
 
     def semantic_dict(self) -> dict:
         """Every field that affects results; the output directory is excluded."""
@@ -322,13 +326,18 @@ def prepare_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, Datase
 
 @dataclass(eq=False)
 class RunManifest:
-    """What a run produced: artifact paths, timings, and identity digests."""
+    """What a run produced: artifact paths, timings, and identity digests.
+
+    ``stage1_seconds`` times each stage-1 model, its training and its frozen
+    features, by tag; ``methods.<m>.seconds`` times the method's own work.
+    """
 
     config_digest: str
     dataset_digest: str
     tool_version: str
     one_stage: bool
     methods: dict[str, dict]
+    stage1_seconds: dict[str, float]
     comparison_csv: str | None = None
     comparison_txt: str | None = None
     f1_delta_csv: str | None = None
@@ -360,8 +369,9 @@ class RunManifest:
 # The type of each manifest field, and of each entry of its ``methods``.
 _MANIFEST_TYPES = {
     "config_digest": str, "dataset_digest": str, "tool_version": str, "one_stage": bool,
-    "methods": dict, "comparison_csv": (str, None), "comparison_txt": (str, None),
-    "f1_delta_csv": (str, None), "failure": ({"method": str, "step": str, "error": str}, None),
+    "methods": dict, "stage1_seconds": dict, "comparison_csv": (str, None),
+    "comparison_txt": (str, None), "f1_delta_csv": (str, None),
+    "failure": ({"method": str, "step": str, "error": str}, None),
 }
 _METHOD_ENTRY_TYPES = {"checkpoint": str, "report": str, "seconds": float}
 
@@ -369,6 +379,8 @@ _METHOD_ENTRY_TYPES = {"checkpoint": str, "report": str, "seconds": float}
 def _manifest_from_fields(stored: dict) -> RunManifest:
     for method, entry in stored["methods"].items():
         check_types(entry, _METHOD_ENTRY_TYPES, f"methods.{method}")
+    for tag, seconds in stored["stage1_seconds"].items():
+        check_types(seconds, float, f"stage1_seconds.{tag}")
     return RunManifest(**{f.name: stored[f.name] for f in fields(RunManifest)})
 
 
@@ -417,16 +429,31 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     config_digest = config.digest()
 
     manifest = RunManifest(config_digest=config_digest, dataset_digest=dataset_digest,
-                           tool_version=__version__, one_stage=config.one_stage, methods={})
+                           tool_version=__version__, one_stage=config.one_stage, methods={},
+                           stage1_seconds={})
     manifest_path = out / "manifest.json"
 
-    stage1_cache: dict[str, TrainedModel] = {}
+    def own_fit(method: str) -> bool:
+        """Whether ``method`` trains a backbone of its own instead of reusing stage 1."""
+        entry = METHODS[method]
+        return config.one_stage and entry.one_stage and entry.stage2 is not None
 
-    def stage1_for(method: str) -> TrainedModel:
+    # Per stage-1 tag: the model, and its frozen backbone's output on the train
+    # rows (only when a stage 2 fits on it) and on the test rows.
+    stage1_cache: dict[str, tuple[TrainedModel, np.ndarray | None, np.ndarray]] = {}
+
+    def stage1_for(method: str) -> tuple[TrainedModel, np.ndarray | None, np.ndarray]:
         tag = "stage1" if config.shared_stage1 else f"stage1:{method}"
         if tag not in stage1_cache:
+            started = time.perf_counter()
             spec = replace(config.stage1, seed=derive_seed(config.seed, tag))
-            stage1_cache[tag] = train_stage1(train, arch, spec, LossSpec(kind="cross_entropy"))
+            model = train_stage1(train, arch, spec, LossSpec(kind="cross_entropy"))
+            users = config.methods if config.shared_stage1 else (method,)
+            fits_stage2 = any(METHODS[m].stage2 is not None and not own_fit(m) for m in users)
+            stage1_cache[tag] = (model,
+                                 model.backbone.features(train.features) if fits_stage2 else None,
+                                 model.backbone.features(test.features))
+            manifest.stage1_seconds[tag] = round(time.perf_counter() - started, 3)
         return stage1_cache[tag]
 
     bags_background = {"auto": None, "on": True, "off": False}[config.bags_background_group]
@@ -435,24 +462,28 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     method = ""
     try:
         for method in config.methods:
-            started = time.perf_counter()
             entry = METHODS[method]
-            if entry.stage2 is None:
-                step = "stage-1 training"
-                model = stage1_for(method)
-            elif config.one_stage and entry.one_stage:
+            if own_fit(method):
+                started = time.perf_counter()
                 step = "one-stage training"
                 spec = replace(config.stage1, seed=derive_seed(config.seed, "one-stage", method))
                 model = train_stage1(train, arch, spec, _loss(entry.loss, config), method=method)
+                step = "evaluation"
+                preds = predict(model, test.features)[0]
             else:
                 step = "stage-1 training"
-                base = stage1_for(method)
-                step = "stage-2 training"
-                spec = replace(config.stage2, seed=derive_seed(config.seed, "stage2", method))
-                model = train_stage2(base, train, method, spec, _loss(entry.loss, config),
-                                     bags_beta=config.bags_beta, bags_background=bags_background)
-            step = "evaluation"
-            preds, _ = predict(model, test.features)
+                model, train_h, test_h = stage1_for(method)
+                started = time.perf_counter()
+                if entry.stage2 is not None:
+                    step = "stage-2 training"
+                    spec = replace(config.stage2, seed=derive_seed(config.seed, "stage2", method))
+                    model = train_stage2(model, train, method, spec, _loss(entry.loss, config),
+                                         bags_beta=config.bags_beta,
+                                         bags_background=bags_background, features=train_h)
+                step = "evaluation"
+                # Only predictions are kept: a score matrix held into the next
+                # method's scoring would raise the run's peak memory.
+                preds = predict(model, test_h, backbone_output=True)[0]
             report = evaluate(preds, test.labels, stats, method=method, seed=config.seed,
                               config_digest=config_digest, dataset_digest=dataset_digest,
                               class_names=train.class_names)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import GROUP_LIMITS, ClassStats, Dataset, compute_class_stats
 from .losses import LossSpec, softmax
-from .model import METHODS, ClassifierHead, EpochLog, TrainedModel, fit_head
+from .model import METHODS, ClassifierHead, EpochLog, fit_head
 from .optim import OptimSpec
 from .sampling import bags_filter_batch
 from .seeding import derive_seed
@@ -94,10 +94,11 @@ def ssb_aggregate(p_i, p_sqrt, head_mask) -> np.ndarray:
     return np.where(head_mask, p_i, p_sqrt)
 
 
-def bags_train_heads(model: TrainedModel, dataset: Dataset, optim: OptimSpec, loss: LossSpec,
+def bags_train_heads(features: np.ndarray, dataset: Dataset, optim: OptimSpec, loss: LossSpec,
                      bags_beta: float = 8.0, with_background_group: bool | None = None
                      ) -> tuple[dict[str, ClassifierHead], list[EpochLog]]:
-    """Train the grouped heads of ``build_group_layout`` on frozen stage-1 features.
+    """Train the grouped heads of ``build_group_layout`` on ``features``, the
+    frozen stage-1 backbone's output for the rows of ``dataset``.
 
     Each group head sees every in-group instance of a batch plus an
     undersampled set of out-of-group instances relabeled "others".  Heads use
@@ -112,9 +113,8 @@ def bags_train_heads(model: TrainedModel, dataset: Dataset, optim: OptimSpec, lo
     # designated background class lives in group 0 even when its count shares
     # a decade with other classes.
     group_of = layout.group_of
-    feats = model.backbone.features(dataset.features)
     labels = dataset.labels
-    dim = feats.shape[1]
+    dim = features.shape[1]
 
     slot_of = np.full(layout.num_classes, -1, dtype=np.int64)
     heads: dict[str, ClassifierHead] = {}
@@ -140,7 +140,7 @@ def bags_train_heads(model: TrainedModel, dataset: Dataset, optim: OptimSpec, lo
             in_group = group_of[labels[rows]] == group
             return rows, np.where(in_group, local, slot)
 
-        logs.append(fit_head(head, feats, labels, stats.counts, METHODS["bags"].q, head_optim,
+        logs.append(fit_head(head, features, labels, stats.counts, METHODS["bags"].q, head_optim,
                              loss, batch_hook=group_hook))
         heads[f"bags.group{k}"] = head
 
@@ -154,7 +154,7 @@ def bags_train_heads(model: TrainedModel, dataset: Dataset, optim: OptimSpec, lo
         def background_hook(epoch: int, step: int, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return batch, (labels[batch] == bg).astype(np.int64)
 
-        logs.append(fit_head(background_head, feats, labels, stats.counts, METHODS["bags"].q,
+        logs.append(fit_head(background_head, features, labels, stats.counts, METHODS["bags"].q,
                              bg_optim, loss, batch_hook=background_hook))
         heads["bags.background"] = background_head
 

@@ -71,9 +71,12 @@ class Backbone:
         return self.weights[-1].shape[0] if self.weights else feature_dim
 
     def features(self, x: np.ndarray) -> np.ndarray:
+        """The last layer's output for rows ``x``, which stay untouched."""
         h = np.asarray(x, dtype=np.float64)
         for w, b in zip(self.weights, self.biases):
-            h = np.maximum(h @ w.T + b, 0.0)
+            h = h @ w.T
+            h += b
+            np.maximum(h, 0.0, out=h)
         return h
 
     def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
@@ -200,14 +203,18 @@ def _group_layout(model: TrainedModel) -> "GroupLayout | None":
         with_background_group="bags.background" in model.heads)
 
 
-def _inputs(model: TrainedModel, features: np.ndarray) -> np.ndarray:
-    """``features`` as float64 rows, checked against the model's input width."""
+def _inputs(model: TrainedModel, features: np.ndarray, backbone_output: bool = False
+            ) -> np.ndarray:
+    """``features`` as float64 rows, checked against the width the model reads
+    them at: its input, or with ``backbone_output`` its heads' input."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("features must be (batch, dim)")
-    first = (model.backbone.weights or [next(iter(model.heads.values())).weight])[0]
+    layers = [] if backbone_output else model.backbone.weights
+    first = (layers or [next(iter(model.heads.values())).weight])[0]
     if x.shape[1] != first.shape[1]:
-        raise ValueError(f"feature dimension {x.shape[1]} does not match model input "
+        where = "backbone output" if backbone_output else "model input"
+        raise ValueError(f"feature dimension {x.shape[1]} does not match {where} "
                          f"{first.shape[1]}")
     return x
 
@@ -290,15 +297,14 @@ def train_linear_head(features: np.ndarray, labels: np.ndarray, counts: np.ndarr
 
 def _fit_new_head(name: str) -> Callable:
     """Stage-2 trainer of one fresh head, ``name``, on the frozen features."""
-    def fit(model, dataset, stats, q, optim, loss, **_):
-        feats = model.backbone.features(dataset.features)
-        head, log = train_linear_head(feats, dataset.labels, stats.counts, q, optim, loss)
+    def fit(features, dataset, stats, q, optim, loss, **_):
+        head, log = train_linear_head(features, dataset.labels, stats.counts, q, optim, loss)
         return {name: head}, log
     return fit
 
 
-def _fit_bags(model, dataset, stats, q, optim, loss, bags_beta, bags_background):
-    return _heads_module().bags_train_heads(model, dataset, optim, loss, bags_beta=bags_beta,
+def _fit_bags(features, dataset, stats, q, optim, loss, bags_beta, bags_background):
+    return _heads_module().bags_train_heads(features, dataset, optim, loss, bags_beta=bags_beta,
                                             with_background_group=bags_background)
 
 
@@ -325,9 +331,10 @@ class Method:
     """How one method differs from the baseline, whose values are the defaults.
 
     ``q`` and ``loss`` are the sampling exponent and loss kind of the method's
-    own fit: stage 2, or one stage where ``one_stage`` allows it.  ``stage2(model,
+    own fit: stage 2, or one stage where ``one_stage`` allows it.  ``stage2(features,
     dataset, stats, q, optim, loss, bags_beta=, bags_background=)`` returns the
-    heads it trained on frozen stage-1 features, and the log.  ``heads(model)``
+    heads it trained on ``features``, the frozen stage-1 backbone's output for
+    the rows of ``dataset``, and the log.  ``heads(model)``
     gives the output count of every head ``combine(model, h)`` reads to score
     backbone features ``h``.  ``grouped`` methods group classes by count decade.
     """
@@ -375,17 +382,27 @@ def train_stage1(dataset: Dataset, arch: Architecture, optim: OptimSpec,
 
 def train_stage2(model: TrainedModel, dataset: Dataset, method: str,
                  optim: OptimSpec, loss: LossSpec, bags_beta: float = 8.0,
-                 bags_background: bool | None = None) -> TrainedModel:
+                 bags_background: bool | None = None, *,
+                 features: np.ndarray | None = None) -> TrainedModel:
     """Second-stage training: backbone frozen, ``method``'s trainer fits its heads.
 
     ``bags_background`` forces bags' foreground/background group on or off;
     by default it is used exactly when the dataset designates a background class.
+    ``features`` are ``model``'s backbone output for the rows of ``dataset``;
+    they are computed when omitted, so callers fitting several methods on one
+    model pass them to compute them once.
     """
     if method not in METHODS or METHODS[method].stage2 is None:
         raise ValueError(f"unknown method {method!r}: it has no second stage")
     backbone = model.backbone.copy(frozen=True)
+    features = np.asarray(backbone.features(dataset.features) if features is None else features,
+                          dtype=np.float64)
+    expected = (dataset.num_instances, backbone.output_dim(dataset.feature_dim))
+    if np.shape(features) != expected:
+        raise ValueError(f"stage-2 features have shape {list(np.shape(features))}, "
+                         f"expected {list(expected)}")
     stats = compute_class_stats(dataset)
-    new, log = METHODS[method].stage2(model, dataset, stats, METHODS[method].q, optim, loss,
+    new, log = METHODS[method].stage2(features, dataset, stats, METHODS[method].q, optim, loss,
                                       bags_beta=bags_beta, bags_background=bags_background)
     # The stage-1 head stays unless the trainer retrained it.
     return TrainedModel(backbone=backbone, heads={"head": model.heads["head"].copy(), **new},
@@ -393,15 +410,23 @@ def train_stage2(model: TrainedModel, dataset: Dataset, method: str,
                         class_names=dataset.class_names, background_class=dataset.background_class)
 
 
-def scores(model: TrainedModel, features: np.ndarray) -> np.ndarray:
-    """Final per-class score vectors: the ``combine`` rule of the model's
-    method on its backbone features.  The bags and ssb vectors need not sum to 1."""
-    return METHODS[model.method].combine(model, model.backbone.features(_inputs(model, features)))
+def scores(model: TrainedModel, features: np.ndarray, *, backbone_output: bool = False
+           ) -> np.ndarray:
+    """Final per-class score vectors: the backbone pass, then the ``combine``
+    rule of the model's method.  With ``backbone_output``, ``features`` are
+    already the backbone's output and the pass is skipped.  The bags and ssb
+    vectors need not sum to 1."""
+    h = _inputs(model, features, backbone_output)
+    if not backbone_output:
+        h = model.backbone.features(h)
+    return METHODS[model.method].combine(model, h)
 
 
-def predict(model: TrainedModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted class indices and score vectors; ties break to the lowest index."""
-    s = scores(model, features)
+def predict(model: TrainedModel, features: np.ndarray, *, backbone_output: bool = False
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted class indices and score vectors (see ``scores``); ties break
+    to the lowest index."""
+    s = scores(model, features, backbone_output=backbone_output)
     return np.argmax(s, axis=-1), s
 
 

@@ -202,3 +202,84 @@ class TestEmbeddingIO:
         path.write_text("classes=2 dims=2\ncat,dog\n0,1.0,2.0\n")
         with pytest.raises(ValueError, match="line 1"):
             load_embeddings(str(path))
+
+
+VALID_LINES = ["C=3 D=2", "cat,dog,eel", "0,1.0,2.0", "1,0.5,0.25", "2,-1.0,3.5", "1,4e-3,7"]
+
+# Ways to corrupt one data line, each a function of the line's text and a draw.
+CORRUPTIONS = {
+    "underscore": lambda line, pos: line[:pos] + "_" + line[pos:],
+    "non_ascii": lambda line, pos: line[:pos] + "¹" + line[pos:],
+    "extra_field": lambda line, pos: line + ",1.0",
+    "missing_field": lambda line, pos: line.rsplit(",", 1)[0],
+    "signed_label": lambda line, pos: "+" + line,
+    "spaced_label": lambda line, pos: " " + line,
+    "label_too_large": lambda line, pos: "3" + line[line.index(","):],
+    "not_a_number": lambda line, pos: line.rsplit(",", 1)[0] + ",1.0.0",
+    "empty_feature": lambda line, pos: line.rsplit(",", 1)[0] + ",",
+    "nan_feature": lambda line, pos: line.rsplit(",", 1)[0] + ",nan",
+    "bad_crop": lambda line, pos: line + ",crop=2",
+}
+
+
+@pytest.fixture(scope="module")
+def embed_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("embeddings")
+
+
+def embeddings_rejected(path, line: int, *fragments) -> None:
+    """load_embeddings raises ValueError starting with the path and naming the line."""
+    with pytest.raises(ValueError) as info:
+        load_embeddings(str(path))
+    message = str(info.value)
+    assert message.startswith(f"{path}: line {line}:"), message
+    for text in fragments:
+        assert text in message
+
+
+class TestEmbeddingRejects:
+    @pytest.mark.parametrize("lines, line, fragment", [
+        (["C=2 D=2", "cat,cat", "0,1.0,2.0"], 2, "duplicate class name 'cat'"),
+        (["C=2 D=2", "cat,dog", "0,1_0,2.0"], 3, "'_'"),
+        (["C=2 D=2", "cat,dog", "0,1.0,2.0", "+1,1.0,2.0"], 4, "label '+1'"),
+        (["C=2 D=2", "cat,dog", "0,1.0,2.0", "-1,1.0,2.0"], 4, "label '-1'"),
+        (["C=2 D=2", "cat,dog", "1,1.0,2.0", "١,1.0,2.0"], 4, "ASCII"),
+        (["C=2 D=2"], 1, "missing header"),
+    ], ids=["duplicate_names", "underscore_feature", "plus_label", "negative_label",
+            "arabic_digit_label", "no_name_line"])
+    def test_bad_content_names_path_and_line(self, tmp_path, lines, line, fragment):
+        path = tmp_path / "emb.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        embeddings_rejected(path, line, fragment)
+
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"C=2 D=2\ncat,dog\n0,1.0,2.0\n1,\xff.5,0.25\n")
+        embeddings_rejected(path, 4, "not UTF-8")
+
+    def test_no_instances_names_path(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("C=2 D=2\ncat,dog\n")
+        with pytest.raises(ValueError) as info:
+            load_embeddings(str(path))
+        assert str(info.value) == f"{path}: no instances"
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_corrupted_data_line_named(self, embed_dir, data):
+        path = embed_dir / "corrupt.txt"
+        path.write_text("\n".join(VALID_LINES) + "\n", encoding="utf-8")
+        assert load_embeddings(str(path)).num_instances == len(VALID_LINES) - 2
+        index = data.draw(st.integers(2, len(VALID_LINES) - 1), label="line index")
+        lines = list(VALID_LINES)
+        if data.draw(st.booleans(), label="invalid UTF-8"):
+            encoded = [line.encode("utf-8") for line in lines]
+            pos = data.draw(st.integers(0, len(encoded[index])), label="byte")
+            encoded[index] = encoded[index][:pos] + b"\xc3" + encoded[index][pos:]
+            path.write_bytes(b"\n".join(encoded) + b"\n")
+        else:
+            kind = data.draw(st.sampled_from(sorted(CORRUPTIONS)), label="corruption")
+            pos = data.draw(st.integers(0, len(lines[index])), label="position")
+            lines[index] = CORRUPTIONS[kind](lines[index], pos)
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        embeddings_rejected(path, index + 1)

@@ -61,8 +61,12 @@ class TestConfig:
         ("model", "hidden", 5, ["model.hidden", "positive integers"]),
         ("stage1", "epochs", 0, ["stage1.epochs", ">= 1"]),
         ("stage2", "epochs", 0, ["stage2.epochs", ">= 1"]),
+        ("loss", "cb_beta", 1.5, ["loss.cb_beta", "[0, 1)"]),
+        ("loss", "gamma", -1, ["loss.gamma", ">= 0"]),
+        ("bags", "beta", 0, ["bags.beta", "> 0"]),
     ], ids=["float_epochs", "nan_lr", "negative_decay", "string_batch", "scalar_hidden",
-            "no_stage1_epochs", "no_stage2_epochs"])
+            "no_stage1_epochs", "no_stage2_epochs", "cb_beta_above_one", "negative_gamma",
+            "zero_bags_beta"])
     def test_bad_value_names_its_key(self, section, key, value, fragments):
         doc = tiny_doc("x")
         doc.setdefault(section, {})[key] = value
@@ -171,6 +175,8 @@ class TestRunExperiment:
         assert manifest.failure is None
         reloaded = load_manifest(str(tmp_path / "run" / "manifest.json"))
         assert reloaded.config_digest == config.digest()
+        assert list(reloaded.stage1_seconds) == ["stage1"]
+        assert reloaded.stage1_seconds["stage1"] >= 0
 
     def test_all_methods_share_stage1(self, tmp_path):
         config = config_from_dict(tiny_doc(
@@ -209,6 +215,7 @@ class TestRunExperiment:
                                            one_stage=True))
         manifest = run_experiment(config)
         assert manifest.one_stage
+        assert list(manifest.stage1_seconds) == ["stage1"]  # the baseline's
         sqrt = load_model(str(tmp_path / "run" / "checkpoints" / "sqrt_samp.ckpt"))
         # one-stage models have no frozen backbone and carry full-length logs
         assert not sqrt.backbone.frozen
@@ -218,10 +225,11 @@ class TestRunExperiment:
         config = config_from_dict(tiny_doc(str(tmp_path / "run"),
                                            methods=["baseline", "ssb"],
                                            shared_stage1=False))
-        run_experiment(config)
+        manifest = run_experiment(config)
         base = load_model(str(tmp_path / "run" / "checkpoints" / "baseline.ckpt"))
         ssb = load_model(str(tmp_path / "run" / "checkpoints" / "ssb.ckpt"))
         assert not np.array_equal(base.heads["head"].weight, ssb.heads["head"].weight)
+        assert list(manifest.stage1_seconds) == ["stage1:baseline", "stage1:ssb"]
 
     def test_embeddings_source(self, tmp_path):
         emb = tmp_path / "data.txt"
@@ -320,8 +328,11 @@ class TestManifestReader:
         (lambda m: m["methods"]["sqrt_samp"].pop("report"), "'methods.sqrt_samp.report'"),
         (lambda m: m.update(failure={"method": "bags"}), "'failure.step'"),
         (lambda m: m.update(extra=1), "'extra'"),
+        (lambda m: m.update(stage1_seconds=[1.0]), "'stage1_seconds'"),
+        (lambda m: m["stage1_seconds"].update(stage1="1s"), "'stage1_seconds.stage1'"),
     ], ids=["methods_a_string", "digest_missing", "seconds_a_string", "entry_without_report",
-            "failure_without_step", "unknown_field"])
+            "failure_without_step", "unknown_field", "stage1_seconds_a_list",
+            "stage1_time_a_string"])
     def test_bad_field_named(self, manifest_file, edit, fragment):
         document = stored_manifest(manifest_file)
         edit(document)

@@ -9,9 +9,9 @@ import hashlib
 import pytest
 import yaml
 
-from longtail_lab import (config_from_dict, load_model, load_report, run_experiment,
-                          save_model, save_report)
-from longtail_lab.experiment import DEFAULT_CONFIG_YAML
+from longtail_lab import (Backbone, config_from_dict, load_model, load_report,
+                          run_experiment, save_model, save_report)
+from longtail_lab.experiment import DEFAULT_CONFIG_YAML, prepare_datasets
 
 GOLDEN = {
     False: "4d64786040120a7edeb001d9c9dbd9b68aac31cbc554371d02bd3b64e0983343",
@@ -76,7 +76,7 @@ def assert_reload_resaves_same_bytes(run, tmp_path) -> None:
         assert copy.read_bytes() == path.read_bytes(), path.name
 
 
-def short_run(out_dir, one_stage: bool, background_class=None):
+def short_config(out_dir, one_stage: bool, background_class=None):
     doc = yaml.safe_load(DEFAULT_CONFIG_YAML)
     doc["output_dir"] = str(out_dir)
     doc["one_stage"] = one_stage
@@ -84,7 +84,11 @@ def short_run(out_dir, one_stage: bool, background_class=None):
     doc["stage1"].update(epochs=4, warmup_epochs=1)
     doc["stage2"].update(epochs=2)
     doc["model"]["hidden"] = [8]
-    run_experiment(config_from_dict(doc))
+    return config_from_dict(doc)
+
+
+def short_run(out_dir, one_stage: bool, background_class=None):
+    run_experiment(short_config(out_dir, one_stage, background_class))
     return out_dir
 
 
@@ -102,3 +106,25 @@ def test_background_run_is_pinned(tmp_path):
     assert reports_digest(run / "reports") == GOLDEN_BACKGROUND
     assert checkpoint_digests(run / "checkpoints") == CHECKPOINTS["background"]
     assert_reload_resaves_same_bytes(run, tmp_path)
+
+
+# Backbone passes of a run, by the rows they read: the stage-1 model's train
+# and test rows once each, then each one-stage method's own test pass.
+@pytest.mark.parametrize("one_stage, passes", [
+    (False, ["train", "test"]),
+    (True, ["train", "test", "test", "test"]),
+], ids=["two_stage", "one_stage"])
+def test_backbone_passes_once_per_model(tmp_path, monkeypatch, one_stage, passes):
+    config = short_config(tmp_path / "run", one_stage)
+    train, _, test = prepare_datasets(config)
+    rows = {train.num_instances: "train", test.num_instances: "test"}
+    seen = []
+    features = Backbone.features
+
+    def counted(self, x):
+        seen.append(rows[len(x)])
+        return features(self, x)
+
+    monkeypatch.setattr(Backbone, "features", counted)
+    run_experiment(config)
+    assert seen == passes

@@ -205,6 +205,26 @@ class TestStage2:
         with pytest.raises(ValueError, match="unknown method"):
             train_stage2(model, ds, "mystery", OptimSpec(seed=0), LossSpec(kind="cross_entropy"))
 
+    @pytest.mark.parametrize("method", ["sqrt_samp", "cb_focal", "bags", "ssb"])
+    def test_given_features_save_same_bytes(self, stage1_setup, tmp_path, method):
+        ds, model = stage1_setup
+        loss = (LossSpec(kind="cb_focal", gamma=2.0, cb_beta=0.9)
+                if method == "cb_focal" else LossSpec(kind="cross_entropy"))
+        optim = OptimSpec(seed=5).for_classifier()
+        given = train_stage2(model, ds, method, optim, loss,
+                             features=model.backbone.features(ds.features))
+        computed = train_stage2(model, ds, method, optim, loss)
+        save_model(given, str(tmp_path / "given.ckpt"))
+        save_model(computed, str(tmp_path / "computed.ckpt"))
+        assert (tmp_path / "given.ckpt").read_bytes() == (tmp_path / "computed.ckpt").read_bytes()
+
+    def test_features_of_other_rows_rejected(self, stage1_setup):
+        ds, model = stage1_setup
+        with pytest.raises(ValueError, match=r"stage-2 features have shape \[5, 10\]"):
+            train_stage2(model, ds, "ssb", OptimSpec(seed=5).for_classifier(),
+                         LossSpec(kind="cross_entropy"),
+                         features=model.backbone.features(ds.features[:5]))
+
     def test_identity_backbone_equivalence(self):
         ds = blob_dataset(counts=(50, 30, 10), dim=5, seed=13)
         arch = Architecture(5, 3, ())
@@ -240,6 +260,18 @@ class TestPredict:
                            LossSpec(kind="cross_entropy"))
         preds, scores = predict(ssb, ds.features[:40])
         assert np.array_equal(np.argmax(scores * 3.7, axis=1), preds)
+
+    @pytest.mark.parametrize("method", ["sqrt_samp", "bags", "ssb"])
+    def test_backbone_output_scores_like_inputs(self, stage1_setup, method):
+        ds, model = stage1_setup
+        trained = train_stage2(model, ds, method, OptimSpec(seed=5).for_classifier(),
+                               LossSpec(kind="cross_entropy"))
+        preds, scores = predict(trained, ds.features)
+        h = trained.backbone.features(ds.features)
+        via_h = predict(trained, h, backbone_output=True)
+        assert np.array_equal(via_h[0], preds) and np.array_equal(via_h[1], scores)
+        with pytest.raises(ValueError, match="does not match backbone output 10"):
+            predict(trained, ds.features, backbone_output=True)
 
     def test_deterministic_predictions(self, stage1_setup):
         ds, model = stage1_setup
@@ -420,6 +452,18 @@ class TestBackboneUnit:
         assert bb.num_layers == 0
         x = np.random.default_rng(1).normal(size=(3, 5))
         np.testing.assert_array_equal(bb.features(x), x)
+
+    def test_features_exact_and_input_untouched(self):
+        rng = np.random.default_rng(4)
+        bb = Backbone.build(5, (7, 3), rng)
+        x = rng.normal(size=(6, 5))
+        before = x.copy()
+        expected = x
+        for w, b in zip(bb.weights, bb.biases):
+            expected = np.maximum(expected @ w.T + b, 0.0)
+        out = bb.features(x)
+        assert out.tobytes() == expected.tobytes()
+        assert x.tobytes() == before.tobytes()
 
     def test_relu_backbone_nonnegative(self):
         bb = Backbone.build(4, (6, 3), np.random.default_rng(0))
