@@ -78,8 +78,8 @@ class Dataset:
         """Content hash covering features, labels, names, and background flag."""
         h = hashlib.sha256()
         h.update(repr(self.features.shape).encode())
-        h.update(self.features.tobytes())
-        h.update(self.labels.tobytes())
+        h.update(np.ascontiguousarray(self.features))
+        h.update(np.ascontiguousarray(self.labels))
         h.update("\x1f".join(self.class_names).encode())
         h.update(str(self.background_class).encode())
         return h.hexdigest()

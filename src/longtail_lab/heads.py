@@ -196,11 +196,9 @@ def bags_infer(layout: GroupLayout, group_logits: dict[int, np.ndarray],
         bg_probs = softmax(background_logits)
         if bg_probs.shape[1] != 2:
             raise ValueError(f"background logits have {bg_probs.shape[1]} outputs, expected 2")
-        bg = layout.background_class
-        foreground = np.ones(layout.num_classes, dtype=bool)
-        foreground[bg] = False
-        scores[:, foreground] *= bg_probs[:, 0][:, None]
-        scores[:, bg] = bg_probs[:, 1]
+        # Scaling the background column too is harmless: it is overwritten next.
+        scores *= bg_probs[:, :1]
+        scores[:, layout.background_class] = bg_probs[:, 1]
     return scores[0] if squeeze else scores
 
 

@@ -16,13 +16,15 @@ LOSS_KINDS = ("cross_entropy", "focal", "cb_focal")
 
 
 def softmax(logits) -> np.ndarray:
-    """Row-wise softmax with max subtraction; accepts 1-D or 2-D input."""
+    """Row-wise softmax with max subtraction into a new array; accepts 1-D or
+    2-D input, which stays untouched."""
     z = np.asarray(logits, dtype=np.float64)
     if not np.isfinite(z).all():
         raise ValueError("softmax input contains non-finite values")
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def focal_loss(p, gamma: float):
@@ -110,22 +112,27 @@ def batch_loss(logits, labels, counts, spec: LossSpec) -> LossValue:
         raise ValueError(f"labels must lie in [0, {num_classes})")
 
     probs = softmax(logits)
-    p = np.maximum(probs[np.arange(batch), labels], PROB_FLOOR)
-    gamma = 0.0 if spec.gamma is None else spec.gamma
-
-    weights = np.ones(batch)
-    if spec.kind == "cb_focal":
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.shape != (num_classes,):
-            raise ValueError("cb_focal needs one training count per class")
-        if (counts < 1).any():
-            raise ValueError("cb_focal needs every class count >= 1")
-        weights = weights * (1.0 - spec.cb_beta) / (1.0 - spec.cb_beta ** counts[labels])
-
-    per_instance = weights * (1.0 - p) ** gamma * (-np.log(p))
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(batch), labels] = 1.0
-    gfac = weights * _focal_grad_factor(p, gamma)
-    grad = gfac[:, None] * (onehot - probs) / batch
+    rows = np.arange(batch)
+    p = np.maximum(probs[rows, labels], PROB_FLOOR)
+    per_instance = -np.log(p)
+    # d(total)/d(logits) = -g(p) * (probs - onehot) / batch, built on probs in place.
+    grad = probs
+    grad[rows, labels] -= 1.0
+    if spec.kind != "cross_entropy":
+        # Cross-entropy is the closed form g(p) = -1, which leaves both as they are.
+        gfac = _focal_grad_factor(p, spec.gamma)
+        modulating = (1.0 - p) ** spec.gamma
+        if spec.kind == "cb_focal":
+            counts = np.asarray(counts, dtype=np.int64)
+            if counts.shape != (num_classes,):
+                raise ValueError("cb_focal needs one training count per class")
+            if (counts < 1).any():
+                raise ValueError("cb_focal needs every class count >= 1")
+            weights = (1.0 - spec.cb_beta) / (1.0 - spec.cb_beta ** counts[labels])
+            modulating = weights * modulating
+            gfac = weights * gfac
+        per_instance = modulating * per_instance
+        grad *= -gfac[:, None]
+    grad /= batch
     return LossValue(total=float(per_instance.mean()), per_instance=per_instance,
                      grad_logits=grad)

@@ -238,14 +238,29 @@ def fit_head(head: ClassifierHead, features: np.ndarray, labels: np.ndarray,
     with the head.  ``batch_hook(epoch, step, batch_indices) -> (kept_indices,
     targets)`` lets callers filter and relabel each batch (used by the grouped
     heads); the default trains on the batch as drawn with the dataset labels.
+
+    Every trained parameter lives in one flat float64 vector, so one optimizer
+    update covers them all: after a fit of at least one epoch, ``head.weight``,
+    ``head.bias`` and the trained backbone's ``weights`` and ``biases`` are
+    views of that vector.
     """
     n = features.shape[0]
     if optim.epochs == 0:
         return []
     layers = backbone.num_layers if backbone is not None else 0
-    params = [p for i in range(layers) for p in (backbone.weights[i], backbone.biases[i])]
-    params += [head.weight, head.bias]
-    state = OptimState(params)
+    params = {f"backbone.{i}.{kind}": p for i in range(layers)
+              for kind, p in (("weight", backbone.weights[i]), ("bias", backbone.biases[i]))}
+    params.update({"head.weight": head.weight, "head.bias": head.bias})
+    flat = np.concatenate([p.ravel() for p in params.values()])
+    gflat = np.empty_like(flat)
+    cuts = np.cumsum([p.size for p in params.values()])[:-1]
+    views, gviews = ([piece.reshape(p.shape) for piece, p in zip(np.split(vector, cuts),
+                                                                  params.values())]
+                     for vector in (flat, gflat))
+    head.weight, head.bias = views[-2:]
+    if layers:
+        backbone.weights, backbone.biases = views[:-2:2], views[1:-2:2]
+    state = OptimState([flat])
     steps_per_epoch = math.ceil(n / optim.batch_size)
     total_steps = optim.epochs * steps_per_epoch
     warmup_steps = optim.warmup_epochs * steps_per_epoch
@@ -271,11 +286,22 @@ def fit_head(head: ClassifierHead, features: np.ndarray, labels: np.ndarray,
             value = batch_loss(logits, targets, counts, loss)
             if not math.isfinite(value.total):
                 raise RuntimeError(f"training diverged: non-finite loss at epoch {epoch}")
-            grads = [value.grad_logits.T @ h, value.grad_logits.sum(axis=0)]
+            np.matmul(value.grad_logits.T, h, out=gviews[-2])
+            np.sum(value.grad_logits, axis=0, out=gviews[-1])
             if layers:
-                grads = backbone.backward(value.grad_logits @ head.weight, caches) + grads
+                for view, g in zip(gviews, backbone.backward(value.grad_logits @ head.weight,
+                                                             caches)):
+                    view[...] = g
             lr = lr_at(gstep, total_steps, warmup_steps, optim.lr_init)
-            optimizer_step(params, grads, state, optim, lr)
+            try:
+                optimizer_step([flat], [gflat], state, optim, lr)
+            except ValueError:
+                # The step checks the whole gradient; name the parameter that failed.
+                bad = [name for name, g in zip(params, gviews) if not np.isfinite(g).all()]
+                if not bad:
+                    raise
+                raise RuntimeError(f"training diverged: non-finite gradient for {bad[0]} "
+                                   f"at epoch {epoch}") from None
             gstep += 1
             loss_sum += value.total * rows_idx.shape[0]
             rows += rows_idx.shape[0]

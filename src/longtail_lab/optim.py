@@ -74,7 +74,8 @@ def optimizer_step(params: list[np.ndarray], grads: list[np.ndarray],
     """One bias-corrected adaptive update, weight decay decoupled from the gradient.
 
     Parameters are scaled by (1 - lr * weight_decay) before the adaptive step.
-    Updates params and state in place.
+    Updates params and state in place.  The update is elementwise, so one
+    flat vector holding every tensor gets the same bits as the tensors do.
     """
     if lr < 0:
         raise ValueError("lr must be >= 0")
@@ -89,9 +90,20 @@ def optimizer_step(params: list[np.ndarray], grads: list[np.ndarray],
     bias1 = 1.0 - spec.beta1 ** t
     bias2 = 1.0 - spec.beta2 ** t
     for p, g, m, v in zip(params, grads, state.m, state.v):
+        # m += (1-b1)*g; v += (1-b2)*g*g; p -= lr*(m/bias1) / (sqrt(v/bias2) + eps):
+        # the same operations in the same order, through two temporaries.
         p *= 1.0 - lr * spec.weight_decay
         m *= spec.beta1
-        m += (1.0 - spec.beta1) * g
+        step = np.multiply(1.0 - spec.beta1, g)
+        m += step
         v *= spec.beta2
-        v += (1.0 - spec.beta2) * g * g
-        p -= lr * (m / bias1) / (np.sqrt(v / bias2) + spec.eps)
+        np.multiply(1.0 - spec.beta2, g, out=step)
+        step *= g
+        v += step
+        denom = np.divide(v, bias2)
+        np.sqrt(denom, out=denom)
+        denom += spec.eps
+        np.divide(m, bias1, out=step)
+        step *= lr
+        step /= denom
+        p -= step

@@ -84,6 +84,17 @@ class TestDatasetInvariants:
             Dataset(features=np.zeros((2, 2)), labels=np.array([0, 2]),
                     class_names=("a", "b"))
 
+    def test_digest_pinned(self):
+        # The digest names a run's data; it must not move with how it is computed.
+        ds = Dataset(features=np.arange(12, dtype=np.float64).reshape(4, 3) / 8,
+                     labels=np.array([0, 1, 1, 2]), class_names=("a", "b", "c"),
+                     background_class=2)
+        pinned = "c71f2e5b7921970cd1c960773091f659fe1dd69a02263fc30591a7fe831305b0"
+        assert ds.digest() == pinned
+        ds.features = np.asfortranarray(ds.features)
+        assert ds.digest() == pinned
+        assert ds.with_background(None).digest() != pinned
+
     def test_rejects_bad_background(self):
         with pytest.raises(ValueError):
             Dataset(features=np.zeros((1, 2)), labels=np.array([0]),

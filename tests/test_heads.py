@@ -162,6 +162,24 @@ class TestBagsInfer:
         scores = bags_scores(layout, {"bags.group2": head}, feats)
         np.testing.assert_allclose(scores, softmax(head.logits(feats))[:, :3], atol=1e-15)
 
+    def test_background_scaling_bit_exact(self):
+        # The foreground columns scaled through a mask, as a reference form.
+        layout = build_group_layout(stats_for([50, 20, 5, 5000, 300]), background_class=3)
+        rng = np.random.default_rng(8)
+        group_logits = {1: rng.normal(size=(6, 2)), 2: rng.normal(size=(6, 3)),
+                        3: rng.normal(size=(6, 2))}
+        background_logits = rng.normal(size=(6, 2)) * 4.0
+        expected = np.zeros((6, 5))
+        for k, logits in group_logits.items():
+            members = layout.classes_in(k)
+            expected[:, members] = softmax(logits)[:, :members.size]
+        bg_probs = softmax(background_logits)
+        foreground = np.ones(5, dtype=bool)
+        foreground[3] = False
+        expected[:, foreground] *= bg_probs[:, 0][:, None]
+        expected[:, 3] = bg_probs[:, 1]
+        assert np.array_equal(bags_infer(layout, group_logits, background_logits), expected)
+
     def test_missing_background_logits_rejected(self):
         layout = build_group_layout(stats_for([50, 20, 5000]), background_class=2)
         with pytest.raises(ValueError, match="background"):

@@ -161,6 +161,55 @@ class TestStage1:
             train_stage1(ds, Architecture(4, 2, ()), spec, LossSpec(kind="cross_entropy"))
 
 
+class TestFitHead:
+    def test_nonfinite_gradient_names_parameter_and_epoch(self, monkeypatch):
+        ds = blob_dataset()
+        calls = []
+
+        def nan_at_third_call(logits, labels, counts, spec):
+            value = batch_loss(logits, labels, counts, spec)
+            calls.append(1)
+            if len(calls) == 3:
+                value.grad_logits[0, 1] = np.nan
+            return value
+
+        monkeypatch.setattr(model_module, "batch_loss", nan_at_third_call)
+        spec = OptimSpec(epochs=2, warmup_epochs=1, batch_size=64, seed=0)
+        with pytest.raises(RuntimeError, match=r"non-finite gradient for backbone\.0\.weight "
+                                               r"at epoch 1"):
+            train_stage1(ds, Architecture(4, 2, (3,)), spec, LossSpec(kind="cross_entropy"))
+        calls.clear()
+        head = ClassifierHead(weight=np.zeros((2, 4)), bias=np.zeros(2))
+        with pytest.raises(RuntimeError, match=r"non-finite gradient for head\.weight at epoch 1"):
+            model_module.fit_head(head, ds.features, ds.labels, np.array([60, 40]), 1.0, spec,
+                                  LossSpec(kind="cross_entropy"))
+
+    def test_one_loss_and_one_update_per_step(self, monkeypatch):
+        counted = {"batch_loss": 0, "optimizer_step": 0}
+        for name in counted:
+            def counting(*args, _name=name, _inner=getattr(model_module, name)):
+                counted[_name] += 1
+                return _inner(*args)
+            monkeypatch.setattr(model_module, name, counting)
+        ds = blob_dataset()
+        spec = OptimSpec(epochs=3, warmup_epochs=1, batch_size=16, seed=0)
+        train_stage1(ds, Architecture(4, 2, (5, 3)), spec, LossSpec(kind="cross_entropy"))
+        steps = 3 * -(-ds.num_instances // 16)
+        assert counted == {"batch_loss": steps, "optimizer_step": steps}
+
+    def test_parameters_are_views_of_one_vector(self):
+        ds = blob_dataset()
+        model = train_stage1(ds, Architecture(4, 2, (5, 3)),
+                             OptimSpec(epochs=2, warmup_epochs=1, seed=0),
+                             LossSpec(kind="cross_entropy"))
+        head = model.heads["head"]
+        tensors = [*model.backbone.weights, *model.backbone.biases, head.weight, head.bias]
+        flat = head.weight.base
+        assert flat is not None and flat.ndim == 1
+        assert all(t.base is flat for t in tensors)
+        assert flat.size == sum(t.size for t in tensors)
+
+
 @pytest.fixture(scope="module")
 def stage1_setup():
     spec_kwargs = dict(counts=(400, 300, 30, 8), dim=6, separation=8.0, seed=9)
