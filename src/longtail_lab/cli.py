@@ -3,33 +3,30 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import yaml
 
 from . import __version__
 from .data import generate_synthetic, save_embeddings
-from .experiment import (DEFAULT_CONFIG_YAML, _as_section, _value, config_from_dict,
-                         emit_f1_delta, run_experiment, synthetic_spec)
+from .experiment import (DEFAULT_CONFIG_YAML, config_from_dict, emit_f1_delta,
+                         run_experiment, synthetic_spec)
 from .metrics import compare_methods, load_report
 from .model import METHODS
 
 
-def _apply_set(doc: dict, assignment: str) -> None:
-    """Apply one ``--set dotted.path=value`` override onto the config mapping."""
-    if "=" not in assignment:
-        raise ValueError(f"--set expects dotted.path=value, got {assignment!r}")
-    path, raw = assignment.split("=", 1)
-    keys = path.split(".")
+def _apply_set(doc: dict, path: str, value) -> None:
+    """Set the dotted ``path`` of the config mapping to ``value``; a missing or
+    null section on the way becomes a mapping."""
+    *sections, key = path.split(".")
     node = doc
-    for key in keys[:-1]:
-        nxt = node.get(key)
-        if not isinstance(nxt, dict):
-            nxt = {}
-            node[key] = nxt
-        node = nxt
-    node[keys[-1]] = yaml.safe_load(raw)
+    for section in sections:
+        if node.get(section) is None:
+            node[section] = {}
+        node = node[section]
+        if not isinstance(node, dict):
+            raise ValueError(f"cannot set {path}: its section {section!r} is not a mapping")
+    node[key] = value
 
 
 def _load_doc(args: argparse.Namespace) -> dict:
@@ -47,11 +44,14 @@ def _load_doc(args: argparse.Namespace) -> dict:
     if getattr(args, "output_dir", None) is not None:
         doc["output_dir"] = args.output_dir
     if getattr(args, "methods", None) is not None:
-        doc["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
+        doc["methods"] = args.methods
     if getattr(args, "one_stage", False):
         doc["one_stage"] = True
     for assignment in getattr(args, "set", None) or []:
-        _apply_set(doc, assignment)
+        if "=" not in assignment:
+            raise ValueError(f"--set expects dotted.path=value, got {assignment!r}")
+        path, raw = assignment.split("=", 1)
+        _apply_set(doc, path, yaml.safe_load(raw))
     return doc
 
 
@@ -68,13 +68,13 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     doc = _load_doc(args)
-    section = {**yaml.safe_load(DEFAULT_CONFIG_YAML)["dataset"]["synthetic"],
-               **_as_section(_as_section(doc, "dataset"), "synthetic")}
     flags = {k: getattr(args, k) for k in ("num_classes", "feature_dim", "head_count",
                                            "imbalance_factor", "class_separation", "noise_sigma")}
     flags["seed"] = args.data_seed
-    section.update({k: v for k, v in flags.items() if v is not None})
-    spec = synthetic_spec(section, default_seed=_value(doc, "seed", "", int, 0))
+    for key, value in flags.items():
+        if value is not None:
+            _apply_set(doc, f"dataset.synthetic.{key}", value)
+    spec = synthetic_spec(doc)
     dataset = generate_synthetic(spec)
     save_embeddings(dataset, args.out)
     print(f"wrote {dataset.num_instances} instances over {dataset.num_classes} "
@@ -83,7 +83,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    config = replace(config_from_dict(_load_doc(args)), methods=(args.method,))
+    config = config_from_dict({**_load_doc(args), "methods": [args.method]})
     manifest = run_experiment(config)
     entry = manifest.methods[args.method]
     print(f"{args.method}: checkpoint {entry['checkpoint']}, report {entry['report']} "

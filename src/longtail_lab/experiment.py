@@ -2,12 +2,13 @@
 persistence of checkpoints and reports, and per-class F1 delta emission."""
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
-import math
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import yaml
@@ -28,7 +29,11 @@ _BACKGROUND_GROUP_CHOICES = ("auto", "on", "off")
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Everything a run needs; hashable into a digest that names the experiment."""
+    """Everything a run needs; hashable into a digest that names the experiment.
+
+    ``document`` is the config document the fields were read from, with every
+    key filled in (see ``config_document``); ``config_from_dict`` builds both.
+    """
 
     seed: int
     output_dir: str
@@ -48,6 +53,7 @@ class ExperimentConfig:
     cb_beta: float
     bags_beta: float
     bags_background_group: str
+    document: dict = field(repr=False)
 
     def __post_init__(self) -> None:
         if not self.methods:
@@ -60,13 +66,20 @@ class ExperimentConfig:
         if (self.synthetic is None) == (self.embeddings_path is None):
             raise ValueError("exactly one dataset source (synthetic or embeddings) is required")
         if self.eval_mode not in ("split", "fresh"):
-            raise ValueError("eval mode must be 'split' or 'fresh'")
+            raise ValueError("config key dataset.eval.mode must be 'split' or 'fresh'")
         if self.eval_mode == "fresh" and self.synthetic is None:
             raise ValueError("fresh evaluation draws require a synthetic source")
         if self.eval_per_class < 1:
-            raise ValueError("eval per_class must be >= 1")
+            raise ValueError("config key dataset.eval.per_class must be >= 1")
+        if not all(h > 0 for h in self.hidden):
+            raise ValueError(f"config key model.hidden must list positive integers, "
+                             f"got {list(self.hidden)!r}")
+        for name, spec in (("stage1", self.stage1), ("stage2", self.stage2)):
+            if spec.epochs < 1:
+                raise ValueError(f"config key {name}.epochs must be >= 1, got {spec.epochs!r}")
         if self.bags_background_group not in _BACKGROUND_GROUP_CHOICES:
-            raise ValueError(f"bags background_group must be one of {_BACKGROUND_GROUP_CHOICES}")
+            raise ValueError("config key bags.background_group must be one of "
+                             f"{_BACKGROUND_GROUP_CHOICES}")
         if self.bags_beta <= 0:
             raise ValueError(f"config key bags.beta must be > 0, got {self.bags_beta!r}")
         if not 0.0 <= self.cb_beta < 1.0:
@@ -75,40 +88,12 @@ class ExperimentConfig:
             raise ValueError(f"config key loss.gamma must be >= 0, got {self.gamma!r}")
 
     def semantic_dict(self) -> dict:
-        """Every field that affects results; the output directory is excluded."""
-        return {
-            "seed": self.seed,
-            "methods": list(self.methods),
-            "one_stage": self.one_stage,
-            "shared_stage1": self.shared_stage1,
-            "dataset": {
-                "synthetic": None if self.synthetic is None else asdict(self.synthetic),
-                "embeddings": self.embeddings_path,
-                "background_class": self.background,
-                "eval": {"mode": self.eval_mode, "per_class": self.eval_per_class},
-            },
-            "split": {
-                "train": self.split.train_fraction,
-                "val": self.split.val_fraction,
-                "test": self.split.test_fraction,
-                "seed": self.split.seed,
-                "stratified": self.split.stratified,
-            },
-            "model": {"hidden": list(self.hidden)},
-            "stage1": _optim_dict(self.stage1),
-            "stage2": _optim_dict(self.stage2),
-            "loss": {"gamma": self.gamma, "cb_beta": self.cb_beta},
-            "bags": {"beta": self.bags_beta, "background_group": self.bags_background_group},
-        }
+        """The config document less the output directory: every key that affects results."""
+        return {k: v for k, v in self.document.items() if k != "output_dir"}
 
     def digest(self) -> str:
         blob = json.dumps(self.semantic_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _optim_dict(spec: OptimSpec) -> dict:
-    """Optimizer fields; the seed is left out, as each fit derives its own."""
-    return {k: v for k, v in asdict(spec).items() if k != "seed"}
 
 
 # ---------------------------------------------------------------------------
@@ -116,156 +101,148 @@ def _optim_dict(spec: OptimSpec) -> dict:
 # ignored typo would corrupt a method comparison.
 # ---------------------------------------------------------------------------
 
+# The built-in demo run.  Every key it leaves out takes its default from the
+# config table below.
 DEFAULT_CONFIG_YAML = """\
 seed: 0
 output_dir: runs/demo
 methods: [baseline, sqrt_samp, cb_focal, bags, ssb]
-one_stage: false
-shared_stage1: true
 dataset:
-  synthetic:
-    num_classes: 20
-    feature_dim: 16
-    head_count: 1000
-    imbalance_factor: 200.0
-    class_separation: 5.0
-    noise_sigma: 1.0
-  background_class: null
-  eval:
-    mode: fresh
-    per_class: 100
-split: {train: 0.70, val: 0.15, test: 0.15, stratified: true}
+  synthetic: {}
+  eval: {mode: fresh, per_class: 100}
 model: {hidden: []}
-stage1: {lr_init: 0.01, weight_decay: 1.0e-07, batch_size: 64, epochs: 30, warmup_epochs: 2}
+stage1: {epochs: 30, warmup_epochs: 2}
 stage2: {epochs: 12, warmup_epochs: 1}
-loss: {gamma: 2.0, cb_beta: 0.9}
-bags: {beta: 8.0, background_group: auto}
 """
 
 
-def _check_keys(section: dict, allowed: tuple[str, ...], where: str) -> None:
-    unknown = sorted(set(section) - set(allowed))
+def _comma_list(value):
+    """``--set methods=a,b`` writes the list as a comma-separated string."""
+    return [m.strip() for m in value.split(",") if m.strip()] if isinstance(value, str) else value
+
+
+def _on_off(value):
+    """YAML reads a bare ``on`` or ``off`` as a boolean; background_group means the word."""
+    return ("on" if value else "off") if isinstance(value, bool) else value
+
+
+# Every config key: its kind (see ``schema.check_types``), its default, and
+# optionally a function that reads the value as written.  A callable default
+# is computed from the document read so far.  A bare table is a section, which
+# written as null or left out reads as all defaults.  Numbers are stored as floats.
+_STAGE1_KEYS = {f.name: (get_type_hints(OptimSpec)[f.name], f.default)
+                for f in fields(OptimSpec) if f.name != "seed"}
+_SYNTHETIC_DEFAULTS = {"num_classes": 20, "feature_dim": 16, "head_count": 1000,
+                       "imbalance_factor": 200.0, "class_separation": 5.0, "noise_sigma": 1.0,
+                       "seed": lambda doc: derive_seed(doc["seed"], "dataset")}
+_SYNTHETIC_KEYS = {k: (kind, _SYNTHETIC_DEFAULTS[k])
+                   for k, kind in get_type_hints(SyntheticSpec).items()}
+_CONFIG_KEYS = {
+    "seed": (int, 0),
+    "output_dir": (str, "runs/out"),
+    "methods": ([str], ["baseline"], _comma_list),
+    "one_stage": (bool, False),
+    "shared_stage1": (bool, True),
+    "dataset": {
+        "synthetic": ((_SYNTHETIC_KEYS, None), None),
+        "embeddings": ((str, None), None),
+        "background_class": ((int, str, None), None),
+        "eval": {"mode": (str, "split"), "per_class": (int, 100)},
+    },
+    "split": {"train": (float, 0.70), "val": (float, 0.15), "test": (float, 0.15),
+              "seed": (int, lambda doc: derive_seed(doc["seed"], "split")),
+              "stratified": (bool, True)},
+    "model": {"hidden": ([int], [])},
+    "stage1": _STAGE1_KEYS,
+    # Classifier retraining inherits stage 1 except its shorter schedule.
+    "stage2": {**{k: (kind, lambda doc, k=k: doc["stage1"][k])
+                  for k, (kind, _) in _STAGE1_KEYS.items()},
+               "epochs": (int, 12), "warmup_epochs": (int, 1)},
+    "loss": {"gamma": (float, 2.0), "cb_beta": (float, 0.9)},
+    "bags": {"beta": (float, 8.0), "background_group": (str, "auto", _on_off)},
+}
+
+
+def _read(section: dict, keys: dict, where: str, doc: dict) -> dict:
+    """``section`` with each of ``keys`` read as written or defaulted, then
+    type-checked; ``doc`` is the document read so far."""
+    unknown = sorted(f"{where}{k}" for k in section if k not in keys)
     if unknown:
-        raise ValueError(f"unknown config key(s) in {where}: {', '.join(unknown)}")
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    out = {} if where else doc
+    for key, entry in keys.items():
+        kind, default, *read = entry if isinstance(entry, tuple) else (entry, {})
+        value = section.get(key)
+        if value is None and (key not in section or isinstance(kind, dict)):
+            value = default(doc) if callable(default) else default
+        elif read:
+            value = read[0](value)
+        table = kind[0] if isinstance(kind, tuple) else kind
+        if isinstance(table, dict) and isinstance(value, dict):
+            value = _read(value, table, f"{where}{key}.", doc)
+        else:
+            try:
+                check_types(value, kind, where + key)
+            except ValueError as exc:
+                raise ValueError(f"config {exc}") from None
+        out[key] = float(value) if kind is float else value
+    return out
 
 
-def _as_section(doc: dict, key: str) -> dict:
-    value = doc.get(key) or {}
-    if not isinstance(value, dict):
-        raise ValueError(f"config section {key!r} must be a mapping")
-    return value
+def config_document(doc: dict) -> dict:
+    """The config document ``doc`` with every key checked against its kind and
+    every key left out given its default.  Errors name the dotted key at fault."""
+    if not isinstance(doc, dict):
+        raise ValueError("config document must be a mapping")
+    return copy.deepcopy(_read(doc, _CONFIG_KEYS, "", {}))
 
 
-def _value(section: dict, key: str, where: str, kind: type, default=None):
-    """``section[key]``, else ``default`` (with none, the key is required),
-    checked to be an int, not a bool, or for ``kind`` float a finite number."""
-    name = f"{where}.{key}".lstrip(".")
-    if key not in section and default is None:
-        raise ValueError(f"config key {name} is required")
-    value = section.get(key, default)
-    ok = isinstance(value, (int, float) if kind is float else int) and not isinstance(value, bool)
-    if not (ok and (kind is int or math.isfinite(value))):
-        raise ValueError(f"config key {name} must be "
-                         f"{'an integer' if kind is int else 'a finite number'}, got {value!r}")
-    return value
-
-
-_SYNTHETIC_TYPES = {"num_classes": int, "feature_dim": int, "head_count": int,
-                    "imbalance_factor": float, "class_separation": float,
-                    "noise_sigma": float}
-
-
-def synthetic_spec(section: dict, default_seed: int) -> SyntheticSpec:
-    """``dataset.synthetic`` as a SyntheticSpec, whose ``seed`` defaults to ``default_seed``."""
-    where = "dataset.synthetic"
-    if not isinstance(section, dict):
-        raise ValueError(f"config section {where} must be a mapping")
-    _check_keys(section, (*_SYNTHETIC_TYPES, "seed"), where)
-    values = {k: kind(_value(section, k, where, kind)) for k, kind in _SYNTHETIC_TYPES.items()}
+def _built(cls, where: str, **kwargs):
+    """``cls(**kwargs)``, whose ValueError names the config section ``where``."""
     try:
-        return SyntheticSpec(**values, seed=int(_value(section, "seed", where, int, default_seed)))
+        return cls(**kwargs)
     except ValueError as exc:
         raise ValueError(f"config section {where}: {exc}") from None
 
 
-_OPTIM_TYPES = {"lr_init": float, "weight_decay": float, "beta1": float, "beta2": float,
-                "eps": float, "batch_size": int, "epochs": int, "warmup_epochs": int}
-
-
-def _optim_from(section: dict, where: str, base: OptimSpec, seed: int) -> OptimSpec:
-    _check_keys(section, tuple(_OPTIM_TYPES), where)
-    kwargs = {k: _value(section, k, where, _OPTIM_TYPES[k]) for k in section}
-    if (epochs := kwargs.get("epochs", base.epochs)) < 1:
-        raise ValueError(f"config key {where}.epochs must be >= 1, got {epochs!r}")
-    try:
-        return replace(base, seed=seed, **kwargs)
-    except ValueError as exc:
-        raise ValueError(f"config section {where}: {exc}") from None
+def synthetic_spec(doc: dict) -> SyntheticSpec:
+    """The SyntheticSpec that ``gen`` reads from a config document: only
+    ``seed`` and ``dataset`` are read, a missing or null ``dataset.synthetic``
+    reads as all defaults, and its seed defaults to the master seed itself."""
+    keys = {"seed": _CONFIG_KEYS["seed"],
+            "dataset": {**_CONFIG_KEYS["dataset"],
+                        "synthetic": {**_SYNTHETIC_KEYS, "seed": (int, lambda doc: doc["seed"])}}}
+    read = _read({k: doc[k] for k in keys if k in doc}, keys, "", {})
+    return _built(SyntheticSpec, "dataset.synthetic", **read["dataset"]["synthetic"])
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build and validate an ExperimentConfig; each error names its dotted config key."""
-    if not isinstance(doc, dict):
-        raise ValueError("config document must be a mapping")
-    _check_keys(doc, ("seed", "output_dir", "methods", "one_stage", "shared_stage1",
-                      "dataset", "split", "model", "stage1", "stage2", "loss", "bags"),
-                "top level")
-    seed = _value(doc, "seed", "", int, 0)
-
-    dataset = _as_section(doc, "dataset")
-    _check_keys(dataset, ("synthetic", "embeddings", "background_class", "eval"), "dataset")
-    synthetic = None
-    if dataset.get("synthetic") is not None:
-        synthetic = synthetic_spec(dataset["synthetic"], derive_seed(seed, "dataset"))
-    eval_section = dataset.get("eval") or {}
-    _check_keys(eval_section, ("mode", "per_class"), "dataset.eval")
-
-    split_section = _as_section(doc, "split")
-    _check_keys(split_section, ("train", "val", "test", "seed", "stratified"), "split")
-    split = SplitSpec(
-        train_fraction=float(_value(split_section, "train", "split", float, 0.70)),
-        val_fraction=float(_value(split_section, "val", "split", float, 0.15)),
-        test_fraction=float(_value(split_section, "test", "split", float, 0.15)),
-        seed=int(_value(split_section, "seed", "split", int, derive_seed(seed, "split"))),
-        stratified=bool(split_section.get("stratified", True)),
-    )
-
-    model_section = _as_section(doc, "model")
-    _check_keys(model_section, ("hidden",), "model")
-    hidden = model_section.get("hidden") or []
-    if not isinstance(hidden, list) or not all(type(h) is int and h > 0 for h in hidden):
-        raise ValueError(f"config key model.hidden must list positive integers, got {hidden!r}")
-
-    stage1 = _optim_from(_as_section(doc, "stage1"), "stage1", OptimSpec(), seed=0)
-    stage2 = _optim_from(_as_section(doc, "stage2"), "stage2", stage1.for_classifier(), seed=0)
-
-    loss_section = _as_section(doc, "loss")
-    _check_keys(loss_section, ("gamma", "cb_beta"), "loss")
-    bags_section = _as_section(doc, "bags")
-    _check_keys(bags_section, ("beta", "background_group"), "bags")
-
-    methods = doc.get("methods") or ["baseline"]
-    if isinstance(methods, str):
-        methods = [m.strip() for m in methods.split(",") if m.strip()]
+    doc = config_document(doc)
+    dataset, split = doc["dataset"], doc["split"]
     return ExperimentConfig(
-        seed=seed,
-        output_dir=str(doc.get("output_dir", "runs/out")),
-        methods=tuple(methods),
-        one_stage=bool(doc.get("one_stage", False)),
-        shared_stage1=bool(doc.get("shared_stage1", True)),
-        synthetic=synthetic,
-        embeddings_path=dataset.get("embeddings"),
-        background=dataset.get("background_class"),
-        eval_mode=str(eval_section.get("mode", "split")),
-        eval_per_class=int(_value(eval_section, "per_class", "dataset.eval", int, 100)),
-        split=split,
-        hidden=tuple(hidden),
-        stage1=stage1,
-        stage2=stage2,
-        gamma=float(_value(loss_section, "gamma", "loss", float, 2.0)),
-        cb_beta=float(_value(loss_section, "cb_beta", "loss", float, 0.9)),
-        bags_beta=float(_value(bags_section, "beta", "bags", float, 8.0)),
-        bags_background_group=str(bags_section.get("background_group", "auto")),
+        seed=doc["seed"],
+        output_dir=doc["output_dir"],
+        methods=tuple(doc["methods"]),
+        one_stage=doc["one_stage"],
+        shared_stage1=doc["shared_stage1"],
+        synthetic=None if dataset["synthetic"] is None else
+        _built(SyntheticSpec, "dataset.synthetic", **dataset["synthetic"]),
+        embeddings_path=dataset["embeddings"],
+        background=dataset["background_class"],
+        eval_mode=dataset["eval"]["mode"],
+        eval_per_class=dataset["eval"]["per_class"],
+        split=_built(SplitSpec, "split", train_fraction=split["train"],
+                     val_fraction=split["val"], test_fraction=split["test"],
+                     seed=split["seed"], stratified=split["stratified"]),
+        hidden=tuple(doc["model"]["hidden"]),
+        stage1=_built(OptimSpec, "stage1", **doc["stage1"]),
+        stage2=_built(OptimSpec, "stage2", **doc["stage2"]),
+        gamma=doc["loss"]["gamma"],
+        cb_beta=doc["loss"]["cb_beta"],
+        bags_beta=doc["bags"]["beta"],
+        bags_background_group=doc["bags"]["background_group"],
+        document=doc,
     )
 
 

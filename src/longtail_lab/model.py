@@ -84,7 +84,8 @@ class Backbone:
         h = np.asarray(x, dtype=np.float64)
         caches = []
         for w, b in zip(self.weights, self.biases):
-            z = h @ w.T + b
+            z = h @ w.T
+            z += b
             caches.append((h, z))
             h = np.maximum(z, 0.0)
         return h, caches
@@ -126,7 +127,9 @@ class ClassifierHead:
         return self.weight.shape[0]
 
     def logits(self, h: np.ndarray) -> np.ndarray:
-        return h @ self.weight.T + self.bias
+        z = h @ self.weight.T
+        z += self.bias
+        return z
 
     def copy(self) -> "ClassifierHead":
         return ClassifierHead(weight=self.weight.copy(), bias=self.bias.copy())

@@ -9,8 +9,9 @@ import pytest
 import yaml
 
 import longtail_lab
-from longtail_lab import load_embeddings
+from longtail_lab import config_from_dict, load_embeddings, load_model
 from longtail_lab.cli import build_parser, main
+from longtail_lab.experiment import load_manifest
 from longtail_lab.model import METHODS
 
 
@@ -119,6 +120,24 @@ class TestCompare:
         code = main(["compare", "--config", str(cfg), "--methods", "baseline",
                      "--set", "stage1.epochs=2", "--set", "dataset.eval.per_class=10"])
         assert code == 0
+
+    # YAML reads a bare on/off as a boolean; the digest records the word.
+    @pytest.mark.parametrize("word, flags", [
+        ("off", []),
+        ("on", ["--set", "dataset.background_class=class_00"]),
+    ], ids=["off", "on"])
+    def test_set_background_group_word(self, tmp_path, word, flags):
+        cfg = write_config(tmp_path / "cfg.yaml", tmp_path / "run", methods=("bags",))
+        code = main(["compare", "--config", str(cfg),
+                     "--set", f"bags.background_group={word}"] + flags)
+        assert code == 0
+        doc = yaml.safe_load(cfg.read_text())
+        doc["bags"] = {"background_group": word}
+        doc["dataset"]["background_class"] = "class_00" if flags else None
+        manifest = load_manifest(str(tmp_path / "run" / "manifest.json"))
+        assert manifest.config_digest == config_from_dict(doc).digest()
+        model = load_model(str(tmp_path / "run" / "checkpoints" / "bags.ckpt"))
+        assert ("bags.background" in model.heads) == (word == "on")
 
     def test_output_dir_override(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.yaml", tmp_path / "runA")

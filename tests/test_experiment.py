@@ -1,6 +1,7 @@
 """Configuration document, experiment runner, manifest, and F1-delta table."""
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,29 +52,88 @@ class TestConfig:
         doc["stage1"]["learning_rate"] = 0.1
         with pytest.raises(ValueError, match="stage1"):
             config_from_dict(doc)
+        doc = tiny_doc("x")
+        doc["loss"] = {1: 2.0, "gama": 2.0}
+        with pytest.raises(ValueError, match="loss.1, loss.gama"):
+            config_from_dict(doc)
 
-    # Each value is rejected by config_from_dict, with its key in the message.
+    # Each value is rejected by config_from_dict, with its key in the message;
+    # an empty section names a top-level key.
     @pytest.mark.parametrize("section, key, value, fragments", [
         ("stage1", "epochs", 3.5, ["stage1.epochs", "integer"]),
         ("stage1", "lr_init", float("nan"), ["stage1.lr_init", "finite"]),
         ("stage1", "weight_decay", -5, ["stage1", "weight_decay", ">= 0"]),
         ("stage1", "batch_size", "abc", ["stage1.batch_size", "integer"]),
-        ("model", "hidden", 5, ["model.hidden", "positive integers"]),
+        ("model", "hidden", 5, ["model.hidden", "list"]),
+        ("model", "hidden", [4, 0], ["model.hidden", "positive integers"]),
         ("stage1", "epochs", 0, ["stage1.epochs", ">= 1"]),
         ("stage2", "epochs", 0, ["stage2.epochs", ">= 1"]),
         ("loss", "cb_beta", 1.5, ["loss.cb_beta", "[0, 1)"]),
         ("loss", "gamma", -1, ["loss.gamma", ">= 0"]),
         ("bags", "beta", 0, ["bags.beta", "> 0"]),
+        ("", "one_stage", "no", ["one_stage", "boolean"]),
+        ("", "shared_stage1", "false", ["shared_stage1", "boolean"]),
+        ("split", "stratified", "no", ["split.stratified", "boolean"]),
+        ("", "methods", 5, ["methods", "list"]),
+        ("dataset", "eval", 5, ["dataset.eval", "mapping"]),
+        ("dataset", "embeddings", 5, ["dataset.embeddings", "string"]),
+        ("dataset", "background_class", 1.5, ["dataset.background_class", "integer"]),
+        ("dataset", "background_class", True, ["dataset.background_class", "string"]),
+        ("", "output_dir", 5, ["output_dir", "string"]),
+        ("", "stage1", [], ["stage1", "mapping"]),
     ], ids=["float_epochs", "nan_lr", "negative_decay", "string_batch", "scalar_hidden",
-            "no_stage1_epochs", "no_stage2_epochs", "cb_beta_above_one", "negative_gamma",
-            "zero_bags_beta"])
+            "zero_width_hidden", "no_stage1_epochs", "no_stage2_epochs", "cb_beta_above_one",
+            "negative_gamma", "zero_bags_beta", "string_one_stage", "string_shared_stage1",
+            "string_stratified", "scalar_methods", "scalar_eval", "scalar_embeddings",
+            "float_background", "bool_background", "scalar_output_dir", "list_stage1"])
     def test_bad_value_names_its_key(self, section, key, value, fragments):
         doc = tiny_doc("x")
-        doc.setdefault(section, {})[key] = value
+        (doc.setdefault(section, {}) if section else doc)[key] = value
         with pytest.raises(ValueError) as info:
             config_from_dict(doc)
         for text in fragments:
             assert text in str(info.value)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_leaf_of_another_kind_names_its_key(self, data):
+        document = default_config().document
+        key, written = data.draw(st.sampled_from(sorted(leaves(document).items())), label="leaf")
+        accepted = ACCEPTED.get(key) or {kind_of(written), *WIDER.get(kind_of(written), ())}
+        value = data.draw(OTHER_VALUES.filter(lambda v: kind_of(v) not in accepted), label="value")
+        doc = copy.deepcopy(document)
+        *sections, last = key.split(".")
+        node = doc
+        for section in sections:
+            node = node[section]
+        node[last] = value
+        with pytest.raises(ValueError) as info:
+            config_from_dict(doc)
+        assert key in str(info.value)
+
+    @pytest.mark.parametrize("parent, section", [
+        ("dataset", "eval"), ("", "split"), ("", "model"), ("", "stage1"), ("", "stage2"),
+        ("", "loss"), ("", "bags")])
+    def test_null_section_reads_as_defaults(self, parent, section):
+        left_out, null = tiny_doc("x"), tiny_doc("x")
+        (left_out[parent] if parent else left_out).pop(section, None)
+        (null[parent] if parent else null)[section] = None
+        assert config_from_dict(null).digest() == config_from_dict(left_out).digest()
+
+    def test_number_keys_are_stored_as_floats(self):
+        a, b = tiny_doc("x"), tiny_doc("x")
+        a["stage1"]["weight_decay"] = 0
+        b["stage1"]["weight_decay"] = 0.0
+        assert config_from_dict(a).digest() == config_from_dict(b).digest()
+        assert config_from_dict(a).document["stage2"]["weight_decay"] == 0.0
+
+    def test_readme_defaults_match(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = text.split("All keys with their defaults:", 1)[1]
+        block = block.split("```yaml\n", 1)[1].split("```", 1)[0]
+        documented = {k: v for k, v in leaves(yaml.safe_load(block)).items() if v != "<derived>"}
+        filled = leaves(config_from_dict({"dataset": {"synthetic": {}}}).document)
+        assert documented == {k: filled[k] for k in documented}
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
@@ -122,6 +182,34 @@ class TestConfig:
         config = config_from_dict(doc)
         assert config.stage2.lr_init == 0.123
         assert config.stage2.epochs == 4
+
+
+def leaves(doc: dict, prefix: str = "") -> dict:
+    """Each non-mapping value of a nested document, by dotted key."""
+    out = {}
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            out.update(leaves(value, f"{prefix}{key}."))
+        else:
+            out[f"{prefix}{key}"] = value
+    return out
+
+
+def kind_of(value) -> str:
+    if isinstance(value, float) and not np.isfinite(value):
+        return "nonfinite"
+    return "null" if value is None else type(value).__name__
+
+
+# Values of every kind a YAML document holds.  A leaf accepts values of its
+# default's kind, a number key integers too, and the keys in ACCEPTED more.
+OTHER_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                         st.text(max_size=4), st.lists(st.integers(), max_size=2),
+                         st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+WIDER = {"float": {"int"}}
+ACCEPTED = {"methods": {"list", "str"}, "bags.background_group": {"str", "bool"},
+            "dataset.embeddings": {"null", "str"},
+            "dataset.background_class": {"null", "int", "str"}}
 
 
 def generate_synthetic_small():

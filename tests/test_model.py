@@ -514,6 +514,24 @@ class TestBackboneUnit:
         assert out.tobytes() == expected.tobytes()
         assert x.tobytes() == before.tobytes()
 
+    def test_cached_forward_and_logits_exact_and_input_untouched(self):
+        # The bias is added in place; the bits equal those of ``h @ w.T + b``.
+        rng = np.random.default_rng(6)
+        bb = Backbone(weights=[rng.normal(size=(7, 5)), rng.normal(size=(3, 7))],
+                      biases=[rng.normal(size=7), rng.normal(size=3)])
+        head = ClassifierHead(weight=rng.normal(size=(4, 3)), bias=rng.normal(size=4))
+        x = rng.normal(size=(6, 5))
+        before = x.copy()
+        out, caches = bb.forward_cached(x)
+        expected = x
+        for (inp, z), w, b in zip(caches, bb.weights, bb.biases):
+            assert inp.tobytes() == expected.tobytes()
+            assert z.tobytes() == (expected @ w.T + b).tobytes()
+            expected = np.maximum(expected @ w.T + b, 0.0)
+        assert out.tobytes() == expected.tobytes()
+        assert head.logits(out).tobytes() == (out @ head.weight.T + head.bias).tobytes()
+        assert x.tobytes() == before.tobytes()
+
     def test_relu_backbone_nonnegative(self):
         bb = Backbone.build(4, (6, 3), np.random.default_rng(0))
         out = bb.features(np.random.default_rng(1).normal(size=(10, 4)))
