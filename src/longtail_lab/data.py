@@ -9,6 +9,8 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from array import array
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,13 +205,17 @@ def generate_synthetic(
             raise ValueError("counts override must give every class at least one instance")
     centroids = _class_centroids(spec)
     rng = np.random.default_rng(derive_seed(spec.seed, "noise", noise_stream))
-    blocks = []
+    # Each class's rows are drawn in place, as noise * sigma + centroid.
+    features = np.empty((int(counts.sum()), spec.feature_dim))
+    ends = np.cumsum(counts)
     for c in range(spec.num_classes):
-        noise = rng.standard_normal((int(counts[c]), spec.feature_dim))
-        blocks.append(centroids[c] + spec.noise_sigma * noise)
+        block = features[ends[c] - counts[c]:ends[c]]
+        rng.standard_normal(out=block)
+        block *= spec.noise_sigma
+        block += centroids[c]
     width = max(2, len(str(spec.num_classes - 1)))
     return Dataset(
-        features=np.concatenate(blocks, axis=0),
+        features=features,
         labels=np.repeat(np.arange(spec.num_classes, dtype=np.int64), counts),
         class_names=tuple(f"class_{c:0{width}d}" for c in range(spec.num_classes)),
     )
@@ -291,34 +297,54 @@ def load_embeddings(path: str) -> Dataset:
     names.  Each following line: ``<label>,<f_1>,...,<f_D>`` with an optional
     trailing ``crop=<0|1>`` field (recorded by detector pipelines, ignored
     here).  Data lines are ASCII without ``_``, and the label is plain digits.
-    Malformed content raises ValueError naming the path and the 1-based line.
+    Malformed content raises ValueError naming the path and the 1-based line;
+    the file is read line by line, so the first faulty line is the one named.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
     try:
-        try:
-            text = blob.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = blob.count(b"\n", 0, exc.start) + 1
-            raise ValueError(f"line {line}: not UTF-8 text (byte {exc.start})") from None
-        return _parse_embeddings(text)
+        with open(path, "rb") as fh:
+            return _parse_embeddings(_numbered_lines(fh))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _parse_embeddings(text: str) -> Dataset:
-    lines = text.split("\n")
-    while lines and lines[-1] == "":
-        lines.pop()
-    if len(lines) < 2:
+def _numbered_lines(fh: Iterable[bytes]) -> Iterator[tuple[int, int, bytes]]:
+    """Yield (1-based number, byte offset, bytes without the newline) per line.
+
+    Empty lines are held back until a later line follows them, so the empty
+    lines that end a file are never yielded.
+    """
+    offset = 0
+    held: list[tuple[int, int, bytes]] = []
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw[:-1] if raw.endswith(b"\n") else raw
+        if line:
+            yield from held
+            held.clear()
+            yield lineno, offset, line
+        else:
+            held.append((lineno, offset, line))
+        offset += len(raw)
+
+
+def _decode(lineno: int, offset: int, line: bytes) -> str:
+    try:
+        return line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"line {lineno}: not UTF-8 text (byte {offset + exc.start})") from None
+
+
+def _parse_embeddings(lines: Iterator[tuple[int, int, bytes]]) -> Dataset:
+    first, second = next(lines, None), next(lines, None)
+    if second is None:
         raise ValueError("line 1: missing header or class-name line")
-    m = _HEADER_RE.match(lines[0])
+    header = _decode(*first)
+    m = _HEADER_RE.match(header)
     if not m:
-        raise ValueError(f"line 1: header must be 'C=<int> D=<int>', got {lines[0]!r}")
+        raise ValueError(f"line 1: header must be 'C=<int> D=<int>', got {header!r}")
     num_classes, dim = int(m.group(1)), int(m.group(2))
     if num_classes < 1 or dim < 1:
         raise ValueError("line 1: C and D must be >= 1")
-    names = lines[1].split(",")
+    names = _decode(*second).split(",")
     if len(names) != num_classes:
         raise ValueError(f"line 2: expected {num_classes} class names, got {len(names)}")
     if any(not n.strip() for n in names):
@@ -327,37 +353,41 @@ def _parse_embeddings(text: str) -> Dataset:
         duplicate = next(n for i, n in enumerate(names) if n in names[:i])
         raise ValueError(f"line 2: duplicate class name {duplicate!r}")
 
-    features, labels = [], []
-    for lineno, line in enumerate(lines[2:], start=3):
-        if "_" in line or not line.isascii():
+    # One growing buffer each; the returned arrays are views of them.
+    features, labels = array("d"), array("q")
+    for lineno, offset, line in lines:
+        if not line.isascii() or b"_" in line:
+            _decode(lineno, offset, line)
             raise ValueError(f"line {lineno}: numbers must be ASCII, without '_'")
-        fields = line.split(",")
-        if fields and fields[-1].startswith("crop="):
+        fields = line.split(b",")
+        if fields[-1].startswith(b"crop="):
             crop = fields.pop()
-            if crop not in ("crop=0", "crop=1"):
+            if crop not in (b"crop=0", b"crop=1"):
                 raise ValueError(f"line {lineno}: crop flag must be crop=0 or crop=1")
         if len(fields) != 1 + dim:
             raise ValueError(
                 f"line {lineno}: expected label plus {dim} features, got {len(fields)} fields"
             )
         if not fields[0].isdigit():
-            raise ValueError(f"line {lineno}: label {fields[0]!r} is not a non-negative integer")
+            raise ValueError(
+                f"line {lineno}: label {fields[0].decode()!r} is not a non-negative integer"
+            )
         label = int(fields[0])
         if label >= num_classes:
             raise ValueError(f"line {lineno}: label {label} out of range [0, {num_classes})")
         try:
-            row = [float(v) for v in fields[1:]]
+            row = list(map(float, fields[1:]))
         except ValueError:
             raise ValueError(f"line {lineno}: malformed feature value") from None
-        if not all(math.isfinite(v) for v in row):
+        if not all(map(math.isfinite, row)):
             raise ValueError(f"line {lineno}: non-finite feature value")
         labels.append(label)
-        features.append(row)
-    if not features:
+        features.extend(row)
+    if not labels:
         raise ValueError("no instances")
     return Dataset(
-        features=np.asarray(features, dtype=np.float64),
-        labels=np.asarray(labels, dtype=np.int64),
+        features=np.frombuffer(features, dtype=np.float64).reshape(len(labels), dim),
+        labels=np.frombuffer(labels, dtype=np.int64),
         class_names=tuple(names),
     )
 

@@ -248,6 +248,8 @@ def fit_head(head: ClassifierHead, features: np.ndarray, labels: np.ndarray,
     views of that vector.
     """
     n = features.shape[0]
+    if len(labels) != n:
+        raise ValueError(f"fit_head: {n} feature rows but {len(labels)} labels")
     if optim.epochs == 0:
         return []
     layers = backbone.num_layers if backbone is not None else 0

@@ -1,4 +1,6 @@
 """Dataset generation, class statistics, splitting, and embedding-file IO."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -294,3 +296,99 @@ class TestEmbeddingRejects:
             lines[index] = CORRUPTIONS[kind](lines[index], pos)
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         embeddings_rejected(path, index + 1)
+
+
+FINITE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestEmbeddingLines:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_save_then_load_is_bit_exact(self, embed_dir, data):
+        num_classes = data.draw(st.integers(1, 4), label="classes")
+        n = data.draw(st.integers(1, 12), label="rows")
+        dim = data.draw(st.integers(1, 5), label="dim")
+        values = data.draw(st.lists(FINITE_FLOATS, min_size=n * dim, max_size=n * dim))
+        labels = data.draw(st.lists(st.integers(0, num_classes - 1), min_size=n, max_size=n))
+        ds = Dataset(np.array(values).reshape(n, dim), np.array(labels),
+                     tuple(f"c{j}" for j in range(num_classes)))
+        path = embed_dir / "round_trip.txt"
+        save_embeddings(ds, str(path))
+        lines = path.read_text().splitlines()
+        crops = data.draw(st.lists(st.sampled_from(["", ",crop=0", ",crop=1"]),
+                                   min_size=n, max_size=n), label="crop flags")
+        lines[2:] = [line + crop for line, crop in zip(lines[2:], crops)]
+        blanks = data.draw(st.integers(0, 3), label="trailing blank lines")
+        path.write_text("\n".join(lines) + "\n" * (1 + blanks))
+        loaded = load_embeddings(str(path))
+        assert loaded.features.tobytes() == ds.features.tobytes()
+        assert loaded.labels.tobytes() == ds.labels.tobytes()
+        assert loaded.class_names == ds.class_names
+
+    def test_blank_line_between_rows_rejected(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("C=2 D=2\ncat,dog\n0,1.0,2.0\n\n1,0.5,0.25\n\n")
+        embeddings_rejected(path, 4, "got 1 fields")
+
+    def test_missing_final_newline_accepted(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("C=2 D=2\ncat,dog\n0,1.0,2.0\n1,0.5,0.25")
+        ds = load_embeddings(str(path))
+        assert ds.features.tolist() == [[1.0, 2.0], [0.5, 0.25]]
+        assert ds.labels.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("first, second, line, fragment", [
+        (b"0,1.0,inf", b"1,\xff.5,0.25", 3, "non-finite"),
+        (b"1,\xff.5,0.25", b"0,1.0,inf", 3, "not UTF-8 text (byte 18)"),
+        (b"7,1.0,2.0", b"0,1_0,2.0", 3, "label 7"),
+        (b"0,1.0,2.0,crop=2", b"+1,1.0,2.0", 3, "crop flag"),
+    ], ids=["nonfinite_then_bad_byte", "bad_byte_then_nonfinite", "label_then_underscore",
+            "crop_then_signed_label"])
+    def test_two_faults_name_the_first_line(self, tmp_path, first, second, line, fragment):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"C=2 D=2\ncat,dog\n" + first + b"\n0,0.5,0.5\n" + second + b"\n")
+        embeddings_rejected(path, line, fragment)
+
+    def test_non_utf8_class_name_counts_bytes_from_file_start(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"C=2 D=2\ncat,d\xc3g\n0,1.0,2.0\n")
+        embeddings_rejected(path, 2, "not UTF-8 text (byte 13)")
+
+
+@pytest.fixture(scope="module")
+def wide_embedding_file(embed_dir):
+    """About 20,000 rows of 32 features, written by save_embeddings."""
+    rng = np.random.default_rng(0)
+    ds = Dataset(rng.standard_normal((20_000, 32)), rng.integers(0, 5, 20_000),
+                 tuple("abcde"))
+    path = embed_dir / "wide.txt"
+    save_embeddings(ds, str(path))
+    return path, ds
+
+
+def traced_peak(fn, *args):
+    """The result of fn(*args) and the peak of traced memory while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestMemory:
+    def test_load_holds_about_one_matrix(self, wide_embedding_file):
+        path, ds = wide_embedding_file
+        loaded, peak = traced_peak(load_embeddings, str(path))
+        assert loaded.features.tobytes() == ds.features.tobytes()
+        assert peak <= 2 * loaded.features.nbytes, peak / loaded.features.nbytes
+
+    def test_generate_draws_into_one_matrix(self):
+        spec = make_spec(num_classes=20, feature_dim=32)
+        ds, peak = traced_peak(generate_synthetic, spec, np.full(20, 1_000))
+        assert ds.features.shape == (20_000, 32)
+        assert peak <= 1.5 * ds.features.nbytes, peak / ds.features.nbytes

@@ -1,6 +1,7 @@
 """Evaluation metrics against brute-force oracles, comparison-table ranking,
 and the report reader."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -158,12 +159,13 @@ def report_file(tmp_path_factory):
     return path
 
 
-def report_rejected(path, *fragments) -> None:
-    """load_report raises ValueError whose message names the path and each fragment."""
+def report_rejected(path, *fragments) -> str:
+    """load_report raises ValueError whose message, returned, names the path and each fragment."""
     with pytest.raises(ValueError) as info:
         load_report(str(path))
     for text in (str(path),) + fragments:
         assert text in str(info.value)
+    return str(info.value)
 
 
 def write_edited(report_file, edit):
@@ -223,8 +225,10 @@ class TestCorruptReport:
         stored = json.loads(report_file.read_text(encoding="utf-8"))
         if json.dumps(value, sort_keys=True) == json.dumps(stored[key], sort_keys=True):
             return
-        report_rejected(write_edited(report_file, lambda r: r.update({key: value})),
-                        f"'{key}")
+        message = report_rejected(write_edited(report_file, lambda r: r.update({key: value})))
+        # The field is the key or one below it, quoted as repr quotes it: a name
+        # holding ' comes in double quotes, as in "acc_bins.'".
+        assert re.search(rf"""field (['"]){key}(\.|\1)""", message), message
 
 
 def fake_report(method, acc_all, acc_bins, macro_f1, digest="shared"):

@@ -209,6 +209,17 @@ class TestFitHead:
         assert all(t.base is flat for t in tensors)
         assert flat.size == sum(t.size for t in tensors)
 
+    @pytest.mark.parametrize("n_labels", [50, 150])
+    def test_labels_and_rows_must_agree(self, n_labels):
+        ds = blob_dataset(counts=(60, 40))
+        labels = np.resize(ds.labels, n_labels)
+        head = ClassifierHead(weight=np.zeros((2, 4)), bias=np.zeros(2))
+        spec = OptimSpec(epochs=1, warmup_epochs=0, batch_size=16, seed=0)
+        with pytest.raises(ValueError, match=rf"100 feature rows but {n_labels} labels"):
+            model_module.fit_head(head, ds.features, labels, np.array([60, 40]), 1.0, spec,
+                                  LossSpec(kind="cross_entropy"))
+        assert not head.weight.any()
+
 
 @pytest.fixture(scope="module")
 def stage1_setup():
