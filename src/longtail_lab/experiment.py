@@ -18,8 +18,8 @@ from .data import (Dataset, SplitSpec, SyntheticSpec, compute_class_stats,
                    generate_synthetic, load_embeddings, split_dataset)
 from .losses import LossSpec
 from .metrics import EvalReport, compare_methods, evaluate, save_report
-from .model import (METHODS, Architecture, TrainedModel, predict, save_model,
-                    train_stage1, train_stage2)
+from .model import (METHODS, Architecture, Stage2Fit, TrainedModel, fit_owner, predict,
+                    save_model, train_stage1, train_stage2)
 from .optim import OptimSpec
 from .schema import check_types, read_document
 from .seeding import derive_seed
@@ -207,11 +207,11 @@ def _built(cls, where: str, **kwargs):
 
 def synthetic_spec(doc: dict) -> SyntheticSpec:
     """The SyntheticSpec that ``gen`` reads from a config document: only
-    ``seed`` and ``dataset`` are read, a missing or null ``dataset.synthetic``
-    reads as all defaults, and its seed defaults to the master seed itself."""
+    ``seed`` and ``dataset`` are read, and a missing or null
+    ``dataset.synthetic`` reads as all defaults, so ``gen`` writes the rows a
+    run of the same document trains on."""
     keys = {"seed": _CONFIG_KEYS["seed"],
-            "dataset": {**_CONFIG_KEYS["dataset"],
-                        "synthetic": {**_SYNTHETIC_KEYS, "seed": (int, lambda doc: doc["seed"])}}}
+            "dataset": {**_CONFIG_KEYS["dataset"], "synthetic": _SYNTHETIC_KEYS}}
     read = _read({k: doc[k] for k in keys if k in doc}, keys, "", {})
     return _built(SyntheticSpec, "dataset.synthetic", **read["dataset"]["synthetic"])
 
@@ -391,7 +391,8 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
 
     The first stage is trained once and shared by all two-stage methods so
     they compete on the same representation; per-method seeds are derived
-    independently of execution order.
+    independently of execution order.  A stage-2 fit two methods share (see
+    ``Method.fit_of``) is made once per stage-1 model, by whichever runs first.
     """
     out = Path(config.output_dir)
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
@@ -415,21 +416,24 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
         entry = METHODS[method]
         return config.one_stage and entry.one_stage and entry.stage2 is not None
 
-    # Per stage-1 tag: the model, and its frozen backbone's output on the train
-    # rows (only when a stage 2 fits on it) and on the test rows.
-    stage1_cache: dict[str, tuple[TrainedModel, np.ndarray | None, np.ndarray]] = {}
+    # Per stage-1 tag: the model, its frozen backbone's output on the train
+    # rows (only when a stage 2 fits on it) and on the test rows, and the
+    # stage-2 fits made on it, by owner.
+    Stage1 = tuple[TrainedModel, np.ndarray | None, np.ndarray, dict[str, Stage2Fit]]
+    stage1_cache: dict[str, Stage1] = {}
 
-    def stage1_for(method: str) -> tuple[TrainedModel, np.ndarray | None, np.ndarray]:
+    def stage1_for(method: str) -> Stage1:
         tag = "stage1" if config.shared_stage1 else f"stage1:{method}"
         if tag not in stage1_cache:
             started = time.perf_counter()
             spec = replace(config.stage1, seed=derive_seed(config.seed, tag))
             model = train_stage1(train, arch, spec, LossSpec(kind="cross_entropy"))
             users = config.methods if config.shared_stage1 else (method,)
-            fits_stage2 = any(METHODS[m].stage2 is not None and not own_fit(m) for m in users)
+            fits_stage2 = any(METHODS[fit_owner(m)].stage2 is not None and not own_fit(m)
+                              for m in users)
             stage1_cache[tag] = (model,
                                  model.backbone.features(train.features) if fits_stage2 else None,
-                                 model.backbone.features(test.features))
+                                 model.backbone.features(test.features), {})
             manifest.stage1_seconds[tag] = round(time.perf_counter() - started, 3)
         return stage1_cache[tag]
 
@@ -449,14 +453,17 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
                 preds = predict(model, test.features)[0]
             else:
                 step = "stage-1 training"
-                model, train_h, test_h = stage1_for(method)
+                model, train_h, test_h, fits = stage1_for(method)
                 started = time.perf_counter()
-                if entry.stage2 is not None:
+                owner = fit_owner(method)
+                if METHODS[owner].stage2 is not None:
                     step = "stage-2 training"
-                    spec = replace(config.stage2, seed=derive_seed(config.seed, "stage2", method))
-                    model = train_stage2(model, train, method, spec, _loss(entry.loss, config),
+                    spec = replace(config.stage2, seed=derive_seed(config.seed, "stage2", owner))
+                    model = train_stage2(model, train, method, spec,
+                                         _loss(METHODS[owner].loss, config),
                                          bags_beta=config.bags_beta,
-                                         bags_background=bags_background, features=train_h)
+                                         bags_background=bags_background, features=train_h,
+                                         fits=fits)
                 step = "evaluation"
                 # Only predictions are kept: a score matrix held into the next
                 # method's scoring would raise the run's peak memory.

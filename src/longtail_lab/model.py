@@ -228,6 +228,8 @@ def forward(model: TrainedModel, features: np.ndarray) -> np.ndarray:
 
 
 BatchHook = Callable[[int, int, np.ndarray], tuple[np.ndarray, np.ndarray]]
+# What a stage-2 trainer returns: the heads it trained, by name, and its log.
+Stage2Fit = tuple[dict[str, ClassifierHead], list[EpochLog]]
 
 
 def fit_head(head: ClassifierHead, features: np.ndarray, labels: np.ndarray,
@@ -286,9 +288,14 @@ def fit_head(head: ClassifierHead, features: np.ndarray, labels: np.ndarray,
             if layers:
                 h, caches = backbone.forward_cached(h)
             logits = head.logits(h)
-            if not np.isfinite(logits).all():
-                raise RuntimeError(f"training diverged: non-finite logits at epoch {epoch}")
-            value = batch_loss(logits, targets, counts, loss)
+            try:
+                value = batch_loss(logits, targets, counts, loss)
+            except ValueError:
+                # The loss's softmax checks the logits; name the epoch they failed at.
+                if np.isfinite(logits).all():
+                    raise
+                raise RuntimeError(f"training diverged: non-finite logits at epoch {epoch}"
+                                   ) from None
             if not math.isfinite(value.total):
                 raise RuntimeError(f"training diverged: non-finite loss at epoch {epoch}")
             np.matmul(value.grad_logits.T, h, out=gviews[-2])
@@ -326,12 +333,10 @@ def train_linear_head(features: np.ndarray, labels: np.ndarray, counts: np.ndarr
     return head, log
 
 
-def _fit_new_head(name: str) -> Callable:
-    """Stage-2 trainer of one fresh head, ``name``, on the frozen features."""
-    def fit(features, dataset, stats, q, optim, loss, **_):
-        head, log = train_linear_head(features, dataset.labels, stats.counts, q, optim, loss)
-        return {name: head}, log
-    return fit
+def _fit_new_head(features, dataset, stats, q, optim, loss, **_):
+    """Stage-2 trainer of one fresh ``head`` on the frozen features."""
+    head, log = train_linear_head(features, dataset.labels, stats.counts, q, optim, loss)
+    return {"head": head}, log
 
 
 def _fit_bags(features, dataset, stats, q, optim, loss, bags_beta, bags_background):
@@ -365,7 +370,10 @@ class Method:
     own fit: stage 2, or one stage where ``one_stage`` allows it.  ``stage2(features,
     dataset, stats, q, optim, loss, bags_beta=, bags_background=)`` returns the
     heads it trained on ``features``, the frozen stage-1 backbone's output for
-    the rows of ``dataset``, and the log.  ``heads(model)``
+    the rows of ``dataset``, and the log.  ``fit_of = (owner, name)`` makes the
+    method's stage 2 the stage-2 fit of the method ``owner``, whose ``q``,
+    ``loss`` and ``stage2`` it uses, and keeps that fit's ``head`` as head
+    ``name``.  ``heads(model)``
     gives the output count of every head ``combine(model, h)`` reads to score
     backbone features ``h``.  ``grouped`` methods group classes by count decade.
     """
@@ -374,6 +382,7 @@ class Method:
     loss: str = "cross_entropy"
     one_stage: bool = False
     stage2: Callable | None = None
+    fit_of: tuple[str, str] | None = None
     heads: Callable[[TrainedModel], dict[str, int]] = lambda model: {"head": model.num_classes}
     combine: Callable[[TrainedModel, np.ndarray], np.ndarray] = (
         lambda model, h: softmax(model.heads["head"].logits(h)))
@@ -383,13 +392,21 @@ class Method:
 # Every method, in report order.  A new rule is a new entry.
 METHODS = {
     "baseline": Method(one_stage=True),
-    "sqrt_samp": Method(q=0.5, one_stage=True, stage2=_fit_new_head("head")),
-    "cb_focal": Method(loss="cb_focal", one_stage=True, stage2=_fit_new_head("head")),
+    "sqrt_samp": Method(q=0.5, one_stage=True, stage2=_fit_new_head),
+    "cb_focal": Method(loss="cb_focal", one_stage=True, stage2=_fit_new_head),
     "bags": Method(stage2=_fit_bags, heads=_bags_heads, grouped=True,
                    combine=lambda m, h: _heads_module().bags_scores(_group_layout(m), m.heads, h)),
-    "ssb": Method(q=0.5, stage2=_fit_new_head("sqrt_head"), combine=_ssb_combine, grouped=True,
+    # The square-root branch is sqrt_samp's retrained classifier.
+    "ssb": Method(fit_of=("sqrt_samp", "sqrt_head"), combine=_ssb_combine, grouped=True,
                   heads=lambda model: dict.fromkeys(("head", "sqrt_head"), model.num_classes)),
 }
+
+
+def fit_owner(method: str) -> str:
+    """The method whose stage-2 fit ``method``'s stage 2 is: its seed tag,
+    ``q``, ``loss`` and trainer are that method's."""
+    fit_of = METHODS[method].fit_of
+    return method if fit_of is None else fit_of[0]
 
 
 def train_stage1(dataset: Dataset, arch: Architecture, optim: OptimSpec,
@@ -414,16 +431,21 @@ def train_stage1(dataset: Dataset, arch: Architecture, optim: OptimSpec,
 def train_stage2(model: TrainedModel, dataset: Dataset, method: str,
                  optim: OptimSpec, loss: LossSpec, bags_beta: float = 8.0,
                  bags_background: bool | None = None, *,
-                 features: np.ndarray | None = None) -> TrainedModel:
-    """Second-stage training: backbone frozen, ``method``'s trainer fits its heads.
+                 features: np.ndarray | None = None,
+                 fits: dict[str, Stage2Fit] | None = None) -> TrainedModel:
+    """Second-stage training: backbone frozen, the trainer of ``method``'s
+    ``fit_owner`` fits its heads with ``optim`` and ``loss``.
 
     ``bags_background`` forces bags' foreground/background group on or off;
     by default it is used exactly when the dataset designates a background class.
     ``features`` are ``model``'s backbone output for the rows of ``dataset``;
     they are computed when omitted, so callers fitting several methods on one
-    model pass them to compute them once.
+    model pass them to compute them once.  ``fits`` holds the stage-2 fits
+    already made on those features, by owner: a fit found there is reused,
+    and a fit made is stored there.
     """
-    if method not in METHODS or METHODS[method].stage2 is None:
+    owner = fit_owner(method) if method in METHODS else None
+    if owner is None or METHODS[owner].stage2 is None:
         raise ValueError(f"unknown method {method!r}: it has no second stage")
     backbone = model.backbone.copy(frozen=True)
     features = np.asarray(backbone.features(dataset.features) if features is None else features,
@@ -433,8 +455,14 @@ def train_stage2(model: TrainedModel, dataset: Dataset, method: str,
         raise ValueError(f"stage-2 features have shape {list(np.shape(features))}, "
                          f"expected {list(expected)}")
     stats = compute_class_stats(dataset)
-    new, log = METHODS[method].stage2(features, dataset, stats, METHODS[method].q, optim, loss,
-                                      bags_beta=bags_beta, bags_background=bags_background)
+    fits = {} if fits is None else fits
+    if owner not in fits:
+        trainer = METHODS[owner]
+        fits[owner] = trainer.stage2(features, dataset, stats, trainer.q, optim, loss,
+                                     bags_beta=bags_beta, bags_background=bags_background)
+    new, log = fits[owner]
+    if METHODS[method].fit_of is not None:
+        new = {METHODS[method].fit_of[1]: new["head"]}
     # The stage-1 head stays unless the trainer retrained it.
     return TrainedModel(backbone=backbone, heads={"head": model.heads["head"].copy(), **new},
                         stats=stats, method=method, train_log=log,

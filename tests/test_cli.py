@@ -5,11 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import longtail_lab
-from longtail_lab import config_from_dict, load_embeddings, load_model
+from longtail_lab import config_from_dict, experiment, load_embeddings, load_model
 from longtail_lab.cli import build_parser, main
 from longtail_lab.experiment import load_manifest
 from longtail_lab.model import METHODS
@@ -52,10 +53,10 @@ class TestGen:
          "836806e3416a0ace5ce2d95743a32cf528b9eee9227027fcec1f08c5556bdfff"),
         ("seed: 4\ndataset:\n  synthetic: {num_classes: 5, head_count: 50}\n",
          ["--dim", "3", "--imbalance", "10"],
-         "db3158d2eaf17db13684207e3de7f826b0714701f4028cee161e46c0b30d39e9"),
+         "17d70899ca685bafcd3a650b184bfa5f0258e85855b867f670783c64576c90ce"),
         ("seed: 0\n", [],
-         "de642d03d15be66b5465b2a58b092779d245176887fb1d0ab8447af08c857497"),
-        (None, [], "de642d03d15be66b5465b2a58b092779d245176887fb1d0ab8447af08c857497"),
+         "c957f38e10a616c80643d62638d4e383c58657ffc7866760f92a0606d6fc5858"),
+        (None, [], "c957f38e10a616c80643d62638d4e383c58657ffc7866760f92a0606d6fc5858"),
     ], ids=["all_flags", "partial_config", "config_without_dataset", "no_config"])
     def test_writes_pinned_bytes(self, tmp_path, config, flags, digest):
         out = tmp_path / "data.txt"
@@ -65,6 +66,27 @@ class TestGen:
             argv += ["--config", str(tmp_path / "cfg.yaml")]
         assert main(argv) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("eval_mode", ["split", "fresh"])
+    def test_writes_the_rows_compare_trains_on(self, tmp_path, monkeypatch, eval_mode):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(yaml.safe_dump({
+            "seed": 4, "output_dir": str(tmp_path / "run"), "methods": ["baseline"],
+            "dataset": {"synthetic": {"num_classes": 5, "head_count": 50, "imbalance_factor": 10},
+                        "eval": {"mode": eval_mode}},
+            "stage1": {"epochs": 1, "warmup_epochs": 0}}))
+        drawn = []
+        generate = experiment.generate_synthetic
+        monkeypatch.setattr(experiment, "generate_synthetic",
+                            lambda *args, **kwargs: drawn.append(generate(*args, **kwargs))
+                            or drawn[-1])
+        assert main(["gen", "--out", str(tmp_path / "data.txt"), "--config", str(config)]) == 0
+        assert drawn == []
+        assert main(["compare", "--config", str(config)]) == 0
+        written = load_embeddings(str(tmp_path / "data.txt"))
+        assert np.array_equal(written.features, drawn[0].features)
+        assert np.array_equal(written.labels, drawn[0].labels)
+        assert written.class_names == drawn[0].class_names
 
 
     def test_unknown_synthetic_key_rejected(self, tmp_path, capsys):

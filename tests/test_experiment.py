@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from longtail_lab import (compute_class_stats, config_from_dict, default_config,
                           emit_f1_delta, generate_synthetic, load_model, load_report,
                           run_experiment, save_embeddings)
+from longtail_lab import model as model_module
 from longtail_lab.experiment import (DEFAULT_CONFIG_YAML, load_manifest,
                                      prepare_datasets)
 
@@ -318,6 +319,24 @@ class TestRunExperiment:
         ssb = load_model(str(tmp_path / "run" / "checkpoints" / "ssb.ckpt"))
         assert not np.array_equal(base.heads["head"].weight, ssb.heads["head"].weight)
         assert list(manifest.stage1_seconds) == ["stage1:baseline", "stage1:ssb"]
+
+    # sqrt_samp's stage-2 head is ssb's square-root branch: one fit per
+    # stage-1 model both share, one each where they do not share one.
+    @pytest.mark.parametrize("methods, overrides, fitted", [
+        (["sqrt_samp", "ssb"], {}, 1),
+        (["ssb", "sqrt_samp"], {}, 1),
+        (["sqrt_samp", "ssb"], {"shared_stage1": False}, 2),
+        (["sqrt_samp", "ssb"], {"one_stage": True}, 1),  # sqrt_samp trains in one stage
+    ], ids=["shared", "ssb_first", "stage1_not_shared", "one_stage"])
+    def test_square_root_head_fitted_once_per_stage1_model(self, tmp_path, monkeypatch, methods,
+                                                           overrides, fitted):
+        calls = []
+        fit = model_module.train_linear_head
+        monkeypatch.setattr(model_module, "train_linear_head",
+                            lambda *args, **kwargs: calls.append(1) or fit(*args, **kwargs))
+        run_experiment(config_from_dict(tiny_doc(str(tmp_path / "run"), methods=methods,
+                                                 **overrides)))
+        assert len(calls) == fitted
 
     def test_embeddings_source(self, tmp_path):
         emb = tmp_path / "data.txt"

@@ -254,6 +254,19 @@ class TestStage2:
         assert "sqrt_head" in ssb.heads
         assert not np.array_equal(ssb.heads["sqrt_head"].weight, ssb.heads["head"].weight)
 
+    def test_ssb_and_sqrt_samp_share_one_fit(self, stage1_setup):
+        ds, model = stage1_setup
+        spec, loss = OptimSpec(seed=5).for_classifier(), LossSpec(kind="cross_entropy")
+        fits = {}
+        ssb = train_stage2(model, ds, "ssb", spec, loss, fits=fits)
+        assert list(fits) == ["sqrt_samp"]
+        sqrt = train_stage2(model, ds, "sqrt_samp", spec, loss, fits=fits)
+        assert sqrt.heads["head"] is ssb.heads["sqrt_head"]
+        assert ssb.train_log is sqrt.train_log
+        alone = train_stage2(model, ds, "sqrt_samp", spec, loss)
+        assert np.array_equal(alone.heads["head"].weight, sqrt.heads["head"].weight)
+        assert np.array_equal(alone.heads["head"].bias, sqrt.heads["head"].bias)
+
     def test_sqrt_head_replaced_not_finetuned(self, stage1_setup):
         ds, model = stage1_setup
         sqrt = train_stage2(model, ds, "sqrt_samp", OptimSpec(seed=5).for_classifier(),
