@@ -166,7 +166,8 @@ def bags_train_heads(features: np.ndarray, dataset: Dataset, optim: OptimSpec, l
 
 def bags_infer(layout: GroupLayout, group_logits: dict[int, np.ndarray],
                background_logits: np.ndarray | None = None) -> np.ndarray:
-    """Remap per-group logits to a score vector over the original classes.
+    """Remap per-group logit matrices (batch, outputs) to score rows over the
+    original classes.
 
     A softmax is applied within each group (including its "others" output);
     each class keeps its within-group probability, "others" is dropped, and
@@ -174,13 +175,8 @@ def bags_infer(layout: GroupLayout, group_logits: dict[int, np.ndarray],
     foreground probability while the background class takes the background
     probability.  The result need not sum to 1.
     """
-    squeeze = False
-    sample = next(iter(group_logits.values()))
-    if np.asarray(sample).ndim == 1:
-        squeeze = True
-        group_logits = {k: np.atleast_2d(v) for k, v in group_logits.items()}
-        if background_logits is not None:
-            background_logits = np.atleast_2d(background_logits)
+    if not group_logits or any(np.ndim(logits) != 2 for logits in group_logits.values()):
+        raise ValueError("group logits must be one or more (batch, outputs) matrices")
     batch = next(iter(group_logits.values())).shape[0]
     scores = np.zeros((batch, layout.num_classes))
     for k, logits in group_logits.items():
@@ -199,7 +195,7 @@ def bags_infer(layout: GroupLayout, group_logits: dict[int, np.ndarray],
         # Scaling the background column too is harmless: it is overwritten next.
         scores *= bg_probs[:, :1]
         scores[:, layout.background_class] = bg_probs[:, 1]
-    return scores[0] if squeeze else scores
+    return scores
 
 
 def bags_scores(layout: GroupLayout, heads: dict[str, ClassifierHead],

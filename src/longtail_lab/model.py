@@ -22,6 +22,11 @@ if TYPE_CHECKING:
 
 _CHECKPOINT_MAGIC = b"LTLABCKPT1\n"
 
+# Rows ``scores`` combines at once.  Blocks are near-equal, never a full-size
+# run plus a short tail: OpenBLAS takes other paths for small matrices, and
+# those change the bits of a block's scores.
+SCORE_BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class Architecture:
@@ -94,11 +99,13 @@ class Backbone:
                  caches: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
         """Parameter gradients [dW1, db1, ...] given d(loss)/d(features)."""
         grads: list[np.ndarray] = []
-        for (inp, z), w in zip(reversed(caches), reversed(self.weights)):
+        for layer in reversed(range(len(caches))):
+            inp, z = caches[layer]
             dz = grad_h * (z > 0)
             grads.append(dz.sum(axis=0))
             grads.append(dz.T @ inp)
-            grad_h = dz @ w
+            if layer:  # nothing reads the gradient of the raw input
+                grad_h = dz @ self.weights[layer]
         grads.reverse()
         return grads
 
@@ -474,10 +481,31 @@ def scores(model: TrainedModel, features: np.ndarray, *, backbone_output: bool =
     """Final per-class score vectors: the backbone pass, then the ``combine``
     rule of the model's method.  With ``backbone_output``, ``features`` are
     already the backbone's output and the pass is skipped.  The bags and ssb
-    vectors need not sum to 1."""
-    h = _inputs(model, features, backbone_output)
-    if not backbone_output:
-        h = model.backbone.features(h)
+    vectors need not sum to 1.
+
+    Rows are scored in ``ceil(n / SCORE_BLOCK_ROWS)`` near-equal blocks, each
+    written into one output matrix, so scoring holds its output plus one
+    block's temporaries.  A non-finite feature row is rejected by its index.
+    """
+    x = _inputs(model, features, backbone_output)
+    n = x.shape[0]
+    blocks = max(1, math.ceil(n / SCORE_BLOCK_ROWS))
+    if blocks == 1:
+        return _score_block(model, x, 0, backbone_output)
+    out = np.empty((n, model.num_classes))
+    for b in range(blocks):
+        lo, hi = b * n // blocks, (b + 1) * n // blocks
+        out[lo:hi] = _score_block(model, x[lo:hi], lo, backbone_output)
+    return out
+
+
+def _score_block(model: TrainedModel, x: np.ndarray, first_row: int, backbone_output: bool
+                 ) -> np.ndarray:
+    """``scores`` of the rows ``x``, which start at row ``first_row`` of the input."""
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise ValueError(f"features row {first_row + bad[0]} is not finite")
+    h = x if backbone_output else model.backbone.features(x)
     return METHODS[model.method].combine(model, h)
 
 

@@ -1,5 +1,8 @@
-"""Shared helpers: small dataset builders and a finite-difference oracle."""
+"""Shared helpers: small dataset builders, a finite-difference oracle and a
+traced-memory probe."""
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +36,17 @@ def finite_difference_grad(logits: np.ndarray, labels, counts, spec: LossSpec,
             f_minus = batch_loss(minus, labels, counts, spec).total
             grad[i, j] = (f_plus - f_minus) / (2 * h)
     return grad
+
+
+def traced_peak(fn, *args):
+    """The result of fn(*args) and the peak of traced memory while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:

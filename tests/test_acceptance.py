@@ -127,7 +127,8 @@ def test_criterion_1_formula_oracles():
                  for k, m in members.items() if m and k > 0}
         group_logits = {k: rng.normal(size=len(members[k]) + 1) for k in heads}
         background_logits = rng.normal(size=2) if layout.has_background_group else None
-        got = bags_infer(layout, group_logits, background_logits)
+        got = bags_infer(layout, {k: v[None] for k, v in group_logits.items()},
+                         None if background_logits is None else background_logits[None])[0]
         expected = _oracle_bags_infer(layout.group_of.tolist(), members, background,
                                       {k: v.tolist() for k, v in group_logits.items()},
                                       None if background_logits is None

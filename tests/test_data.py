@@ -1,6 +1,4 @@
 """Dataset generation, class statistics, splitting, and embedding-file IO."""
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +9,7 @@ from longtail_lab import (Dataset, SplitSpec, SyntheticSpec, compute_class_stats
                           split_dataset)
 from longtail_lab.data import synthetic_class_counts
 
-from conftest import dataset_with_counts
+from conftest import dataset_with_counts, traced_peak
 
 
 def make_spec(**overrides) -> SyntheticSpec:
@@ -367,17 +365,6 @@ def wide_embedding_file(embed_dir):
     path = embed_dir / "wide.txt"
     save_embeddings(ds, str(path))
     return path, ds
-
-
-def traced_peak(fn, *args):
-    """The result of fn(*args) and the peak of traced memory while it ran."""
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak
 
 
 class TestMemory:

@@ -138,21 +138,21 @@ class TestSSBAggregate:
 class TestBagsInfer:
     def test_remap_drops_others(self):
         layout = build_group_layout(stats_for([50, 20]))
-        logits = np.log(np.array([0.5, 0.3, 0.2]))
+        logits = np.log(np.array([[0.5, 0.3, 0.2]]))
         scores = bags_infer(layout, {2: logits})
-        np.testing.assert_allclose(scores, [0.5, 0.3], atol=1e-12)
+        np.testing.assert_allclose(scores, [[0.5, 0.3]], atol=1e-12)
 
     def test_foreground_rescaling(self):
         layout = build_group_layout(stats_for([50, 20, 5000]), background_class=2)
-        group_logits = np.log(np.array([0.5, 0.3, 0.2]))
-        background_logits = np.log(np.array([0.8, 0.2]))
+        group_logits = np.log(np.array([[0.5, 0.3, 0.2]]))
+        background_logits = np.log(np.array([[0.8, 0.2]]))
         scores = bags_infer(layout, {2: group_logits}, background_logits)
-        np.testing.assert_allclose(scores, [0.4, 0.24, 0.2], atol=1e-12)
+        np.testing.assert_allclose(scores, [[0.4, 0.24, 0.2]], atol=1e-12)
 
     def test_no_background_group_unscaled(self):
         layout = build_group_layout(stats_for([50, 20]))
-        scores = bags_infer(layout, {2: np.log(np.array([0.6, 0.3, 0.1]))})
-        np.testing.assert_allclose(scores, [0.6, 0.3], atol=1e-12)
+        scores = bags_infer(layout, {2: np.log(np.array([[0.6, 0.3, 0.1]]))})
+        np.testing.assert_allclose(scores, [[0.6, 0.3]], atol=1e-12)
 
     def test_degenerate_single_group_equals_restricted_softmax(self):
         layout = build_group_layout(stats_for([50, 20, 30]))
@@ -183,12 +183,18 @@ class TestBagsInfer:
     def test_missing_background_logits_rejected(self):
         layout = build_group_layout(stats_for([50, 20, 5000]), background_class=2)
         with pytest.raises(ValueError, match="background"):
-            bags_infer(layout, {2: np.zeros(3)})
+            bags_infer(layout, {2: np.zeros((1, 3))})
 
     def test_arity_mismatch_rejected(self):
         layout = build_group_layout(stats_for([50, 20]))
         with pytest.raises(ValueError, match="outputs"):
             bags_infer(layout, {2: np.zeros((1, 5))})
+
+    @pytest.mark.parametrize("group_logits", [{2: np.zeros(3)}, {}])
+    def test_vector_or_no_logits_rejected(self, group_logits):
+        layout = build_group_layout(stats_for([50, 20]))
+        with pytest.raises(ValueError, match=r"one or more \(batch, outputs\) matrices"):
+            bags_infer(layout, group_logits)
 
 
 @pytest.fixture(scope="module")

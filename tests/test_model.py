@@ -14,7 +14,7 @@ from longtail_lab import (Architecture, Backbone, ClassifierHead, Dataset,
 from longtail_lab import model as model_module
 from longtail_lab.model import train_linear_head
 
-from conftest import max_relative_error
+from conftest import max_relative_error, traced_peak
 
 
 def blob_dataset(counts=(60, 40), dim=4, separation=10.0, seed=0,
@@ -351,6 +351,69 @@ class TestPredict:
         a = predict(model, ds.features)[0]
         b = predict(model, ds.features)[0]
         assert np.array_equal(a, b)
+
+
+@pytest.fixture(scope="module")
+def scoring_models():
+    """One model per method on 12 classes in every count bin, with a hidden
+    layer; class 1 is the background class, so bags trains a background head."""
+    ds = blob_dataset(counts=(1100, 1000, 300, 200, 120, 60, 40, 30, 12, 8, 6, 5), dim=8,
+                      separation=6.0, seed=3, background_class=1)
+    loss = LossSpec(kind="cross_entropy")
+    stage1 = train_stage1(ds, Architecture(8, 12, (16,)),
+                          OptimSpec(epochs=1, warmup_epochs=0, seed=2), loss)
+    models = {"baseline": stage1}
+    for method in ("sqrt_samp", "cb_focal", "bags", "ssb"):
+        method_loss = LossSpec(kind="cb_focal", gamma=2.0, cb_beta=0.9) \
+            if method == "cb_focal" else loss
+        models[method] = train_stage2(stage1, ds, method,
+                                      OptimSpec(epochs=1, warmup_epochs=0, seed=4), method_loss)
+    assert "bags.background" in models["bags"].heads
+    return models
+
+
+class TestBlockedScores:
+    METHODS = ["baseline", "sqrt_samp", "cb_focal", "bags", "ssb"]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_blocks_equal_one_pass(self, scoring_models, method):
+        model = scoring_models[method]
+        rows = 2 * model_module.SCORE_BLOCK_ROWS + 1001
+        x = np.random.default_rng(5).standard_normal((rows, 8)) * 6.0
+        h = model.backbone.features(x)
+        whole = model_module.METHODS[method].combine(model, h)
+        assert np.array_equal(model_module.scores(model, x), whole)
+        assert np.array_equal(model_module.scores(model, h, backbone_output=True), whole)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_zero_rows(self, scoring_models, method):
+        preds, s = predict(scoring_models[method], np.zeros((0, 8)))
+        assert preds.shape == (0,) and s.shape == (0, 12)
+
+    @pytest.mark.parametrize("row", [17, 2 * model_module.SCORE_BLOCK_ROWS + 5])
+    def test_nonfinite_row_named(self, scoring_models, row):
+        # The first bad row is named, also when it lies in a later block.
+        x = np.zeros((3 * model_module.SCORE_BLOCK_ROWS - 2, 8))
+        x[row, 3] = np.nan
+        x[row + 1, 0] = np.inf
+        with pytest.raises(ValueError, match=f"features row {row} is not finite"):
+            predict(scoring_models["ssb"], x)
+
+    def test_nonfinite_backbone_output_row_named(self, scoring_models):
+        h = scoring_models["bags"].backbone.features(np.zeros((30, 8)))
+        h[4, 0] = -np.inf
+        with pytest.raises(ValueError, match="features row 4 is not finite"):
+            predict(scoring_models["bags"], h, backbone_output=True)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_predict_holds_about_its_output(self, scoring_models, method):
+        model = scoring_models[method]
+        x = np.random.default_rng(6).standard_normal((60_000, 8))
+        (preds, s), peak = traced_peak(predict, model, x)
+        # One block's backbone features plus one block's scores.
+        block_bytes = model_module.SCORE_BLOCK_ROWS * (16 + 12) * 8
+        extra = peak - s.nbytes - preds.nbytes
+        assert extra <= 4 * block_bytes, extra / block_bytes
 
 
 class TestCheckpoint:
