@@ -27,6 +27,10 @@ GROUP_LIMITS: tuple[tuple[float, float], ...] = (
 
 _HEADER_RE = re.compile(r"^C=(\d+) D=(\d+)$")
 
+# Rows the finiteness check of a Dataset reads at once: its temporary is one
+# block's flags, not a flag per value of the matrix.
+_FINITE_BLOCK_ROWS = 4096
+
 
 @dataclass(eq=False)
 class Dataset:
@@ -52,7 +56,9 @@ class Dataset:
             raise ValueError("dataset needs at least one instance and one feature dimension")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must be one per feature row")
-        if not np.isfinite(self.features).all():
+        n = self.features.shape[0]
+        if not all(np.isfinite(self.features[lo:lo + _FINITE_BLOCK_ROWS]).all()
+                   for lo in range(0, n, _FINITE_BLOCK_ROWS)):
             raise ValueError("features contain non-finite values")
         c = len(self.class_names)
         if c < 1:
@@ -399,5 +405,6 @@ def save_embeddings(dataset: Dataset, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"C={dataset.num_classes} D={dataset.feature_dim}\n")
         fh.write(",".join(dataset.class_names) + "\n")
-        for label, row in zip(dataset.labels, dataset.features):
-            fh.write(f"{int(label)}," + ",".join(repr(float(v)) for v in row) + "\n")
+        # One row is converted at a time, so the text of only one row is held.
+        for label, row in zip(dataset.labels.tolist(), dataset.features):
+            fh.write(f"{label}," + ",".join(map(repr, row.tolist())) + "\n")

@@ -18,8 +18,8 @@ from .data import (Dataset, SplitSpec, SyntheticSpec, compute_class_stats,
                    generate_synthetic, load_embeddings, split_dataset)
 from .losses import LossSpec
 from .metrics import EvalReport, compare_methods, evaluate, save_report
-from .model import (METHODS, Architecture, Stage2Fit, TrainedModel, fit_owner, predict,
-                    save_model, train_stage1, train_stage2)
+from .model import (METHODS, Architecture, TrainedModel, fit_owner, predict, save_model,
+                    train_stage1, train_stage2)
 from .optim import OptimSpec
 from .schema import check_types, read_document
 from .seeding import derive_seed
@@ -393,6 +393,8 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     they compete on the same representation; per-method seeds are derived
     independently of execution order.  A stage-2 fit two methods share (see
     ``Method.fit_of``) is made once per stage-1 model, by whichever runs first.
+    Each large array (the raw splits, each stage-1 model's frozen features) is
+    held only until the last method that reads it has read it.
     """
     out = Path(config.output_dir)
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
@@ -404,6 +406,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
                         hidden=config.hidden)
     dataset_digest = hashlib.sha256(
         (train.digest() + val.digest() + test.digest()).encode("ascii")).hexdigest()
+    del val  # hashed into the dataset digest; nothing else reads it
     config_digest = config.digest()
 
     manifest = RunManifest(config_digest=config_digest, dataset_digest=dataset_digest,
@@ -416,26 +419,81 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
         entry = METHODS[method]
         return config.one_stage and entry.one_stage and entry.stage2 is not None
 
-    # Per stage-1 tag: the model, its frozen backbone's output on the train
-    # rows (only when a stage 2 fits on it) and on the test rows, and the
-    # stage-2 fits made on it, by owner.
-    Stage1 = tuple[TrainedModel, np.ndarray | None, np.ndarray, dict[str, Stage2Fit]]
-    stage1_cache: dict[str, Stage1] = {}
+    # The stage-1 model each method reuses, by tag; None for an own fit.
+    tags = {m: None if own_fit(m) else "stage1" if config.shared_stage1 else f"stage1:{m}"
+            for m in config.methods}
+    # Every large array the run holds, by name, is dropped once the method
+    # that reads it last has read it:
+    # - "train" and "test", the raw splits, read by each own fit and by the
+    #   first user of each stage-1 model, which trains it and computes its
+    #   frozen features;
+    # - "<tag>", a stage-1 model with its frozen backbone's output on the test
+    #   rows and the stage-2 fits made on it, by owner, read by every user;
+    # - "<tag>.train", the train split on its frozen backbone's output, read
+    #   by every user that fits a stage 2; computed only when there is one.
+    held: dict[str, object] = {"train": train, "test": test}
+    class_names, test_labels = train.class_names, test.labels
+    del train, test
+    last_reader: dict[str, str] = {}
+    for method in config.methods:
+        tag = tags[method]
+        if tag is None or tag not in last_reader:
+            last_reader["train"] = last_reader["test"] = method
+        if tag is not None:
+            last_reader[tag] = method
+            if METHODS[fit_owner(method)].stage2 is not None:
+                last_reader[f"{tag}.train"] = method
 
-    def stage1_for(method: str) -> Stage1:
-        tag = "stage1" if config.shared_stage1 else f"stage1:{method}"
-        if tag not in stage1_cache:
+    def read(name: str, method: str):
+        """The held entry ``name``, dropped from ``held`` if ``method`` reads it last."""
+        return held.pop(name) if last_reader[name] == method else held[name]
+
+    def build_stage1(tag: str, method: str) -> None:
+        """Train stage-1 model ``tag`` and compute its frozen features for its first user."""
+        started = time.perf_counter()
+        spec = replace(config.stage1, seed=derive_seed(config.seed, tag))
+        train = read("train", method)
+        model = train_stage1(train, arch, spec, LossSpec(kind="cross_entropy"))
+        if f"{tag}.train" in last_reader:
+            held[f"{tag}.train"] = Dataset(model.backbone.features(train.features), train.labels,
+                                           train.class_names, train.background_class)
+        # Freed here if this was their last reader, the raw train rows do not
+        # overlap the test pass.
+        del train
+        held[tag] = (model, model.backbone.features(read("test", method).features), {})
+        manifest.stage1_seconds[tag] = round(time.perf_counter() - started, 3)
+
+    def fit_and_predict(method: str) -> tuple[TrainedModel, np.ndarray, float]:
+        """``method``'s model, its test predictions, and when its own work started."""
+        nonlocal step
+        tag = tags[method]
+        if tag is None:
             started = time.perf_counter()
-            spec = replace(config.stage1, seed=derive_seed(config.seed, tag))
-            model = train_stage1(train, arch, spec, LossSpec(kind="cross_entropy"))
-            users = config.methods if config.shared_stage1 else (method,)
-            fits_stage2 = any(METHODS[fit_owner(m)].stage2 is not None and not own_fit(m)
-                              for m in users)
-            stage1_cache[tag] = (model,
-                                 model.backbone.features(train.features) if fits_stage2 else None,
-                                 model.backbone.features(test.features), {})
-            manifest.stage1_seconds[tag] = round(time.perf_counter() - started, 3)
-        return stage1_cache[tag]
+            step = "one-stage training"
+            spec = replace(config.stage1, seed=derive_seed(config.seed, "one-stage", method))
+            model = train_stage1(read("train", method), arch, spec,
+                                 _loss(METHODS[method].loss, config), method=method)
+            step = "evaluation"
+            return model, predict(model, read("test", method).features)[0], started
+        step = "stage-1 training"
+        if tag not in held:
+            build_stage1(tag, method)
+        model, test_h, fits = read(tag, method)
+        started = time.perf_counter()
+        owner = fit_owner(method)
+        if METHODS[owner].stage2 is not None:
+            step = "stage-2 training"
+            spec = replace(config.stage2, seed=derive_seed(config.seed, "stage2", owner))
+            train_h = read(f"{tag}.train", method)
+            model = train_stage2(model, train_h, method, spec,
+                                 _loss(METHODS[owner].loss, config),
+                                 bags_beta=config.bags_beta, bags_background=bags_background,
+                                 features=train_h.features, fits=fits)
+            del train_h
+        step = "evaluation"
+        # Only predictions are kept: a score matrix held into the next
+        # method's scoring would raise the run's peak memory.
+        return model, predict(model, test_h, backbone_output=True)[0], started
 
     bags_background = {"auto": None, "on": True, "off": False}[config.bags_background_group]
     reports: list[EvalReport] = []
@@ -443,34 +501,10 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     method = ""
     try:
         for method in config.methods:
-            entry = METHODS[method]
-            if own_fit(method):
-                started = time.perf_counter()
-                step = "one-stage training"
-                spec = replace(config.stage1, seed=derive_seed(config.seed, "one-stage", method))
-                model = train_stage1(train, arch, spec, _loss(entry.loss, config), method=method)
-                step = "evaluation"
-                preds = predict(model, test.features)[0]
-            else:
-                step = "stage-1 training"
-                model, train_h, test_h, fits = stage1_for(method)
-                started = time.perf_counter()
-                owner = fit_owner(method)
-                if METHODS[owner].stage2 is not None:
-                    step = "stage-2 training"
-                    spec = replace(config.stage2, seed=derive_seed(config.seed, "stage2", owner))
-                    model = train_stage2(model, train, method, spec,
-                                         _loss(METHODS[owner].loss, config),
-                                         bags_beta=config.bags_beta,
-                                         bags_background=bags_background, features=train_h,
-                                         fits=fits)
-                step = "evaluation"
-                # Only predictions are kept: a score matrix held into the next
-                # method's scoring would raise the run's peak memory.
-                preds = predict(model, test_h, backbone_output=True)[0]
-            report = evaluate(preds, test.labels, stats, method=method, seed=config.seed,
+            model, preds, started = fit_and_predict(method)
+            report = evaluate(preds, test_labels, stats, method=method, seed=config.seed,
                               config_digest=config_digest, dataset_digest=dataset_digest,
-                              class_names=train.class_names)
+                              class_names=class_names)
             step = "persistence"
             ckpt_rel = f"checkpoints/{method}.ckpt"
             report_rel = f"reports/{method}.json"

@@ -447,9 +447,12 @@ def train_stage2(model: TrainedModel, dataset: Dataset, method: str,
     by default it is used exactly when the dataset designates a background class.
     ``features`` are ``model``'s backbone output for the rows of ``dataset``;
     they are computed when omitted, so callers fitting several methods on one
-    model pass them to compute them once.  ``fits`` holds the stage-2 fits
-    already made on those features, by owner: a fit found there is reused,
-    and a fit made is stored there.
+    model pass them to compute them once.  When they are given, only the
+    labels, class names and background class of ``dataset`` are read, so
+    ``dataset`` may be the split rebuilt on ``features`` themselves, which
+    frees the caller from holding the raw rows.  ``fits`` holds the stage-2
+    fits already made on those features, by owner: a fit found there is
+    reused, and a fit made is stored there.
     """
     owner = fit_owner(method) if method in METHODS else None
     if owner is None or METHODS[owner].stage2 is None:
@@ -457,7 +460,7 @@ def train_stage2(model: TrainedModel, dataset: Dataset, method: str,
     backbone = model.backbone.copy(frozen=True)
     features = np.asarray(backbone.features(dataset.features) if features is None else features,
                           dtype=np.float64)
-    expected = (dataset.num_instances, backbone.output_dim(dataset.feature_dim))
+    expected = (dataset.num_instances, model.heads["head"].weight.shape[1])
     if np.shape(features) != expected:
         raise ValueError(f"stage-2 features have shape {list(np.shape(features))}, "
                          f"expected {list(expected)}")

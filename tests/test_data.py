@@ -171,6 +171,16 @@ class TestEmbeddingIO:
         assert loaded.labels.tolist() == tiny_dataset.labels.tolist()
         assert loaded.class_names == tiny_dataset.class_names
 
+    def test_values_written_as_their_own_repr(self, tmp_path):
+        values = [-0.0, 5e-324, 1e16, 1e-05, 1.7976931348623157e308]
+        ds = Dataset(np.array([values, values[::-1]]), np.array([1, 0]), ("a", "b"))
+        path = tmp_path / "emb.txt"
+        save_embeddings(ds, str(path))
+        rows = [f"{int(label)}," + ",".join(repr(float(v)) for v in row)
+                for label, row in zip(ds.labels, ds.features)]
+        assert path.read_text() == "\n".join(["C=2 D=5", "a,b", *rows]) + "\n"
+        assert rows[0] == "1,-0.0,5e-324,1e+16,1e-05,1.7976931348623157e+308"
+
     def test_three_rows_wellformed(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("C=2 D=2\ncat,dog\n0,1.0,2.0\n1,0.5,0.25\n0,-1.0,3.5\n")
@@ -373,6 +383,19 @@ class TestMemory:
         loaded, peak = traced_peak(load_embeddings, str(path))
         assert loaded.features.tobytes() == ds.features.tobytes()
         assert peak <= 2 * loaded.features.nbytes, peak / loaded.features.nbytes
+
+    def test_finiteness_check_holds_a_block_of_flags(self):
+        features = np.random.default_rng(0).standard_normal((20_000, 32))
+        labels = np.zeros(20_000, dtype=np.int64)
+        ds, peak = traced_peak(Dataset, features, labels, ("a",))
+        assert ds.features is features
+        assert peak <= features.nbytes / 16, peak / features.nbytes
+
+    def test_finiteness_check_reaches_the_last_block(self):
+        features = np.zeros((10_000, 2))
+        features[-1, 1] = np.nan
+        with pytest.raises(ValueError, match="features contain non-finite values"):
+            Dataset(features, np.zeros(10_000, dtype=np.int64), ("a",))
 
     def test_generate_draws_into_one_matrix(self):
         spec = make_spec(num_classes=20, feature_dim=32)

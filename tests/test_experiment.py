@@ -1,6 +1,7 @@
 """Configuration document, experiment runner, manifest, and F1-delta table."""
 import copy
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,12 @@ from hypothesis import strategies as st
 from longtail_lab import (compute_class_stats, config_from_dict, default_config,
                           emit_f1_delta, generate_synthetic, load_model, load_report,
                           run_experiment, save_embeddings)
+from longtail_lab import experiment as experiment_module
 from longtail_lab import model as model_module
 from longtail_lab.experiment import (DEFAULT_CONFIG_YAML, load_manifest,
                                      prepare_datasets)
+
+from conftest import traced_peak
 
 
 def tiny_doc(out_dir: str, **overrides) -> dict:
@@ -346,6 +350,103 @@ class TestRunExperiment:
         doc["split"] = {"train": 0.6, "val": 0.2, "test": 0.2}
         manifest = run_experiment(config_from_dict(doc))
         assert "baseline" in manifest.methods
+
+
+def watch_splits(monkeypatch) -> dict[str, weakref.ref]:
+    """Weak references to the feature rows of the splits the run prepares, by split."""
+    refs: dict[str, weakref.ref] = {}
+    prepare = experiment_module.prepare_datasets
+
+    def watched(config):
+        splits = prepare(config)
+        refs.update((name, weakref.ref(split.features))
+                    for name, split in zip(("train", "val", "test"), splits))
+        return splits
+
+    monkeypatch.setattr(experiment_module, "prepare_datasets", watched)
+    return refs
+
+
+def alive(refs: dict[str, weakref.ref]) -> set[str]:
+    return {name for name, ref in refs.items() if ref() is not None}
+
+
+def spy(monkeypatch, name: str, before) -> None:
+    """Call ``before(*args, **kwargs)`` ahead of each call of ``experiment.<name>``."""
+    inner = getattr(experiment_module, name)
+
+    def spied(*args, **kwargs):
+        before(*args, **kwargs)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(experiment_module, name, spied)
+
+
+class TestArrayLifetimes:
+    """A run holds each large array only until its last reader has run.  The
+    runs use an MLP backbone: the identity backbone's frozen features are the
+    raw rows themselves."""
+
+    def test_two_stage_run_frees_the_raw_splits_before_stage_2(self, tmp_path, monkeypatch):
+        refs = watch_splits(monkeypatch)
+        seen = []
+        spy(monkeypatch, "train_stage2", lambda *args, **kwargs: seen.append(alive(refs)))
+        run_experiment(config_from_dict(tiny_doc(
+            str(tmp_path / "run"), methods=["baseline", "sqrt_samp", "bags", "ssb"],
+            model={"hidden": [8]})))
+        assert len(seen) == 3
+        assert seen[0] == set()
+
+    def test_one_stage_run_frees_the_raw_splits_after_the_last_own_fit(self, tmp_path,
+                                                                         monkeypatch):
+        refs = watch_splits(monkeypatch)
+        at_predict, at_evaluate = [], []
+        spy(monkeypatch, "predict", lambda *args, **kwargs: at_predict.append(alive(refs)))
+        spy(monkeypatch, "evaluate", lambda *args, **kwargs: at_evaluate.append(alive(refs)))
+        run_experiment(config_from_dict(tiny_doc(
+            str(tmp_path / "run"), methods=["baseline", "sqrt_samp", "cb_focal"],
+            one_stage=True, model={"hidden": [8]})))
+        # The validation draw is gone from the start; the raw rows stay while
+        # a later own fit reads them.
+        assert at_evaluate[:2] == [{"train", "test"}] * 2
+        assert at_predict[2] == {"test"}  # the last own fit has trained
+        assert at_evaluate[2] == set()    # and has scored the test rows
+
+    def test_unshared_stage1_frees_each_frozen_train_matrix_before_the_next_method(
+            self, tmp_path, monkeypatch):
+        frozen: list[weakref.ref] = []
+        seen = []
+        spy(monkeypatch, "train_stage2",
+            lambda *args, features, **kwargs: frozen.append(weakref.ref(features)))
+        spy(monkeypatch, "train_stage1",
+            lambda *args, **kwargs: seen.append([ref() is not None for ref in frozen]))
+        run_experiment(config_from_dict(tiny_doc(
+            str(tmp_path / "run"), methods=["sqrt_samp", "cb_focal", "ssb"],
+            shared_stage1=False, model={"hidden": [8]})))
+        assert len(frozen) == 3
+        assert seen == [[], [False], [False, False]]
+
+    def test_peak_holds_no_more_than_the_raw_and_frozen_rows(self, tmp_path):
+        """A run that kept the validation draw beside the raw and frozen rows
+        would pass the bound; the slack covers labels, one batch, scores and
+        checkpoint buffers."""
+        doc = tiny_doc(str(tmp_path / "run"), model={"hidden": [64]},
+                       stage1={"epochs": 1, "warmup_epochs": 0, "batch_size": 512},
+                       stage2={"epochs": 1, "warmup_epochs": 0})
+        doc["dataset"] = {"synthetic": {"num_classes": 4, "feature_dim": 32,
+                                        "head_count": 10_000, "imbalance_factor": 10.0,
+                                        "class_separation": 4.0, "noise_sigma": 1.0,
+                                        "seed": 3},
+                          "eval": {"mode": "fresh", "per_class": 2_500}}
+        config = config_from_dict(doc)
+        train, val, test = prepare_datasets(config)
+        raw = train.features.nbytes + test.features.nbytes
+        frozen = (train.num_instances + test.num_instances) * 64 * 8
+        slack = 1 << 20
+        assert val.features.nbytes > slack
+        del train, val, test
+        _, peak = traced_peak(run_experiment, config)
+        assert peak <= raw + frozen + slack, (peak - raw - frozen) / 2**20
 
 
 class TestF1Delta:

@@ -291,6 +291,32 @@ class TestStage2:
         save_model(computed, str(tmp_path / "computed.ckpt"))
         assert (tmp_path / "given.ckpt").read_bytes() == (tmp_path / "computed.ckpt").read_bytes()
 
+    @pytest.mark.parametrize("method", ["sqrt_samp", "bags"])
+    def test_dataset_on_its_features_saves_same_bytes(self, stage1_setup, tmp_path, method):
+        # Given the features, only the labels, names and background class of
+        # the dataset are read, so a dataset of the features themselves serves.
+        ds, model = stage1_setup
+        optim, loss = OptimSpec(seed=5).for_classifier(), LossSpec(kind="cross_entropy")
+        h = model.backbone.features(ds.features)
+        frozen = train_stage2(model, Dataset(h, ds.labels, ds.class_names), method, optim, loss, features=h)
+        computed = train_stage2(model, ds, method, optim, loss)
+        save_model(frozen, str(tmp_path / "frozen.ckpt"))
+        save_model(computed, str(tmp_path / "computed.ckpt"))
+        assert (tmp_path / "frozen.ckpt").read_bytes() == (tmp_path / "computed.ckpt").read_bytes()
+
+    def test_features_checked_against_the_head_input(self, stage1_setup):
+        # With the identity backbone a dataset of the wrong features has their
+        # width, so only the head's input width tells that they are wrong.
+        ds, _ = stage1_setup
+        model = train_stage1(ds, Architecture(6, 4, ()),
+                             OptimSpec(epochs=1, warmup_epochs=0, seed=21),
+                             LossSpec(kind="cross_entropy"))
+        h = ds.features[:, :5]
+        with pytest.raises(ValueError, match=r"stage-2 features have shape \[738, 5\], "
+                                             r"expected \[738, 6\]"):
+            train_stage2(model, Dataset(h, ds.labels, ds.class_names), "ssb", OptimSpec(seed=5).for_classifier(),
+                         LossSpec(kind="cross_entropy"), features=h)
+
     def test_features_of_other_rows_rejected(self, stage1_setup):
         ds, model = stage1_setup
         with pytest.raises(ValueError, match=r"stage-2 features have shape \[5, 10\]"):
