@@ -18,15 +18,14 @@ from .heads import (GroupLayout, bags_infer, bags_scores, bags_train_heads,
                     build_group_layout, ssb_aggregate)
 from .losses import LossSpec, LossValue, batch_loss, cb_weight, focal_loss, softmax
 from .metrics import EvalReport, compare_methods, evaluate, load_report, save_report
-from .model import (Architecture, Backbone, ClassifierHead, TrainedModel,
-                    forward, load_model, predict, save_model, train_stage1,
-                    train_stage2)
+from .model import (Backbone, ClassifierHead, TrainedModel, forward,
+                    load_model, predict, save_model, train_stage1, train_stage2)
 from .optim import OptimSpec, OptimState, lr_at, optimizer_step
 from .sampling import (SamplerSpec, bags_filter_batch, make_epoch_stream,
                        make_sampler, sampling_weights)
 
 __all__ = [
-    "Architecture", "Backbone", "ClassStats", "ClassifierHead",
+    "Backbone", "ClassStats", "ClassifierHead",
     "Dataset", "EvalReport", "ExperimentConfig", "GroupLayout",
     "LossSpec", "LossValue", "OptimSpec", "OptimState", "RunManifest",
     "SamplerSpec", "SplitSpec", "SyntheticSpec", "TrainedModel",

@@ -1,8 +1,8 @@
 """Synthetic long-tail datasets, embedding-file ingestion, and per-class statistics.
 
 Class counts are summarized by decade: ``bins`` 1-4 are the half-open
-intervals [10^(k-1), 10^k), the top one open-ended.  They group classes both
-for binned accuracy and for the grouped classifier heads.
+intervals of ``GROUP_LIMITS``, the top one open-ended.  They group classes
+both for binned accuracy and for the grouped classifier heads.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import math
 import re
 from array import array
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,15 +94,10 @@ class Dataset:
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            features=self.features[idx],
-            labels=self.labels[idx],
-            class_names=self.class_names,
-            background_class=self.background_class,
-        )
+        return replace(self, features=self.features[idx], labels=self.labels[idx])
 
     def with_background(self, background_class: int | None) -> "Dataset":
-        return Dataset(self.features, self.labels, self.class_names, background_class)
+        return replace(self, background_class=background_class)
 
 
 @dataclass(eq=False)
@@ -126,9 +121,9 @@ class ClassStats:
 
 
 def count_decade(n: int | np.ndarray) -> int | np.ndarray:
-    """Decade index 1-4 for a training count: [1,10), [10,100), [100,1000), [1000,inf)."""
-    n = np.asarray(n)
-    decade = 1 + (n >= 10).astype(np.int64) + (n >= 100) + (n >= 1000)
+    """Bin index 1-4 for a training count: bin k holds the counts of ``GROUP_LIMITS[k - 1]``."""
+    lower = [lo for lo, _ in GROUP_LIMITS[1:]]
+    decade = 1 + np.searchsorted(lower, n, side="right").astype(np.int64)
     return decade if decade.ndim else int(decade)
 
 

@@ -18,13 +18,14 @@ from .data import (Dataset, SplitSpec, SyntheticSpec, compute_class_stats,
                    generate_synthetic, load_embeddings, split_dataset)
 from .losses import LossSpec
 from .metrics import EvalReport, compare_methods, evaluate, save_report
-from .model import (METHODS, Architecture, TrainedModel, fit_owner, predict, save_model,
-                    train_stage1, train_stage2)
+from .model import (METHODS, TrainedModel, fit_owner, predict, save_model, train_stage1,
+                    train_stage2)
 from .optim import OptimSpec
 from .schema import check_types, read_document
 from .seeding import derive_seed
 
-_BACKGROUND_GROUP_CHOICES = ("auto", "on", "off")
+# bags.background_group's words, and the bags_background argument each means.
+_BACKGROUND_GROUP = {"auto": None, "on": True, "off": False}
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,12 +58,13 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if not self.methods:
-            raise ValueError("at least one method is required")
+            raise ValueError("config key methods: at least one method is required")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
-            raise ValueError(f"unknown method(s) {unknown}; expected a subset of {tuple(METHODS)}")
+            raise ValueError(f"config key methods: unknown method(s) {unknown}; "
+                             f"expected a subset of {tuple(METHODS)}")
         if len(set(self.methods)) != len(self.methods):
-            raise ValueError("duplicate method in methods list")
+            raise ValueError("config key methods: duplicate method in methods list")
         if (self.synthetic is None) == (self.embeddings_path is None):
             raise ValueError("exactly one dataset source (synthetic or embeddings) is required")
         if self.eval_mode not in ("split", "fresh"):
@@ -77,9 +79,9 @@ class ExperimentConfig:
         for name, spec in (("stage1", self.stage1), ("stage2", self.stage2)):
             if spec.epochs < 1:
                 raise ValueError(f"config key {name}.epochs must be >= 1, got {spec.epochs!r}")
-        if self.bags_background_group not in _BACKGROUND_GROUP_CHOICES:
+        if self.bags_background_group not in _BACKGROUND_GROUP:
             raise ValueError("config key bags.background_group must be one of "
-                             f"{_BACKGROUND_GROUP_CHOICES}")
+                             f"{tuple(_BACKGROUND_GROUP)}")
         if self.bags_beta <= 0:
             raise ValueError(f"config key bags.beta must be > 0, got {self.bags_beta!r}")
         if not 0.0 <= self.cb_beta < 1.0:
@@ -261,16 +263,18 @@ def default_config() -> ExperimentConfig:
 
 
 def _resolve_background(dataset: Dataset, background: int | str | None) -> Dataset:
+    """``dataset`` with the background class ``background``, an index or a class name."""
     if background is None:
         return dataset
     if isinstance(background, str):
-        try:
-            index = dataset.class_names.index(background)
-        except ValueError:
-            raise ValueError(f"background class {background!r} not among class names") from None
-    else:
-        index = int(background)
-    return dataset.with_background(index)
+        if background not in dataset.class_names:
+            raise ValueError("config key dataset.background_class: "
+                             f"background class {background!r} not among class names")
+        background = dataset.class_names.index(background)
+    try:
+        return dataset.with_background(background)
+    except ValueError as exc:
+        raise ValueError(f"config key dataset.background_class: {exc}") from None
 
 
 def prepare_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
@@ -402,8 +406,6 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
 
     train, val, test = prepare_datasets(config)
     stats = compute_class_stats(train)
-    arch = Architecture(feature_dim=train.feature_dim, num_classes=train.num_classes,
-                        hidden=config.hidden)
     dataset_digest = hashlib.sha256(
         (train.digest() + val.digest() + test.digest()).encode("ascii")).hexdigest()
     del val  # hashed into the dataset digest; nothing else reads it
@@ -453,10 +455,9 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
         started = time.perf_counter()
         spec = replace(config.stage1, seed=derive_seed(config.seed, tag))
         train = read("train", method)
-        model = train_stage1(train, arch, spec, LossSpec(kind="cross_entropy"))
+        model = train_stage1(train, config.hidden, spec, LossSpec(kind="cross_entropy"))
         if f"{tag}.train" in last_reader:
-            held[f"{tag}.train"] = Dataset(model.backbone.features(train.features), train.labels,
-                                           train.class_names, train.background_class)
+            held[f"{tag}.train"] = replace(train, features=model.backbone.features(train.features))
         # Freed here if this was their last reader, the raw train rows do not
         # overlap the test pass.
         del train
@@ -471,7 +472,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
             started = time.perf_counter()
             step = "one-stage training"
             spec = replace(config.stage1, seed=derive_seed(config.seed, "one-stage", method))
-            model = train_stage1(read("train", method), arch, spec,
+            model = train_stage1(read("train", method), config.hidden, spec,
                                  _loss(METHODS[method].loss, config), method=method)
             step = "evaluation"
             return model, predict(model, read("test", method).features)[0], started
@@ -495,7 +496,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
         # method's scoring would raise the run's peak memory.
         return model, predict(model, test_h, backbone_output=True)[0], started
 
-    bags_background = {"auto": None, "on": True, "off": False}[config.bags_background_group]
+    bags_background = _BACKGROUND_GROUP[config.bags_background_group]
     reports: list[EvalReport] = []
     step = "setup"
     method = ""

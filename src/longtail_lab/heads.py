@@ -23,7 +23,7 @@ from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
 
-HEAD_GROUP = 4  # the >= 10^3 count decade: the "head classes" group
+HEAD_GROUP = len(GROUP_LIMITS)  # the top count bin: the "head classes" group
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClassStats, count_decade
+from .data import GROUP_LIMITS, ClassStats, count_decade
 from .schema import read_document
 
 
@@ -81,7 +81,7 @@ def build_report(confusion: np.ndarray, train_counts: np.ndarray, *, method: str
         raise ValueError("empty test set: confusion sums to 0")
     class_bins = count_decade(train_counts)
     acc_bins: dict[int, float] = {}
-    for b in range(1, 5):
+    for b in range(1, len(GROUP_LIMITS) + 1):
         members = class_bins == b
         if rows[members].any():
             acc_bins[b] = int(tp[members].sum()) / int(rows[members].sum())

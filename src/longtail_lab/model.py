@@ -28,22 +28,6 @@ _CHECKPOINT_MAGIC = b"LTLABCKPT1\n"
 SCORE_BLOCK_ROWS = 4096
 
 
-@dataclass(frozen=True)
-class Architecture:
-    """Backbone layer sizes; an empty ``hidden`` means features pass through."""
-
-    feature_dim: int
-    num_classes: int
-    hidden: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.feature_dim < 1 or self.num_classes < 2:
-            raise ValueError("need feature_dim >= 1 and num_classes >= 2")
-        if any(h < 1 for h in self.hidden):
-            raise ValueError("hidden layer sizes must be >= 1")
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-
-
 def _uniform_init(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
     a = 1.0 / math.sqrt(in_dim)
     return rng.uniform(-a, a, size=(out_dim, in_dim))
@@ -60,6 +44,10 @@ class Backbone:
     @classmethod
     def build(cls, feature_dim: int, hidden: tuple[int, ...],
               rng: np.random.Generator) -> "Backbone":
+        """Layers of the ``hidden`` widths on ``feature_dim`` inputs; an empty
+        ``hidden`` means features pass through."""
+        if any(width < 1 for width in hidden):
+            raise ValueError(f"hidden layer sizes must be >= 1, got {list(hidden)}")
         weights, biases = [], []
         fan_in = feature_dim
         for width in hidden:
@@ -416,18 +404,20 @@ def fit_owner(method: str) -> str:
     return method if fit_of is None else fit_of[0]
 
 
-def train_stage1(dataset: Dataset, arch: Architecture, optim: OptimSpec,
+def train_stage1(dataset: Dataset, hidden: tuple[int, ...], optim: OptimSpec,
                  loss: LossSpec, method: str = "baseline") -> TrainedModel:
-    """First-stage training: backbone and head jointly, sampled at ``method``'s
-    q; instance sampling for the baseline, which every stage 2 starts from."""
+    """First-stage training: a backbone of ``hidden`` layer widths and a head
+    on ``dataset``'s features and classes, jointly, sampled at ``method``'s q;
+    instance sampling for the baseline, which every stage 2 starts from."""
     if method not in METHODS or not METHODS[method].one_stage:
         raise ValueError(f"{method} cannot train in one stage")
-    if arch.feature_dim != dataset.feature_dim or arch.num_classes != dataset.num_classes:
-        raise ValueError("architecture does not match dataset dimensions")
+    if dataset.num_classes < 2:
+        raise ValueError(f"need at least 2 classes, got {dataset.num_classes}")
     stats = compute_class_stats(dataset)
     rng = np.random.default_rng(derive_seed(optim.seed, "init"))
-    backbone = Backbone.build(arch.feature_dim, arch.hidden, rng)
-    head = ClassifierHead.create(arch.num_classes, backbone.output_dim(arch.feature_dim), rng)
+    backbone = Backbone.build(dataset.feature_dim, hidden, rng)
+    head = ClassifierHead.create(dataset.num_classes, backbone.output_dim(dataset.feature_dim),
+                                 rng)
     log = fit_head(head, dataset.features, dataset.labels, stats.counts, METHODS[method].q,
                    optim, loss, backbone=backbone)
     return TrainedModel(backbone=backbone, heads={"head": head}, stats=stats, method=method,
@@ -493,8 +483,6 @@ def scores(model: TrainedModel, features: np.ndarray, *, backbone_output: bool =
     x = _inputs(model, features, backbone_output)
     n = x.shape[0]
     blocks = max(1, math.ceil(n / SCORE_BLOCK_ROWS))
-    if blocks == 1:
-        return _score_block(model, x, 0, backbone_output)
     out = np.empty((n, model.num_classes))
     for b in range(blocks):
         lo, hi = b * n // blocks, (b + 1) * n // blocks

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from longtail_lab import (Architecture, ClassifierHead, LossSpec,
+from longtail_lab import (ClassifierHead, LossSpec,
                           OptimSpec, bags_infer, batch_loss, cb_weight,
                           compute_class_stats, evaluate, focal_loss,
                           build_group_layout, load_model, load_report, lr_at,
@@ -203,8 +203,7 @@ def test_criterion_3_sampler_distribution():
 
 def test_criterion_4_two_stage_contract():
     dataset = dataset_with_counts([300, 80, 12, 6], dim=6, seed=4)
-    arch = Architecture(6, 4, (10,))
-    stage1 = train_stage1(dataset, arch, OptimSpec(epochs=6, warmup_epochs=1, seed=9),
+    stage1 = train_stage1(dataset, (10,), OptimSpec(epochs=6, warmup_epochs=1, seed=9),
                           LossSpec(kind="cross_entropy"))
     ok = True
     details = []
@@ -303,8 +302,7 @@ def test_criterion_5_trend_reproduction(trend_reports):
 
 def test_criterion_6_ssb_coordinate_identity():
     dataset = dataset_with_counts([1200, 1500, 70, 8], dim=6, seed=6)
-    arch = Architecture(6, 4, ())
-    stage1 = train_stage1(dataset, arch, OptimSpec(epochs=5, warmup_epochs=1, seed=3),
+    stage1 = train_stage1(dataset, (), OptimSpec(epochs=5, warmup_epochs=1, seed=3),
                           LossSpec(kind="cross_entropy"))
     ssb = train_stage2(stage1, dataset, "ssb", OptimSpec(seed=8).for_classifier(),
                        LossSpec(kind="cross_entropy"))

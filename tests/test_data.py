@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from longtail_lab import (Dataset, SplitSpec, SyntheticSpec, compute_class_stats,
                           generate_synthetic, load_embeddings, save_embeddings,
                           split_dataset)
-from longtail_lab.data import synthetic_class_counts
+from longtail_lab.data import GROUP_LIMITS, synthetic_class_counts
 
 from conftest import dataset_with_counts, traced_peak
 
@@ -108,6 +108,8 @@ class TestClassStats:
         ds = dataset_with_counts([count, 20])
         stats = compute_class_stats(ds)
         assert stats.bins[0] == expected
+        low, high = GROUP_LIMITS[expected - 1]
+        assert low <= count < high
 
     def test_counts_sum_to_n(self, tiny_dataset):
         stats = compute_class_stats(tiny_dataset)

@@ -86,11 +86,15 @@ class TestConfig:
         ("dataset", "background_class", True, ["dataset.background_class", "string"]),
         ("", "output_dir", 5, ["output_dir", "string"]),
         ("", "stage1", [], ["stage1", "mapping"]),
+        ("", "methods", [], ["config key methods", "at least one"]),
+        ("", "methods", ["baseline", "baseline"], ["config key methods", "duplicate"]),
+        ("", "methods", ["baseline", "nope"], ["config key methods", "'nope'"]),
     ], ids=["float_epochs", "nan_lr", "negative_decay", "string_batch", "scalar_hidden",
             "zero_width_hidden", "no_stage1_epochs", "no_stage2_epochs", "cb_beta_above_one",
             "negative_gamma", "zero_bags_beta", "string_one_stage", "string_shared_stage1",
             "string_stratified", "scalar_methods", "scalar_eval", "scalar_embeddings",
-            "float_background", "bool_background", "scalar_output_dir", "list_stage1"])
+            "float_background", "bool_background", "scalar_output_dir", "list_stage1",
+            "empty_methods", "duplicate_methods", "unknown_method"])
     def test_bad_value_names_its_key(self, section, key, value, fragments):
         doc = tiny_doc("x")
         (doc.setdefault(section, {}) if section else doc)[key] = value
@@ -255,6 +259,16 @@ class TestPrepareDatasets:
         doc["dataset"]["background_class"] = "zebra"
         with pytest.raises(ValueError, match="zebra"):
             prepare_datasets(config_from_dict(doc))
+
+    def test_bad_background_names_its_key(self):
+        for background, fault in ((99, "99 out of range [0, 4)"),
+                                  ("nope", "'nope' not among class names")):
+            doc = tiny_doc("x")
+            doc["dataset"]["background_class"] = background
+            with pytest.raises(ValueError) as info:
+                prepare_datasets(config_from_dict(doc))
+            assert str(info.value).startswith("config key dataset.background_class: ")
+            assert fault in str(info.value)
 
 
 class TestRunExperiment:

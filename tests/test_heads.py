@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from longtail_lab import (Architecture, ClassifierHead, GroupLayout,
+from longtail_lab import (ClassifierHead, GroupLayout,
                           LossSpec, OptimSpec, bags_infer, bags_scores,
                           bags_train_heads, build_group_layout, compute_class_stats,
                           softmax, ssb_aggregate, train_stage1, train_stage2)
@@ -37,7 +37,7 @@ class TestGroupLayout:
         # ssb scores a background class by its count bin, like any other class.
         ds = dataset_with_counts([1200, 50, 5], background_class=0)
         loss = LossSpec(kind="cross_entropy")
-        stage1 = train_stage1(ds, Architecture(3, 3), OptimSpec(epochs=0, warmup_epochs=0),
+        stage1 = train_stage1(ds, (), OptimSpec(epochs=0, warmup_epochs=0),
                               loss)
         ssb = train_stage2(stage1, ds, "ssb", OptimSpec(epochs=0, warmup_epochs=0, seed=1),
                            loss)
@@ -205,8 +205,7 @@ def toy():
     centers = rng.standard_normal((4, 6)) * 4.0
     feats = ds.features + centers[ds.labels]
     ds = type(ds)(features=feats, labels=ds.labels, class_names=ds.class_names)
-    arch = Architecture(6, 4, ())
-    model = train_stage1(ds, arch, OptimSpec(epochs=6, warmup_epochs=1, seed=1),
+    model = train_stage1(ds, (), OptimSpec(epochs=6, warmup_epochs=1, seed=1),
                          LossSpec(kind="cross_entropy"))
     return ds, model, centers
 
@@ -277,7 +276,7 @@ class TestBagsTraining:
         # decade also holds class 1; its rows must train as "others".
         ds = dataset_with_counts([300, 250, 40, 6], dim=5, seed=8,
                                  background_class=0)
-        model = train_stage1(ds, Architecture(5, 4, ()),
+        model = train_stage1(ds, (),
                              OptimSpec(epochs=3, warmup_epochs=1, seed=1),
                              LossSpec(kind="cross_entropy"))
         layout = build_group_layout(compute_class_stats(ds), background_class=0)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longtail_lab import (Architecture, Backbone, ClassifierHead, Dataset,
+from longtail_lab import (Backbone, ClassifierHead, Dataset,
                           LossSpec, OptimSpec, batch_loss, forward,
                           generate_synthetic, load_model, predict, save_model,
                           softmax, train_stage1, train_stage2)
@@ -32,8 +32,7 @@ def blob_dataset(counts=(60, 40), dim=4, separation=10.0, seed=0,
 
 
 def make_model(weight, bias, dataset, hidden=()):
-    arch = Architecture(dataset.feature_dim, dataset.num_classes, hidden)
-    model = train_stage1(dataset, arch, OptimSpec(epochs=0, warmup_epochs=0, seed=0),
+    model = train_stage1(dataset, hidden, OptimSpec(epochs=0, warmup_epochs=0, seed=0),
                          LossSpec(kind="cross_entropy"))
     model.heads["head"].weight[...] = weight
     model.heads["head"].bias[...] = bias
@@ -91,14 +90,13 @@ class TestForward:
 class TestStage1:
     def test_separable_blobs_reach_high_training_accuracy(self):
         ds = blob_dataset(separation=10.0)
-        arch = Architecture(4, 2, ())
-        model = train_stage1(ds, arch, OptimSpec(seed=1), LossSpec(kind="cross_entropy"))
+        model = train_stage1(ds, (), OptimSpec(seed=1), LossSpec(kind="cross_entropy"))
         preds, _ = predict(model, ds.features)
         assert (preds == ds.labels).mean() >= 0.99
 
     def test_zero_epochs_returns_initialized_model(self):
         ds = blob_dataset()
-        model = train_stage1(ds, Architecture(4, 2, ()),
+        model = train_stage1(ds, (),
                              OptimSpec(epochs=0, warmup_epochs=0, seed=3),
                              LossSpec(kind="cross_entropy"))
         assert model.train_log == []
@@ -106,33 +104,39 @@ class TestStage1:
 
     def test_same_seed_identical_weights(self):
         ds = blob_dataset()
-        arch = Architecture(4, 2, (8,))
+        hidden = (8,)
         spec = OptimSpec(epochs=5, warmup_epochs=1, seed=11)
-        a = train_stage1(ds, arch, spec, LossSpec(kind="cross_entropy"))
-        b = train_stage1(ds, arch, spec, LossSpec(kind="cross_entropy"))
+        a = train_stage1(ds, hidden, spec, LossSpec(kind="cross_entropy"))
+        b = train_stage1(ds, hidden, spec, LossSpec(kind="cross_entropy"))
         assert np.array_equal(a.heads["head"].weight, b.heads["head"].weight)
         for wa, wb in zip(a.backbone.weights, b.backbone.weights):
             assert np.array_equal(wa, wb)
 
     def test_log_length_equals_epochs(self):
         ds = blob_dataset()
-        model = train_stage1(ds, Architecture(4, 2, ()),
+        model = train_stage1(ds, (),
                              OptimSpec(epochs=7, warmup_epochs=1, seed=0),
                              LossSpec(kind="cross_entropy"))
         assert [e.epoch for e in model.train_log] == list(range(7))
 
     def test_mlp_backbone_learns_nontrivially(self):
         ds = blob_dataset(counts=(80, 80), separation=6.0, seed=4)
-        model = train_stage1(ds, Architecture(4, 2, (16,)),
+        model = train_stage1(ds, (16,),
                              OptimSpec(epochs=12, warmup_epochs=1, seed=2),
                              LossSpec(kind="cross_entropy"))
         preds, _ = predict(model, ds.features)
         assert (preds == ds.labels).mean() >= 0.95
 
-    def test_arch_mismatch_rejected(self):
-        ds = blob_dataset()
-        with pytest.raises(ValueError):
-            train_stage1(ds, Architecture(9, 2, ()), OptimSpec(seed=0),
+    def test_one_class_rejected(self):
+        ds = blob_dataset(counts=(30,))
+        with pytest.raises(ValueError, match="need at least 2 classes, got 1"):
+            train_stage1(ds, (), OptimSpec(seed=0), LossSpec(kind="cross_entropy"))
+
+    @pytest.mark.parametrize("hidden", [(0,), (8, 0), (-3,)],
+                             ids=["zero", "zero_after_eight", "negative"])
+    def test_zero_width_layer_rejected(self, hidden):
+        with pytest.raises(ValueError, match="hidden layer sizes must be >= 1"):
+            train_stage1(blob_dataset(), hidden, OptimSpec(seed=0),
                          LossSpec(kind="cross_entropy"))
 
     def test_one_stage_method_samples_at_its_q(self, monkeypatch):
@@ -145,12 +149,12 @@ class TestStage1:
         monkeypatch.setattr(model_module, "make_sampler", recording)
         ds = blob_dataset()
         spec = OptimSpec(epochs=3, warmup_epochs=1, seed=0)
-        model = train_stage1(ds, Architecture(4, 2, ()), spec, LossSpec(kind="cross_entropy"),
+        model = train_stage1(ds, (), spec, LossSpec(kind="cross_entropy"),
                              method="sqrt_samp")
         assert model.method == "sqrt_samp"
         assert drawn_at == [0.5] * 3
         with pytest.raises(ValueError, match="ssb cannot train in one stage"):
-            train_stage1(ds, Architecture(4, 2, ()), spec, LossSpec(kind="cross_entropy"),
+            train_stage1(ds, (), spec, LossSpec(kind="cross_entropy"),
                          method="ssb")
 
     def test_divergence_reports_epoch(self):
@@ -158,7 +162,7 @@ class TestStage1:
         spec = OptimSpec(lr_init=1e307, weight_decay=1e-7, epochs=3,
                          warmup_epochs=0, seed=0)
         with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="diverged.*epoch"):
-            train_stage1(ds, Architecture(4, 2, ()), spec, LossSpec(kind="cross_entropy"))
+            train_stage1(ds, (), spec, LossSpec(kind="cross_entropy"))
 
 
 class TestFitHead:
@@ -177,7 +181,7 @@ class TestFitHead:
         spec = OptimSpec(epochs=2, warmup_epochs=1, batch_size=64, seed=0)
         with pytest.raises(RuntimeError, match=r"non-finite gradient for backbone\.0\.weight "
                                                r"at epoch 1"):
-            train_stage1(ds, Architecture(4, 2, (3,)), spec, LossSpec(kind="cross_entropy"))
+            train_stage1(ds, (3,), spec, LossSpec(kind="cross_entropy"))
         calls.clear()
         head = ClassifierHead(weight=np.zeros((2, 4)), bias=np.zeros(2))
         with pytest.raises(RuntimeError, match=r"non-finite gradient for head\.weight at epoch 1"):
@@ -193,13 +197,13 @@ class TestFitHead:
             monkeypatch.setattr(model_module, name, counting)
         ds = blob_dataset()
         spec = OptimSpec(epochs=3, warmup_epochs=1, batch_size=16, seed=0)
-        train_stage1(ds, Architecture(4, 2, (5, 3)), spec, LossSpec(kind="cross_entropy"))
+        train_stage1(ds, (5, 3), spec, LossSpec(kind="cross_entropy"))
         steps = 3 * -(-ds.num_instances // 16)
         assert counted == {"batch_loss": steps, "optimizer_step": steps}
 
     def test_parameters_are_views_of_one_vector(self):
         ds = blob_dataset()
-        model = train_stage1(ds, Architecture(4, 2, (5, 3)),
+        model = train_stage1(ds, (5, 3),
                              OptimSpec(epochs=2, warmup_epochs=1, seed=0),
                              LossSpec(kind="cross_entropy"))
         head = model.heads["head"]
@@ -225,8 +229,7 @@ class TestFitHead:
 def stage1_setup():
     spec_kwargs = dict(counts=(400, 300, 30, 8), dim=6, separation=8.0, seed=9)
     ds = blob_dataset(**spec_kwargs)
-    arch = Architecture(6, 4, (10,))
-    model = train_stage1(ds, arch, OptimSpec(epochs=8, warmup_epochs=1, seed=21),
+    model = train_stage1(ds, (10,), OptimSpec(epochs=8, warmup_epochs=1, seed=21),
                          LossSpec(kind="cross_entropy"))
     return ds, model
 
@@ -308,7 +311,7 @@ class TestStage2:
         # With the identity backbone a dataset of the wrong features has their
         # width, so only the head's input width tells that they are wrong.
         ds, _ = stage1_setup
-        model = train_stage1(ds, Architecture(6, 4, ()),
+        model = train_stage1(ds, (),
                              OptimSpec(epochs=1, warmup_epochs=0, seed=21),
                              LossSpec(kind="cross_entropy"))
         h = ds.features[:, :5]
@@ -326,8 +329,7 @@ class TestStage2:
 
     def test_identity_backbone_equivalence(self):
         ds = blob_dataset(counts=(50, 30, 10), dim=5, seed=13)
-        arch = Architecture(5, 3, ())
-        stage1 = train_stage1(ds, arch, OptimSpec(epochs=3, warmup_epochs=1, seed=7),
+        stage1 = train_stage1(ds, (), OptimSpec(epochs=3, warmup_epochs=1, seed=7),
                               LossSpec(kind="cross_entropy"))
         optim = OptimSpec(seed=19).for_classifier()
         loss = LossSpec(kind="cross_entropy")
@@ -386,7 +388,7 @@ def scoring_models():
     ds = blob_dataset(counts=(1100, 1000, 300, 200, 120, 60, 40, 30, 12, 8, 6, 5), dim=8,
                       separation=6.0, seed=3, background_class=1)
     loss = LossSpec(kind="cross_entropy")
-    stage1 = train_stage1(ds, Architecture(8, 12, (16,)),
+    stage1 = train_stage1(ds, (16,),
                           OptimSpec(epochs=1, warmup_epochs=0, seed=2), loss)
     models = {"baseline": stage1}
     for method in ("sqrt_samp", "cb_focal", "bags", "ssb"):
@@ -483,8 +485,7 @@ class TestCheckpoint:
 
     def test_bags_with_background_round_trip(self, tmp_path):
         ds = blob_dataset(counts=(200, 40, 12), dim=5, seed=3, background_class=0)
-        arch = Architecture(5, 3, ())
-        model = train_stage1(ds, arch, OptimSpec(epochs=4, warmup_epochs=1, seed=2),
+        model = train_stage1(ds, (), OptimSpec(epochs=4, warmup_epochs=1, seed=2),
                              LossSpec(kind="cross_entropy"))
         bags = train_stage2(model, ds, "bags", OptimSpec(seed=4).for_classifier(),
                             LossSpec(kind="cross_entropy"))
