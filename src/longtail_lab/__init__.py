@@ -1,6 +1,6 @@
 """Desk-scale laboratory for long-tail classification methods.
 
-Implements parametric re-sampling, focal and class-balanced losses, balanced
+Implements parametric re-sampling, the class-balanced focal loss, balanced
 group softmax heads, and a two-branch square-root sampling classifier on a
 small deterministic model trained in a decoupled two-stage regime, with
 binned-accuracy and macro-F1 evaluation.

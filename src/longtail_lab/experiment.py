@@ -159,7 +159,8 @@ _CONFIG_KEYS = {
     # Classifier retraining inherits stage 1 except its shorter schedule.
     "stage2": {**{k: (kind, lambda doc, k=k: doc["stage1"][k])
                   for k, (kind, _) in _STAGE1_KEYS.items()},
-               "epochs": (int, 12), "warmup_epochs": (int, 1)},
+               **{k: (int, getattr(OptimSpec().for_classifier(), k))
+                  for k in ("epochs", "warmup_epochs")}},
     "loss": {"gamma": (float, 2.0), "cb_beta": (float, 0.9)},
     "bags": {"beta": (float, 8.0), "background_group": (str, "auto", _on_off)},
 }
@@ -383,10 +384,10 @@ def load_manifest(path: str) -> RunManifest:
 # ---------------------------------------------------------------------------
 
 
-def _loss(kind: str, config: ExperimentConfig) -> LossSpec:
-    if kind == "cb_focal":
-        return LossSpec(kind=kind, gamma=config.gamma, cb_beta=config.cb_beta)
-    return LossSpec(kind=kind)
+def _loss(method: str, config: ExperimentConfig) -> LossSpec:
+    if METHODS[method].loss == "cb_focal":
+        return LossSpec(kind="cb_focal", gamma=config.gamma, cb_beta=config.cb_beta)
+    return LossSpec(kind=METHODS[method].loss)
 
 
 def run_experiment(config: ExperimentConfig) -> RunManifest:
@@ -455,7 +456,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
         started = time.perf_counter()
         spec = replace(config.stage1, seed=derive_seed(config.seed, tag))
         train = read("train", method)
-        model = train_stage1(train, config.hidden, spec, LossSpec(kind="cross_entropy"))
+        model = train_stage1(train, config.hidden, spec, _loss("baseline", config))
         if f"{tag}.train" in last_reader:
             held[f"{tag}.train"] = replace(train, features=model.backbone.features(train.features))
         # Freed here if this was their last reader, the raw train rows do not
@@ -473,7 +474,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
             step = "one-stage training"
             spec = replace(config.stage1, seed=derive_seed(config.seed, "one-stage", method))
             model = train_stage1(read("train", method), config.hidden, spec,
-                                 _loss(METHODS[method].loss, config), method=method)
+                                 _loss(method, config), method=method)
             step = "evaluation"
             return model, predict(model, read("test", method).features)[0], started
         step = "stage-1 training"
@@ -486,8 +487,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
             step = "stage-2 training"
             spec = replace(config.stage2, seed=derive_seed(config.seed, "stage2", owner))
             train_h = read(f"{tag}.train", method)
-            model = train_stage2(model, train_h, method, spec,
-                                 _loss(METHODS[owner].loss, config),
+            model = train_stage2(model, train_h, method, spec, _loss(owner, config),
                                  bags_beta=config.bags_beta, bags_background=bags_background,
                                  features=train_h.features, fits=fits)
             del train_h

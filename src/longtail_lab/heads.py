@@ -94,7 +94,7 @@ def ssb_aggregate(p_i, p_sqrt, head_mask) -> np.ndarray:
     return np.where(head_mask, p_i, p_sqrt)
 
 
-def bags_train_heads(features: np.ndarray, dataset: Dataset, optim: OptimSpec, loss: LossSpec,
+def bags_train_heads(features: np.ndarray, dataset: Dataset, optim: OptimSpec, *,
                      bags_beta: float = 8.0, with_background_group: bool | None = None
                      ) -> tuple[dict[str, ClassifierHead], list[EpochLog]]:
     """Train the grouped heads of ``build_group_layout`` on ``features``, the
@@ -115,6 +115,7 @@ def bags_train_heads(features: np.ndarray, dataset: Dataset, optim: OptimSpec, l
     group_of = layout.group_of
     labels = dataset.labels
     dim = features.shape[1]
+    loss = LossSpec(kind=METHODS["bags"].loss)
 
     slot_of = np.full(layout.num_classes, -1, dtype=np.int64)
     heads: dict[str, ClassifierHead] = {}

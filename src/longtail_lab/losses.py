@@ -1,4 +1,4 @@
-"""Softmax cross-entropy, focal, and class-balanced focal losses with analytic gradients.
+"""Softmax cross-entropy and class-balanced focal loss with analytic gradients.
 
 Focal loss: (1-p)^gamma * (-log p) for the true-class probability p; gamma=0
 recovers cross-entropy.  Class-balanced weighting scales each instance by the
@@ -12,7 +12,7 @@ import numpy as np
 
 PROB_FLOOR = 1e-12
 
-LOSS_KINDS = ("cross_entropy", "focal", "cb_focal")
+LOSS_KINDS = ("cross_entropy", "cb_focal")
 
 
 def softmax(logits) -> np.ndarray:
@@ -59,15 +59,11 @@ class LossSpec:
     def __post_init__(self) -> None:
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"kind must be one of {LOSS_KINDS}, got {self.kind!r}")
-        focal_kind = self.kind in ("focal", "cb_focal")
-        if focal_kind and self.gamma is None:
-            raise ValueError(f"{self.kind} requires gamma")
-        if not focal_kind and self.gamma is not None:
-            raise ValueError("gamma is only meaningful for focal losses")
+        for name, value in (("gamma", self.gamma), ("cb_beta", self.cb_beta)):
+            if (self.kind == "cb_focal") != (value is not None):
+                raise ValueError(f"{name} is required for cb_focal and only for cb_focal")
         if self.gamma is not None and self.gamma < 0:
             raise ValueError("gamma must be >= 0")
-        if (self.kind == "cb_focal") != (self.cb_beta is not None):
-            raise ValueError("cb_beta is required for cb_focal and only for cb_focal")
         if self.cb_beta is not None and not 0.0 <= self.cb_beta < 1.0:
             raise ValueError("cb_beta must lie in [0, 1)")
 
@@ -88,8 +84,6 @@ def _focal_grad_factor(p: np.ndarray, gamma: float) -> np.ndarray:
     g(p) = gamma * p * (1-p)^(gamma-1) * log p - (1-p)^gamma.
     """
     om = 1.0 - p
-    if gamma == 0.0:
-        return -np.ones_like(p)
     om_safe = np.where(om > 0, om, 1.0)
     modulating = gamma * p * om_safe ** (gamma - 1.0) * np.log(p)
     return np.where(om > 0, modulating, 0.0) - om ** gamma
@@ -118,19 +112,18 @@ def batch_loss(logits, labels, counts, spec: LossSpec) -> LossValue:
     # d(total)/d(logits) = -g(p) * (probs - onehot) / batch, built on probs in place.
     grad = probs
     grad[rows, labels] -= 1.0
-    if spec.kind != "cross_entropy":
+    if spec.kind == "cb_focal":
         # Cross-entropy is the closed form g(p) = -1, which leaves both as they are.
         gfac = _focal_grad_factor(p, spec.gamma)
         modulating = (1.0 - p) ** spec.gamma
-        if spec.kind == "cb_focal":
-            counts = np.asarray(counts, dtype=np.int64)
-            if counts.shape != (num_classes,):
-                raise ValueError("cb_focal needs one training count per class")
-            if (counts < 1).any():
-                raise ValueError("cb_focal needs every class count >= 1")
-            weights = (1.0 - spec.cb_beta) / (1.0 - spec.cb_beta ** counts[labels])
-            modulating = weights * modulating
-            gfac = weights * gfac
+        if np.shape(counts) != (num_classes,):
+            raise ValueError("cb_focal needs one training count per class")
+        counts = np.asarray(counts, dtype=np.int64)
+        if (counts < 1).any():
+            raise ValueError("cb_focal needs every class count >= 1")
+        weights = (1.0 - spec.cb_beta) / (1.0 - spec.cb_beta ** counts[labels])
+        modulating = weights * modulating
+        gfac = weights * gfac
         per_instance = modulating * per_instance
         grad *= -gfac[:, None]
     grad /= batch

@@ -335,7 +335,7 @@ def _fit_new_head(features, dataset, stats, q, optim, loss, **_):
 
 
 def _fit_bags(features, dataset, stats, q, optim, loss, bags_beta, bags_background):
-    return _heads_module().bags_train_heads(features, dataset, optim, loss, bags_beta=bags_beta,
+    return _heads_module().bags_train_heads(features, dataset, optim, bags_beta=bags_beta,
                                             with_background_group=bags_background)
 
 
@@ -404,6 +404,12 @@ def fit_owner(method: str) -> str:
     return method if fit_of is None else fit_of[0]
 
 
+def _check_loss(method: str, loss: LossSpec) -> None:
+    """Reject a loss of another kind than the one ``method`` trains with."""
+    if loss.kind != METHODS[method].loss:
+        raise ValueError(f"{method} trains with {METHODS[method].loss}, not {loss.kind}")
+
+
 def train_stage1(dataset: Dataset, hidden: tuple[int, ...], optim: OptimSpec,
                  loss: LossSpec, method: str = "baseline") -> TrainedModel:
     """First-stage training: a backbone of ``hidden`` layer widths and a head
@@ -411,6 +417,7 @@ def train_stage1(dataset: Dataset, hidden: tuple[int, ...], optim: OptimSpec,
     instance sampling for the baseline, which every stage 2 starts from."""
     if method not in METHODS or not METHODS[method].one_stage:
         raise ValueError(f"{method} cannot train in one stage")
+    _check_loss(method, loss)
     if dataset.num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {dataset.num_classes}")
     stats = compute_class_stats(dataset)
@@ -447,6 +454,7 @@ def train_stage2(model: TrainedModel, dataset: Dataset, method: str,
     owner = fit_owner(method) if method in METHODS else None
     if owner is None or METHODS[owner].stage2 is None:
         raise ValueError(f"unknown method {method!r}: it has no second stage")
+    _check_loss(owner, loss)
     backbone = model.backbone.copy(frozen=True)
     features = np.asarray(backbone.features(dataset.features) if features is None else features,
                           dtype=np.float64)

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
-
 
 def sampling_weights(counts, q: float) -> np.ndarray:
     """Per-class sampling probabilities n_j^q / sum_i n_i^q; sums to 1."""
@@ -50,17 +48,16 @@ def make_sampler(counts, q: float, seed: int) -> SamplerSpec:
     return SamplerSpec(q=q, class_probs=sampling_weights(counts, q), seed=seed)
 
 
-def make_epoch_stream(dataset: Dataset | np.ndarray, sampler: SamplerSpec,
-                      epoch_len: int) -> np.ndarray:
+def make_epoch_stream(labels: np.ndarray, sampler: SamplerSpec, epoch_len: int) -> np.ndarray:
     """One epoch of int64 instance indices, deterministic in the sampler seed.
 
     q=1 yields seeded permutations of all instances (an exact empirical
     epoch); q<1 draws with replacement, class first by p_j, then an instance
-    uniformly within that class.  Accepts a Dataset or a bare label array.
+    uniformly within that class.  ``labels`` holds one class per instance.
     """
     if epoch_len < 1:
         raise ValueError("epoch_len must be >= 1")
-    labels = np.asarray(getattr(dataset, "labels", dataset), dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
     n = labels.shape[0]
     rng = np.random.default_rng(sampler.seed)
     if sampler.q == 1.0:

@@ -164,8 +164,8 @@ def test_criterion_1_formula_oracles():
 def test_criterion_2_gradient_check():
     started = time.perf_counter()
     specs = [LossSpec(kind="cross_entropy"),
-             LossSpec(kind="focal", gamma=0.5),
-             LossSpec(kind="focal", gamma=2.0),
+             LossSpec(kind="cb_focal", gamma=0.5, cb_beta=0.0),
+             LossSpec(kind="cb_focal", gamma=2.0, cb_beta=0.0),
              LossSpec(kind="cb_focal", gamma=2.0, cb_beta=0.9)]
     rng = np.random.default_rng(321)
     worst = 0.0
@@ -190,7 +190,7 @@ def test_criterion_2_gradient_check():
 
 def test_criterion_3_sampler_distribution():
     dataset = dataset_with_counts([100, 4], seed=0)
-    stream = make_epoch_stream(dataset, make_sampler([100, 4], 0.5, seed=5), 10**5)
+    stream = make_epoch_stream(dataset.labels, make_sampler([100, 4], 0.5, seed=5), 10**5)
     observed = np.bincount(dataset.labels[stream], minlength=2)
     expected = np.array([10 / 12, 2 / 12]) * 10**5
     pvalue = float(chisquare(observed, expected).pvalue)

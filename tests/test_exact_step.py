@@ -65,9 +65,9 @@ def reference_optimizer_step(params, grads, state, spec, lr):
 
 SPECS = [
     LossSpec(kind="cross_entropy"),
-    LossSpec(kind="focal", gamma=0.0),
-    LossSpec(kind="focal", gamma=0.5),
-    LossSpec(kind="focal", gamma=2.0),
+    LossSpec(kind="cb_focal", gamma=0.0, cb_beta=0.0),
+    LossSpec(kind="cb_focal", gamma=0.5, cb_beta=0.0),
+    LossSpec(kind="cb_focal", gamma=2.0, cb_beta=0.0),
     LossSpec(kind="cb_focal", gamma=2.0, cb_beta=0.999),
 ]
 
@@ -101,7 +101,8 @@ class TestSoftmaxBits:
 
 
 class TestBatchLossBits:
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.gamma}")
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.gamma}"
+                             + ("-b0" if s.cb_beta == 0.0 else ""))
     @given(data=batches())
     @settings(max_examples=60, deadline=None)
     def test_equals_reference_and_logits_untouched(self, spec, data):

@@ -595,3 +595,10 @@ class TestManifestReader:
             assert load_manifest(str(path)).to_json() == text.decode("utf-8")
         else:
             manifest_rejected(path)
+
+
+def test_readme_library_use_runs(capsys):
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md (Library use)", "exec"), {})
+    assert capsys.readouterr().out

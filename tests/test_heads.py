@@ -12,9 +12,6 @@ from longtail_lab.model import scores
 from conftest import dataset_with_counts
 
 
-CE = LossSpec(kind="cross_entropy")
-
-
 def stats_for(counts):
     return compute_class_stats(dataset_with_counts(counts))
 
@@ -216,14 +213,14 @@ class TestBagsTraining:
         head_before = model.heads["head"].weight.copy()
         feats = model.backbone.features(ds.features)
         feats_before = feats.copy()
-        bags_train_heads(feats, ds, OptimSpec(seed=3).for_classifier(), CE)
+        bags_train_heads(feats, ds, OptimSpec(seed=3).for_classifier())
         assert np.array_equal(feats, feats_before)
         assert np.array_equal(model.heads["head"].weight, head_before)
 
     def test_group_heads_have_expected_arity(self, toy):
         ds, model, _ = toy
         heads, log = bags_train_heads(model.backbone.features(ds.features), ds,
-                                      OptimSpec(seed=3).for_classifier(), CE)
+                                      OptimSpec(seed=3).for_classifier())
         assert set(heads) == {"bags.group1", "bags.group3"}
         assert heads["bags.group1"].num_outputs == 3  # 2 classes + others
         assert heads["bags.group3"].num_outputs == 3
@@ -232,7 +229,7 @@ class TestBagsTraining:
     def test_tail_group_head_beats_majority_baseline(self, toy):
         ds, model, centers = toy
         heads, _ = bags_train_heads(model.backbone.features(ds.features), ds,
-                                    OptimSpec(seed=3).for_classifier(), CE)
+                                    OptimSpec(seed=3).for_classifier())
         rng = np.random.default_rng(9)
         val_feats = np.concatenate([centers[c] + rng.standard_normal((25, 6))
                                     for c in (0, 1)])
@@ -250,24 +247,16 @@ class TestBagsTraining:
         assert layout.classes_in(2).size == 0
         with caplog.at_level("WARNING"):
             heads, _ = bags_train_heads(model.backbone.features(ds.features), ds,
-                                        OptimSpec(seed=3).for_classifier(), CE)
+                                        OptimSpec(seed=3).for_classifier())
         assert "bags.group2" not in heads
         assert any("group 2" in message for message in caplog.messages)
-
-    def test_train_stage2_passes_its_loss(self, toy):
-        ds, model, _ = toy
-        optim = OptimSpec(seed=3).for_classifier()
-        ce = train_stage2(model, ds, "bags", optim, CE)
-        focal = train_stage2(model, ds, "bags", optim, LossSpec(kind="focal", gamma=2.0))
-        assert not np.array_equal(ce.heads["bags.group1"].weight,
-                                  focal.heads["bags.group1"].weight)
 
     def test_deterministic_given_seed(self, toy):
         ds, model, _ = toy
         a, _ = bags_train_heads(model.backbone.features(ds.features), ds,
-                                OptimSpec(seed=3).for_classifier(), CE)
+                                OptimSpec(seed=3).for_classifier())
         b, _ = bags_train_heads(model.backbone.features(ds.features), ds,
-                                OptimSpec(seed=3).for_classifier(), CE)
+                                OptimSpec(seed=3).for_classifier())
         for name in a:
             assert np.array_equal(a[name].weight, b[name].weight)
 
@@ -282,7 +271,7 @@ class TestBagsTraining:
         layout = build_group_layout(compute_class_stats(ds), background_class=0)
         assert layout.group_of.tolist() == [0, 3, 2, 1]
         heads, _ = bags_train_heads(model.backbone.features(ds.features), ds,
-                                    OptimSpec(seed=2).for_classifier(), CE)
+                                    OptimSpec(seed=2).for_classifier())
         assert heads["bags.group3"].num_outputs == 2  # class 1 + others
         scores = bags_scores(layout, heads, ds.features[:10])
         assert scores.shape == (10, 4)

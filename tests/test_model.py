@@ -11,10 +11,15 @@ from longtail_lab import (Backbone, ClassifierHead, Dataset,
                           LossSpec, OptimSpec, batch_loss, forward,
                           generate_synthetic, load_model, predict, save_model,
                           softmax, train_stage1, train_stage2)
+from longtail_lab import heads as heads_module
 from longtail_lab import model as model_module
+from longtail_lab.losses import LOSS_KINDS
 from longtail_lab.model import train_linear_head
 
 from conftest import max_relative_error, traced_peak
+
+
+CB_FOCAL_UNWEIGHTED = LossSpec(kind="cb_focal", gamma=2.0, cb_beta=0.0)
 
 
 def blob_dataset(counts=(60, 40), dim=4, separation=10.0, seed=0,
@@ -280,6 +285,31 @@ class TestStage2:
         ds, model = stage1_setup
         with pytest.raises(ValueError, match="unknown method"):
             train_stage2(model, ds, "mystery", OptimSpec(seed=0), LossSpec(kind="cross_entropy"))
+
+    @pytest.mark.parametrize("method, stage, loss, message", [
+        ("bags", 2, CB_FOCAL_UNWEIGHTED, "bags trains with cross_entropy, not cb_focal"),
+        ("cb_focal", 2, LossSpec(kind="cross_entropy"),
+         "cb_focal trains with cb_focal, not cross_entropy"),
+        ("ssb", 2, CB_FOCAL_UNWEIGHTED, "sqrt_samp trains with cross_entropy, not cb_focal"),
+        ("sqrt_samp", 1, CB_FOCAL_UNWEIGHTED, "sqrt_samp trains with cross_entropy, not cb_focal"),
+    ], ids=["bags", "cb_focal", "ssb", "one_stage_sqrt_samp"])
+    def test_other_loss_kind_rejected_before_training(self, stage1_setup, monkeypatch,
+                                                      method, stage, loss, message):
+        ds, model = stage1_setup
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("fit_head called")
+
+        monkeypatch.setattr(model_module, "fit_head", no_training)
+        monkeypatch.setattr(heads_module, "fit_head", no_training)
+        with pytest.raises(ValueError, match=message):
+            if stage == 1:
+                train_stage1(ds, (), OptimSpec(seed=5), loss, method=method)
+            else:
+                train_stage2(model, ds, method, OptimSpec(seed=5).for_classifier(), loss)
+
+    def test_every_loss_kind_is_a_method_loss(self):
+        assert set(LOSS_KINDS) == {m.loss for m in model_module.METHODS.values()}
 
     @pytest.mark.parametrize("method", ["sqrt_samp", "cb_focal", "bags", "ssb"])
     def test_given_features_save_same_bytes(self, stage1_setup, tmp_path, method):
