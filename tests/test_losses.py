@@ -119,6 +119,17 @@ class TestBatchLoss:
         assert np.array_equal(cb.per_instance, ce.per_instance)
         assert np.array_equal(cb.grad_logits, ce.grad_logits)
 
+    def test_focal_gamma_zero_equals_cross_entropy_bitwise(self):
+        rng = np.random.default_rng(3)
+        logits = rng.normal(size=(8, 5))
+        labels = rng.integers(0, 5, size=8)
+        counts = np.array([40, 12, 7, 3, 1])
+        ce = batch_loss(logits, labels, None, LossSpec(kind="cross_entropy"))
+        focal = batch_loss(logits, labels, counts,
+                           LossSpec(kind="cb_focal", gamma=0.0, cb_beta=0.0))
+        assert np.array_equal(ce.per_instance, focal.per_instance)
+        assert np.array_equal(ce.grad_logits, focal.grad_logits)
+
     def test_cb_weighting_scales_each_instance(self):
         logits = np.zeros((2, 2))
         counts = np.array([1, 4])
