@@ -6,16 +6,26 @@ both for binned accuracy and for the grouped classifier heads.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import json
+import logging
 import math
+import os
 import re
+import secrets
+import stat
 from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
+from typing import IO
 
 import numpy as np
 
+from .schema import read_document
 from .seeding import derive_seed
+
+logger = logging.getLogger(__name__)
 
 # Lower/upper count limits per group, half-open: low <= n < high.
 GROUP_LIMITS: tuple[tuple[float, float], ...] = (
@@ -300,16 +310,33 @@ def load_embeddings(path: str) -> Dataset:
     here).  Data lines are ASCII without ``_``, and the label is plain digits.
     Malformed content raises ValueError naming the path and the 1-based line;
     the file is read line by line, so the first faulty line is the one named.
+
+    A regular file's parse is cached in the sidecar ``<path>.ltlab-cache``,
+    keyed by the sha256 of the bytes parsed: a later load of the same bytes
+    reads the arrays back instead of parsing.  The cache never changes the
+    result and never raises; a sidecar that does not match is a miss.
     """
+    sidecar = path + SIDECAR_SUFFIX
     try:
         with open(path, "rb") as fh:
-            return _parse_embeddings(_numbered_lines(fh))
+            cacheable = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            if cacheable and os.path.isfile(sidecar):
+                cached = _read_sidecar(sidecar, _sha256_of(fh))
+                if cached is not None:
+                    return cached
+                fh.seek(0)
+            source = hashlib.sha256()
+            dataset = _parse_embeddings(_numbered_lines(fh, source))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if cacheable:
+        _write_sidecar(sidecar, dataset, source.hexdigest())
+    return dataset
 
 
-def _numbered_lines(fh: Iterable[bytes]) -> Iterator[tuple[int, int, bytes]]:
-    """Yield (1-based number, byte offset, bytes without the newline) per line.
+def _numbered_lines(fh: Iterable[bytes], source) -> Iterator[tuple[int, int, bytes]]:
+    """Yield (1-based number, byte offset, bytes without the newline) per line,
+    feeding every raw line to the hash ``source`` as it is read.
 
     Empty lines are held back until a later line follows them, so the empty
     lines that end a file are never yielded.
@@ -317,6 +344,7 @@ def _numbered_lines(fh: Iterable[bytes]) -> Iterator[tuple[int, int, bytes]]:
     offset = 0
     held: list[tuple[int, int, bytes]] = []
     for lineno, raw in enumerate(fh, start=1):
+        source.update(raw)
         line = raw[:-1] if raw.endswith(b"\n") else raw
         if line:
             yield from held
@@ -348,11 +376,10 @@ def _parse_embeddings(lines: Iterator[tuple[int, int, bytes]]) -> Dataset:
     names = _decode(*second).split(",")
     if len(names) != num_classes:
         raise ValueError(f"line 2: expected {num_classes} class names, got {len(names)}")
-    if any(not n.strip() for n in names):
-        raise ValueError("line 2: empty class name")
-    if len(set(names)) != len(names):
-        duplicate = next(n for i, n in enumerate(names) if n in names[:i])
-        raise ValueError(f"line 2: duplicate class name {duplicate!r}")
+    try:
+        _check_class_names(names)
+    except ValueError as exc:
+        raise ValueError(f"line 2: {exc}") from None
 
     # One growing buffer each; the returned arrays are views of them.
     features, labels = array("d"), array("q")
@@ -393,13 +420,151 @@ def _parse_embeddings(lines: Iterator[tuple[int, int, bytes]]) -> Dataset:
     )
 
 
+def _check_class_names(names: list[str] | tuple[str, ...]) -> None:
+    """Raise ValueError if a name is blank or repeated."""
+    if any(not n.strip() for n in names):
+        raise ValueError("empty class name")
+    if len(set(names)) != len(names):
+        duplicate = next(n for i, n in enumerate(names) if n in names[:i])
+        raise ValueError(f"duplicate class name {duplicate!r}")
+
+
 def save_embeddings(dataset: Dataset, path: str) -> None:
-    """Write the embedding text format; floats use repr for exact round-trips."""
+    """Write the embedding text format; floats use repr for exact round-trips.
+
+    Class names ``load_embeddings`` would reject raise ValueError before the
+    file is opened, and the file appears whole or not at all.
+    """
     if any("," in n or "\n" in n for n in dataset.class_names):
         raise ValueError("class names must not contain commas or newlines")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    _check_class_names(dataset.class_names)
+    for name in dataset.class_names:
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"class name {name!r} is not UTF-8 text") from None
+    with _replacing(path, "x", encoding="utf-8", newline="\n") as fh:
         fh.write(f"C={dataset.num_classes} D={dataset.feature_dim}\n")
         fh.write(",".join(dataset.class_names) + "\n")
         # One row is converted at a time, so the text of only one row is held.
         for label, row in zip(dataset.labels.tolist(), dataset.features):
             fh.write(f"{label}," + ",".join(map(repr, row.tolist())) + "\n")
+
+
+@contextlib.contextmanager
+def _replacing(path: str, mode: str, **kwargs) -> Iterator[IO]:
+    """Open a new file next to ``path`` in ``mode`` (``x`` or ``xb``).  When
+    the block ends without error it takes the place of ``path`` in one
+    rename; otherwise it is deleted.  So ``path`` never holds part of a write.
+    A symbolic link at ``path`` stays, and the file it points to is replaced.
+    """
+    path = os.path.realpath(path)
+    temporary = f"{path}.{secrets.token_hex(8)}.tmp"
+    fh = open(temporary, mode, **kwargs)
+    try:
+        with fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temporary)
+        raise
+
+
+# ---------------------------------------------------------------------------
+# Embedding cache: ``<path>.ltlab-cache`` holds a parsed embedding file.
+# Magic line, 8-byte little-endian header length, JSON header, then the
+# features as raw little-endian float64 (rows x dim) and the labels as
+# little-endian int64, and nothing after them.  ``source_sha256`` is the hash
+# of the text the arrays were parsed from; ``payload_sha256`` covers the
+# class names, the shape and both arrays.
+# ---------------------------------------------------------------------------
+
+SIDECAR_SUFFIX = ".ltlab-cache"
+_SIDECAR_MAGIC = b"LTLABEMB1\n"
+_SIDECAR_TYPES = {"source_sha256": str, "rows": int, "dim": int, "class_names": [str],
+                  "payload_sha256": str}
+_HASH_CHUNK = 1 << 16
+
+
+def _sha256_of(fh: IO[bytes]) -> str:
+    """sha256 of the rest of ``fh``, read a chunk at a time."""
+    h = hashlib.sha256()
+    for chunk in iter(lambda: fh.read(_HASH_CHUNK), b""):
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def _payload(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays a sidecar stores, in its byte order."""
+    return (np.ascontiguousarray(dataset.features, dtype="<f8"),
+            np.ascontiguousarray(dataset.labels, dtype="<i8"))
+
+
+def _sidecar_header(dataset: Dataset, source_sha256: str) -> dict:
+    """The sidecar header of ``dataset`` parsed from text hashing to ``source_sha256``."""
+    payload = hashlib.sha256(json.dumps(
+        [list(dataset.class_names), dataset.num_instances, dataset.feature_dim]).encode())
+    for arr in _payload(dataset):
+        payload.update(arr)
+    return {"format": "longtail-lab-embedding-cache", "version": 1,
+            "source_sha256": source_sha256, "rows": dataset.num_instances,
+            "dim": dataset.feature_dim, "class_names": list(dataset.class_names),
+            "payload_sha256": payload.hexdigest()}
+
+
+def _is_sidecar(path: str) -> bool:
+    """Whether ``path`` is a regular file that starts with the sidecar magic."""
+    if not os.path.isfile(path):
+        return False
+    with open(path, "rb") as fh:
+        return fh.read(len(_SIDECAR_MAGIC)) == _SIDECAR_MAGIC
+
+
+def _read_sidecar(path: str, source_sha256: str) -> Dataset | None:
+    """The dataset the sidecar at ``path`` holds for text hashing to
+    ``source_sha256``, or None if it holds no such dataset whole."""
+    magic = len(_SIDECAR_MAGIC)
+    try:
+        with open(path, "rb") as fh:
+            start = fh.read(magic + 8)
+            header_len = int.from_bytes(start[magic:], "little")
+            if (start[:magic] != _SIDECAR_MAGIC
+                    or magic + 8 + header_len > os.fstat(fh.fileno()).st_size):
+                return None
+            header = json.loads(fh.read(header_len))
+            return read_document(header, "embedding-cache", _SIDECAR_TYPES,
+                                 lambda h: _dataset_from_sidecar(h, fh),
+                                 lambda ds: _sidecar_header(ds, source_sha256))
+    except (OSError, ValueError, RecursionError):
+        return None
+
+
+def _dataset_from_sidecar(header: dict, fh: IO[bytes]) -> Dataset:
+    """The dataset whose arrays follow the header in ``fh``, read straight
+    into the arrays it returns."""
+    rows, dim = header["rows"], header["dim"]
+    if rows < 1 or dim < 1 or os.fstat(fh.fileno()).st_size - fh.tell() != rows * (dim + 1) * 8:
+        raise ValueError("payload size does not match the header")
+    features, labels = np.empty((rows, dim), dtype="<f8"), np.empty(rows, dtype="<i8")
+    for arr in (features, labels):
+        if fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
+            raise ValueError("truncated payload")
+    return Dataset(features=features, labels=labels, class_names=tuple(header["class_names"]))
+
+
+def _write_sidecar(path: str, dataset: Dataset, source_sha256: str) -> None:
+    """Cache ``dataset`` at ``path``, unless a file there is not a sidecar.
+    Failing to write only leaves the cache out."""
+    blob = json.dumps(_sidecar_header(dataset, source_sha256), sort_keys=True,
+                      separators=(",", ":")).encode()
+    try:
+        if os.path.lexists(path) and not _is_sidecar(path):
+            logger.info("%s: not an embedding cache; left as it is", path)
+            return
+        with _replacing(path, "xb") as fh:
+            for part in (_SIDECAR_MAGIC, len(blob).to_bytes(8, "little"), blob,
+                         *_payload(dataset)):
+                fh.write(part)
+    except OSError as exc:
+        logger.info("%s: embedding cache not written: %s", path, exc)

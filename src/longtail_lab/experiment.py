@@ -310,6 +310,7 @@ def prepare_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, Datase
 class RunManifest:
     """What a run produced: artifact paths, timings, and identity digests.
 
+    ``prepare_seconds`` times loading or drawing the data and splitting it;
     ``stage1_seconds`` times each stage-1 model, its training and its frozen
     features, by tag; ``methods.<m>.seconds`` times the method's own work.
     """
@@ -320,10 +321,15 @@ class RunManifest:
     one_stage: bool
     methods: dict[str, dict]
     stage1_seconds: dict[str, float]
+    prepare_seconds: float
     comparison_csv: str | None = None
     comparison_txt: str | None = None
     f1_delta_csv: str | None = None
     failure: dict | None = None
+
+    def __post_init__(self) -> None:
+        # Written as a JSON float, so a stored integer does not round-trip.
+        self.prepare_seconds = float(self.prepare_seconds)
 
     def referenced_files(self) -> list[str]:
         files = []
@@ -351,8 +357,8 @@ class RunManifest:
 # The type of each manifest field, and of each entry of its ``methods``.
 _MANIFEST_TYPES = {
     "config_digest": str, "dataset_digest": str, "tool_version": str, "one_stage": bool,
-    "methods": dict, "stage1_seconds": dict, "comparison_csv": (str, None),
-    "comparison_txt": (str, None), "f1_delta_csv": (str, None),
+    "methods": dict, "stage1_seconds": dict, "prepare_seconds": float,
+    "comparison_csv": (str, None), "comparison_txt": (str, None), "f1_delta_csv": (str, None),
     "failure": ({"method": str, "step": str, "error": str}, None),
 }
 _METHOD_ENTRY_TYPES = {"checkpoint": str, "report": str, "seconds": float}
@@ -405,7 +411,9 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
     (out / "reports").mkdir(parents=True, exist_ok=True)
 
+    started = time.perf_counter()
     train, val, test = prepare_datasets(config)
+    prepare_seconds = round(time.perf_counter() - started, 3)
     stats = compute_class_stats(train)
     dataset_digest = hashlib.sha256(
         (train.digest() + val.digest() + test.digest()).encode("ascii")).hexdigest()
@@ -414,7 +422,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
 
     manifest = RunManifest(config_digest=config_digest, dataset_digest=dataset_digest,
                            tool_version=__version__, one_stage=config.one_stage, methods={},
-                           stage1_seconds={})
+                           stage1_seconds={}, prepare_seconds=prepare_seconds)
     manifest_path = out / "manifest.json"
 
     def own_fit(method: str) -> bool:

@@ -169,6 +169,27 @@ class TestCompare:
         assert (tmp_path / "runB" / "manifest.json").exists()
         assert not (tmp_path / "runA").exists()
 
+    def test_second_compare_of_an_embedding_file_reads_its_cache(self, tmp_path, monkeypatch):
+        assert main(["gen", "--out", str(tmp_path / "emb.txt"), "--classes", "4", "--dim", "3",
+                     "--head-count", "60", "--imbalance", "10"]) == 0
+        cfg = write_config(tmp_path / "cfg.yaml", tmp_path / "run")
+        doc = yaml.safe_load(cfg.read_text())
+        doc["dataset"] = {"synthetic": None, "embeddings": str(tmp_path / "emb.txt"),
+                          "eval": {"mode": "split"}}
+        cfg.write_text(yaml.safe_dump(doc))
+        assert main(["compare", "--config", str(cfg), "--output-dir", str(tmp_path / "a")]) == 0
+        assert (tmp_path / "emb.txt.ltlab-cache").is_file()
+
+        def parse(lines):
+            raise AssertionError("the embedding file was parsed again")
+        monkeypatch.setattr(longtail_lab.data, "_parse_embeddings", parse)
+        assert main(["compare", "--config", str(cfg), "--output-dir", str(tmp_path / "b")]) == 0
+        reports = sorted(p.name for p in (tmp_path / "a" / "reports").iterdir())
+        assert reports == sorted(p.name for p in (tmp_path / "b" / "reports").iterdir())
+        for name in reports:
+            assert ((tmp_path / "a" / "reports" / name).read_bytes()
+                    == (tmp_path / "b" / "reports" / name).read_bytes()), name
+
 
 class TestReport:
     def test_rerender_from_run_dir(self, tmp_path, capsys):

@@ -1,4 +1,9 @@
 """Dataset generation, class statistics, splitting, and embedding-file IO."""
+import logging
+import os
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +12,8 @@ from hypothesis import strategies as st
 from longtail_lab import (Dataset, SplitSpec, SyntheticSpec, compute_class_stats,
                           generate_synthetic, load_embeddings, save_embeddings,
                           split_dataset)
-from longtail_lab.data import GROUP_LIMITS, synthetic_class_counts
+from longtail_lab import data as data_module
+from longtail_lab.data import GROUP_LIMITS, SIDECAR_SUFFIX, synthetic_class_counts
 
 from conftest import dataset_with_counts, traced_peak
 
@@ -313,30 +319,107 @@ FINITE_FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
 )
 
+# Class names: any text without a comma or newline, plus the blank, repeated
+# and unencodable names that save_embeddings must refuse.
+TEXT_NAMES = st.text(st.characters(blacklist_characters=",\n"), max_size=4)
+CLASS_NAMES = st.one_of(st.sampled_from(["a", " ", "", "\ud800"]), TEXT_NAMES)
+
+
+def name_fault(names) -> str | None:
+    """The loader's complaint about ``names``, or None if it accepts them."""
+    if any(not n.strip() for n in names):
+        return "empty class name"
+    if len(set(names)) != len(names):
+        return "duplicate class name"
+    if any(n != n.encode("utf-8", "replace").decode("utf-8") for n in names):
+        return "is not UTF-8 text"
+    return None
+
+
+def draw_dataset(data, names=None, unique: bool = False) -> Dataset:
+    """A dataset of up to 12 rows; class names c0, c1, ... unless drawn from
+    ``names``, all different if ``unique``."""
+    num_classes = data.draw(st.integers(1, 4), label="classes")
+    n = data.draw(st.integers(1, 12), label="rows")
+    dim = data.draw(st.integers(1, 5), label="dim")
+    values = data.draw(st.lists(FINITE_FLOATS, min_size=n * dim, max_size=n * dim))
+    labels = data.draw(st.lists(st.integers(0, num_classes - 1), min_size=n, max_size=n))
+    if names is None:
+        class_names = tuple(f"c{j}" for j in range(num_classes))
+    else:
+        class_names = tuple(data.draw(st.lists(names, min_size=num_classes,
+                                               max_size=num_classes, unique=unique),
+                                      label="names"))
+    return Dataset(np.array(values).reshape(n, dim), np.array(labels), class_names)
+
+
+def write_embedding_file(data, ds: Dataset, path) -> None:
+    """Save ``ds`` to ``path``, then add drawn crop flags and trailing blank lines."""
+    save_embeddings(ds, str(path))
+    lines = path.read_bytes().decode("utf-8").split("\n")[:-1]  # names may hold a "\r"
+    crops = data.draw(st.lists(st.sampled_from(["", ",crop=0", ",crop=1"]),
+                               min_size=ds.num_instances, max_size=ds.num_instances),
+                      label="crop flags")
+    lines[2:] = [line + crop for line, crop in zip(lines[2:], crops)]
+    blanks = data.draw(st.integers(0, 3), label="trailing blank lines")
+    path.write_bytes(("\n".join(lines) + "\n" * (1 + blanks)).encode("utf-8"))
+
 
 class TestEmbeddingLines:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_save_then_load_is_bit_exact(self, embed_dir, data):
-        num_classes = data.draw(st.integers(1, 4), label="classes")
-        n = data.draw(st.integers(1, 12), label="rows")
-        dim = data.draw(st.integers(1, 5), label="dim")
-        values = data.draw(st.lists(FINITE_FLOATS, min_size=n * dim, max_size=n * dim))
-        labels = data.draw(st.lists(st.integers(0, num_classes - 1), min_size=n, max_size=n))
-        ds = Dataset(np.array(values).reshape(n, dim), np.array(labels),
-                     tuple(f"c{j}" for j in range(num_classes)))
+        ds = draw_dataset(data, CLASS_NAMES)
         path = embed_dir / "round_trip.txt"
-        save_embeddings(ds, str(path))
-        lines = path.read_text().splitlines()
-        crops = data.draw(st.lists(st.sampled_from(["", ",crop=0", ",crop=1"]),
-                                   min_size=n, max_size=n), label="crop flags")
-        lines[2:] = [line + crop for line, crop in zip(lines[2:], crops)]
-        blanks = data.draw(st.integers(0, 3), label="trailing blank lines")
-        path.write_text("\n".join(lines) + "\n" * (1 + blanks))
+        path.unlink(missing_ok=True)
+        fault = name_fault(ds.class_names)
+        if fault is not None:
+            with pytest.raises(ValueError, match=fault):
+                save_embeddings(ds, str(path))
+            assert not path.exists() and list(embed_dir.glob("*.tmp")) == []
+            return
+        write_embedding_file(data, ds, path)
         loaded = load_embeddings(str(path))
         assert loaded.features.tobytes() == ds.features.tobytes()
         assert loaded.labels.tobytes() == ds.labels.tobytes()
         assert loaded.class_names == ds.class_names
+
+    @pytest.mark.parametrize("names, message", [
+        (("a", "a"), "duplicate class name 'a'"),
+        (("a", " "), "empty class name"),
+        (("a", ""), "empty class name"),
+        (("a", "b\ud800"), "class name 'b\\ud800' is not UTF-8 text"),
+    ])
+    def test_save_refuses_names_the_loader_rejects(self, tmp_path, names, message):
+        ds = Dataset(np.zeros((2, 1)), np.array([0, 1]), names)
+        with pytest.raises(ValueError) as info:
+            save_embeddings(ds, str(tmp_path / "emb.txt"))
+        assert str(info.value) == message
+        assert list(tmp_path.iterdir()) == []
+
+    def test_save_through_a_link_replaces_its_target(self, tmp_path):
+        (tmp_path / "emb.txt").write_text("old")
+        (tmp_path / "link.txt").symlink_to("emb.txt")
+        save_embeddings(Dataset(np.zeros((1, 1)), np.array([0]), ("a",)),
+                        str(tmp_path / "link.txt"))
+        assert (tmp_path / "link.txt").is_symlink()
+        assert (tmp_path / "emb.txt").read_text() == "C=1 D=1\na\n0,0.0\n"
+
+    def test_interrupted_save_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("old")
+
+        class InterruptedLabels:
+            def tolist(self):
+                yield 0
+                raise KeyboardInterrupt
+
+        ds = Dataset(np.zeros((2, 1)), np.array([0, 1]), ("a", "b"))
+        ds.labels = InterruptedLabels()
+        with pytest.raises(KeyboardInterrupt):
+            save_embeddings(ds, str(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["emb.txt"]
+        assert path.read_text() == "old"
 
     def test_blank_line_between_rows_rejected(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -368,6 +451,132 @@ class TestEmbeddingLines:
         embeddings_rejected(path, 2, "not UTF-8 text (byte 13)")
 
 
+def sidecar_of(path) -> Path:
+    return Path(f"{path}{SIDECAR_SUFFIX}")
+
+
+def never_parse(monkeypatch) -> None:
+    """Make any parse of an embedding file fail the test."""
+    def parse(lines):
+        raise AssertionError("the embedding file was parsed")
+    monkeypatch.setattr(data_module, "_parse_embeddings", parse)
+
+
+def same_dataset(a: Dataset, b: Dataset) -> bool:
+    return (a.features.tobytes() == b.features.tobytes()
+            and a.labels.tobytes() == b.labels.tobytes()
+            and a.class_names == b.class_names and a.digest() == b.digest())
+
+
+SMALL_FILE = "C=2 D=2\ncat,dog\n0,1.0,2.0\n1,0.5,0.25\n0,-1.0,3.5\n"
+
+
+class TestEmbeddingCache:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_second_load_equals_first(self, embed_dir, data):
+        path = embed_dir / "cached.txt"
+        ds = draw_dataset(data, TEXT_NAMES.filter(str.strip), unique=True)
+        write_embedding_file(data, ds, path)
+        first = load_embeddings(str(path))
+        assert sidecar_of(path).is_file()
+        assert same_dataset(load_embeddings(str(path)), first)
+
+    def test_hit_never_parses(self, tmp_path, monkeypatch):
+        path = tmp_path / "emb.txt"
+        path.write_text(SMALL_FILE)
+        first = load_embeddings(str(path))
+        never_parse(monkeypatch)
+        assert same_dataset(load_embeddings(str(path)), first)
+
+    def test_same_length_edit_reparses_and_replaces(self, tmp_path, monkeypatch):
+        path = tmp_path / "emb.txt"
+        path.write_text(SMALL_FILE)
+        load_embeddings(str(path))
+        stale = sidecar_of(path).read_bytes()
+        path.write_text(SMALL_FILE.replace("0.25", "0.75"))
+        assert load_embeddings(str(path)).features[1].tolist() == [0.5, 0.75]
+        assert sidecar_of(path).read_bytes() != stale
+        never_parse(monkeypatch)
+        assert load_embeddings(str(path)).features[1].tolist() == [0.5, 0.75]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_damaged_sidecar_gives_the_parse(self, embed_dir, data):
+        path = embed_dir / "damaged.txt"
+        if not path.exists():
+            path.write_text(SMALL_FILE)
+        expected = load_embeddings(str(path))
+        whole = sidecar_of(path).read_bytes()
+        pos = data.draw(st.integers(0, len(whole) - 1), label="position")
+        kind = data.draw(st.sampled_from(["cut", "flip", "extend"]), label="damage")
+        if kind == "cut":
+            damaged = whole[:pos]
+        elif kind == "flip":
+            damaged = (whole[:pos] + bytes([whole[pos] ^ data.draw(st.integers(1, 255))])
+                       + whole[pos + 1:])
+        else:
+            damaged = whole + data.draw(st.binary(min_size=1, max_size=16), label="tail")
+        sidecar_of(path).write_bytes(damaged)
+        assert same_dataset(load_embeddings(str(path)), expected)
+        # A damaged sidecar is rewritten; a file without the magic is not ours to replace.
+        ours = damaged.startswith(b"LTLABEMB1\n")
+        assert sidecar_of(path).read_bytes() == (whole if ours else damaged)
+        sidecar_of(path).write_bytes(whole)
+
+    def test_faulty_file_raises_alike_and_is_not_cached(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("C=2 D=2\ncat,dog\n0,1.0,2.0\n1,0.5\n")
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError) as info:
+                load_embeddings(str(path))
+            messages.append(str(info.value))
+        assert messages == [f"{path}: line 4: expected label plus 2 features, got 2 fields"] * 2
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_write_returns_the_dataset(self, tmp_path, monkeypatch, caplog):
+        path = tmp_path / "emb.txt"
+        path.write_text(SMALL_FILE)
+
+        def replace(src, dst):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(os, "replace", replace)
+        with caplog.at_level(logging.INFO, logger="longtail_lab.data"):
+            ds = load_embeddings(str(path))
+        assert ds.features.tolist() == [[1.0, 2.0], [0.5, 0.25], [-1.0, 3.5]]
+        assert list(tmp_path.iterdir()) == [path]
+        assert "embedding cache not written" in caplog.text
+
+    @pytest.mark.parametrize("kind", ["file", "fifo", "directory"])
+    def test_foreign_file_left_untouched(self, tmp_path, kind):
+        path = tmp_path / "emb.txt"
+        path.write_text(SMALL_FILE)
+        foreign = sidecar_of(path)
+        if kind == "file":
+            foreign.write_bytes(b"LTLABEMB notes kept by someone else")
+        elif kind == "fifo":
+            os.mkfifo(foreign)
+        else:
+            foreign.mkdir()
+        for _ in range(2):
+            assert load_embeddings(str(path)).num_instances == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt", foreign.name]
+        if kind == "file":
+            assert foreign.read_bytes() == b"LTLABEMB notes kept by someone else"
+
+    def test_non_regular_file_is_parsed_and_not_cached(self, tmp_path):
+        path = tmp_path / "emb.fifo"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=(SMALL_FILE,), daemon=True)
+        writer.start()
+        ds = load_embeddings(str(path))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert ds.num_instances == 3
+        assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.fixture(scope="module")
 def wide_embedding_file(embed_dir):
     """About 20,000 rows of 32 features, written by save_embeddings."""
@@ -382,9 +591,18 @@ def wide_embedding_file(embed_dir):
 class TestMemory:
     def test_load_holds_about_one_matrix(self, wide_embedding_file):
         path, ds = wide_embedding_file
+        sidecar_of(path).unlink(missing_ok=True)  # a parse, which also writes the sidecar
         loaded, peak = traced_peak(load_embeddings, str(path))
         assert loaded.features.tobytes() == ds.features.tobytes()
         assert peak <= 2 * loaded.features.nbytes, peak / loaded.features.nbytes
+
+    def test_cache_hit_holds_one_matrix(self, wide_embedding_file, monkeypatch):
+        path, ds = wide_embedding_file
+        load_embeddings(str(path))
+        never_parse(monkeypatch)
+        loaded, peak = traced_peak(load_embeddings, str(path))
+        assert loaded.features.tobytes() == ds.features.tobytes()
+        assert peak <= 1.1 * loaded.features.nbytes, peak / loaded.features.nbytes
 
     def test_finiteness_check_holds_a_block_of_flags(self):
         features = np.random.default_rng(0).standard_normal((20_000, 32))

@@ -284,6 +284,7 @@ class TestRunExperiment:
         assert reloaded.config_digest == config.digest()
         assert list(reloaded.stage1_seconds) == ["stage1"]
         assert reloaded.stage1_seconds["stage1"] >= 0
+        assert reloaded.prepare_seconds == manifest.prepare_seconds >= 0
 
     def test_all_methods_share_stage1(self, tmp_path):
         config = config_from_dict(tiny_doc(
@@ -552,9 +553,11 @@ class TestManifestReader:
         (lambda m: m.update(extra=1), "'extra'"),
         (lambda m: m.update(stage1_seconds=[1.0]), "'stage1_seconds'"),
         (lambda m: m["stage1_seconds"].update(stage1="1s"), "'stage1_seconds.stage1'"),
+        (lambda m: m.update(prepare_seconds=None), "'prepare_seconds'"),
+        (lambda m: m.update(prepare_seconds=2), "'prepare_seconds'"),
     ], ids=["methods_a_string", "digest_missing", "seconds_a_string", "entry_without_report",
             "failure_without_step", "unknown_field", "stage1_seconds_a_list",
-            "stage1_time_a_string"])
+            "stage1_time_a_string", "prepare_seconds_null", "prepare_seconds_an_integer"])
     def test_bad_field_named(self, manifest_file, edit, fragment):
         document = stored_manifest(manifest_file)
         edit(document)
