@@ -12,7 +12,7 @@ from .data import (ClassStats, Dataset, SplitSpec, SyntheticSpec,
                    compute_class_stats, generate_synthetic, load_embeddings,
                    save_embeddings, split_dataset)
 from .experiment import (ExperimentConfig, RunManifest, config_from_dict,
-                         default_config, emit_f1_delta, load_config,
+                         default_config, emit_f1_delta, load_config, plan,
                          run_experiment)
 from .heads import (GroupLayout, bags_infer, bags_scores, bags_train_heads,
                     build_group_layout, ssb_aggregate)
@@ -34,7 +34,7 @@ __all__ = [
     "compute_class_stats", "config_from_dict", "default_config",
     "emit_f1_delta", "evaluate", "focal_loss", "forward", "generate_synthetic",
     "load_config", "load_embeddings", "load_model", "load_report", "lr_at",
-    "make_epoch_stream", "make_sampler", "optimizer_step", "predict",
+    "make_epoch_stream", "make_sampler", "optimizer_step", "plan", "predict",
     "run_experiment", "sampling_weights", "save_embeddings", "save_model",
     "save_report", "softmax", "split_dataset", "ssb_aggregate", "train_stage1",
     "train_stage2",

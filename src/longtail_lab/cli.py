@@ -10,7 +10,7 @@ import yaml
 from . import __version__
 from .data import generate_synthetic, save_embeddings
 from .experiment import (DEFAULT_CONFIG_YAML, config_from_dict, emit_f1_delta,
-                         run_experiment, synthetic_spec)
+                         load_manifest, run_experiment, synthetic_spec)
 from .metrics import compare_methods, load_report
 from .model import METHODS
 
@@ -39,12 +39,9 @@ def _load_doc(args: argparse.Namespace) -> dict:
         doc = yaml.safe_load(DEFAULT_CONFIG_YAML)
     if not isinstance(doc, dict):
         raise ValueError("config document must be a mapping")
-    if getattr(args, "seed", None) is not None:
-        doc["seed"] = args.seed
-    if getattr(args, "output_dir", None) is not None:
-        doc["output_dir"] = args.output_dir
-    if getattr(args, "methods", None) is not None:
-        doc["methods"] = args.methods
+    for key in ("seed", "output_dir", "methods"):
+        if getattr(args, key, None) is not None:
+            doc[key] = getattr(args, key)
     if getattr(args, "one_stage", False):
         doc["one_stage"] = True
     for assignment in getattr(args, "set", None) or []:
@@ -100,10 +97,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _report_paths(args: argparse.Namespace) -> list[str]:
+    """The report files named, then those the manifest of ``--run-dir`` lists, in METHODS order."""
     paths = list(args.reports)
     if args.run_dir:
-        found = sorted(Path(args.run_dir, "reports").glob("*.json"))
-        paths.extend(str(p) for p in found)
+        listed = load_manifest(str(Path(args.run_dir, "manifest.json"))).methods
+        paths.extend(str(Path(args.run_dir, listed[m]["report"])) for m in METHODS if m in listed)
     if not paths:
         raise ValueError("no reports given; pass report files or --run-dir")
     return paths
@@ -161,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="re-render tables from stored reports")
     report.add_argument("reports", nargs="*", help="report JSON files")
-    report.add_argument("--run-dir", help="run directory containing reports/")
+    report.add_argument("--run-dir", help="run directory: the reports its manifest lists")
     report.add_argument("--format", choices=("text", "csv"), default="text")
     report.set_defaults(func=_cmd_report)
 

@@ -73,6 +73,7 @@ class Dataset:
         c = len(self.class_names)
         if c < 1:
             raise ValueError("class_names is empty")
+        _check_separator(self.class_names)
         if self.labels.min() < 0 or self.labels.max() >= c:
             raise ValueError(f"labels must lie in [0, {c})")
         if self.background_class is not None:
@@ -420,13 +421,21 @@ def _parse_embeddings(lines: Iterator[tuple[int, int, bytes]]) -> Dataset:
     )
 
 
+def _check_separator(names: list[str] | tuple[str, ...]) -> None:
+    """Raise ValueError if a name holds "\x1f", which joins the names a digest covers."""
+    for name in names:
+        if "\x1f" in name:
+            raise ValueError(f"class name {name!r} holds '\\x1f', the digest's separator")
+
+
 def _check_class_names(names: list[str] | tuple[str, ...]) -> None:
-    """Raise ValueError if a name is blank or repeated."""
+    """Raise ValueError if a name is blank, repeated or holds the digest's separator."""
     if any(not n.strip() for n in names):
         raise ValueError("empty class name")
     if len(set(names)) != len(names):
         duplicate = next(n for i, n in enumerate(names) if n in names[:i])
         raise ValueError(f"duplicate class name {duplicate!r}")
+    _check_separator(names)
 
 
 def save_embeddings(dataset: Dataset, path: str) -> None:

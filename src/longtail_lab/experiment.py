@@ -8,7 +8,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import get_type_hints
+from typing import Iterator, get_type_hints
 
 import numpy as np
 import yaml
@@ -332,12 +332,9 @@ class RunManifest:
         self.prepare_seconds = float(self.prepare_seconds)
 
     def referenced_files(self) -> list[str]:
-        files = []
-        for entry in self.methods.values():
-            files.extend(p for p in (entry.get("checkpoint"), entry.get("report")) if p)
-        files.extend(p for p in (self.comparison_csv, self.comparison_txt,
-                                 self.f1_delta_csv) if p)
-        return files
+        named = [p for e in self.methods.values() for p in (e.get("checkpoint"), e.get("report"))]
+        return [p for p in named + [self.comparison_csv, self.comparison_txt, self.f1_delta_csv]
+                if p]
 
     def to_dict(self) -> dict:
         return {"format": "longtail-lab-manifest", "version": 1, **asdict(self)}
@@ -396,20 +393,80 @@ def _loss(method: str, config: ExperimentConfig) -> LossSpec:
     return LossSpec(kind=METHODS[method].loss)
 
 
-def run_experiment(config: ExperimentConfig) -> RunManifest:
-    """Run every configured method, evaluate on the test partition, and persist
-    checkpoints, reports, the comparison table, and the manifest.
+def step_reads(step: str, tag: str | None) -> tuple[str, ...]:
+    """The held arrays a ``step`` of ``plan`` on stage-1 model ``tag`` (None for
+    an own fit) reads, in order.  "train" and "test" are the raw splits; "<tag>"
+    is a stage-1 model with its frozen backbone's output on the test rows and
+    the stage-2 fits made on it, by owner; "<tag>.train" is the train split on
+    that output, which stage-1 training computes only when a later step reads it."""
+    return {("stage-1 training", True): ("train", "test"),
+            ("one-stage training", False): ("train",),
+            ("stage-2 training", True): (tag, f"{tag}.train"),
+            ("evaluation", True): (tag,),
+            ("evaluation", False): ("test",)}[step, tag is not None]
 
-    The first stage is trained once and shared by all two-stage methods so
-    they compete on the same representation; per-method seeds are derived
-    independently of execution order.  A stage-2 fit two methods share (see
-    ``Method.fit_of``) is made once per stage-1 model, by whichever runs first.
-    Each large array (the raw splits, each stage-1 model's frozen features) is
-    held only until the last method that reads it has read it.
-    """
+
+def plan(config: ExperimentConfig) -> list[tuple[str, str, str | None]]:
+    """The steps ``run_experiment`` runs, in order, as (step, method, stage-1
+    tag): the first user of a tag trains it, an own fit (tag None) trains in
+    one stage, and each method ends in its evaluation."""
+    steps: list[tuple[str, str, str | None]] = []
+    for method in config.methods:
+        if config.one_stage and METHODS[method].one_stage and METHODS[method].stage2 is not None:
+            steps += [("one-stage training", method, None), ("evaluation", method, None)]
+            continue
+        tag = "stage1" if config.shared_stage1 else f"stage1:{method}"
+        if ("stage-1 training", tag) not in [(s, t) for s, _, t in steps]:
+            steps.append(("stage-1 training", method, tag))
+        if METHODS[fit_owner(method)].stage2 is not None:
+            steps.append(("stage-2 training", method, tag))
+        steps.append(("evaluation", method, tag))
+    return steps
+
+
+def _stage1(config: ExperimentConfig, tag: str, inputs: Iterator, held: dict,
+            frozen_train: bool) -> None:
+    """Stage-1 training: write "<tag>" to ``held``, and "<tag>.train" if ``frozen_train``."""
+    spec = replace(config.stage1, seed=derive_seed(config.seed, tag))
+    train = next(inputs)
+    model = train_stage1(train, config.hidden, spec, _loss("baseline", config))
+    if frozen_train:
+        held[f"{tag}.train"] = replace(train, features=model.backbone.features(train.features))
+    # Freed here if this was their last read, the raw train rows do not
+    # overlap the test pass.
+    del train
+    held[tag] = (model, model.backbone.features(next(inputs).features), {})
+
+
+def _stage2(config: ExperimentConfig, method: str, inputs: Iterator) -> TrainedModel:
+    """Stage-2 training: ``method``'s model, fitted on a stage-1 entry's frozen train split."""
+    (model, _, fits), train_h = inputs
+    owner = fit_owner(method)
+    spec = replace(config.stage2, seed=derive_seed(config.seed, "stage2", owner))
+    return train_stage2(model, train_h, method, spec, _loss(owner, config),
+                        features=train_h.features, fits=fits, bags_beta=config.bags_beta,
+                        bags_background=_BACKGROUND_GROUP[config.bags_background_group])
+
+
+def _predictions(model: TrainedModel | None, tag: str | None,
+                 inputs: Iterator) -> tuple[TrainedModel, np.ndarray]:
+    """The model a method evaluates, ``model`` or else its stage-1 model, and its
+    test predictions; a score matrix kept into the next scoring would raise the peak."""
+    if tag is None:
+        return model, predict(model, next(inputs).features)[0]
+    stage1, test_h, _ = next(inputs)
+    model = stage1 if model is None else model
+    return model, predict(model, test_h, backbone_output=True)[0]
+
+
+def run_experiment(config: ExperimentConfig) -> RunManifest:
+    """Run the steps of ``plan(config)``, which evaluate each method on the test
+    partition, and persist checkpoints, reports, the comparison table, and the
+    manifest.  Per-method seeds do not depend on execution order.  Each large
+    array is held by its ``step_reads`` name and dropped at its last read."""
     out = Path(config.output_dir)
-    (out / "checkpoints").mkdir(parents=True, exist_ok=True)
-    (out / "reports").mkdir(parents=True, exist_ok=True)
+    for sub in ("checkpoints", "reports"):
+        (out / sub).mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
     train, val, test = prepare_datasets(config)
@@ -423,108 +480,47 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     manifest = RunManifest(config_digest=config_digest, dataset_digest=dataset_digest,
                            tool_version=__version__, one_stage=config.one_stage, methods={},
                            stage1_seconds={}, prepare_seconds=prepare_seconds)
-    manifest_path = out / "manifest.json"
-
-    def own_fit(method: str) -> bool:
-        """Whether ``method`` trains a backbone of its own instead of reusing stage 1."""
-        entry = METHODS[method]
-        return config.one_stage and entry.one_stage and entry.stage2 is not None
-
-    # The stage-1 model each method reuses, by tag; None for an own fit.
-    tags = {m: None if own_fit(m) else "stage1" if config.shared_stage1 else f"stage1:{m}"
-            for m in config.methods}
-    # Every large array the run holds, by name, is dropped once the method
-    # that reads it last has read it:
-    # - "train" and "test", the raw splits, read by each own fit and by the
-    #   first user of each stage-1 model, which trains it and computes its
-    #   frozen features;
-    # - "<tag>", a stage-1 model with its frozen backbone's output on the test
-    #   rows and the stage-2 fits made on it, by owner, read by every user;
-    # - "<tag>.train", the train split on its frozen backbone's output, read
-    #   by every user that fits a stage 2; computed only when there is one.
+    steps = plan(config)
+    last_read = {name: i for i, (step, _, tag) in enumerate(steps)
+                 for name in step_reads(step, tag)}
     held: dict[str, object] = {"train": train, "test": test}
     class_names, test_labels = train.class_names, test.labels
     del train, test
-    last_reader: dict[str, str] = {}
-    for method in config.methods:
-        tag = tags[method]
-        if tag is None or tag not in last_reader:
-            last_reader["train"] = last_reader["test"] = method
-        if tag is not None:
-            last_reader[tag] = method
-            if METHODS[fit_owner(method)].stage2 is not None:
-                last_reader[f"{tag}.train"] = method
-
-    def read(name: str, method: str):
-        """The held entry ``name``, dropped from ``held`` if ``method`` reads it last."""
-        return held.pop(name) if last_reader[name] == method else held[name]
-
-    def build_stage1(tag: str, method: str) -> None:
-        """Train stage-1 model ``tag`` and compute its frozen features for its first user."""
-        started = time.perf_counter()
-        spec = replace(config.stage1, seed=derive_seed(config.seed, tag))
-        train = read("train", method)
-        model = train_stage1(train, config.hidden, spec, _loss("baseline", config))
-        if f"{tag}.train" in last_reader:
-            held[f"{tag}.train"] = replace(train, features=model.backbone.features(train.features))
-        # Freed here if this was their last reader, the raw train rows do not
-        # overlap the test pass.
-        del train
-        held[tag] = (model, model.backbone.features(read("test", method).features), {})
-        manifest.stage1_seconds[tag] = round(time.perf_counter() - started, 3)
-
-    def fit_and_predict(method: str) -> tuple[TrainedModel, np.ndarray, float]:
-        """``method``'s model, its test predictions, and when its own work started."""
-        nonlocal step
-        tag = tags[method]
-        if tag is None:
-            started = time.perf_counter()
-            step = "one-stage training"
-            spec = replace(config.stage1, seed=derive_seed(config.seed, "one-stage", method))
-            model = train_stage1(read("train", method), config.hidden, spec,
-                                 _loss(method, config), method=method)
-            step = "evaluation"
-            return model, predict(model, read("test", method).features)[0], started
-        step = "stage-1 training"
-        if tag not in held:
-            build_stage1(tag, method)
-        model, test_h, fits = read(tag, method)
-        started = time.perf_counter()
-        owner = fit_owner(method)
-        if METHODS[owner].stage2 is not None:
-            step = "stage-2 training"
-            spec = replace(config.stage2, seed=derive_seed(config.seed, "stage2", owner))
-            train_h = read(f"{tag}.train", method)
-            model = train_stage2(model, train_h, method, spec, _loss(owner, config),
-                                 bags_beta=config.bags_beta, bags_background=bags_background,
-                                 features=train_h.features, fits=fits)
-            del train_h
-        step = "evaluation"
-        # Only predictions are kept: a score matrix held into the next
-        # method's scoring would raise the run's peak memory.
-        return model, predict(model, test_h, backbone_output=True)[0], started
-
-    bags_background = _BACKGROUND_GROUP[config.bags_background_group]
     reports: list[EvalReport] = []
-    step = "setup"
-    method = ""
+    began: dict[str, float] = {}  # when each method's own work began
+    model = None  # the model of the method under way, once it has trained one
+    step, method = "setup", ""
     try:
-        for method in config.methods:
-            model, preds, started = fit_and_predict(method)
-            report = evaluate(preds, test_labels, stats, method=method, seed=config.seed,
-                              config_digest=config_digest, dataset_digest=dataset_digest,
-                              class_names=class_names)
-            step = "persistence"
-            ckpt_rel = f"checkpoints/{method}.ckpt"
-            report_rel = f"reports/{method}.json"
-            save_model(model, str(out / ckpt_rel))
-            save_report(report, str(out / report_rel))
-            reports.append(report)
-            manifest.methods[method] = {
-                "checkpoint": ckpt_rel,
-                "report": report_rel,
-                "seconds": round(time.perf_counter() - started, 3),
-            }
+        for i, (step, method, tag) in enumerate(steps):
+            started = time.perf_counter()
+            inputs = (held.pop(name) if last_read[name] == i else held[name]
+                      for name in step_reads(step, tag))
+            if step == "stage-1 training":
+                _stage1(config, tag, inputs, held, f"{tag}.train" in last_read)
+                manifest.stage1_seconds[tag] = round(time.perf_counter() - started, 3)
+                continue
+            began.setdefault(method, started)
+            if step == "one-stage training":
+                spec = replace(config.stage1, seed=derive_seed(config.seed, "one-stage", method))
+                model = train_stage1(next(inputs), config.hidden, spec, _loss(method, config),
+                                     method=method)
+            elif step == "stage-2 training":
+                model = _stage2(config, method, inputs)
+            else:
+                model, preds = _predictions(model, tag, inputs)
+                report = evaluate(preds, test_labels, stats, method=method, seed=config.seed,
+                                  config_digest=config_digest, dataset_digest=dataset_digest,
+                                  class_names=class_names)
+                step = "persistence"
+                ckpt_rel = f"checkpoints/{method}.ckpt"
+                report_rel = f"reports/{method}.json"
+                save_model(model, str(out / ckpt_rel))
+                save_report(report, str(out / report_rel))
+                reports.append(report)
+                manifest.methods[method] = {
+                    "checkpoint": ckpt_rel, "report": report_rel,
+                    "seconds": round(time.perf_counter() - began[method], 3)}
+                model = None
         step = "comparison"
         table = compare_methods(reports)
         (out / "reports" / "comparison.csv").write_text(table.to_csv(), encoding="utf-8")
@@ -539,9 +535,9 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
             manifest.f1_delta_csv = "reports/f1_delta.csv"
     except Exception as exc:
         manifest.failure = {"method": method, "step": step, "error": str(exc)}
-        manifest.save(str(manifest_path))
+        manifest.save(str(out / "manifest.json"))
         raise RuntimeError(f"method {method!r} failed during {step}: {exc}") from exc
-    manifest.save(str(manifest_path))
+    manifest.save(str(out / "manifest.json"))
     return manifest
 
 
@@ -562,12 +558,9 @@ class F1DeltaTable:
 
     def to_csv(self) -> str:
         header = ["class", "train_count"] + [f"delta_{m}" for m in self.methods]
-        lines = [",".join(header)]
-        for i, name in enumerate(self.class_names):
-            row = [name, str(int(self.train_counts[i]))]
-            row += [f"{self.deltas[i, j]:.6f}" for j in range(len(self.methods))]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        rows = [[name, str(int(count))] + [f"{d:.6f}" for d in deltas]
+                for name, count, deltas in zip(self.class_names, self.train_counts, self.deltas)]
+        return "".join(",".join(row) + "\n" for row in [header] + rows)
 
 
 def emit_f1_delta(baseline_report: EvalReport,
@@ -579,9 +572,8 @@ def emit_f1_delta(baseline_report: EvalReport,
                              "than the baseline")
     order = np.lexsort((np.arange(len(baseline_report.class_names)),
                         -baseline_report.train_counts))
-    deltas = np.stack([r.per_class_f1 - baseline_report.per_class_f1
-                       for r in method_reports], axis=1) if method_reports else \
-        np.zeros((len(baseline_report.class_names), 0))
+    deltas = np.array([r.per_class_f1 - baseline_report.per_class_f1 for r in method_reports]
+                      ).reshape(len(method_reports), len(baseline_report.class_names)).T
     return F1DeltaTable(
         class_names=tuple(baseline_report.class_names[i] for i in order),
         train_counts=baseline_report.train_counts[order],

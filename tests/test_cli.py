@@ -213,6 +213,33 @@ class TestReport:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_run_dir_ranks_only_the_reports_its_manifest_lists(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.yaml", tmp_path / "run", methods=list(METHODS))
+        run = str(tmp_path / "run")
+        assert main(["compare", "--config", str(cfg), "--set", "stage1.epochs=3",
+                     "--set", "stage2.epochs=2"]) == 0
+        assert main(["train", "--config", str(cfg), "--method", "baseline",
+                     "--set", "stage1.epochs=6", "--set", "stage2.epochs=2"]) == 0
+        capsys.readouterr()
+        assert main(["report", "--run-dir", run]) == 0
+        assert capsys.readouterr().out == (tmp_path / "run" / "reports" /
+                                           "comparison.txt").read_text(encoding="utf-8")
+        assert list(load_manifest(str(tmp_path / "run" / "manifest.json")).methods) == [
+            "baseline"]
+
+    def test_run_dir_rows_follow_the_run(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.yaml", tmp_path / "run", methods=list(METHODS))
+        assert main(["compare", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(tmp_path / "run")]) == 0
+        assert capsys.readouterr().out == (tmp_path / "run" / "reports" /
+                                           "comparison.txt").read_text(encoding="utf-8")
+
+    def test_run_dir_without_a_manifest_names_it(self, tmp_path, capsys):
+        (tmp_path / "reports").mkdir()
+        assert main(["report", "--run-dir", str(tmp_path)]) == 1
+        assert str(tmp_path / "manifest.json") in capsys.readouterr().err
+
 
 class TestF1Delta:
     def test_writes_csv(self, tmp_path, capsys):

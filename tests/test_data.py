@@ -101,6 +101,14 @@ class TestDatasetInvariants:
         assert ds.digest() == pinned
         assert ds.with_background(None).digest() != pinned
 
+    @pytest.mark.parametrize("names", [("a\x1fb", "c"), ("a", "b\x1fc")])
+    def test_rejects_the_digest_separator_in_a_class_name(self, names):
+        # The digest joins the names with it: these two would digest alike.
+        with pytest.raises(ValueError) as info:
+            Dataset(features=np.zeros((2, 1)), labels=np.array([0, 1]), class_names=names)
+        bad = next(n for n in names if "\x1f" in n)
+        assert str(info.value) == f"class name {bad!r} holds '\\x1f', the digest's separator"
+
     def test_rejects_bad_background(self):
         with pytest.raises(ValueError):
             Dataset(features=np.zeros((1, 2)), labels=np.array([0]),
@@ -274,8 +282,9 @@ class TestEmbeddingRejects:
         (["C=2 D=2", "cat,dog", "0,1.0,2.0", "-1,1.0,2.0"], 4, "label '-1'"),
         (["C=2 D=2", "cat,dog", "1,1.0,2.0", "١,1.0,2.0"], 4, "ASCII"),
         (["C=2 D=2"], 1, "missing header"),
+        (["C=2 D=2", "cat\x1fdog,cow", "0,1.0,2.0"], 2, "class name 'cat\\x1fdog' holds"),
     ], ids=["duplicate_names", "underscore_feature", "plus_label", "negative_label",
-            "arabic_digit_label", "no_name_line"])
+            "arabic_digit_label", "no_name_line", "separator_in_name"])
     def test_bad_content_names_path_and_line(self, tmp_path, lines, line, fragment):
         path = tmp_path / "emb.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -319,10 +328,11 @@ FINITE_FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
 )
 
-# Class names: any text without a comma or newline, plus the blank, repeated
-# and unencodable names that save_embeddings must refuse.
-TEXT_NAMES = st.text(st.characters(blacklist_characters=",\n"), max_size=4)
-CLASS_NAMES = st.one_of(st.sampled_from(["a", " ", "", "\ud800"]), TEXT_NAMES)
+# Class names: any text without a comma, a newline or the digest's separator
+# "\x1f", plus the blank, repeated, separator-holding and unencodable names that
+# save_embeddings must refuse.
+TEXT_NAMES = st.text(st.characters(blacklist_characters=",\n\x1f"), max_size=4)
+CLASS_NAMES = st.one_of(st.sampled_from(["a", " ", "", "a\x1fb", "\ud800"]), TEXT_NAMES)
 
 
 def name_fault(names) -> str | None:
@@ -331,6 +341,8 @@ def name_fault(names) -> str | None:
         return "empty class name"
     if len(set(names)) != len(names):
         return "duplicate class name"
+    if any("\x1f" in n for n in names):
+        return "the digest's separator"
     if any(n != n.encode("utf-8", "replace").decode("utf-8") for n in names):
         return "is not UTF-8 text"
     return None
@@ -344,13 +356,14 @@ def draw_dataset(data, names=None, unique: bool = False) -> Dataset:
     dim = data.draw(st.integers(1, 5), label="dim")
     values = data.draw(st.lists(FINITE_FLOATS, min_size=n * dim, max_size=n * dim))
     labels = data.draw(st.lists(st.integers(0, num_classes - 1), min_size=n, max_size=n))
-    if names is None:
-        class_names = tuple(f"c{j}" for j in range(num_classes))
-    else:
-        class_names = tuple(data.draw(st.lists(names, min_size=num_classes,
-                                               max_size=num_classes, unique=unique),
-                                      label="names"))
-    return Dataset(np.array(values).reshape(n, dim), np.array(labels), class_names)
+    ds = Dataset(np.array(values).reshape(n, dim), np.array(labels),
+                 tuple(f"c{j}" for j in range(num_classes)))
+    if names is not None:
+        # Set after construction, so a name Dataset refuses reaches save_embeddings.
+        ds.class_names = tuple(data.draw(st.lists(names, min_size=num_classes,
+                                                  max_size=num_classes, unique=unique),
+                                         label="names"))
+    return ds
 
 
 def write_embedding_file(data, ds: Dataset, path) -> None:
@@ -395,6 +408,13 @@ class TestEmbeddingLines:
         with pytest.raises(ValueError) as info:
             save_embeddings(ds, str(tmp_path / "emb.txt"))
         assert str(info.value) == message
+        assert list(tmp_path.iterdir()) == []
+
+    def test_save_refuses_the_digest_separator(self, tmp_path):
+        ds = Dataset(np.zeros((2, 1)), np.array([0, 1]), ("a", "b"))
+        ds.class_names = ("a", "b\x1fc")  # Dataset itself refuses such a name
+        with pytest.raises(ValueError, match="class name 'b\\\\x1fc' holds"):
+            save_embeddings(ds, str(tmp_path / "emb.txt"))
         assert list(tmp_path.iterdir()) == []
 
     def test_save_through_a_link_replaces_its_target(self, tmp_path):

@@ -1,7 +1,9 @@
 """Configuration document, experiment runner, manifest, and F1-delta table."""
 import copy
 import json
+import time
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +17,9 @@ from longtail_lab import (compute_class_stats, config_from_dict, default_config,
                           run_experiment, save_embeddings)
 from longtail_lab import experiment as experiment_module
 from longtail_lab import model as model_module
-from longtail_lab.experiment import (DEFAULT_CONFIG_YAML, load_manifest,
-                                     prepare_datasets)
+from longtail_lab.experiment import (DEFAULT_CONFIG_YAML, load_manifest, plan,
+                                     prepare_datasets, step_reads)
+from longtail_lab.model import METHODS, fit_owner
 
 from conftest import traced_peak
 
@@ -397,6 +400,95 @@ def spy(monkeypatch, name: str, before) -> None:
     monkeypatch.setattr(experiment_module, name, spied)
 
 
+def stage2_then_evaluation(*methods):
+    return [pair for m in methods for pair in (("stage-2 training", m), ("evaluation", m))]
+
+
+class TestPlan:
+    """``plan`` is pure: it reads only the method list and the two regime flags."""
+
+    def pairs(self, **overrides) -> list[tuple[str, str]]:
+        return [(step, method) for step, method, _ in
+                plan(config_from_dict(tiny_doc("unused", **overrides)))]
+
+    def test_default_config(self):
+        # The shape of the benchmark's desk and wide workloads.
+        assert [(s, m) for s, m, _ in plan(default_config())] == [
+            ("stage-1 training", "baseline"), ("evaluation", "baseline"),
+            *stage2_then_evaluation("sqrt_samp", "cb_focal", "bags", "ssb")]
+
+    def test_one_stage_with_a_background_class(self):
+        # The shape of the benchmark's embed workload.
+        doc = tiny_doc("unused", methods=list(METHODS), one_stage=True)
+        doc["dataset"]["background_class"] = 0
+        steps = plan(config_from_dict(doc))
+        assert [(s, m) for s, m, _ in steps] == [
+            ("stage-1 training", "baseline"), ("evaluation", "baseline"),
+            ("one-stage training", "sqrt_samp"), ("evaluation", "sqrt_samp"),
+            ("one-stage training", "cb_focal"), ("evaluation", "cb_focal"),
+            *stage2_then_evaluation("bags", "ssb")]
+        assert {m: t for _, m, t in steps} == {
+            "baseline": "stage1", "sqrt_samp": None, "cb_focal": None,
+            "bags": "stage1", "ssb": "stage1"}
+
+    def test_unshared_stage1(self):
+        assert self.pairs(methods=list(METHODS), shared_stage1=False) == [
+            ("stage-1 training", "baseline"), ("evaluation", "baseline"),
+            *[pair for m in ("sqrt_samp", "cb_focal", "bags", "ssb")
+              for pair in [("stage-1 training", m), *stage2_then_evaluation(m)]]]
+
+    def test_ssb_before_sqrt_samp(self):
+        assert self.pairs(methods=["ssb", "sqrt_samp"]) == [
+            ("stage-1 training", "ssb"), *stage2_then_evaluation("ssb", "sqrt_samp")]
+
+    @settings(max_examples=200, deadline=None)
+    @given(methods=st.lists(st.sampled_from(tuple(METHODS)), min_size=1, max_size=len(METHODS),
+                            unique=True),
+           one_stage=st.booleans(), shared_stage1=st.booleans())
+    def test_every_read_is_written_first(self, methods, one_stage, shared_stage1):
+        steps = plan(config_from_dict(tiny_doc("unused", methods=methods, one_stage=one_stage,
+                                               shared_stage1=shared_stage1)))
+        written = {"train", "test"}
+        for step, method, tag in steps:
+            assert set(step_reads(step, tag)) <= written, (step, method)
+            if step == "stage-1 training":
+                written |= {tag, f"{tag}.train"}
+        assert [m for s, m, _ in steps if s == "evaluation"] == methods
+        trained = Counter(t for s, _, t in steps if s == "stage-1 training")
+        assert set(trained.values()) <= {1}
+        assert set(trained) == {t for _, _, t in steps if t is not None}
+        assert sum(s == "stage-2 training" for s, _, _ in steps) == sum(
+            t is not None and METHODS[fit_owner(m)].stage2 is not None
+            for s, m, t in steps if s == "evaluation")
+
+
+SLEEP = 0.2
+
+
+class TestManifestTimings:
+    """Each fit sleeps first, a stage-2 fit only when it is made rather than
+    reused: the sleep shows in the timing of the step that makes the fit."""
+
+    @pytest.fixture(autouse=True)
+    def slow_fits(self, monkeypatch):
+        spy(monkeypatch, "train_stage1", lambda *args, **kwargs: time.sleep(SLEEP))
+        spy(monkeypatch, "train_stage2", lambda model, dataset, method, *args, fits, **kwargs:
+            fit_owner(method) in fits or time.sleep(SLEEP))
+
+    def test_stage1_fit_is_timed_apart_from_the_baseline(self, tmp_path):
+        manifest = run_experiment(config_from_dict(tiny_doc(str(tmp_path / "run"),
+                                                            methods=["baseline"])))
+        assert manifest.stage1_seconds["stage1"] >= SLEEP
+        assert manifest.methods["baseline"]["seconds"] < SLEEP
+
+    def test_a_shared_stage2_fit_is_counted_once(self, tmp_path):
+        manifest = run_experiment(config_from_dict(tiny_doc(str(tmp_path / "run"),
+                                                            methods=["sqrt_samp", "ssb"])))
+        assert manifest.stage1_seconds["stage1"] >= SLEEP
+        assert manifest.methods["sqrt_samp"]["seconds"] >= SLEEP
+        assert manifest.methods["ssb"]["seconds"] < SLEEP
+
+
 class TestArrayLifetimes:
     """A run holds each large array only until its last reader has run.  The
     runs use an MLP backbone: the identity backbone's frozen features are the
@@ -411,6 +503,22 @@ class TestArrayLifetimes:
             model={"hidden": [8]})))
         assert len(seen) == 3
         assert seen[0] == set()
+
+    def test_stage1_frees_the_raw_train_rows_before_its_test_pass(self, tmp_path, monkeypatch):
+        refs = watch_splits(monkeypatch)
+        passes = []
+        inner = experiment_module.train_stage1
+
+        def trained(*args, **kwargs):
+            model = inner(*args, **kwargs)
+            features = model.backbone.features
+            model.backbone.features = lambda x: passes.append(alive(refs)) or features(x)
+            return model
+
+        monkeypatch.setattr(experiment_module, "train_stage1", trained)
+        run_experiment(config_from_dict(tiny_doc(
+            str(tmp_path / "run"), methods=["baseline", "sqrt_samp"], model={"hidden": [8]})))
+        assert passes == [{"train", "test"}, {"test"}]  # the train pass, then the test pass
 
     def test_one_stage_run_frees_the_raw_splits_after_the_last_own_fit(self, tmp_path,
                                                                          monkeypatch):

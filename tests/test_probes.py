@@ -41,16 +41,21 @@ def test_every_layer_probe_resolves_to_a_callable(probes):
     assert unresolved == []
 
 
-def test_probes_see_a_two_stage_run_with_a_background_class(probes, tmp_path):
+def traced_short_run(probes, out_dir, one_stage: bool):
+    """The probes' totals over a short run of every method with a background class."""
     tracer = probes.Tracer()
     restore = probes.install(tracer, probes.LAYER_PROBES)
     try:
         root = tracer.begin("test.op")
-        short_run(tmp_path / "run", one_stage=False, background_class=0)
+        short_run(out_dir, one_stage=one_stage, background_class=0)
         tracer.end(root)
     finally:
         restore()
-    totals = probes.totals_by_root(tracer)[root]
+    return probes.totals_by_root(tracer)[root]
+
+
+def test_probes_see_a_two_stage_run_with_a_background_class(probes, tmp_path):
+    totals = traced_short_run(probes, tmp_path / "run", one_stage=False)
     assert probes.train_time(totals) > 0
     assert probes.rows_drawn(totals) > 0
     for method in probes.STAGE2_METHODS:
@@ -58,3 +63,15 @@ def test_probes_see_a_two_stage_run_with_a_background_class(probes, tmp_path):
     for name in ("heads.bags_train_heads", "heads.build_group_layout", "heads.bags_scores",
                  "heads.ssb_aggregate"):
         assert totals.calls.get(name, 0) >= 1, name
+
+
+def test_probes_see_a_one_stage_run_with_a_background_class(probes, tmp_path):
+    """The benchmark's embed shape: sqrt_samp and cb_focal fit in one stage."""
+    totals = traced_short_run(probes, tmp_path / "run", one_stage=True)
+    assert probes.train_time(totals) > 0
+    assert probes.rows_drawn(totals) > 0
+    # The shared stage 1, then one own fit each for sqrt_samp and cb_focal.
+    assert totals.calls.get("model.train_stage1") == 3
+    assert {name: n for name, n in totals.calls.items()
+            if name.startswith("model.train_stage2.")} == {
+        "model.train_stage2.bags": 1, "model.train_stage2.ssb": 1}
