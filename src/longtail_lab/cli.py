@@ -97,11 +97,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _report_paths(args: argparse.Namespace) -> list[str]:
-    """The report files named, then those the manifest of ``--run-dir`` lists, in METHODS order."""
+    """The report files named, then those the manifest of ``--run-dir`` lists, in its order."""
     paths = list(args.reports)
     if args.run_dir:
-        listed = load_manifest(str(Path(args.run_dir, "manifest.json"))).methods
-        paths.extend(str(Path(args.run_dir, listed[m]["report"])) for m in METHODS if m in listed)
+        listed = load_manifest(str(Path(args.run_dir, "manifest.json"))).methods.values()
+        paths.extend(str(Path(args.run_dir, entry["report"])) for entry in listed)
     if not paths:
         raise ValueError("no reports given; pass report files or --run-dir")
     return paths

@@ -6,14 +6,11 @@ both for binned accuracy and for the grouped classifier heads.
 """
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import json
 import logging
 import math
 import os
 import re
-import secrets
 import stat
 from array import array
 from collections.abc import Iterable, Iterator
@@ -22,7 +19,7 @@ from typing import IO
 
 import numpy as np
 
-from .schema import read_document
+from .schema import read_arrays, read_framed, replacing, write_framed
 from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -452,7 +449,7 @@ def save_embeddings(dataset: Dataset, path: str) -> None:
             name.encode("utf-8")
         except UnicodeEncodeError:
             raise ValueError(f"class name {name!r} is not UTF-8 text") from None
-    with _replacing(path, "x", encoding="utf-8", newline="\n") as fh:
+    with replacing(path, "x", encoding="utf-8", newline="\n") as fh:
         fh.write(f"C={dataset.num_classes} D={dataset.feature_dim}\n")
         fh.write(",".join(dataset.class_names) + "\n")
         # One row is converted at a time, so the text of only one row is held.
@@ -460,33 +457,11 @@ def save_embeddings(dataset: Dataset, path: str) -> None:
             fh.write(f"{label}," + ",".join(map(repr, row.tolist())) + "\n")
 
 
-@contextlib.contextmanager
-def _replacing(path: str, mode: str, **kwargs) -> Iterator[IO]:
-    """Open a new file next to ``path`` in ``mode`` (``x`` or ``xb``).  When
-    the block ends without error it takes the place of ``path`` in one
-    rename; otherwise it is deleted.  So ``path`` never holds part of a write.
-    A symbolic link at ``path`` stays, and the file it points to is replaced.
-    """
-    path = os.path.realpath(path)
-    temporary = f"{path}.{secrets.token_hex(8)}.tmp"
-    fh = open(temporary, mode, **kwargs)
-    try:
-        with fh:
-            yield fh
-        os.replace(temporary, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(temporary)
-        raise
-
-
 # ---------------------------------------------------------------------------
-# Embedding cache: ``<path>.ltlab-cache`` holds a parsed embedding file.
-# Magic line, 8-byte little-endian header length, JSON header, then the
-# features as raw little-endian float64 (rows x dim) and the labels as
-# little-endian int64, and nothing after them.  ``source_sha256`` is the hash
-# of the text the arrays were parsed from; ``payload_sha256`` covers the
-# class names, the shape and both arrays.
+# Embedding cache: ``<path>.ltlab-cache``, a framed file (see ``schema``) of
+# the features as little-endian float64 (rows x dim) and the labels as
+# little-endian int64.  ``source_sha256`` hashes the text they were parsed
+# from; ``payload_sha256`` is the digest of the dataset they make.
 # ---------------------------------------------------------------------------
 
 SIDECAR_SUFFIX = ".ltlab-cache"
@@ -504,22 +479,12 @@ def _sha256_of(fh: IO[bytes]) -> str:
     return h.hexdigest()
 
 
-def _payload(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """The arrays a sidecar stores, in its byte order."""
-    return (np.ascontiguousarray(dataset.features, dtype="<f8"),
-            np.ascontiguousarray(dataset.labels, dtype="<i8"))
-
-
 def _sidecar_header(dataset: Dataset, source_sha256: str) -> dict:
     """The sidecar header of ``dataset`` parsed from text hashing to ``source_sha256``."""
-    payload = hashlib.sha256(json.dumps(
-        [list(dataset.class_names), dataset.num_instances, dataset.feature_dim]).encode())
-    for arr in _payload(dataset):
-        payload.update(arr)
     return {"format": "longtail-lab-embedding-cache", "version": 1,
             "source_sha256": source_sha256, "rows": dataset.num_instances,
             "dim": dataset.feature_dim, "class_names": list(dataset.class_names),
-            "payload_sha256": payload.hexdigest()}
+            "payload_sha256": dataset.digest()}
 
 
 def _is_sidecar(path: str) -> bool:
@@ -533,47 +498,29 @@ def _is_sidecar(path: str) -> bool:
 def _read_sidecar(path: str, source_sha256: str) -> Dataset | None:
     """The dataset the sidecar at ``path`` holds for text hashing to
     ``source_sha256``, or None if it holds no such dataset whole."""
-    magic = len(_SIDECAR_MAGIC)
     try:
-        with open(path, "rb") as fh:
-            start = fh.read(magic + 8)
-            header_len = int.from_bytes(start[magic:], "little")
-            if (start[:magic] != _SIDECAR_MAGIC
-                    or magic + 8 + header_len > os.fstat(fh.fileno()).st_size):
-                return None
-            header = json.loads(fh.read(header_len))
-            return read_document(header, "embedding-cache", _SIDECAR_TYPES,
-                                 lambda h: _dataset_from_sidecar(h, fh),
-                                 lambda ds: _sidecar_header(ds, source_sha256))
+        return read_framed(path, _SIDECAR_MAGIC, "embedding-cache", _SIDECAR_TYPES,
+                           _dataset_from_sidecar, lambda ds: _sidecar_header(ds, source_sha256))
     except (OSError, ValueError, RecursionError):
         return None
 
 
 def _dataset_from_sidecar(header: dict, fh: IO[bytes]) -> Dataset:
-    """The dataset whose arrays follow the header in ``fh``, read straight
-    into the arrays it returns."""
+    """The dataset whose arrays follow the header in ``fh``."""
     rows, dim = header["rows"], header["dim"]
-    if rows < 1 or dim < 1 or os.fstat(fh.fileno()).st_size - fh.tell() != rows * (dim + 1) * 8:
-        raise ValueError("payload size does not match the header")
-    features, labels = np.empty((rows, dim), dtype="<f8"), np.empty(rows, dtype="<i8")
-    for arr in (features, labels):
-        if fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
-            raise ValueError("truncated payload")
-    return Dataset(features=features, labels=labels, class_names=tuple(header["class_names"]))
+    arrays = read_arrays(fh, [("features", (rows, dim), "<f8"), ("labels", (rows,), "<i8")])
+    return Dataset(**arrays, class_names=tuple(header["class_names"]))
 
 
 def _write_sidecar(path: str, dataset: Dataset, source_sha256: str) -> None:
     """Cache ``dataset`` at ``path``, unless a file there is not a sidecar.
     Failing to write only leaves the cache out."""
-    blob = json.dumps(_sidecar_header(dataset, source_sha256), sort_keys=True,
-                      separators=(",", ":")).encode()
     try:
         if os.path.lexists(path) and not _is_sidecar(path):
             logger.info("%s: not an embedding cache; left as it is", path)
             return
-        with _replacing(path, "xb") as fh:
-            for part in (_SIDECAR_MAGIC, len(blob).to_bytes(8, "little"), blob,
-                         *_payload(dataset)):
-                fh.write(part)
+        write_framed(path, _SIDECAR_MAGIC, _sidecar_header(dataset, source_sha256),
+                     (np.ascontiguousarray(dataset.features, dtype="<f8"),
+                      np.ascontiguousarray(dataset.labels, dtype="<i8")))
     except OSError as exc:
         logger.info("%s: embedding cache not written: %s", path, exc)

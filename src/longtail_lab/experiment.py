@@ -21,7 +21,7 @@ from .metrics import EvalReport, compare_methods, evaluate, save_report
 from .model import (METHODS, TrainedModel, fit_owner, predict, save_model, train_stage1,
                     train_stage2)
 from .optim import OptimSpec
-from .schema import check_types, read_document
+from .schema import check_types, read_document, replacing
 from .seeding import derive_seed
 
 # bags.background_group's words, and the bags_background argument each means.
@@ -340,14 +340,14 @@ class RunManifest:
         return {"format": "longtail-lab-manifest", "version": 1, **asdict(self)}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def save(self, path: str) -> None:
         root = Path(path).parent
         missing = [f for f in self.referenced_files() if not (root / f).exists()]
         if missing:
             raise RuntimeError(f"manifest references missing files: {missing}")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with replacing(path, "x", encoding="utf-8", newline="\n") as fh:
             fh.write(self.to_json())
 
 

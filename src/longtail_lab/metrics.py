@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import GROUP_LIMITS, ClassStats, count_decade
-from .schema import read_document
+from .schema import read_document, replacing
 
 
 @dataclass(eq=False)
@@ -170,7 +170,7 @@ def report_from_json(text: str) -> EvalReport:
 
 
 def save_report(report: EvalReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(path, "x", encoding="utf-8", newline="\n") as fh:
         fh.write(report_to_json(report))
 
 

@@ -2,11 +2,9 @@
 and the two-stage training orchestration (representation first, classifier second)."""
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import IO, TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -14,7 +12,7 @@ from .data import GROUP_LIMITS, ClassStats, Dataset, compute_class_stats
 from .losses import LossSpec, batch_loss, softmax
 from .optim import OptimSpec, OptimState, lr_at, optimizer_step
 from .sampling import make_epoch_stream, make_sampler
-from .schema import read_document
+from .schema import read_arrays, read_framed, write_framed
 from .seeding import derive_seed
 
 if TYPE_CHECKING:
@@ -517,9 +515,9 @@ def predict(model: TrainedModel, features: np.ndarray, *, backbone_output: bool 
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format: magic line, 8-byte little-endian header length, JSON
-# header, then all parameter tensors as raw little-endian float64 in the
-# order the header declares.  Round-trips are bit-exact.
+# Checkpoint format: a framed file (see ``schema``) whose arrays are all
+# parameter tensors as little-endian float64 in the order the header
+# declares.  Round-trips are bit-exact.
 # ---------------------------------------------------------------------------
 
 
@@ -532,8 +530,8 @@ def _model_params(model: TrainedModel) -> list[tuple[str, np.ndarray]]:
     return entries
 
 
-def _header(model: TrainedModel, entries: list[tuple[str, np.ndarray]]) -> dict:
-    """The checkpoint header of ``model``, whose tensors are ``entries``."""
+def _header(model: TrainedModel) -> dict:
+    """The checkpoint header of ``model``."""
     layout = _group_layout(model)
     group_heads = [name for name in model.heads if name.startswith("bags.group")]
     return {
@@ -562,48 +560,28 @@ def _header(model: TrainedModel, entries: list[tuple[str, np.ndarray]]) -> dict:
         },
         "train_log": [{"epoch": e.epoch, "mean_loss": e.mean_loss, "lr": e.lr}
                       for e in model.train_log],
-        "params": [{"name": name, "shape": list(arr.shape)} for name, arr in entries],
+        "params": [{"name": name, "shape": list(arr.shape)} for name, arr in _model_params(model)],
     }
 
 
 def save_model(model: TrainedModel, path: str) -> None:
-    """Write a bit-exact checkpoint of the model and its training metadata."""
-    entries = _model_params(model)
-    blob = json.dumps(_header(model, entries), sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(_CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for _, arr in entries:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    """Write a bit-exact checkpoint of the model and its training metadata,
+    whole or not at all."""
+    write_framed(path, _CHECKPOINT_MAGIC, _header(model),
+                 (np.ascontiguousarray(arr, dtype="<f8") for _, arr in _model_params(model)))
 
 
 def load_model(path: str) -> TrainedModel:
     """Reconstruct a TrainedModel from a checkpoint written by save_model.
 
-    A corrupt, truncated or over-long file, a header field of the wrong type,
-    and a header that differs from the one the rebuilt model would be saved
-    with raise ValueError naming the path and the field at fault.
+    ``path`` must be a regular file.  A corrupt, truncated or over-long file,
+    a header field of the wrong type, and a header that differs from the one
+    the rebuilt model would be saved with raise ValueError naming the path and
+    the field at fault.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    pos = len(_CHECKPOINT_MAGIC)
-    if blob[:pos] != _CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a longtail-lab checkpoint")
-    if len(blob) < pos + 8:
-        raise ValueError(f"{path}: truncated header length field")
-    (header_len,) = struct.unpack_from("<Q", blob, pos)
-    pos += 8
-    if len(blob) < pos + header_len:
-        raise ValueError(f"{path}: truncated header ({len(blob) - pos} of {header_len} bytes)")
     try:
-        header = json.loads(blob[pos:pos + header_len].decode("utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: header is not valid JSON: {exc}") from None
-    try:
-        return read_document(header, "checkpoint", _HEADER_TYPES,
-                             lambda h: _model_from_header(h, blob, pos + header_len),
-                             lambda model: _header(model, _model_params(model)))
+        return read_framed(path, _CHECKPOINT_MAGIC, "checkpoint", _HEADER_TYPES,
+                           _model_from_header, _header)
     except KeyError as exc:
         raise ValueError(f"{path}: checkpoint parameter {exc.args[0]!r} is missing") from None
     except ValueError as exc:
@@ -619,26 +597,13 @@ _HEADER_TYPES = {
 }
 
 
-def _model_from_header(header: dict, blob: bytes, pos: int) -> TrainedModel:
-    """The model a parsed header declares; its tensors start at ``blob[pos]``.
+def _model_from_header(header: dict, fh: IO[bytes]) -> TrainedModel:
+    """The model a parsed header declares; its tensors follow the header in ``fh``.
 
     Heads are rebuilt from the parameter names: every ``<name>.weight`` and
     ``<name>.bias`` pair outside the backbone is the head ``name``.
     """
-    arrays: dict[str, np.ndarray] = {}
-    for entry in header["params"]:
-        name, shape = entry["name"], tuple(entry["shape"])
-        if min(shape, default=0) < 0:
-            raise ValueError(f"parameter {name} has a negative dimension")
-        count = math.prod(shape)
-        if len(blob) < pos + count * 8:
-            raise ValueError(f"truncated parameter {name}")
-        arrays[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=pos
-                                     ).astype(np.float64).reshape(shape)
-        pos += count * 8
-    if pos != len(blob):
-        raise ValueError(f"{len(blob) - pos} trailing bytes after the last parameter")
-
+    arrays = read_arrays(fh, [(e["name"], tuple(e["shape"]), "<f8") for e in header["params"]])
     prefixes = [name.removesuffix(".weight") for name in arrays if name.endswith(".weight")]
     layers = range(sum(p.startswith("backbone.") for p in prefixes))
     return TrainedModel(

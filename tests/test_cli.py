@@ -235,6 +235,15 @@ class TestReport:
         assert capsys.readouterr().out == (tmp_path / "run" / "reports" /
                                            "comparison.txt").read_text(encoding="utf-8")
 
+    def test_run_dir_keeps_the_method_order_of_the_run(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.yaml", tmp_path / "run", methods=["ssb", "baseline"])
+        assert main(["compare", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(tmp_path / "run")]) == 0
+        table = (tmp_path / "run" / "reports" / "comparison.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == table
+        assert [line.split()[0] for line in table.splitlines()[2:4]] == ["ssb", "baseline"]
+
     def test_run_dir_without_a_manifest_names_it(self, tmp_path, capsys):
         (tmp_path / "reports").mkdir()
         assert main(["report", "--run-dir", str(tmp_path)]) == 1

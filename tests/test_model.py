@@ -1,14 +1,16 @@
 """Model forward/backward, two-stage training contracts, prediction, checkpoints."""
 import json
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longtail_lab import (Backbone, ClassifierHead, Dataset,
-                          LossSpec, OptimSpec, batch_loss, forward,
+from longtail_lab import (Backbone, ClassifierHead, ClassStats, Dataset,
+                          LossSpec, OptimSpec, TrainedModel, batch_loss, forward,
                           generate_synthetic, load_model, predict, save_model,
                           softmax, train_stage1, train_stage2)
 from longtail_lab import heads as heads_module
@@ -637,6 +639,60 @@ class TestCorruptCheckpoint:
         path = checkpoint_file.with_name("truncated.ckpt")
         path.write_bytes(blob[:cut])
         rejects(path)
+
+
+def wide_head_model() -> TrainedModel:
+    """A baseline model on the identity backbone whose one head is 50 x 4096."""
+    rng = np.random.default_rng(0)
+    head = ClassifierHead(weight=rng.standard_normal((50, 4096)), bias=rng.standard_normal(50))
+    return TrainedModel(backbone=Backbone(weights=[], biases=[]), heads={"head": head},
+                        stats=ClassStats(counts=np.arange(1, 51)), method="baseline",
+                        train_log=[], class_names=tuple(f"c{j}" for j in range(50)))
+
+
+class TestCheckpointFile:
+    def test_interrupted_save_keeps_the_old_checkpoint(self, tmp_path, checkpoint_file):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(checkpoint_file.read_bytes())
+
+        class InterruptedBias:  # read after the header and the weight are written
+            shape = (50,)
+
+            def __array__(self, dtype=None, copy=None):
+                raise KeyboardInterrupt
+
+        model = wide_head_model()
+        model.heads["head"].bias = InterruptedBias()
+        with pytest.raises(KeyboardInterrupt):
+            save_model(model, str(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+        assert path.read_bytes() == checkpoint_file.read_bytes()
+
+    def test_load_holds_about_the_parameters(self, tmp_path):
+        model = wide_head_model()
+        path = tmp_path / "wide.ckpt"
+        save_model(model, str(path))
+        loaded, peak = traced_peak(load_model, str(path))
+        head = model.heads["head"]
+        assert loaded.heads["head"].weight.tobytes() == head.weight.tobytes()
+        params = head.weight.nbytes + head.bias.nbytes
+        assert peak <= 1.1 * params, peak / params
+
+    def test_fifo_refused_without_waiting_for_a_writer(self, tmp_path):
+        path = tmp_path / "model.fifo"
+        os.mkfifo(path)
+        outcome = []
+
+        def load():
+            try:
+                load_model(str(path))
+            except ValueError as exc:
+                outcome.append(str(exc))
+        reader = threading.Thread(target=load, daemon=True)
+        reader.start()
+        reader.join(timeout=10)
+        assert not reader.is_alive(), "load_model opened the FIFO and waits for a writer"
+        assert outcome == [f"{path}: not a regular file"]
 
 
 class TestBackboneUnit:
