@@ -13,6 +13,7 @@ from .experiment import (DEFAULT_CONFIG_YAML, config_from_dict, emit_f1_delta,
                          load_manifest, run_experiment, synthetic_spec)
 from .metrics import compare_methods, load_report
 from .model import METHODS
+from .schema import write_text
 
 
 def _apply_set(doc: dict, path: str, value) -> None:
@@ -119,7 +120,7 @@ def _cmd_f1delta(args: argparse.Namespace) -> int:
     others = [load_report(p) for p in args.method_reports]
     table = emit_f1_delta(baseline, others)
     if args.out:
-        Path(args.out).write_text(table.to_csv(), encoding="utf-8")
+        write_text(args.out, table.to_csv())
         print(f"wrote {len(table.class_names)} rows to {args.out}")
     else:
         sys.stdout.write(table.to_csv())

@@ -18,10 +18,10 @@ from .data import (Dataset, SplitSpec, SyntheticSpec, compute_class_stats,
                    generate_synthetic, load_embeddings, split_dataset)
 from .losses import LossSpec
 from .metrics import EvalReport, compare_methods, evaluate, save_report
-from .model import (METHODS, TrainedModel, fit_owner, predict, save_model, train_stage1,
-                    train_stage2)
+from .model import (METHODS, TrainedModel, fit_owner, predict, save_model, score_blocks,
+                    train_stage1, train_stage2)
 from .optim import OptimSpec
-from .schema import check_types, read_document, replacing
+from .schema import check_types, read_document, write_text
 from .seeding import derive_seed
 
 # bags.background_group's words, and the bags_background argument each means.
@@ -347,8 +347,7 @@ class RunManifest:
         missing = [f for f in self.referenced_files() if not (root / f).exists()]
         if missing:
             raise RuntimeError(f"manifest references missing files: {missing}")
-        with replacing(path, "x", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_json())
+        write_text(path, self.to_json())
 
 
 # The type of each manifest field, and of each entry of its ``methods``.
@@ -451,12 +450,19 @@ def _stage2(config: ExperimentConfig, method: str, inputs: Iterator) -> TrainedM
 def _predictions(model: TrainedModel | None, tag: str | None,
                  inputs: Iterator) -> tuple[TrainedModel, np.ndarray]:
     """The model a method evaluates, ``model`` or else its stage-1 model, and its
-    test predictions; a score matrix kept into the next scoring would raise the peak."""
+    test predictions.  Each block of ``score_blocks`` is scored by one ``predict``
+    call, of which only the class indices are kept, so no test-by-class matrix
+    is ever held."""
     if tag is None:
-        return model, predict(model, next(inputs).features)[0]
-    stage1, test_h, _ = next(inputs)
-    model = stage1 if model is None else model
-    return model, predict(model, test_h, backbone_output=True)[0]
+        x, backbone_output = next(inputs).features, False
+    else:
+        stage1, x, _ = next(inputs)
+        model, backbone_output = stage1 if model is None else model, True
+    preds = np.empty(len(x), dtype=np.intp)
+    for rows in score_blocks(len(x)):
+        preds[rows] = predict(model, x[rows], backbone_output=backbone_output,
+                              first_row=rows.start)[0]
+    return model, preds
 
 
 def run_experiment(config: ExperimentConfig) -> RunManifest:
@@ -523,15 +529,15 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
                 model = None
         step = "comparison"
         table = compare_methods(reports)
-        (out / "reports" / "comparison.csv").write_text(table.to_csv(), encoding="utf-8")
-        (out / "reports" / "comparison.txt").write_text(table.to_text(), encoding="utf-8")
+        write_text(str(out / "reports" / "comparison.csv"), table.to_csv())
+        write_text(str(out / "reports" / "comparison.txt"), table.to_text())
         manifest.comparison_csv = "reports/comparison.csv"
         manifest.comparison_txt = "reports/comparison.txt"
         baseline = [r for r in reports if r.method == "baseline"]
         if baseline:
             step = "f1 delta"
             delta = emit_f1_delta(baseline[0], [r for r in reports if r.method != "baseline"])
-            (out / "reports" / "f1_delta.csv").write_text(delta.to_csv(), encoding="utf-8")
+            write_text(str(out / "reports" / "f1_delta.csv"), delta.to_csv())
             manifest.f1_delta_csv = "reports/f1_delta.csv"
     except Exception as exc:
         manifest.failure = {"method": method, "step": step, "error": str(exc)}

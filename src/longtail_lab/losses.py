@@ -15,13 +15,17 @@ PROB_FLOOR = 1e-12
 LOSS_KINDS = ("cross_entropy", "cb_focal")
 
 
-def softmax(logits) -> np.ndarray:
-    """Row-wise softmax with max subtraction into a new array; accepts 1-D or
-    2-D input, which stays untouched."""
+def softmax(logits, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax with max subtraction; accepts 1-D or 2-D input.
+
+    As in numpy, the result goes into ``out``, a float64 array of the input's
+    shape that may be the input itself, and is returned.  Without ``out`` it
+    goes into a new array and the input stays untouched.
+    """
     z = np.asarray(logits, dtype=np.float64)
     if not np.isfinite(z).all():
         raise ValueError("softmax input contains non-finite values")
-    e = z - z.max(axis=-1, keepdims=True)
+    e = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import GROUP_LIMITS, ClassStats, count_decade
-from .schema import read_document, replacing
+from .schema import read_document, write_text
 
 
 @dataclass(eq=False)
@@ -170,8 +170,7 @@ def report_from_json(text: str) -> EvalReport:
 
 
 def save_report(report: EvalReport, path: str) -> None:
-    with replacing(path, "x", encoding="utf-8", newline="\n") as fh:
-        fh.write(report_to_json(report))
+    write_text(path, report_to_json(report))
 
 
 def load_report(path: str) -> EvalReport:

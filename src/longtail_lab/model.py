@@ -347,11 +347,16 @@ def _bags_heads(model: TrainedModel) -> dict[str, int]:
     return sizes
 
 
+def _head_probs(model: TrainedModel, name: str, h: np.ndarray) -> np.ndarray:
+    """Softmax of head ``name``'s logits on ``h``, computed in the logits' array."""
+    z = model.heads[name].logits(h)
+    return softmax(z, out=z)
+
+
 def _ssb_combine(model: TrainedModel, h: np.ndarray) -> np.ndarray:
     """``head`` on the top count bin, ``sqrt_head`` elsewhere."""
     module = _heads_module()
-    return module.ssb_aggregate(softmax(model.heads["head"].logits(h)),
-                                softmax(model.heads["sqrt_head"].logits(h)),
+    return module.ssb_aggregate(_head_probs(model, "head", h), _head_probs(model, "sqrt_head", h),
                                 model.stats.bins == module.HEAD_GROUP)
 
 
@@ -378,7 +383,7 @@ class Method:
     fit_of: tuple[str, str] | None = None
     heads: Callable[[TrainedModel], dict[str, int]] = lambda model: {"head": model.num_classes}
     combine: Callable[[TrainedModel, np.ndarray], np.ndarray] = (
-        lambda model, h: softmax(model.heads["head"].logits(h)))
+        lambda model, h: _head_probs(model, "head", h))
     grouped: bool = False
 
 
@@ -475,24 +480,29 @@ def train_stage2(model: TrainedModel, dataset: Dataset, method: str,
                         class_names=dataset.class_names, background_class=dataset.background_class)
 
 
-def scores(model: TrainedModel, features: np.ndarray, *, backbone_output: bool = False
-           ) -> np.ndarray:
+def score_blocks(n: int) -> list[slice]:
+    """The ``ceil(n / SCORE_BLOCK_ROWS)`` near-equal row blocks, at least one,
+    that ``scores`` splits ``n`` rows into."""
+    blocks = max(1, math.ceil(n / SCORE_BLOCK_ROWS))
+    return [slice(b * n // blocks, (b + 1) * n // blocks) for b in range(blocks)]
+
+
+def scores(model: TrainedModel, features: np.ndarray, *, backbone_output: bool = False,
+           first_row: int = 0) -> np.ndarray:
     """Final per-class score vectors: the backbone pass, then the ``combine``
     rule of the model's method.  With ``backbone_output``, ``features`` are
     already the backbone's output and the pass is skipped.  The bags and ssb
     vectors need not sum to 1.
 
-    Rows are scored in ``ceil(n / SCORE_BLOCK_ROWS)`` near-equal blocks, each
-    written into one output matrix, so scoring holds its output plus one
-    block's temporaries.  A non-finite feature row is rejected by its index.
+    Rows are scored in the blocks of ``score_blocks``, each written into one
+    output matrix, so scoring holds its output plus one block's temporaries.
+    A non-finite feature row is rejected by its index plus ``first_row``, the
+    index of ``features``' first row in a larger set.
     """
     x = _inputs(model, features, backbone_output)
-    n = x.shape[0]
-    blocks = max(1, math.ceil(n / SCORE_BLOCK_ROWS))
-    out = np.empty((n, model.num_classes))
-    for b in range(blocks):
-        lo, hi = b * n // blocks, (b + 1) * n // blocks
-        out[lo:hi] = _score_block(model, x[lo:hi], lo, backbone_output)
+    out = np.empty((x.shape[0], model.num_classes))
+    for rows in score_blocks(x.shape[0]):
+        out[rows] = _score_block(model, x[rows], first_row + rows.start, backbone_output)
     return out
 
 
@@ -506,11 +516,11 @@ def _score_block(model: TrainedModel, x: np.ndarray, first_row: int, backbone_ou
     return METHODS[model.method].combine(model, h)
 
 
-def predict(model: TrainedModel, features: np.ndarray, *, backbone_output: bool = False
-            ) -> tuple[np.ndarray, np.ndarray]:
+def predict(model: TrainedModel, features: np.ndarray, *, backbone_output: bool = False,
+            first_row: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Predicted class indices and score vectors (see ``scores``); ties break
     to the lowest index."""
-    s = scores(model, features, backbone_output=backbone_output)
+    s = scores(model, features, backbone_output=backbone_output, first_row=first_row)
     return np.argmax(s, axis=-1), s
 
 

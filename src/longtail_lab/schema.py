@@ -42,9 +42,28 @@ def _is(value, kind) -> bool:
     return isinstance(value, kind)
 
 
+class _Fault(Exception):
+    """A field that fails its kind: what is wrong with it, and the keys (str)
+    and list positions (int) that lead to it from the checked value, innermost
+    first.  The field's name is only built for the one that fails."""
+
+    def __init__(self, problem: str, *path: str | int):
+        self.problem, self.path = problem, list(path)
+
+
 def check_types(value, kind, where: str = "") -> None:
     """Raise ValueError naming the first field of ``value`` that is missing
     or not of type ``kind``, and the kind it must have."""
+    try:
+        _check(value, kind)
+    except _Fault as fault:
+        for step in reversed(fault.path):
+            where = f"{where}[{step}]" if isinstance(step, int) else f"{where}.{step}".lstrip(".")
+        raise ValueError(f"field {where!r} {fault.problem}") from None
+
+
+def _check(value, kind) -> None:
+    """``check_types`` without the name: raise _Fault for the first bad field."""
     kinds = kind if isinstance(kind, tuple) else (kind,)
     types = [type(k) if isinstance(k, (dict, list)) else k for k in kinds]
     for kind, of_type in zip(kinds, types):
@@ -52,19 +71,25 @@ def check_types(value, kind, where: str = "") -> None:
             break
     else:
         shown = repr(value) if len(repr(value)) <= 40 else f"a {type(value).__name__}"
-        raise ValueError(f"field {where!r} must be "
-                         f"{' or '.join(_KIND_NAMES[t] for t in types)}, got {shown}")
+        raise _Fault(f"must be {' or '.join(_KIND_NAMES[t] for t in types)}, got {shown}")
     if isinstance(kind, dict):
         for key, sub in kind.items():
-            name = f"{where}.{key}".lstrip(".")
             if key not in value:
-                raise ValueError(f"field {name!r} is missing")
-            check_types(value[key], sub, name)
+                raise _Fault("is missing", key)
+            try:
+                _check(value[key], sub)
+            except _Fault as fault:
+                fault.path.append(key)
+                raise
     elif isinstance(kind, list):
         for i, item in enumerate(value):
-            check_types(item, kind[0], f"{where}[{i}]")
+            try:
+                _check(item, kind[0])
+            except _Fault as fault:
+                fault.path.append(i)
+                raise
     elif kind is int and not -2**63 <= value < 2**63:
-        raise ValueError(f"field {where!r} lies outside the int64 range")
+        raise _Fault("lies outside the int64 range")
 
 
 def first_difference(stored, expected, where: str = "") -> str | None:
@@ -110,18 +135,31 @@ def read_document(stored, what: str, types: dict, build: Callable[[dict], T],
 def replacing(path: str, mode: str, **kwargs) -> Iterator[IO]:
     """Open a new file next to ``path`` in ``mode`` (``x`` or ``xb``).  If the
     block ends without error it takes the place of ``path`` in one rename, else
-    it is deleted.  A symbolic link at ``path`` stays; its target is replaced."""
-    path = os.path.realpath(path)
+    it is deleted.  A symbolic link at ``path`` stays; its target is replaced.
+    An OSError from creating or renaming the new file names ``path``, not it."""
+    target, path = path, os.path.realpath(path)
     temporary = f"{path}.{secrets.token_hex(8)}.tmp"
-    fh = open(temporary, mode, **kwargs)
+    try:
+        fh = open(temporary, mode, **kwargs)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, target) from None
     try:
         with fh:
             yield fh
-        os.replace(temporary, path)
+        try:
+            os.replace(temporary, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, target) from None
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(temporary)
         raise
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` in UTF-8 with ``\\n`` line ends, whole or not at all."""
+    with replacing(path, "x", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def write_framed(path: str, magic: bytes, header: dict, arrays: Iterable[np.ndarray]) -> None:

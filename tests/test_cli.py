@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, overrides, and error reporting."""
+import errno
 import hashlib
 import os
 import subprocess
@@ -261,6 +262,23 @@ class TestF1Delta:
         assert code == 0
         assert out.read_text().startswith("class,train_count,delta_sqrt_samp")
 
+    def test_interrupted_write_keeps_the_old_table(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path / "cfg.yaml", tmp_path / "run")
+        assert main(["compare", "--config", str(cfg)]) == 0
+        reports = tmp_path / "run" / "reports"
+        out = tmp_path / "delta.csv"
+        out.write_text("old table\n")
+        # A lone surrogate cannot be encoded, so the write fails after the file is opened.
+        to_csv = experiment.F1DeltaTable.to_csv
+        monkeypatch.setattr(experiment.F1DeltaTable, "to_csv",
+                            lambda table: to_csv(table) + "\ud800")
+        code = main(["f1delta", "--baseline", str(reports / "baseline.json"),
+                     str(reports / "sqrt_samp.json"), "--out", str(out)])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "delta.csv", "run"]
+        assert out.read_text() == "old table\n"
+
 
 class TestErrors:
     def test_unknown_config_key_nonzero_exit(self, tmp_path, capsys):
@@ -275,6 +293,16 @@ class TestErrors:
         code = main(["train", "--config", "/nonexistent.yaml", "--method", "baseline"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out, code", [("d", errno.EISDIR), ("d/x/data.txt", errno.ENOENT)],
+                             ids=["directory", "missing_parent"])
+    def test_unwritable_output_named_not_its_temporary(self, tmp_path, monkeypatch, capsys,
+                                                       out, code):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        assert main(["gen", "--out", out, "--classes", "3", "--dim", "2"]) == 1
+        assert capsys.readouterr().err == f"error: [Errno {code}] {os.strerror(code)}: '{out}'\n"
+        assert [p.name for p in tmp_path.rglob("*")] == ["d"]
 
 
 class TestEntryPoint:

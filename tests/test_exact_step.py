@@ -99,6 +99,15 @@ class TestSoftmaxBits:
         assert np.array_equal(softmax(z), reference_softmax(z))
         assert np.array_equal(z, before)
 
+    @given(arrays(np.float64, st.one_of(st.tuples(st.integers(1, 12)),
+                                        st.tuples(st.integers(1, 9), st.integers(1, 12))),
+                  elements=finite))
+    @settings(max_examples=60, deadline=None)
+    def test_in_place_equals_reference(self, z):
+        expected = reference_softmax(z)
+        assert softmax(z, out=z) is z
+        assert np.array_equal(z, expected)
+
 
 class TestBatchLossBits:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.gamma}"

@@ -12,16 +12,17 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longtail_lab import (compute_class_stats, config_from_dict, default_config,
-                          emit_f1_delta, generate_synthetic, load_model, load_report,
-                          run_experiment, save_embeddings)
+from longtail_lab import (LossSpec, OptimSpec, compute_class_stats, config_from_dict,
+                          default_config, emit_f1_delta, generate_synthetic, load_model,
+                          load_report, run_experiment, save_embeddings, train_stage1)
 from longtail_lab import experiment as experiment_module
 from longtail_lab import model as model_module
-from longtail_lab.experiment import (DEFAULT_CONFIG_YAML, load_manifest, plan,
+from longtail_lab.experiment import (DEFAULT_CONFIG_YAML, F1DeltaTable, load_manifest, plan,
                                      prepare_datasets, step_reads)
+from longtail_lab.metrics import ComparisonTable
 from longtail_lab.model import METHODS, fit_owner
 
-from conftest import traced_peak
+from conftest import dataset_with_counts, traced_peak
 
 
 def tiny_doc(out_dir: str, **overrides) -> dict:
@@ -320,6 +321,23 @@ class TestRunExperiment:
         assert manifest.failure["method"] == "bags"
         assert "background" in manifest.failure["error"]
 
+    @pytest.mark.parametrize("owner, render", [(ComparisonTable, "to_csv"),
+                                               (ComparisonTable, "to_text"),
+                                               (F1DeltaTable, "to_csv")],
+                             ids=["comparison.csv", "comparison.txt", "f1_delta.csv"])
+    def test_interrupted_table_write_keeps_the_old_table(self, tmp_path, monkeypatch, owner,
+                                                          render):
+        config = config_from_dict(tiny_doc(str(tmp_path / "run")))
+        run_experiment(config)
+        reports = tmp_path / "run" / "reports"
+        before = {p.name: p.read_bytes() for p in reports.iterdir()}
+        # A lone surrogate cannot be encoded, so the write fails after the file is opened.
+        text = getattr(owner, render)
+        monkeypatch.setattr(owner, render, lambda table: text(table) + "\ud800")
+        with pytest.raises(RuntimeError, match="failed during"):
+            run_experiment(config)
+        assert {p.name: p.read_bytes() for p in reports.iterdir()} == before
+
     def test_one_stage_regime(self, tmp_path):
         config = config_from_dict(tiny_doc(str(tmp_path / "run"),
                                            methods=["baseline", "sqrt_samp", "cb_focal"],
@@ -570,6 +588,44 @@ class TestArrayLifetimes:
         del train, val, test
         _, peak = traced_peak(run_experiment, config)
         assert peak <= raw + frozen + slack, (peak - raw - frozen) / 2**20
+
+
+class TestEvaluation:
+    @pytest.mark.parametrize("methods, one_stage", [(list(METHODS), False), (["sqrt_samp"], True)],
+                             ids=["two_stage", "one_stage"])
+    def test_no_test_by_class_matrix_is_held(self, tmp_path, monkeypatch, methods, one_stage):
+        inner = experiment_module._predictions
+        peaks = []
+
+        def measured(*args):
+            result, peak = traced_peak(inner, *args)
+            peaks.append(peak)
+            return result
+
+        monkeypatch.setattr(experiment_module, "_predictions", measured)
+        epoch = {"epochs": 1, "warmup_epochs": 0}
+        doc = tiny_doc(str(tmp_path / "run"), methods=methods, one_stage=one_stage,
+                       stage1=epoch, stage2=epoch)
+        doc["dataset"] = {"synthetic": {"num_classes": 200, "feature_dim": 4, "head_count": 20,
+                                        "imbalance_factor": 2.0, "class_separation": 4.0,
+                                        "noise_sigma": 1.0, "seed": 3},
+                          "eval": {"mode": "fresh", "per_class": 100}}
+        run_experiment(config_from_dict(doc))
+        # 20,000 test rows in 5 score blocks: one block's scores is a fifth of the matrix.
+        matrix = 20_000 * 200 * 8
+        assert len(peaks) == len(methods)
+        assert max(peaks) < matrix, max(peaks) / matrix
+
+    def test_nonfinite_row_in_a_later_block_named_by_its_test_set_index(self):
+        model = train_stage1(dataset_with_counts([30, 20]), (),
+                             OptimSpec(epochs=1, warmup_epochs=0, seed=1),
+                             LossSpec(kind="cross_entropy"))
+        test_h = np.zeros((3 * model_module.SCORE_BLOCK_ROWS - 2, 3))
+        row = 2 * model_module.SCORE_BLOCK_ROWS + 5
+        test_h[row, 1] = np.nan
+        test_h[row + 1, 0] = np.inf
+        with pytest.raises(ValueError, match=f"features row {row} is not finite"):
+            experiment_module._predictions(None, "stage1", iter([(model, test_h, {})]))
 
 
 class TestF1Delta:

@@ -186,12 +186,14 @@ class TestCorruptReport:
         (lambda r: r["acc_bins"].update({"1": 1.0}), "'acc_bins.1'"),
         (lambda r: r.update(confusion=5), "'confusion'"),
         (lambda r: r.update(confusion=[[1, 2], [3]]), "'confusion'"),
+        (lambda r: r["confusion"][1].__setitem__(0, 1.5), "'confusion[1][0]'"),
         (lambda r: r.update(train_counts=r["train_counts"][:3]), "train_counts"),
         (lambda r: r.update(seed=True), "'seed'"),
         (lambda r: r.update(format="longtail-lab-manifest"), "'format'"),
         (lambda r: r.update(version=2), "'version'"),
     ], ids=["acc_all_edited", "acc_bin_edited", "confusion_scalar", "confusion_ragged",
-            "train_counts_cut", "seed_bool", "wrong_format", "wrong_version"])
+            "confusion_item_float", "train_counts_cut", "seed_bool", "wrong_format",
+            "wrong_version"])
     def test_bad_field_named(self, report_file, edit, fragment):
         report_rejected(write_edited(report_file, edit), fragment)
 
