@@ -128,11 +128,10 @@ class ClassStats:
         return count_decade(self.counts)
 
 
-def count_decade(n: int | np.ndarray) -> int | np.ndarray:
-    """Bin index 1-4 for a training count: bin k holds the counts of ``GROUP_LIMITS[k - 1]``."""
+def count_decade(n: np.ndarray) -> np.ndarray:
+    """Bin index 1-4 per training count: bin k holds the counts of ``GROUP_LIMITS[k - 1]``."""
     lower = [lo for lo, _ in GROUP_LIMITS[1:]]
-    decade = 1 + np.searchsorted(lower, n, side="right").astype(np.int64)
-    return decade if decade.ndim else int(decade)
+    return 1 + np.searchsorted(lower, n, side="right").astype(np.int64)
 
 
 def compute_class_stats(dataset: Dataset) -> ClassStats:

@@ -249,11 +249,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(yaml.safe_load(fh))
-
-
 def default_config() -> ExperimentConfig:
     return config_from_dict(yaml.safe_load(DEFAULT_CONFIG_YAML))
 

@@ -31,27 +31,6 @@ def softmax(logits, out: np.ndarray | None = None) -> np.ndarray:
     return e
 
 
-def focal_loss(p, gamma: float):
-    """(1-p)^gamma * (-log p); p is clamped to >= 1e-12 before the log."""
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    p = np.asarray(p, dtype=np.float64)
-    if (p > 1).any():
-        raise ValueError("true-class probability must be <= 1")
-    p = np.maximum(p, PROB_FLOOR)
-    out = (1.0 - p) ** gamma * (-np.log(p))
-    return out if out.ndim else float(out)
-
-
-def cb_weight(n: int, cb_beta: float) -> float:
-    """Inverse effective number of samples, (1-beta)/(1-beta^n)."""
-    if n < 1:
-        raise ValueError("sample count must be >= 1")
-    if not 0.0 <= cb_beta < 1.0:
-        raise ValueError("cb_beta must lie in [0, 1)")
-    return (1.0 - cb_beta) / (1.0 - cb_beta ** n)
-
-
 @dataclass(frozen=True, eq=False)
 class LossSpec:
     """Loss selection: kind plus the hyperparameters that kind requires."""

@@ -215,11 +215,6 @@ def _inputs(model: TrainedModel, features: np.ndarray, backbone_output: bool = F
     return x
 
 
-def forward(model: TrainedModel, features: np.ndarray) -> np.ndarray:
-    """Logits of the model's primary head; pure in parameters and input."""
-    return model.heads["head"].logits(model.backbone.features(_inputs(model, features)))
-
-
 BatchHook = Callable[[int, int, np.ndarray], tuple[np.ndarray, np.ndarray]]
 # What a stage-2 trainer returns: the heads it trained, by name, and its log.
 Stage2Fit = tuple[dict[str, ClassifierHead], list[EpochLog]]

@@ -79,7 +79,7 @@ def make_epoch_stream(labels: np.ndarray, sampler: SamplerSpec, epoch_len: int) 
 
 
 def bags_filter_batch(batch_labels, group: int, group_of: np.ndarray,
-                      bags_beta: float = 8.0, seed: int = 0) -> np.ndarray:
+                      bags_beta: float, seed: int) -> np.ndarray:
     """Within-batch undersampling of out-of-group instances for one group head.
 
     ``group_of`` maps each class to its group.  Keeps every in-group instance

@@ -38,6 +38,13 @@ def finite_difference_grad(logits: np.ndarray, labels, counts, spec: LossSpec,
     return grad
 
 
+def cb_focal_term(p: float, gamma: float, cb_beta: float, n: int) -> float:
+    """``batch_loss``'s cb_focal per-instance term for one row whose true class
+    has probability ``p`` and ``n`` training rows: logits ``[log p, log(1-p)]``."""
+    spec = LossSpec(kind="cb_focal", gamma=gamma, cb_beta=cb_beta)
+    return float(batch_loss(np.log([[p, 1.0 - p]]), [0], [n, 1], spec).per_instance[0])
+
+
 def traced_peak(fn, *args):
     """The result of fn(*args) and the peak of traced memory while it ran."""
     tracemalloc.start()

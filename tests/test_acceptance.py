@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from longtail_lab import (ClassifierHead, LossSpec,
-                          OptimSpec, bags_infer, batch_loss, cb_weight,
-                          compute_class_stats, evaluate, focal_loss,
+from longtail_lab import (ClassifierHead, LossSpec, OptimSpec, bags_infer, batch_loss,
+                          compute_class_stats, evaluate,
                           build_group_layout, load_model, load_report, lr_at,
                           make_epoch_stream, make_sampler, predict,
                           run_experiment, sampling_weights, softmax,
@@ -21,7 +20,8 @@ from longtail_lab.experiment import config_from_dict
 from longtail_lab.heads import HEAD_GROUP
 from longtail_lab.model import scores as model_scores
 
-from conftest import dataset_with_counts, finite_difference_grad, max_relative_error
+from conftest import (cb_focal_term, dataset_with_counts, finite_difference_grad,
+                      max_relative_error)
 
 ATOL = 1e-10
 
@@ -98,13 +98,13 @@ def test_criterion_1_formula_oracles():
         p = float(rng.uniform(1e-9, 1.0))
         gamma = float(rng.uniform(0, 6))
         expected = (1 - p) ** gamma * -math.log(p)
-        worst = max(worst, abs(focal_loss(p, gamma) - expected))
+        worst = max(worst, abs(cb_focal_term(p, gamma, 0.0, 1) - expected))
 
     for _ in range(120):
         n = int(rng.integers(1, 10**6))
         beta = float(rng.uniform(0, 0.9999))
-        expected = (1 - beta) / (1 - beta ** n)
-        worst = max(worst, abs(cb_weight(n, beta) - expected))
+        expected = (1 - beta) / (1 - beta ** n) * math.log(2)
+        worst = max(worst, abs(cb_focal_term(0.5, 0.0, beta, n) - expected))
 
     for _ in range(120):
         c = int(rng.integers(2, 12))

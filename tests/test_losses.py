@@ -1,14 +1,15 @@
 """Loss values against hand arithmetic and gradients against finite differences."""
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longtail_lab import LossSpec, batch_loss, cb_weight, focal_loss, softmax
+from longtail_lab import LossSpec, batch_loss, softmax
 
-from conftest import finite_difference_grad, max_relative_error
+from conftest import cb_focal_term, finite_difference_grad, max_relative_error
 
 
 class TestSoftmax:
@@ -34,17 +35,25 @@ class TestSoftmax:
             softmax([np.nan, 0.0])
 
 
+LN2 = math.log(2)
+
+
 class TestFocalLoss:
+    """The focal term of ``batch_loss`` at cb_beta = 0, where every class weight is 1."""
+
     def test_gamma_zero_is_cross_entropy(self):
-        assert focal_loss(0.2, 0.0) == pytest.approx(-math.log(0.2), abs=1e-12)
-        assert focal_loss(0.2, 0.0) == pytest.approx(1.60944, abs=1e-5)
+        assert cb_focal_term(0.2, 0.0, 0.0, 1) == pytest.approx(-math.log(0.2), abs=1e-12)
+        assert cb_focal_term(0.2, 0.0, 0.0, 1) == pytest.approx(1.60944, abs=1e-5)
 
     def test_perfectly_classified_is_zero(self):
+        # exp(-800) underflows to 0, so the true class's probability is exactly 1.
         for gamma in (0.0, 0.5, 2.0, 5.0):
-            assert focal_loss(1.0, gamma) == 0.0
+            value = batch_loss(np.array([[0.0, -800.0]]), [0], [1, 1],
+                               LossSpec(kind="cb_focal", gamma=gamma, cb_beta=0.0))
+            assert value.per_instance[0] == 0.0
 
     def test_direct_evaluation(self):
-        assert focal_loss(0.9, 2.0) == pytest.approx(0.01 * 0.105361, rel=1e-4)
+        assert cb_focal_term(0.9, 2.0, 0.0, 1) == pytest.approx(0.01 * 0.105361, rel=1e-4)
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(1)
@@ -52,45 +61,50 @@ class TestFocalLoss:
             p = float(rng.uniform(1e-6, 1.0))
             gamma = float(rng.uniform(0.0, 5.0))
             expected = (1 - p) ** gamma * -math.log(p)
-            assert focal_loss(p, gamma) == pytest.approx(expected, abs=1e-10)
+            assert cb_focal_term(p, gamma, 0.0, 1) == pytest.approx(expected, abs=1e-10)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(min_value=1e-6, max_value=0.999999),
            st.floats(min_value=1e-6, max_value=0.999999),
            st.floats(min_value=0.0, max_value=8.0))
     def test_nonincreasing_in_p(self, p1, p2, gamma):
+        # The softmax recovers p to a few ulps, so p's a few ulps apart may
+        # swap their losses by up to 5.6e-16 (largest of 10^5 such pairs).
         lo, hi = sorted((p1, p2))
-        assert focal_loss(lo, gamma) >= focal_loss(hi, gamma)
+        assert cb_focal_term(lo, gamma, 0.0, 1) >= cb_focal_term(hi, gamma, 0.0, 1) - 1e-15
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(min_value=1e-6, max_value=0.999999),
            st.floats(min_value=0.0, max_value=8.0), st.floats(min_value=0.0, max_value=8.0))
     def test_nonincreasing_in_gamma(self, p, g1, g2):
         lo, hi = sorted((g1, g2))
-        assert focal_loss(p, hi) <= focal_loss(p, lo) + 1e-15
+        assert cb_focal_term(p, hi, 0.0, 1) <= cb_focal_term(p, lo, 0.0, 1) + 1e-15
 
 
 class TestCBWeight:
+    """The class weight (1-beta)/(1-beta^n) of ``batch_loss``: at gamma = 0 and
+    p = 1/2 its cb_focal term is the weight times ln 2."""
+
     def test_single_sample_weight_one(self):
-        assert cb_weight(1, 0.9) == pytest.approx(1.0, abs=1e-15)
+        assert cb_focal_term(0.5, 0.0, 0.9, 1) == pytest.approx(LN2, abs=1e-15)
 
     def test_two_samples(self):
-        assert cb_weight(2, 0.9) == pytest.approx(0.1 / 0.19, abs=1e-12)
-        assert cb_weight(2, 0.9) == pytest.approx(0.526316, abs=1e-6)
+        assert cb_focal_term(0.5, 0.0, 0.9, 2) == pytest.approx(0.1 / 0.19 * LN2, abs=1e-12)
+        assert cb_focal_term(0.5, 0.0, 0.9, 2) / LN2 == pytest.approx(0.526316, abs=1e-6)
 
     def test_saturates_at_one_minus_beta(self):
-        assert cb_weight(10**6, 0.9) == pytest.approx(0.1, abs=1e-12)
+        assert cb_focal_term(0.5, 0.0, 0.9, 10**6) == pytest.approx(0.1 * LN2, abs=1e-12)
 
     def test_beta_zero_unit_weight(self):
         for n in (1, 5, 1000):
-            assert cb_weight(n, 0.0) == 1.0
+            assert cb_focal_term(0.5, 0.0, 0.0, n) == LN2
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=1, max_value=10**6), st.floats(min_value=0.0, max_value=0.999))
     def test_bounded_and_decreasing(self, n, beta):
-        w = cb_weight(n, beta)
-        assert (1 - beta) - 1e-12 < w <= 1.0
-        assert cb_weight(n + 1, beta) <= w + 1e-15
+        term = cb_focal_term(0.5, 0.0, beta, n)
+        assert (1 - beta) * LN2 - 1e-12 < term <= LN2
+        assert cb_focal_term(0.5, 0.0, beta, n + 1) <= term + 1e-15
 
 
 class TestBatchLoss:
@@ -135,8 +149,8 @@ class TestBatchLoss:
         counts = np.array([1, 4])
         value = batch_loss(logits, [0, 1], counts,
                            LossSpec(kind="cb_focal", gamma=0.0, cb_beta=0.9))
-        expected0 = cb_weight(1, 0.9) * math.log(2)
-        expected1 = cb_weight(4, 0.9) * math.log(2)
+        expected0 = LN2
+        expected1 = 0.1 / (1 - 0.9 ** 4) * LN2
         np.testing.assert_allclose(value.per_instance, [expected0, expected1], atol=1e-12)
 
     @pytest.mark.parametrize("counts", [None, [3, 4]], ids=["none", "too_few"])
@@ -160,6 +174,11 @@ class TestBatchLoss:
             LossSpec(kind="cb_focal", cb_beta=0.9)
         with pytest.raises(ValueError):
             LossSpec(kind="nope")
+
+    def test_cb_beta_upper_edge(self):
+        LossSpec(kind="cb_focal", gamma=2.0, cb_beta=math.nextafter(1.0, 0.0))
+        with pytest.raises(ValueError, match=re.escape("cb_beta must lie in [0, 1)")):
+            LossSpec(kind="cb_focal", gamma=2.0, cb_beta=1.0)
 
 
 class TestGradientsAgainstFiniteDifferences:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longtail_lab import (Backbone, ClassifierHead, ClassStats, Dataset,
-                          LossSpec, OptimSpec, TrainedModel, batch_loss, forward,
+                          LossSpec, OptimSpec, TrainedModel, batch_loss,
                           generate_synthetic, load_model, predict, save_model,
                           softmax, train_stage1, train_stage2)
 from longtail_lab import heads as heads_module
@@ -50,9 +50,8 @@ class TestForward:
     def test_zero_head_gives_uniform_softmax(self):
         ds = blob_dataset()
         model = make_model(np.zeros((2, 4)), np.zeros(2), ds)
-        logits = forward(model, ds.features[:5])
-        assert np.array_equal(logits, np.zeros((5, 2)))
-        np.testing.assert_allclose(softmax(logits), 0.5)
+        assert np.array_equal(model.heads["head"].logits(ds.features[:5]), np.zeros((5, 2)))
+        assert np.array_equal(model_module.scores(model, ds.features[:5]), np.full((5, 2), 0.5))
 
     @pytest.mark.parametrize("method", ["baseline", "sqrt_samp", "bags", "ssb"])
     def test_predict_rejects_wrong_width(self, stage1_setup, method):
@@ -66,13 +65,8 @@ class TestForward:
     def test_identity_head_passes_features_through(self):
         ds = blob_dataset(counts=(10, 10, 10), dim=3)
         model = make_model(np.eye(3), np.zeros(3), ds)
-        np.testing.assert_array_equal(forward(model, ds.features), ds.features)
-
-    def test_dimension_mismatch_rejected(self):
-        ds = blob_dataset()
-        model = make_model(np.zeros((2, 4)), np.zeros(2), ds)
-        with pytest.raises(ValueError, match="dimension"):
-            forward(model, np.zeros((3, 7)))
+        h = model.backbone.features(ds.features)
+        np.testing.assert_array_equal(model.heads["head"].logits(h), ds.features)
 
     def test_head_weight_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)

@@ -1,5 +1,6 @@
 """Learning-rate schedule endpoints and the decoupled adaptive optimizer."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -112,8 +113,23 @@ class TestOptimizerStep:
             OptimSpec(lr_init=0.0)
         with pytest.raises(ValueError):
             OptimSpec(epochs=5, warmup_epochs=5)
-        with pytest.raises(ValueError):
-            OptimSpec(beta1=1.0)
+
+    # Each bound: the value just inside it is accepted, the value at it is
+    # rejected with its message.
+    @pytest.mark.parametrize("inside, edge, message", [
+        ({"beta1": math.nextafter(1.0, 0.0)}, {"beta1": 1.0},
+         "beta1 and beta2 must lie in [0, 1)"),
+        ({"beta2": math.nextafter(1.0, 0.0)}, {"beta2": 1.0},
+         "beta1 and beta2 must lie in [0, 1)"),
+        ({"eps": math.nextafter(0.0, 1.0)}, {"eps": 0.0}, "eps must be > 0"),
+        ({"batch_size": 1}, {"batch_size": 0}, "batch_size must be >= 1"),
+        ({"epochs": 1, "warmup_epochs": 0}, {"epochs": 1, "warmup_epochs": 1},
+         "warmup_epochs must be smaller than epochs"),
+    ], ids=["beta1", "beta2", "eps", "batch_size", "warmup_one_epoch"])
+    def test_spec_edges(self, inside, edge, message):
+        OptimSpec(**inside)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OptimSpec(**edge)
 
     def test_for_classifier_regime(self):
         spec = OptimSpec()

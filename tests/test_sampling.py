@@ -1,5 +1,6 @@
 """Sampling weights, epoch streams, and the grouped-head batch undersampler."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from longtail_lab import (bags_filter_batch, compute_class_stats, make_epoch_stream,
-                          make_sampler, sampling_weights)
+from longtail_lab import (SamplerSpec, bags_filter_batch, compute_class_stats,
+                          make_epoch_stream, make_sampler, sampling_weights)
 
 from conftest import dataset_with_counts
 
@@ -109,6 +110,46 @@ class TestEpochStream:
         assert set(stream.tolist()) == set(range(6))
 
 
+class TestValidationEdges:
+    """Each bound: the value just inside it is accepted, the value at it is
+    rejected with its message."""
+
+    @pytest.mark.parametrize("inside, edge, message", [
+        ({"q": 1.0}, {"q": math.nextafter(1.0, 2.0)}, "q must lie in [0, 1]"),
+        ({"class_probs": [0.0, 1.0]}, {"class_probs": [-1e-13, 1.0 + 1e-13]},
+         "class probabilities must be non-negative"),
+        ({"class_probs": [0.25, 0.75 + 0.9e-12]}, {"class_probs": [0.25, 0.75 + 1.1e-12]},
+         "class probabilities must sum to 1 within 1e-12"),
+    ], ids=["q", "negative_prob", "sum_tolerance"])
+    def test_sampler_spec(self, inside, edge, message):
+        base = {"q": 0.5, "class_probs": [0.5, 0.5], "seed": 0}
+        SamplerSpec(**{**base, **inside})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SamplerSpec(**{**base, **edge})
+
+    def test_epoch_len(self):
+        sampler = make_sampler([2, 1], 0.5, seed=0)
+        assert make_epoch_stream(np.array([0, 0, 1]), sampler, 1).shape == (1,)
+        with pytest.raises(ValueError, match="epoch_len must be >= 1"):
+            make_epoch_stream(np.array([0, 0, 1]), sampler, 0)
+
+    def test_class_with_probability_needs_rows(self):
+        # Class 2 has no rows: accepted at probability 0, rejected at the least above it.
+        labels = np.array([0, 0, 1])
+        make_epoch_stream(labels, SamplerSpec(q=0.5, class_probs=[0.5, 0.5, 0.0], seed=0), 10)
+        tiny = math.nextafter(0.0, 1.0)
+        with pytest.raises(ValueError, match="probability to a class with no instances"):
+            make_epoch_stream(labels, SamplerSpec(q=0.5, class_probs=[0.5, 0.5, tiny], seed=0),
+                              10)
+
+    def test_bags_beta(self):
+        labels = np.array([0, 1])
+        group_of = np.array([1, 4])
+        bags_filter_batch(labels, 1, group_of, math.nextafter(0.0, 1.0), seed=0)
+        with pytest.raises(ValueError, match="bags_beta must be > 0"):
+            bags_filter_batch(labels, 1, group_of, 0.0, seed=0)
+
+
 class TestBagsFilterBatch:
     def test_undersamples_others_to_beta_times_in_group(self):
         stats = compute_class_stats(dataset_with_counts([5, 2000]))
@@ -121,7 +162,7 @@ class TestBagsFilterBatch:
     def test_batch_entirely_in_group_unchanged(self):
         stats = compute_class_stats(dataset_with_counts([5, 2000]))
         labels = np.zeros(10, dtype=np.int64)
-        kept = bags_filter_batch(labels, group=1, group_of=stats.bins)
+        kept = bags_filter_batch(labels, group=1, group_of=stats.bins, bags_beta=8.0, seed=0)
         assert kept.tolist() == list(range(10))
 
     def test_no_in_group_keeps_ceil_beta_others(self):
@@ -145,3 +186,12 @@ class TestBagsFilterBatch:
         labels = np.array([0] + [1] * 30)
         kept = bags_filter_batch(labels, group=1, group_of=stats.bins, bags_beta=2.5, seed=1)
         assert (labels[kept] == 1).sum() == math.ceil(2.5 * 1)
+
+    @pytest.mark.parametrize("bags_beta, others", [(math.nextafter(0.0, 1.0), 1), (0.5, 1),
+                                                   (1.0, 2)], ids=["least", "half", "one"])
+    def test_beta_at_most_one(self, bags_beta, others):
+        stats = compute_class_stats(dataset_with_counts([5, 2000]))
+        labels = np.array([0, 0] + [1] * 64)
+        kept = bags_filter_batch(labels, 1, stats.bins, bags_beta, seed=3)
+        assert (labels[kept] == 0).sum() == 2
+        assert (labels[kept] == 1).sum() == others
