@@ -28,11 +28,10 @@ HEAD_GROUP = len(GROUP_LIMITS)  # the top count bin: the "head classes" group
 
 @dataclass(frozen=True, eq=False)
 class GroupLayout:
-    """Assignment of every class to one count group (0 = background group)."""
+    """Assignment of every class to one count group; group 0, when it holds a
+    class, is the background group of that one class."""
 
     group_of: np.ndarray
-    has_background_group: bool
-    background_class: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "group_of",
@@ -40,14 +39,18 @@ class GroupLayout:
         valid = set(range(0, len(GROUP_LIMITS) + 1))
         if not set(self.group_of.tolist()) <= valid:
             raise ValueError(f"group indices must lie in {sorted(valid)}")
-        zeros = np.flatnonzero(self.group_of == 0)
-        if self.has_background_group:
-            if self.background_class is None:
-                raise ValueError("background group requires a designated background class")
-            if zeros.tolist() != [self.background_class]:
-                raise ValueError("group 0 must contain exactly the background class")
-        elif zeros.size:
-            raise ValueError("group 0 is reserved for the background group")
+        if self.classes_in(0).size > 1:
+            raise ValueError("group 0 holds at most one class, the background class")
+
+    @property
+    def background_class(self) -> int | None:
+        """The class of group 0, if any."""
+        zeros = self.classes_in(0)
+        return int(zeros[0]) if zeros.size else None
+
+    @property
+    def has_background_group(self) -> bool:
+        return self.background_class is not None
 
     @property
     def num_classes(self) -> int:
@@ -72,8 +75,7 @@ def build_group_layout(stats: ClassStats, background_class: int | None = None,
         if background_class is None:
             raise ValueError("background group requested but no background class designated")
         groups[background_class] = 0
-    return GroupLayout(group_of=groups, has_background_group=with_background_group,
-                       background_class=background_class)
+    return GroupLayout(group_of=groups)
 
 
 def ssb_aggregate(p_i, p_sqrt, head_mask) -> np.ndarray:

@@ -190,10 +190,8 @@ def _heads_module():
     return heads
 
 
-def _group_layout(model: TrainedModel) -> "GroupLayout | None":
-    """A grouped method's class grouping; with a background group iff a background head trained."""
-    if not METHODS[model.method].grouped:
-        return None
+def _group_layout(model: TrainedModel) -> "GroupLayout":
+    """Bags' class grouping; with a background group iff a background head trained."""
     return _heads_module().build_group_layout(
         model.stats, background_class=model.background_class,
         with_background_group="bags.background" in model.heads)
@@ -368,7 +366,7 @@ class Method:
     ``loss`` and ``stage2`` it uses, and keeps that fit's ``head`` as head
     ``name``.  ``heads(model)``
     gives the output count of every head ``combine(model, h)`` reads to score
-    backbone features ``h``.  ``grouped`` methods group classes by count decade.
+    backbone features ``h``.
     """
 
     q: float = 1.0
@@ -379,7 +377,6 @@ class Method:
     heads: Callable[[TrainedModel], dict[str, int]] = lambda model: {"head": model.num_classes}
     combine: Callable[[TrainedModel, np.ndarray], np.ndarray] = (
         lambda model, h: _head_probs(model, "head", h))
-    grouped: bool = False
 
 
 # Every method, in report order.  A new rule is a new entry.
@@ -387,10 +384,10 @@ METHODS = {
     "baseline": Method(one_stage=True),
     "sqrt_samp": Method(q=0.5, one_stage=True, stage2=_fit_new_head),
     "cb_focal": Method(loss="cb_focal", one_stage=True, stage2=_fit_new_head),
-    "bags": Method(stage2=_fit_bags, heads=_bags_heads, grouped=True,
+    "bags": Method(stage2=_fit_bags, heads=_bags_heads,
                    combine=lambda m, h: _heads_module().bags_scores(_group_layout(m), m.heads, h)),
     # The square-root branch is sqrt_samp's retrained classifier.
-    "ssb": Method(fit_of=("sqrt_samp", "sqrt_head"), combine=_ssb_combine, grouped=True,
+    "ssb": Method(fit_of=("sqrt_samp", "sqrt_head"), combine=_ssb_combine,
                   heads=lambda model: dict.fromkeys(("head", "sqrt_head"), model.num_classes)),
 }
 
@@ -489,14 +486,18 @@ def scores(model: TrainedModel, features: np.ndarray, *, backbone_output: bool =
     already the backbone's output and the pass is skipped.  The bags and ssb
     vectors need not sum to 1.
 
-    Rows are scored in the blocks of ``score_blocks``, each written into one
-    output matrix, so scoring holds its output plus one block's temporaries.
-    A non-finite feature row is rejected by its index plus ``first_row``, the
-    index of ``features``' first row in a larger set.
+    Rows are scored in the blocks of ``score_blocks``.  One block's result is
+    returned as it is; more are each written into one output matrix, so
+    scoring holds its output plus one block's temporaries.  A non-finite
+    feature row is rejected by its index plus ``first_row``, the index of
+    ``features``' first row in a larger set.
     """
     x = _inputs(model, features, backbone_output)
+    blocks = score_blocks(x.shape[0])
+    if len(blocks) == 1:
+        return _score_block(model, x, first_row, backbone_output)
     out = np.empty((x.shape[0], model.num_classes))
-    for rows in score_blocks(x.shape[0]):
+    for rows in blocks:
         out[rows] = _score_block(model, x[rows], first_row + rows.start, backbone_output)
     return out
 
@@ -536,9 +537,8 @@ def _model_params(model: TrainedModel) -> list[tuple[str, np.ndarray]]:
 
 
 def _header(model: TrainedModel) -> dict:
-    """The checkpoint header of ``model``."""
-    layout = _group_layout(model)
-    group_heads = [name for name in model.heads if name.startswith("bags.group")]
+    """The checkpoint header of ``model``: the format constants and the fields
+    ``_model_from_header`` rebuilds it from, nothing derived from them."""
     return {
         "format": "longtail-lab-checkpoint",
         "version": 1,
@@ -548,21 +548,7 @@ def _header(model: TrainedModel) -> dict:
         "class_names": list(model.class_names),
         "background_class": model.background_class,
         "backbone_frozen": model.backbone.frozen,
-        "stats": {
-            "counts": model.stats.counts.tolist(),
-            "bins": model.stats.bins.tolist(),
-            "groups": model.stats.bins.tolist(),
-        },
-        "layout": None if layout is None else {
-            "group_of": layout.group_of.tolist(),
-            "has_background_group": layout.has_background_group,
-            "background_class": layout.background_class,
-            "limits": [[lo, None if math.isinf(hi) else hi] for lo, hi in GROUP_LIMITS],
-        },
-        "bags": None if not any(name.startswith("bags.") for name in model.heads) else {
-            "groups": sorted(int(name.removeprefix("bags.group")) for name in group_heads),
-            "has_background_head": "bags.background" in model.heads,
-        },
+        "stats": {"counts": model.stats.counts.tolist()},
         "train_log": [{"epoch": e.epoch, "mean_loss": e.mean_loss, "lr": e.lr}
                       for e in model.train_log],
         "params": [{"name": name, "shape": list(arr.shape)} for name, arr in _model_params(model)],

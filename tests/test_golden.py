@@ -3,6 +3,12 @@ pinned byte for byte.
 
 A change that is meant to keep every number must leave these digests alone;
 a change that moves them must say why and re-pin them.
+
+The report pins hold across the BLAS kernels tried (OpenBLAS's SkylakeX,
+Haswell, Sandybridge and Prescott).  The checkpoint pins were taken with
+numpy's OpenBLAS 0.3.31 on its SkylakeX kernel: trained parameters differ in
+their last bits under another kernel, so on another CPU these pins may fail
+while the report pins hold.
 """
 import hashlib
 
@@ -26,25 +32,25 @@ GOLDEN_BACKGROUND = "52c209915eccae210b551440c51c0eb14e642041452aaabe4ee18013045
 # sha256 of each checkpoints/*.ckpt, per run.
 CHECKPOINTS = {
     "two_stage": {
-        "bags.ckpt": "86749f7ac718f49b2bac33d6c367b30d5e69f6ff1da3f5c3a38c1cd268ac8697",
-        "baseline.ckpt": "cd9d3a3aad62ceb638e7a622363989ecc1ada179f04efd0a23f41abe9d0f1072",
-        "cb_focal.ckpt": "1d4778cf39e9b9652519323a4bf0f2243d7c4eebc1dd3f895b4422eeca50a263",
-        "sqrt_samp.ckpt": "c3005a1697cfd93b4a94338106c064376a6b0707d7fc4dd01e351b1d4a4b03d5",
-        "ssb.ckpt": "d7b16c91687ff7a78e7cc5a477dd35e09d4e94125b4f280ba8f8bb5846ec7dcb",
+        "bags.ckpt": "a0706c73a49fd890edd61db6a39603bbdf59beb8f907319d11586d7a164d95ed",
+        "baseline.ckpt": "a102fd7c567844a13033ea387ec38873d2b802062dab89621084f7dcfa8c2cfd",
+        "cb_focal.ckpt": "c16bb8b2584d1d8d4b794c18be945014cb0e9c80cbe137ad0257c572564db4c6",
+        "sqrt_samp.ckpt": "4e336bb3b89a860e138187c7dd2577add48b54ab3d305e9611be1486bbf85c68",
+        "ssb.ckpt": "0839b773ef7a104aa4988e722a0cb987b88063e8099fb203eb3cf1149f073b5b",
     },
     "one_stage": {
-        "bags.ckpt": "86749f7ac718f49b2bac33d6c367b30d5e69f6ff1da3f5c3a38c1cd268ac8697",
-        "baseline.ckpt": "cd9d3a3aad62ceb638e7a622363989ecc1ada179f04efd0a23f41abe9d0f1072",
-        "cb_focal.ckpt": "9b806d1efb46d49b11b33f389e5288b601f92d53b042c2b00811b49379b58f2b",
-        "sqrt_samp.ckpt": "b3be0e1f6f514819ca91e1ba56359907a05c5571894f03ea374c03bc6559e5b3",
-        "ssb.ckpt": "d7b16c91687ff7a78e7cc5a477dd35e09d4e94125b4f280ba8f8bb5846ec7dcb",
+        "bags.ckpt": "a0706c73a49fd890edd61db6a39603bbdf59beb8f907319d11586d7a164d95ed",
+        "baseline.ckpt": "a102fd7c567844a13033ea387ec38873d2b802062dab89621084f7dcfa8c2cfd",
+        "cb_focal.ckpt": "5772886567cbb294868e78419532d05ac68bd1b0e8a15724fa5787c2d362a1cf",
+        "sqrt_samp.ckpt": "0900f678432905d51f6926c2cb890ae007163ef6d9f39a0c67a6c9ae673f38e7",
+        "ssb.ckpt": "0839b773ef7a104aa4988e722a0cb987b88063e8099fb203eb3cf1149f073b5b",
     },
     "background": {
-        "bags.ckpt": "546ba392cb501ed6ff89084ab1af06eec27316bf44b6df55596ad3328871182b",
-        "baseline.ckpt": "b025aa70871a249b4cbfe3953eb3116fe41852da9b58807f66d280fb427e348a",
-        "cb_focal.ckpt": "e8b34102c2c65eb825eb3d615104630dddaf3c2500c5f7b4f280d8a8f0d5a3e1",
-        "sqrt_samp.ckpt": "be3cd226eaaf3ec78cd55d47cb047587ca86c0849b07b320949a37817f857c96",
-        "ssb.ckpt": "bd91c00d1e924dfcf728224a9cce4f426bad0d02fefdf386f6e8c67017d8cc1b",
+        "bags.ckpt": "c81046c33dd1c728507c57dfd8b11b07b61b96de58ed04e3535fb08c082ffa03",
+        "baseline.ckpt": "25da499b166a2603c16f2ec9c8c4be62f126fa8f089a89dda57c80a225cf2991",
+        "cb_focal.ckpt": "19fb605e8fe5b8003adfac924c7f53cbdc7894086f5444918a69a6c834cb1fca",
+        "sqrt_samp.ckpt": "a8c1b37d0445ad420e715d9dcc3e9c0f5ffad97a9e416ad009e58c7d83bec5ce",
+        "ssb.ckpt": "c2bb3ee177b60f64fba1d58d16ce13393cccecdee89cbaa8823d2b58e9edc1d3",
     },
 }
 

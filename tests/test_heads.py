@@ -1,4 +1,6 @@
 """Group layouts, the SSB mask and aggregation, and grouped-softmax inference."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,7 +60,24 @@ class TestGroupLayout:
         layout = build_group_layout(stats_for([5000, 50, 5]), background_class=0,
                                     with_background_group=False)
         assert not layout.has_background_group
+        assert layout.background_class is None
         assert layout.group_of.tolist() == [4, 2, 1]
+
+    def test_group_of_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(GroupLayout)] == ["group_of"]
+
+    def test_groups_lie_in_zero_to_four(self):
+        assert GroupLayout(group_of=[4, 1, 2]).group_of.tolist() == [4, 1, 2]
+        for bad in (5, -1):
+            with pytest.raises(ValueError, match=r"group indices must lie in \[0, 1, 2, 3, 4\]"):
+                GroupLayout(group_of=[4, bad, 2])
+
+    def test_group_zero_holds_at_most_the_background_class(self):
+        layout = GroupLayout(group_of=[3, 0, 1])
+        assert layout.background_class == 1
+        assert layout.has_background_group
+        with pytest.raises(ValueError, match="group 0 holds at most one class"):
+            GroupLayout(group_of=[0, 0, 1])
 
     def test_layout_invariant_to_class_order(self):
         counts = [5000, 500, 50, 5]

@@ -15,6 +15,7 @@ from longtail_lab import (Backbone, ClassifierHead, ClassStats, Dataset,
                           softmax, train_stage1, train_stage2)
 from longtail_lab import heads as heads_module
 from longtail_lab import model as model_module
+from longtail_lab.data import count_decade
 from longtail_lab.losses import LOSS_KINDS
 from longtail_lab.model import train_linear_head
 
@@ -469,8 +470,39 @@ class TestBlockedScores:
         extra = peak - s.nbytes - preds.nbytes
         assert extra <= 4 * block_bytes, extra / block_bytes
 
+    # One block's scores are returned as the combine rule made them, not
+    # copied into a second matrix: baseline holds one score-sized array, ssb
+    # its two head softmaxes and their combination.
+    @pytest.mark.parametrize("method, most", [("baseline", 1.5), ("ssb", 3.5)])
+    def test_one_block_is_not_copied(self, method, most):
+        rng = np.random.default_rng(7)
+        classes, dim, rows = 200, 16, 4000
+        heads = {name: ClassifierHead(weight=rng.standard_normal((classes, dim)),
+                                      bias=rng.standard_normal(classes))
+                 for name in ("head", "sqrt_head")[:2 if method == "ssb" else 1]}
+        model = TrainedModel(backbone=Backbone(weights=[], biases=[]), heads=heads,
+                             stats=ClassStats(counts=np.arange(1, classes + 1) * 10),
+                             method=method, train_log=[],
+                             class_names=tuple(f"c{j}" for j in range(classes)))
+        h = rng.standard_normal((rows, dim))
+        s, peak = traced_peak(lambda: model_module.scores(model, h, backbone_output=True))
+        assert s.shape == (rows, classes)
+        assert peak < most * s.nbytes, peak / s.nbytes
+
 
 class TestCheckpoint:
+    # A field derivable from these would only restate them.
+    HEADER_KEYS = {"format", "version", "endianness", "dtype", "method", "class_names",
+                   "background_class", "backbone_frozen", "stats", "train_log", "params"}
+
+    @pytest.mark.parametrize("method", TestBlockedScores.METHODS)
+    def test_header_holds_only_what_a_load_reads(self, tmp_path, scoring_models, method):
+        path = tmp_path / "model.ckpt"
+        save_model(scoring_models[method], str(path))
+        header = checkpoint_header(path.read_bytes())
+        assert set(header) == self.HEADER_KEYS
+        assert set(header["stats"]) == {"counts"}
+
     @pytest.mark.parametrize("method", ["baseline", "sqrt_samp", "cb_focal", "bags", "ssb"])
     def test_round_trip_bit_exact(self, tmp_path, stage1_setup, method):
         ds, model = stage1_setup
@@ -548,6 +580,19 @@ def rejects(path, *fragments) -> None:
         assert text in str(info.value)
 
 
+def checkpoint_header(blob: bytes) -> dict:
+    (header_len,) = struct.unpack_from("<Q", blob, MAGIC_LEN)
+    return json.loads(blob[MAGIC_LEN + 8:MAGIC_LEN + 8 + header_len])
+
+
+def older_header(header: dict) -> None:
+    """Turn a baseline checkpoint's header into the format that also stored
+    the count bins twice, a group layout and a bags head list."""
+    bins = count_decade(np.array(header["stats"]["counts"])).tolist()
+    header["stats"].update(bins=bins, groups=bins)
+    header.update(layout=None, bags=None)
+
+
 class TestCorruptCheckpoint:
     def test_truncated_length_field(self, tmp_path, checkpoint_file):
         path = tmp_path / "cut.ckpt"
@@ -607,12 +652,13 @@ class TestCorruptCheckpoint:
         (lambda h: h.update(train_log=[{"epoch": "a"}]), "'train_log[0].epoch'"),
         (lambda h: h.update(method="nope"), "method"),
         (lambda h: h.update(class_names=h["class_names"][:3]), "class_names"),
-        (lambda h: h["stats"].update(bins=[1] * len(h["stats"]["bins"])), "'stats.bins'"),
+        (lambda h: h["stats"].update(bins=[1] * len(h["stats"]["counts"])), "'stats.bins'"),
         (lambda h: h["stats"]["counts"].__setitem__(0, 2**70), "'stats.counts[0]'"),
         (lambda h: h["params"][0]["shape"].reverse(), "'backbone.0.weight'"),
+        (older_header, "'bags'"),
     ], ids=["params_not_a_list", "layout_not_an_object", "epoch_not_an_int",
             "unknown_method", "class_names_cut", "bins_disagree", "count_beyond_int64",
-            "weight_transposed"])
+            "weight_transposed", "older_format"])
     def test_bad_header_field_named(self, tmp_path, checkpoint_file, edit, fragment):
         blob = checkpoint_file.read_bytes()
         (header_len,) = struct.unpack_from("<Q", blob, MAGIC_LEN)

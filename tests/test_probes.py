@@ -54,15 +54,29 @@ def traced_short_run(probes, out_dir, one_stage: bool):
     return probes.totals_by_root(tracer)[root]
 
 
+# Calls per span name in the two-stage run.  A refactor that keeps the work
+# the same keeps these counts; one that moves a count says which and why.
+TWO_STAGE_CALLS = {
+    "data.compute_class_stats": 7, "data.digest": 3, "data.generate_synthetic": 3,
+    "experiment.emit_f1_delta": 1, "experiment.prepare_datasets": 1, "heads.bags_infer": 1,
+    "heads.bags_scores": 1, "heads.bags_train_heads": 1, "heads.build_group_layout": 3,
+    "heads.ssb_aggregate": 1, "losses.batch_loss": 1024, "losses.softmax": 9,
+    "metrics.compare_methods": 1, "metrics.evaluate": 5, "metrics.save_report": 5,
+    "model.backbone_bwd": 256, "model.backbone_features": 2, "model.backbone_fwd": 256,
+    "model.fit_head": 7, "model.head_logits": 1033, "model.predict": 5, "model.save_model": 5,
+    "model.scores": 5, "model.train_linear_head": 2, "model.train_stage1": 1,
+    "model.train_stage2.bags": 1, "model.train_stage2.cb_focal": 1,
+    "model.train_stage2.sqrt_samp": 1, "model.train_stage2.ssb": 1, "optim.lr_at": 1024,
+    "optim.step": 1024, "sampling.bags_filter_batch": 384, "sampling.epoch_stream": 16,
+    "sampling.make_sampler": 16, "seeding.derive_seed": 424,
+}
+
+
 def test_probes_see_a_two_stage_run_with_a_background_class(probes, tmp_path):
     totals = traced_short_run(probes, tmp_path / "run", one_stage=False)
     assert probes.train_time(totals) > 0
     assert probes.rows_drawn(totals) > 0
-    for method in probes.STAGE2_METHODS:
-        assert totals.calls.get(f"model.train_stage2.{method}") == 1, method
-    for name in ("heads.bags_train_heads", "heads.build_group_layout", "heads.bags_scores",
-                 "heads.ssb_aggregate"):
-        assert totals.calls.get(name, 0) >= 1, name
+    assert totals.calls == TWO_STAGE_CALLS
 
 
 def test_probes_see_a_one_stage_run_with_a_background_class(probes, tmp_path):
