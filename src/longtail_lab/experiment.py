@@ -8,7 +8,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterator, get_type_hints
+from typing import Callable, Iterator, get_type_hints
 
 import numpy as np
 import yaml
@@ -273,13 +273,15 @@ def _resolve_background(dataset: Dataset, background: int | str | None) -> Datas
         raise ValueError(f"config key dataset.background_class: {exc}") from None
 
 
-def prepare_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
-    """Materialize the train/val/test partitions the configuration describes.
+def prepare_datasets(config: ExperimentConfig) -> tuple[Dataset, Callable[[str], Dataset]]:
+    """The train split, and a function that makes the evaluation split "val" or
+    "test" it is called with, once for each.
 
-    ``split`` mode partitions one dataset; ``fresh`` mode uses the full
-    synthetic draw for training and draws balanced evaluation sets from the
-    same class-conditional distributions (class counts below 10^3 in training
-    would otherwise be impossible to pair with a >= 10^3 head bin).
+    ``split`` mode partitions one dataset and hands over the other two parts;
+    ``fresh`` mode trains on the full synthetic draw and draws each balanced
+    evaluation split from the same class-conditional distributions only when
+    it is asked for (class counts below 10^3 in training would otherwise be
+    impossible to pair with a >= 10^3 head bin).
     """
     if config.synthetic is not None:
         base = generate_synthetic(config.synthetic)
@@ -287,13 +289,16 @@ def prepare_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, Datase
         base = load_embeddings(config.embeddings_path)
     base = _resolve_background(base, config.background)
     if config.eval_mode == "split":
-        return split_dataset(base, config.split)
+        train, val, test = split_dataset(base, config.split)
+        return train, {"val": val, "test": test}.pop
     eval_counts = np.full(config.synthetic.num_classes, config.eval_per_class, dtype=np.int64)
-    val = generate_synthetic(config.synthetic, counts=eval_counts, noise_stream=1)
-    test = generate_synthetic(config.synthetic, counts=eval_counts, noise_stream=2)
-    return (base,
-            _resolve_background(val, config.background),
-            _resolve_background(test, config.background))
+
+    def draw(name: str) -> Dataset:
+        split = generate_synthetic(config.synthetic, counts=eval_counts,
+                                   noise_stream={"val": 1, "test": 2}[name])
+        return _resolve_background(split, config.background)
+
+    return base, draw
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +310,10 @@ def prepare_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, Datase
 class RunManifest:
     """What a run produced: artifact paths, timings, and identity digests.
 
-    ``prepare_seconds`` times loading or drawing the data and splitting it;
-    ``stage1_seconds`` times each stage-1 model, its training and its frozen
-    features, by tag; ``methods.<m>.seconds`` times the method's own work.
+    ``prepare_seconds`` times loading or drawing the data and splitting it,
+    less fresh evaluation draws, which the step that first reads the test split
+    makes; ``stage1_seconds`` times each stage-1 model, its training and its
+    frozen features, by tag; ``methods.<m>.seconds`` times the method's own work.
     """
 
     config_digest: str
@@ -389,10 +395,11 @@ def _loss(method: str, config: ExperimentConfig) -> LossSpec:
 
 def step_reads(step: str, tag: str | None) -> tuple[str, ...]:
     """The held arrays a ``step`` of ``plan`` on stage-1 model ``tag`` (None for
-    an own fit) reads, in order.  "train" and "test" are the raw splits; "<tag>"
-    is a stage-1 model with its frozen backbone's output on the test rows and
-    the stage-2 fits made on it, by owner; "<tag>.train" is the train split on
-    that output, which stage-1 training computes only when a later step reads it."""
+    an own fit) reads, in order.  "train" and "test" are the raw splits, a fresh
+    test split made at its first read; "<tag>" is a stage-1 model with its
+    frozen backbone's output on the test rows and the stage-2 fits made on it,
+    by owner; "<tag>.train" is the train split on that output, which stage-1
+    training computes only when a later step reads it."""
     return {("stage-1 training", True): ("train", "test"),
             ("one-stage training", False): ("train",),
             ("stage-2 training", True): (tag, f"{tag}.train"),
@@ -427,7 +434,7 @@ def _stage1(config: ExperimentConfig, tag: str, inputs: Iterator, held: dict,
     if frozen_train:
         held[f"{tag}.train"] = replace(train, features=model.backbone.features(train.features))
     # Freed here if this was their last read, the raw train rows do not
-    # overlap the test pass.
+    # overlap the test pass, nor the fresh evaluation draws that its read makes.
     del train
     held[tag] = (model, model.backbone.features(next(inputs).features), {})
 
@@ -464,29 +471,51 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     """Run the steps of ``plan(config)``, which evaluate each method on the test
     partition, and persist checkpoints, reports, the comparison table, and the
     manifest.  Per-method seeds do not depend on execution order.  Each large
-    array is held by its ``step_reads`` name and dropped at its last read."""
+    array is held by its ``step_reads`` name and dropped at its last read; a
+    fresh test split is made at its first read."""
     out = Path(config.output_dir)
     for sub in ("checkpoints", "reports"):
         (out / sub).mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
-    train, val, test = prepare_datasets(config)
+    train, evaluation_split = prepare_datasets(config)
     prepare_seconds = round(time.perf_counter() - started, 3)
     stats = compute_class_stats(train)
-    dataset_digest = hashlib.sha256(
-        (train.digest() + val.digest() + test.digest()).encode("ascii")).hexdigest()
-    del val  # hashed into the dataset digest; nothing else reads it
+    train_digest, class_names = train.digest(), train.class_names
     config_digest = config.digest()
-
-    manifest = RunManifest(config_digest=config_digest, dataset_digest=dataset_digest,
+    manifest = RunManifest(config_digest=config_digest, dataset_digest="",
                            tool_version=__version__, one_stage=config.one_stage, methods={},
                            stage1_seconds={}, prepare_seconds=prepare_seconds)
+    test_labels = None
+
+    def make_test() -> Dataset:
+        """The test split, made after the validation split is made, hashed and
+        dropped, so that it can take that memory; sets the dataset digest."""
+        nonlocal test_labels
+        digests = train_digest + evaluation_split("val").digest()
+        test = evaluation_split("test")
+        manifest.dataset_digest = hashlib.sha256(
+            (digests + test.digest()).encode("ascii")).hexdigest()
+        test_labels = test.labels
+        return test
+
     steps = plan(config)
     last_read = {name: i for i, (step, _, tag) in enumerate(steps)
                  for name in step_reads(step, tag)}
-    held: dict[str, object] = {"train": train, "test": test}
-    class_names, test_labels = train.class_names, test.labels
-    del train, test
+    held: dict[str, object] = {"train": train}
+    del train
+    unmade = {"test": make_test}  # by name, what makes an entry at its first read
+    if config.eval_mode == "split":
+        # The split has made both parts already: taking them now holds nothing
+        # longer.  A fresh draw waits for the step that reads it, which runs
+        # after the raw train rows are dropped.
+        held["test"] = unmade.pop("test")()
+
+    def read(name: str, i: int):
+        if name in unmade:
+            held[name] = unmade.pop(name)()
+        return held.pop(name) if last_read[name] == i else held[name]
+
     reports: list[EvalReport] = []
     began: dict[str, float] = {}  # when each method's own work began
     model = None  # the model of the method under way, once it has trained one
@@ -494,8 +523,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     try:
         for i, (step, method, tag) in enumerate(steps):
             started = time.perf_counter()
-            inputs = (held.pop(name) if last_read[name] == i else held[name]
-                      for name in step_reads(step, tag))
+            inputs = (read(name, i) for name in step_reads(step, tag))
             if step == "stage-1 training":
                 _stage1(config, tag, inputs, held, f"{tag}.train" in last_read)
                 manifest.stage1_seconds[tag] = round(time.perf_counter() - started, 3)
@@ -510,7 +538,8 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
             else:
                 model, preds = _predictions(model, tag, inputs)
                 report = evaluate(preds, test_labels, stats, method=method, seed=config.seed,
-                                  config_digest=config_digest, dataset_digest=dataset_digest,
+                                  config_digest=config_digest,
+                                  dataset_digest=manifest.dataset_digest,
                                   class_names=class_names)
                 step = "persistence"
                 ckpt_rel = f"checkpoints/{method}.ckpt"
@@ -535,6 +564,8 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
             write_text(str(out / "reports" / "f1_delta.csv"), delta.to_csv())
             manifest.f1_delta_csv = "reports/f1_delta.csv"
     except Exception as exc:
+        if not manifest.dataset_digest:  # failed before the test split was made
+            make_test()
         manifest.failure = {"method": method, "step": step, "error": str(exc)}
         manifest.save(str(out / "manifest.json"))
         raise RuntimeError(f"method {method!r} failed during {step}: {exc}") from exc

@@ -23,11 +23,11 @@ def softmax(logits, out: np.ndarray | None = None) -> np.ndarray:
     goes into a new array and the input stays untouched.
     """
     z = np.asarray(logits, dtype=np.float64)
-    if not np.isfinite(z).all():
+    if not np.logical_and.reduce(np.isfinite(z), axis=None):
         raise ValueError("softmax input contains non-finite values")
-    e = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+    e = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
@@ -85,13 +85,15 @@ def batch_loss(logits, labels, counts, spec: LossSpec) -> LossValue:
     batch, num_classes = logits.shape
     if labels.shape != (batch,):
         raise ValueError("labels must be one per batch row")
-    if labels.min() < 0 or labels.max() >= num_classes:
+    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= num_classes:
         raise ValueError(f"labels must lie in [0, {num_classes})")
 
     probs = softmax(logits)
     rows = np.arange(batch)
-    p = np.maximum(probs[rows, labels], PROB_FLOOR)
-    per_instance = -np.log(p)
+    p = probs[rows, labels]
+    np.maximum(p, PROB_FLOOR, out=p)
+    per_instance = np.log(p)
+    np.negative(per_instance, out=per_instance)
     # d(total)/d(logits) = -g(p) * (probs - onehot) / batch, built on probs in place.
     grad = probs
     grad[rows, labels] -= 1.0
@@ -102,7 +104,7 @@ def batch_loss(logits, labels, counts, spec: LossSpec) -> LossValue:
         if np.shape(counts) != (num_classes,):
             raise ValueError("cb_focal needs one training count per class")
         counts = np.asarray(counts, dtype=np.int64)
-        if (counts < 1).any():
+        if np.logical_or.reduce(counts < 1):
             raise ValueError("cb_focal needs every class count >= 1")
         weights = (1.0 - spec.cb_beta) / (1.0 - spec.cb_beta ** counts[labels])
         modulating = weights * modulating
@@ -110,5 +112,5 @@ def batch_loss(logits, labels, counts, spec: LossSpec) -> LossValue:
         per_instance = modulating * per_instance
         grad *= -gfac[:, None]
     grad /= batch
-    return LossValue(total=float(per_instance.mean()), per_instance=per_instance,
-                     grad_logits=grad)
+    return LossValue(total=float(np.add.reduce(per_instance) / batch),
+                     per_instance=per_instance, grad_logits=grad)

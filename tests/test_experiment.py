@@ -235,7 +235,8 @@ def generate_synthetic_small():
 class TestPrepareDatasets:
     def test_fresh_mode_keeps_full_training_profile(self):
         config = config_from_dict(tiny_doc("x"))
-        train, val, test = prepare_datasets(config)
+        train, evaluation_split = prepare_datasets(config)
+        val, test = evaluation_split("val"), evaluation_split("test")
         assert np.bincount(train.labels).min() >= 1
         assert train.num_instances == np.bincount(train.labels).sum()
         np.testing.assert_array_equal(np.bincount(test.labels), 25)
@@ -247,7 +248,8 @@ class TestPrepareDatasets:
         doc["dataset"]["eval"] = {"mode": "split"}
         doc["dataset"]["synthetic"]["head_count"] = 120
         config = config_from_dict(doc)
-        train, val, test = prepare_datasets(config)
+        train, evaluation_split = prepare_datasets(config)
+        val, test = evaluation_split("val"), evaluation_split("test")
         total = train.num_instances + val.num_instances + test.num_instances
         assert total == generate_synthetic(config.synthetic).num_instances
 
@@ -255,8 +257,10 @@ class TestPrepareDatasets:
         doc = tiny_doc("x")
         doc["dataset"]["background_class"] = "class_00"
         config = config_from_dict(doc)
-        train, _, _ = prepare_datasets(config)
+        train, evaluation_split = prepare_datasets(config)
         assert train.background_class == 0
+        assert evaluation_split("val").background_class == 0
+        assert evaluation_split("test").background_class == 0
 
     def test_unknown_background_name_rejected(self):
         doc = tiny_doc("x")
@@ -320,6 +324,24 @@ class TestRunExperiment:
         manifest = load_manifest(str(tmp_path / "run" / "manifest.json"))
         assert manifest.failure["method"] == "bags"
         assert "background" in manifest.failure["error"]
+        done = run_experiment(config_from_dict(tiny_doc(str(tmp_path / "done"),
+                                                        methods=["baseline"])))
+        assert manifest.dataset_digest == done.dataset_digest
+
+    def test_failure_before_the_test_split_is_made_keeps_the_dataset_digest(self, tmp_path,
+                                                                           monkeypatch):
+        done = run_experiment(config_from_dict(tiny_doc(str(tmp_path / "done"))))
+
+        def fail(*args, **kwargs):
+            raise ValueError("no fit")
+
+        monkeypatch.setattr(experiment_module, "train_stage1", fail)
+        with pytest.raises(RuntimeError, match="failed during stage-1 training"):
+            run_experiment(config_from_dict(tiny_doc(str(tmp_path / "run"))))
+        manifest = load_manifest(str(tmp_path / "run" / "manifest.json"))
+        assert manifest.failure == {"method": "baseline", "step": "stage-1 training",
+                                    "error": "no fit"}
+        assert manifest.dataset_digest == done.dataset_digest
 
     @pytest.mark.parametrize("owner, render", [(ComparisonTable, "to_csv"),
                                                (ComparisonTable, "to_text"),
@@ -389,15 +411,21 @@ class TestRunExperiment:
 
 
 def watch_splits(monkeypatch) -> dict[str, weakref.ref]:
-    """Weak references to the feature rows of the splits the run prepares, by split."""
+    """Weak references to the feature rows of the splits the run prepares, by
+    split, each entered when the split is made."""
     refs: dict[str, weakref.ref] = {}
     prepare = experiment_module.prepare_datasets
 
     def watched(config):
-        splits = prepare(config)
-        refs.update((name, weakref.ref(split.features))
-                    for name, split in zip(("train", "val", "test"), splits))
-        return splits
+        train, evaluation_split = prepare(config)
+        refs["train"] = weakref.ref(train.features)
+
+        def made(name):
+            split = evaluation_split(name)
+            refs[name] = weakref.ref(split.features)
+            return split
+
+        return train, made
 
     monkeypatch.setattr(experiment_module, "prepare_datasets", watched)
     return refs
@@ -522,7 +550,10 @@ class TestArrayLifetimes:
         assert len(seen) == 3
         assert seen[0] == set()
 
-    def test_stage1_frees_the_raw_train_rows_before_its_test_pass(self, tmp_path, monkeypatch):
+    @staticmethod
+    def stage1_passes(monkeypatch, doc: dict) -> list[tuple[set[str], set[str]]]:
+        """At each stage-1 backbone pass of a run of ``doc``, the splits made so
+        far and the splits alive."""
         refs = watch_splits(monkeypatch)
         passes = []
         inner = experiment_module.train_stage1
@@ -530,13 +561,33 @@ class TestArrayLifetimes:
         def trained(*args, **kwargs):
             model = inner(*args, **kwargs)
             features = model.backbone.features
-            model.backbone.features = lambda x: passes.append(alive(refs)) or features(x)
+
+            def watched_features(x):
+                passes.append((set(refs), alive(refs)))
+                return features(x)
+
+            model.backbone.features = watched_features
             return model
 
         monkeypatch.setattr(experiment_module, "train_stage1", trained)
-        run_experiment(config_from_dict(tiny_doc(
-            str(tmp_path / "run"), methods=["baseline", "sqrt_samp"], model={"hidden": [8]})))
-        assert passes == [{"train", "test"}, {"test"}]  # the train pass, then the test pass
+        run_experiment(config_from_dict(doc))
+        return passes
+
+    def test_stage1_frees_the_raw_train_rows_before_its_test_pass(self, tmp_path, monkeypatch):
+        passes = self.stage1_passes(monkeypatch, tiny_doc(
+            str(tmp_path / "run"), methods=["baseline", "sqrt_samp"], model={"hidden": [8]}))
+        # The train pass, then the test pass.  Neither fresh evaluation draw is
+        # made before the train pass has ended and the raw train rows are gone.
+        assert passes == [({"train"}, {"train"}), ({"train", "val", "test"}, {"test"})]
+
+    def test_split_mode_drops_its_validation_part_before_stage1(self, tmp_path, monkeypatch):
+        doc = tiny_doc(str(tmp_path / "run"), methods=["baseline", "sqrt_samp"],
+                       model={"hidden": [8]})
+        doc["dataset"]["eval"] = {"mode": "split"}
+        doc["dataset"]["synthetic"]["head_count"] = 120
+        passes = self.stage1_passes(monkeypatch, doc)
+        made = {"train", "val", "test"}
+        assert passes == [(made, {"train", "test"}), (made, {"test"})]
 
     def test_one_stage_run_frees_the_raw_splits_after_the_last_own_fit(self, tmp_path,
                                                                          monkeypatch):
@@ -547,8 +598,8 @@ class TestArrayLifetimes:
         run_experiment(config_from_dict(tiny_doc(
             str(tmp_path / "run"), methods=["baseline", "sqrt_samp", "cb_focal"],
             one_stage=True, model={"hidden": [8]})))
-        # The validation draw is gone from the start; the raw rows stay while
-        # a later own fit reads them.
+        # The validation draw is gone before the test draw is made; the raw
+        # rows stay while a later own fit reads them.
         assert at_evaluate[:2] == [{"train", "test"}] * 2
         assert at_predict[2] == {"test"}  # the last own fit has trained
         assert at_evaluate[2] == set()    # and has scored the test rows
@@ -568,9 +619,10 @@ class TestArrayLifetimes:
         assert seen == [[], [False], [False, False]]
 
     def test_peak_holds_no_more_than_the_raw_and_frozen_rows(self, tmp_path):
-        """A run that kept the validation draw beside the raw and frozen rows
-        would pass the bound; the slack covers labels, one batch, scores and
-        checkpoint buffers."""
+        """The raw test rows are drawn after the raw train rows are dropped, so
+        only the raw train rows count.  A run that kept the validation draw
+        beside the raw and frozen rows would exceed the bound; the slack covers
+        labels, one batch, scores and checkpoint buffers."""
         doc = tiny_doc(str(tmp_path / "run"), model={"hidden": [64]},
                        stage1={"epochs": 1, "warmup_epochs": 0, "batch_size": 512},
                        stage2={"epochs": 1, "warmup_epochs": 0})
@@ -580,8 +632,9 @@ class TestArrayLifetimes:
                                         "seed": 3},
                           "eval": {"mode": "fresh", "per_class": 2_500}}
         config = config_from_dict(doc)
-        train, val, test = prepare_datasets(config)
-        raw = train.features.nbytes + test.features.nbytes
+        train, evaluation_split = prepare_datasets(config)
+        val, test = evaluation_split("val"), evaluation_split("test")
+        raw = train.features.nbytes
         frozen = (train.num_instances + test.num_instances) * 64 * 8
         slack = 1 << 20
         assert val.features.nbytes > slack

@@ -152,8 +152,8 @@ def test_background_run_is_pinned(tmp_path):
 ], ids=["two_stage", "one_stage"])
 def test_backbone_passes_once_per_model(tmp_path, monkeypatch, one_stage, passes):
     config = short_config(tmp_path / "run", one_stage)
-    train, _, test = prepare_datasets(config)
-    rows = {train.num_instances: "train", test.num_instances: "test"}
+    train, evaluation_split = prepare_datasets(config)
+    rows = {train.num_instances: "train", evaluation_split("test").num_instances: "test"}
     seen = []
     features = Backbone.features
 
