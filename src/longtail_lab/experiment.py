@@ -311,9 +311,9 @@ class RunManifest:
     """What a run produced: artifact paths, timings, and identity digests.
 
     ``prepare_seconds`` times loading or drawing the data and splitting it,
-    less fresh evaluation draws, which the step that first reads the test split
-    makes; ``stage1_seconds`` times each stage-1 model, its training and its
-    frozen features, by tag; ``methods.<m>.seconds`` times the method's own work.
+    less fresh evaluation draws, which fall in the seconds of the first method
+    that evaluates; ``stage1_seconds`` times each stage-1 model's training, by
+    tag; ``methods.<m>.seconds`` times the method's own work.
     """
 
     config_digest: str
@@ -396,14 +396,14 @@ def _loss(method: str, config: ExperimentConfig) -> LossSpec:
 def step_reads(step: str, tag: str | None) -> tuple[str, ...]:
     """The held arrays a ``step`` of ``plan`` on stage-1 model ``tag`` (None for
     an own fit) reads, in order.  "train" and "test" are the raw splits, a fresh
-    test split made at its first read; "<tag>" is a stage-1 model with its
-    frozen backbone's output on the test rows and the stage-2 fits made on it,
-    by owner; "<tag>.train" is the train split on that output, which stage-1
-    training computes only when a later step reads it."""
-    return {("stage-1 training", True): ("train", "test"),
+    test split made at its first read; "<tag>" is a stage-1 model and the
+    stage-2 fits made on it, by owner.  No backbone output is held: each step
+    passes the raw rows it reads through the frozen backbone one batch or
+    scoring block at a time."""
+    return {("stage-1 training", True): ("train",),
             ("one-stage training", False): ("train",),
-            ("stage-2 training", True): (tag, f"{tag}.train"),
-            ("evaluation", True): (tag,),
+            ("stage-2 training", True): (tag, "train"),
+            ("evaluation", True): (tag, "test"),
             ("evaluation", False): ("test",)}[step, tag is not None]
 
 
@@ -425,27 +425,14 @@ def plan(config: ExperimentConfig) -> list[tuple[str, str, str | None]]:
     return steps
 
 
-def _stage1(config: ExperimentConfig, tag: str, inputs: Iterator, held: dict,
-            frozen_train: bool) -> None:
-    """Stage-1 training: write "<tag>" to ``held``, and "<tag>.train" if ``frozen_train``."""
-    spec = replace(config.stage1, seed=derive_seed(config.seed, tag))
-    train = next(inputs)
-    model = train_stage1(train, config.hidden, spec, _loss("baseline", config))
-    if frozen_train:
-        held[f"{tag}.train"] = replace(train, features=model.backbone.features(train.features))
-    # Freed here if this was their last read, the raw train rows do not
-    # overlap the test pass, nor the fresh evaluation draws that its read makes.
-    del train
-    held[tag] = (model, model.backbone.features(next(inputs).features), {})
-
-
 def _stage2(config: ExperimentConfig, method: str, inputs: Iterator) -> TrainedModel:
-    """Stage-2 training: ``method``'s model, fitted on a stage-1 entry's frozen train split."""
-    (model, _, fits), train_h = inputs
+    """Stage-2 training: ``method``'s model, fitted on the raw train split
+    through a stage-1 entry's frozen backbone."""
+    (model, fits), train = inputs
     owner = fit_owner(method)
     spec = replace(config.stage2, seed=derive_seed(config.seed, "stage2", owner))
-    return train_stage2(model, train_h, method, spec, _loss(owner, config),
-                        features=train_h.features, fits=fits, bags_beta=config.bags_beta,
+    return train_stage2(model, train, method, spec, _loss(owner, config), fits=fits,
+                        bags_beta=config.bags_beta,
                         bags_background=_BACKGROUND_GROUP[config.bags_background_group])
 
 
@@ -453,17 +440,15 @@ def _predictions(model: TrainedModel | None, tag: str | None,
                  inputs: Iterator) -> tuple[TrainedModel, np.ndarray]:
     """The model a method evaluates, ``model`` or else its stage-1 model, and its
     test predictions.  Each block of ``score_blocks`` is scored by one ``predict``
-    call, of which only the class indices are kept, so no test-by-class matrix
-    is ever held."""
-    if tag is None:
-        x, backbone_output = next(inputs).features, False
-    else:
-        stage1, x, _ = next(inputs)
-        model, backbone_output = stage1 if model is None else model, True
+    call, of which only the class indices are kept, so neither a test-by-class
+    matrix nor the backbone's output on the whole test split is ever held."""
+    if tag is not None:
+        stage1, _ = next(inputs)
+        model = stage1 if model is None else model
+    x = next(inputs).features
     preds = np.empty(len(x), dtype=np.intp)
     for rows in score_blocks(len(x)):
-        preds[rows] = predict(model, x[rows], backbone_output=backbone_output,
-                              first_row=rows.start)[0]
+        preds[rows] = predict(model, x[rows], first_row=rows.start)[0]
     return model, preds
 
 
@@ -507,8 +492,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     unmade = {"test": make_test}  # by name, what makes an entry at its first read
     if config.eval_mode == "split":
         # The split has made both parts already: taking them now holds nothing
-        # longer.  A fresh draw waits for the step that reads it, which runs
-        # after the raw train rows are dropped.
+        # longer.  A fresh draw waits for the first step that reads it.
         held["test"] = unmade.pop("test")()
 
     def read(name: str, i: int):
@@ -525,7 +509,9 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
             started = time.perf_counter()
             inputs = (read(name, i) for name in step_reads(step, tag))
             if step == "stage-1 training":
-                _stage1(config, tag, inputs, held, f"{tag}.train" in last_read)
+                spec = replace(config.stage1, seed=derive_seed(config.seed, tag))
+                held[tag] = (train_stage1(next(inputs), config.hidden, spec,
+                                          _loss("baseline", config)), {})
                 manifest.stage1_seconds[tag] = round(time.perf_counter() - started, 3)
                 continue
             began.setdefault(method, started)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import GROUP_LIMITS, ClassStats, Dataset, compute_class_stats
 from .losses import LossSpec, softmax
-from .model import METHODS, ClassifierHead, EpochLog, fit_head
+from .model import METHODS, Backbone, ClassifierHead, EpochLog, fit_head
 from .optim import OptimSpec
 from .sampling import bags_filter_batch
 from .seeding import derive_seed
@@ -97,10 +97,12 @@ def ssb_aggregate(p_i, p_sqrt, head_mask) -> np.ndarray:
 
 
 def bags_train_heads(features: np.ndarray, dataset: Dataset, optim: OptimSpec, *,
-                     bags_beta: float = 8.0, with_background_group: bool | None = None
+                     backbone: Backbone | None = None, bags_beta: float = 8.0,
+                     with_background_group: bool | None = None
                      ) -> tuple[dict[str, ClassifierHead], list[EpochLog]]:
-    """Train the grouped heads of ``build_group_layout`` on ``features``, the
-    frozen stage-1 backbone's output for the rows of ``dataset``.
+    """Train the grouped heads of ``build_group_layout`` on fixed ``features``
+    for the rows of ``dataset``, or on the output of the frozen stage-1
+    ``backbone`` for the rows ``features``, computed batch by batch.
 
     Each group head sees every in-group instance of a batch plus an
     undersampled set of out-of-group instances relabeled "others".  Heads use
@@ -116,7 +118,7 @@ def bags_train_heads(features: np.ndarray, dataset: Dataset, optim: OptimSpec, *
     # a decade with other classes.
     group_of = layout.group_of
     labels = dataset.labels
-    dim = features.shape[1]
+    dim = features.shape[1] if backbone is None else backbone.output_dim(features.shape[1])
     loss = LossSpec(kind=METHODS["bags"].loss)
 
     slot_of = np.full(layout.num_classes, -1, dtype=np.int64)
@@ -144,7 +146,7 @@ def bags_train_heads(features: np.ndarray, dataset: Dataset, optim: OptimSpec, *
             return rows, np.where(in_group, local, slot)
 
         logs.append(fit_head(head, features, labels, stats.counts, METHODS["bags"].q, head_optim,
-                             loss, batch_hook=group_hook))
+                             loss, batch_hook=group_hook, backbone=backbone))
         heads[f"bags.group{k}"] = head
 
     if layout.has_background_group:
@@ -158,7 +160,7 @@ def bags_train_heads(features: np.ndarray, dataset: Dataset, optim: OptimSpec, *
             return batch, (labels[batch] == bg).astype(np.int64)
 
         logs.append(fit_head(background_head, features, labels, stats.counts, METHODS["bags"].q,
-                             bg_optim, loss, batch_hook=background_hook))
+                             bg_optim, loss, batch_hook=background_hook, backbone=backbone))
         heads["bags.background"] = background_head
 
     merged = [EpochLog(epoch=e, mean_loss=float(np.mean([lg[e].mean_loss for lg in logs])),

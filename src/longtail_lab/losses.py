@@ -85,18 +85,19 @@ def batch_loss(logits, labels, counts, spec: LossSpec) -> LossValue:
     batch, num_classes = logits.shape
     if labels.shape != (batch,):
         raise ValueError("labels must be one per batch row")
-    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= num_classes:
+    # A negative label read as unsigned is at least 2**63, so one bound checks both ends.
+    if np.maximum.reduce(labels.view(np.uint64)) >= num_classes:
         raise ValueError(f"labels must lie in [0, {num_classes})")
 
     probs = softmax(logits)
     rows = np.arange(batch)
     p = probs[rows, labels]
+    # d(total)/d(logits) = -g(p) * (probs - onehot) / batch, built on probs in place.
+    grad = probs
+    grad[rows, labels] = p - 1.0
     np.maximum(p, PROB_FLOOR, out=p)
     per_instance = np.log(p)
     np.negative(per_instance, out=per_instance)
-    # d(total)/d(logits) = -g(p) * (probs - onehot) / batch, built on probs in place.
-    grad = probs
-    grad[rows, labels] -= 1.0
     if spec.kind == "cb_focal":
         # Cross-entropy is the closed form g(p) = -1, which leaves both as they are.
         gfac = _focal_grad_factor(p, spec.gamma)

@@ -197,18 +197,14 @@ def _group_layout(model: TrainedModel) -> "GroupLayout":
         with_background_group="bags.background" in model.heads)
 
 
-def _inputs(model: TrainedModel, features: np.ndarray, backbone_output: bool = False
-            ) -> np.ndarray:
-    """``features`` as float64 rows, checked against the width the model reads
-    them at: its input, or with ``backbone_output`` its heads' input."""
+def _inputs(model: TrainedModel, features: np.ndarray) -> np.ndarray:
+    """``features`` as float64 rows, checked against the model's input width."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("features must be (batch, dim)")
-    layers = [] if backbone_output else model.backbone.weights
-    first = (layers or [next(iter(model.heads.values())).weight])[0]
+    first = (model.backbone.weights or [next(iter(model.heads.values())).weight])[0]
     if x.shape[1] != first.shape[1]:
-        where = "backbone output" if backbone_output else "model input"
-        raise ValueError(f"feature dimension {x.shape[1]} does not match {where} "
+        raise ValueError(f"feature dimension {x.shape[1]} does not match model input "
                          f"{first.shape[1]}")
     return x
 
@@ -225,15 +221,17 @@ def fit_head(head: ClassifierHead, features: np.ndarray, labels: np.ndarray,
     """Train one linear head in place; the one training loop of the package.
 
     Without ``backbone`` the head trains on fixed ``features``.  With one,
-    ``features`` are the backbone's raw inputs and its layers train jointly
-    with the head.  ``batch_hook(epoch, step, batch_indices) -> (kept_indices,
-    targets)`` lets callers filter and relabel each batch (used by the grouped
-    heads); the default trains on the batch as drawn with the dataset labels.
+    ``features`` are the backbone's raw inputs: each step's rows go through a
+    frozen backbone before the head, and an unfrozen one's layers train
+    jointly with the head.  ``batch_hook(epoch, step, batch_indices) ->
+    (kept_indices, targets)`` lets callers filter and relabel each batch (used
+    by the grouped heads); the default trains on the batch as drawn with the
+    dataset labels.
 
     Every trained parameter lives in one flat float64 vector, so one optimizer
     update covers them all: after a fit of at least one epoch, ``head.weight``,
     ``head.bias`` and the trained backbone's ``weights`` and ``biases`` are
-    views of that vector.
+    views of that vector.  A frozen backbone puts none in it.
     """
     n = features.shape[0]
     if len(labels) != n:
@@ -241,6 +239,11 @@ def fit_head(head: ClassifierHead, features: np.ndarray, labels: np.ndarray,
     if optim.epochs == 0:
         return []
     layers = backbone.num_layers if backbone is not None else 0
+    # The identity backbone is never called, and a frozen one only runs
+    # forward: ``layers`` counts the layers that train.
+    frozen = layers > 0 and backbone.frozen
+    if frozen:
+        layers = 0
     params = {f"backbone.{i}.{kind}": p for i in range(layers)
               for kind, p in (("weight", backbone.weights[i]), ("bias", backbone.biases[i]))}
     params.update({"head.weight": head.weight, "head.bias": head.bias})
@@ -271,7 +274,9 @@ def fit_head(head: ClassifierHead, features: np.ndarray, labels: np.ndarray,
             else:
                 rows_idx, targets = batch_hook(epoch, step, batch)
             h = features[rows_idx]
-            if layers:
+            if frozen:
+                h = backbone.features(h)
+            elif layers:
                 h, caches = backbone.forward_cached(h)
             logits = head.logits(h)
             try:
@@ -285,7 +290,7 @@ def fit_head(head: ClassifierHead, features: np.ndarray, labels: np.ndarray,
             if not math.isfinite(value.total):
                 raise RuntimeError(f"training diverged: non-finite loss at epoch {epoch}")
             np.matmul(value.grad_logits.T, h, out=gviews[-2])
-            np.sum(value.grad_logits, axis=0, out=gviews[-1])
+            np.add.reduce(value.grad_logits, axis=0, out=gviews[-1])
             if layers:
                 for view, g in zip(gviews, backbone.backward(value.grad_logits @ head.weight,
                                                              caches)):
@@ -308,25 +313,30 @@ def fit_head(head: ClassifierHead, features: np.ndarray, labels: np.ndarray,
 
 
 def train_linear_head(features: np.ndarray, labels: np.ndarray, counts: np.ndarray,
-                      q: float, optim: OptimSpec, loss: LossSpec
+                      q: float, optim: OptimSpec, loss: LossSpec,
+                      backbone: Backbone | None = None
                       ) -> tuple[ClassifierHead, list[EpochLog]]:
-    """Fresh randomly initialized linear classifier trained on fixed features."""
+    """Fresh randomly initialized linear classifier trained on fixed features,
+    or on the output of the frozen ``backbone`` for the rows ``features``."""
     features = np.asarray(features, dtype=np.float64)
     rng = np.random.default_rng(derive_seed(optim.seed, "init"))
-    head = ClassifierHead.create(len(counts), features.shape[1], rng)
+    width = features.shape[1] if backbone is None else backbone.output_dim(features.shape[1])
+    head = ClassifierHead.create(len(counts), width, rng)
     log = fit_head(head, features, np.asarray(labels, dtype=np.int64),
-                   np.asarray(counts, dtype=np.int64), q, optim, loss)
+                   np.asarray(counts, dtype=np.int64), q, optim, loss, backbone=backbone)
     return head, log
 
 
-def _fit_new_head(features, dataset, stats, q, optim, loss, **_):
-    """Stage-2 trainer of one fresh ``head`` on the frozen features."""
-    head, log = train_linear_head(features, dataset.labels, stats.counts, q, optim, loss)
+def _fit_new_head(dataset, backbone, stats, q, optim, loss, **_):
+    """Stage-2 trainer of one fresh ``head``."""
+    head, log = train_linear_head(dataset.features, dataset.labels, stats.counts, q, optim, loss,
+                                  backbone=backbone)
     return {"head": head}, log
 
 
-def _fit_bags(features, dataset, stats, q, optim, loss, bags_beta, bags_background):
-    return _heads_module().bags_train_heads(features, dataset, optim, bags_beta=bags_beta,
+def _fit_bags(dataset, backbone, stats, q, optim, loss, bags_beta, bags_background):
+    return _heads_module().bags_train_heads(dataset.features, dataset, optim, backbone=backbone,
+                                            bags_beta=bags_beta,
                                             with_background_group=bags_background)
 
 
@@ -358,10 +368,10 @@ class Method:
     """How one method differs from the baseline, whose values are the defaults.
 
     ``q`` and ``loss`` are the sampling exponent and loss kind of the method's
-    own fit: stage 2, or one stage where ``one_stage`` allows it.  ``stage2(features,
-    dataset, stats, q, optim, loss, bags_beta=, bags_background=)`` returns the
-    heads it trained on ``features``, the frozen stage-1 backbone's output for
-    the rows of ``dataset``, and the log.  ``fit_of = (owner, name)`` makes the
+    own fit: stage 2, or one stage where ``one_stage`` allows it.  ``stage2(dataset,
+    backbone, stats, q, optim, loss, bags_beta=, bags_background=)`` returns the
+    heads it trained on the rows of ``dataset``, each batch passed through the
+    frozen stage-1 ``backbone``, and the log.  ``fit_of = (owner, name)`` makes the
     method's stage 2 the stage-2 fit of the method ``owner``, whose ``q``,
     ``loss`` and ``stage2`` it uses, and keeps that fit's ``head`` as head
     ``name``.  ``heads(model)``
@@ -430,38 +440,28 @@ def train_stage1(dataset: Dataset, hidden: tuple[int, ...], optim: OptimSpec,
 def train_stage2(model: TrainedModel, dataset: Dataset, method: str,
                  optim: OptimSpec, loss: LossSpec, bags_beta: float = 8.0,
                  bags_background: bool | None = None, *,
-                 features: np.ndarray | None = None,
                  fits: dict[str, Stage2Fit] | None = None) -> TrainedModel:
     """Second-stage training: backbone frozen, the trainer of ``method``'s
-    ``fit_owner`` fits its heads with ``optim`` and ``loss``.
+    ``fit_owner`` fits its heads with ``optim`` and ``loss`` on the rows of
+    ``dataset``, each batch passed through the frozen backbone.
 
     ``bags_background`` forces bags' foreground/background group on or off;
     by default it is used exactly when the dataset designates a background class.
-    ``features`` are ``model``'s backbone output for the rows of ``dataset``;
-    they are computed when omitted, so callers fitting several methods on one
-    model pass them to compute them once.  When they are given, only the
-    labels, class names and background class of ``dataset`` are read, so
-    ``dataset`` may be the split rebuilt on ``features`` themselves, which
-    frees the caller from holding the raw rows.  ``fits`` holds the stage-2
-    fits already made on those features, by owner: a fit found there is
-    reused, and a fit made is stored there.
+    ``fits`` holds the stage-2 fits already made on ``model`` and ``dataset``,
+    by owner: a fit found there is reused, and a fit made is stored there, so
+    callers fitting several methods on one model make a shared fit once.
     """
     owner = fit_owner(method) if method in METHODS else None
     if owner is None or METHODS[owner].stage2 is None:
         raise ValueError(f"unknown method {method!r}: it has no second stage")
     _check_loss(owner, loss)
+    _inputs(model, dataset.features)
     backbone = model.backbone.copy(frozen=True)
-    features = np.asarray(backbone.features(dataset.features) if features is None else features,
-                          dtype=np.float64)
-    expected = (dataset.num_instances, model.heads["head"].weight.shape[1])
-    if np.shape(features) != expected:
-        raise ValueError(f"stage-2 features have shape {list(np.shape(features))}, "
-                         f"expected {list(expected)}")
     stats = compute_class_stats(dataset)
     fits = {} if fits is None else fits
     if owner not in fits:
         trainer = METHODS[owner]
-        fits[owner] = trainer.stage2(features, dataset, stats, trainer.q, optim, loss,
+        fits[owner] = trainer.stage2(dataset, backbone, stats, trainer.q, optim, loss,
                                      bags_beta=bags_beta, bags_background=bags_background)
     new, log = fits[owner]
     if METHODS[method].fit_of is not None:
@@ -479,12 +479,9 @@ def score_blocks(n: int) -> list[slice]:
     return [slice(b * n // blocks, (b + 1) * n // blocks) for b in range(blocks)]
 
 
-def scores(model: TrainedModel, features: np.ndarray, *, backbone_output: bool = False,
-           first_row: int = 0) -> np.ndarray:
+def scores(model: TrainedModel, features: np.ndarray, *, first_row: int = 0) -> np.ndarray:
     """Final per-class score vectors: the backbone pass, then the ``combine``
-    rule of the model's method.  With ``backbone_output``, ``features`` are
-    already the backbone's output and the pass is skipped.  The bags and ssb
-    vectors need not sum to 1.
+    rule of the model's method.  The bags and ssb vectors need not sum to 1.
 
     Rows are scored in the blocks of ``score_blocks``.  One block's result is
     returned as it is; more are each written into one output matrix, so
@@ -492,31 +489,29 @@ def scores(model: TrainedModel, features: np.ndarray, *, backbone_output: bool =
     feature row is rejected by its index plus ``first_row``, the index of
     ``features``' first row in a larger set.
     """
-    x = _inputs(model, features, backbone_output)
+    x = _inputs(model, features)
     blocks = score_blocks(x.shape[0])
     if len(blocks) == 1:
-        return _score_block(model, x, first_row, backbone_output)
+        return _score_block(model, x, first_row)
     out = np.empty((x.shape[0], model.num_classes))
     for rows in blocks:
-        out[rows] = _score_block(model, x[rows], first_row + rows.start, backbone_output)
+        out[rows] = _score_block(model, x[rows], first_row + rows.start)
     return out
 
 
-def _score_block(model: TrainedModel, x: np.ndarray, first_row: int, backbone_output: bool
-                 ) -> np.ndarray:
+def _score_block(model: TrainedModel, x: np.ndarray, first_row: int) -> np.ndarray:
     """``scores`` of the rows ``x``, which start at row ``first_row`` of the input."""
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size:
         raise ValueError(f"features row {first_row + bad[0]} is not finite")
-    h = x if backbone_output else model.backbone.features(x)
-    return METHODS[model.method].combine(model, h)
+    return METHODS[model.method].combine(model, model.backbone.features(x))
 
 
-def predict(model: TrainedModel, features: np.ndarray, *, backbone_output: bool = False,
-            first_row: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def predict(model: TrainedModel, features: np.ndarray, *, first_row: int = 0
+            ) -> tuple[np.ndarray, np.ndarray]:
     """Predicted class indices and score vectors (see ``scores``); ties break
     to the lowest index."""
-    s = scores(model, features, backbone_output=backbone_output, first_row=first_row)
+    s = scores(model, features, first_row=first_row)
     return np.argmax(s, axis=-1), s
 
 

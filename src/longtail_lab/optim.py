@@ -61,11 +61,13 @@ def lr_at(step: int, total_steps: int, warmup_steps: int, lr_init: float) -> flo
 
 
 class OptimState:
-    """First/second-moment accumulators and step counter; one training loop owns it."""
+    """First/second-moment accumulators, the update's two temporaries and the
+    step counter; one training loop owns it."""
 
     def __init__(self, params: list[np.ndarray]):
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        self.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
         self.step = 0
 
 
@@ -89,21 +91,24 @@ def optimizer_step(params: list[np.ndarray], grads: list[np.ndarray],
     t = state.step
     bias1 = 1.0 - spec.beta1 ** t
     bias2 = 1.0 - spec.beta2 ** t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g, m, v, (step, denom) in zip(params, grads, state.m, state.v, state.scratch):
         # m += (1-b1)*g; v += (1-b2)*g*g; p -= lr*(m/bias1) / (sqrt(v/bias2) + eps):
-        # the same operations in the same order, through two temporaries.
+        # the same operations in the same order, through the state's two temporaries.
         p *= 1.0 - lr * spec.weight_decay
         m *= spec.beta1
-        step = np.multiply(1.0 - spec.beta1, g)
+        np.multiply(1.0 - spec.beta1, g, out=step)
         m += step
         v *= spec.beta2
         np.multiply(1.0 - spec.beta2, g, out=step)
         step *= g
         v += step
-        denom = np.divide(v, bias2)
+        np.divide(v, bias2, out=denom)
         np.sqrt(denom, out=denom)
         denom += spec.eps
-        np.divide(m, bias1, out=step)
-        step *= lr
+        if bias1 == 1.0:  # x / 1.0 == x: one pass fewer, the same bits
+            np.multiply(m, lr, out=step)
+        else:
+            np.divide(m, bias1, out=step)
+            step *= lr
         step /= denom
         p -= step

@@ -5,6 +5,7 @@ import time
 import weakref
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -498,7 +499,7 @@ class TestPlan:
         for step, method, tag in steps:
             assert set(step_reads(step, tag)) <= written, (step, method)
             if step == "stage-1 training":
-                written |= {tag, f"{tag}.train"}
+                written.add(tag)
         assert [m for s, m, _ in steps if s == "evaluation"] == methods
         trained = Counter(t for s, _, t in steps if s == "stage-1 training")
         assert set(trained.values()) <= {1}
@@ -536,58 +537,52 @@ class TestManifestTimings:
 
 
 class TestArrayLifetimes:
-    """A run holds each large array only until its last reader has run.  The
-    runs use an MLP backbone: the identity backbone's frozen features are the
-    raw rows themselves."""
+    """A run holds each large array only until its last reader has run, and no
+    backbone output of a whole split.  The runs use an MLP backbone: the
+    identity backbone's output is the raw rows themselves."""
 
-    def test_two_stage_run_frees_the_raw_splits_before_stage_2(self, tmp_path, monkeypatch):
+    def test_two_stage_run_holds_the_raw_train_rows_through_its_last_stage_2_fit(
+            self, tmp_path, monkeypatch):
         refs = watch_splits(monkeypatch)
-        seen = []
-        spy(monkeypatch, "train_stage2", lambda *args, **kwargs: seen.append(alive(refs)))
+        at_fit, at_evaluate = [], []
+        spy(monkeypatch, "train_stage2", lambda *args, **kwargs: at_fit.append(alive(refs)))
+        spy(monkeypatch, "evaluate", lambda *args, **kwargs: at_evaluate.append(alive(refs)))
         run_experiment(config_from_dict(tiny_doc(
             str(tmp_path / "run"), methods=["baseline", "sqrt_samp", "bags", "ssb"],
             model={"hidden": [8]})))
-        assert len(seen) == 3
-        assert seen[0] == set()
+        # Every stage-2 fit reads the raw train rows, which go with the last;
+        # the raw test rows go with the last evaluation's scoring.
+        assert at_fit == [{"train", "test"}] * 3
+        assert at_evaluate == [{"train", "test"}] * 3 + [set()]
 
     @staticmethod
-    def stage1_passes(monkeypatch, doc: dict) -> list[tuple[set[str], set[str]]]:
-        """At each stage-1 backbone pass of a run of ``doc``, the splits made so
-        far and the splits alive."""
+    def at_stage1_and_first_predict(monkeypatch, doc: dict) -> list[tuple[set[str], set[str]]]:
+        """The splits made so far and the splits alive when a run of ``doc``
+        trains its stage-1 model and when it first scores test rows."""
         refs = watch_splits(monkeypatch)
-        passes = []
-        inner = experiment_module.train_stage1
-
-        def trained(*args, **kwargs):
-            model = inner(*args, **kwargs)
-            features = model.backbone.features
-
-            def watched_features(x):
-                passes.append((set(refs), alive(refs)))
-                return features(x)
-
-            model.backbone.features = watched_features
-            return model
-
-        monkeypatch.setattr(experiment_module, "train_stage1", trained)
+        seen = []
+        spy(monkeypatch, "train_stage1",
+            lambda *args, **kwargs: seen.append((set(refs), alive(refs))))
+        spy(monkeypatch, "predict", lambda *args, **kwargs: len(seen) == 1 and seen.append(
+            (set(refs), alive(refs))))
         run_experiment(config_from_dict(doc))
-        return passes
+        return seen
 
-    def test_stage1_frees_the_raw_train_rows_before_its_test_pass(self, tmp_path, monkeypatch):
-        passes = self.stage1_passes(monkeypatch, tiny_doc(
+    def test_fresh_draws_are_made_after_stage1_by_the_first_evaluation(self, tmp_path,
+                                                                        monkeypatch):
+        seen = self.at_stage1_and_first_predict(monkeypatch, tiny_doc(
             str(tmp_path / "run"), methods=["baseline", "sqrt_samp"], model={"hidden": [8]}))
-        # The train pass, then the test pass.  Neither fresh evaluation draw is
-        # made before the train pass has ended and the raw train rows are gone.
-        assert passes == [({"train"}, {"train"}), ({"train", "val", "test"}, {"test"})]
+        # The validation draw is made, hashed and dropped before the test draw.
+        assert seen == [({"train"}, {"train"}), ({"train", "val", "test"}, {"train", "test"})]
 
     def test_split_mode_drops_its_validation_part_before_stage1(self, tmp_path, monkeypatch):
         doc = tiny_doc(str(tmp_path / "run"), methods=["baseline", "sqrt_samp"],
                        model={"hidden": [8]})
         doc["dataset"]["eval"] = {"mode": "split"}
         doc["dataset"]["synthetic"]["head_count"] = 120
-        passes = self.stage1_passes(monkeypatch, doc)
         made = {"train", "val", "test"}
-        assert passes == [(made, {"train", "test"}), (made, {"test"})]
+        assert self.at_stage1_and_first_predict(monkeypatch, doc) == [
+            (made, {"train", "test"})] * 2
 
     def test_one_stage_run_frees_the_raw_splits_after_the_last_own_fit(self, tmp_path,
                                                                          monkeypatch):
@@ -604,25 +599,29 @@ class TestArrayLifetimes:
         assert at_predict[2] == {"test"}  # the last own fit has trained
         assert at_evaluate[2] == set()    # and has scored the test rows
 
-    def test_unshared_stage1_frees_each_frozen_train_matrix_before_the_next_method(
+    def test_unshared_stage1_frees_each_stage1_model_before_the_next_method(
             self, tmp_path, monkeypatch):
-        frozen: list[weakref.ref] = []
+        models: list[weakref.ref] = []
         seen = []
-        spy(monkeypatch, "train_stage2",
-            lambda *args, features, **kwargs: frozen.append(weakref.ref(features)))
-        spy(monkeypatch, "train_stage1",
-            lambda *args, **kwargs: seen.append([ref() is not None for ref in frozen]))
+        inner = experiment_module.train_stage1
+
+        def trained(*args, **kwargs):
+            seen.append([ref() is not None for ref in models])
+            model = inner(*args, **kwargs)
+            models.append(weakref.ref(model))
+            return model
+
+        monkeypatch.setattr(experiment_module, "train_stage1", trained)
         run_experiment(config_from_dict(tiny_doc(
             str(tmp_path / "run"), methods=["sqrt_samp", "cb_focal", "ssb"],
             shared_stage1=False, model={"hidden": [8]})))
-        assert len(frozen) == 3
         assert seen == [[], [False], [False, False]]
 
     def test_peak_holds_no_more_than_the_raw_and_frozen_rows(self, tmp_path):
-        """The raw test rows are drawn after the raw train rows are dropped, so
-        only the raw train rows count.  A run that kept the validation draw
-        beside the raw and frozen rows would exceed the bound; the slack covers
-        labels, one batch, scores and checkpoint buffers."""
+        """The raw train and test rows, and the backbone's output on one
+        scoring block: the frozen rows of a whole split are never held.  A run
+        that kept the validation draw beside them would exceed the bound; the
+        slack covers labels, one batch, scores and checkpoint buffers."""
         doc = tiny_doc(str(tmp_path / "run"), model={"hidden": [64]},
                        stage1={"epochs": 1, "warmup_epochs": 0, "batch_size": 512},
                        stage2={"epochs": 1, "warmup_epochs": 0})
@@ -634,8 +633,8 @@ class TestArrayLifetimes:
         config = config_from_dict(doc)
         train, evaluation_split = prepare_datasets(config)
         val, test = evaluation_split("val"), evaluation_split("test")
-        raw = train.features.nbytes
-        frozen = (train.num_instances + test.num_instances) * 64 * 8
+        raw = train.features.nbytes + test.features.nbytes
+        frozen = model_module.SCORE_BLOCK_ROWS * 64 * 8
         slack = 1 << 20
         assert val.features.nbytes > slack
         del train, val, test
@@ -673,12 +672,13 @@ class TestEvaluation:
         model = train_stage1(dataset_with_counts([30, 20]), (),
                              OptimSpec(epochs=1, warmup_epochs=0, seed=1),
                              LossSpec(kind="cross_entropy"))
-        test_h = np.zeros((3 * model_module.SCORE_BLOCK_ROWS - 2, 3))
+        x = np.zeros((3 * model_module.SCORE_BLOCK_ROWS - 2, 3))
         row = 2 * model_module.SCORE_BLOCK_ROWS + 5
-        test_h[row, 1] = np.nan
-        test_h[row + 1, 0] = np.inf
+        x[row, 1] = np.nan
+        x[row + 1, 0] = np.inf
+        test = SimpleNamespace(features=x)  # a Dataset rejects the rows itself
         with pytest.raises(ValueError, match=f"features row {row} is not finite"):
-            experiment_module._predictions(None, "stage1", iter([(model, test_h, {})]))
+            experiment_module._predictions(None, "stage1", iter([(model, {}), test]))
 
 
 class TestF1Delta:

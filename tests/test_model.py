@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longtail_lab import (Backbone, ClassifierHead, ClassStats, Dataset,
-                          LossSpec, OptimSpec, TrainedModel, batch_loss,
-                          generate_synthetic, load_model, predict, save_model,
-                          softmax, train_stage1, train_stage2)
+                          LossSpec, OptimSpec, TrainedModel, bags_train_heads, batch_loss,
+                          compute_class_stats, generate_synthetic, load_model, predict,
+                          save_model, softmax, train_stage1, train_stage2)
 from longtail_lab import heads as heads_module
 from longtail_lab import model as model_module
 from longtail_lab.data import count_decade
@@ -215,6 +215,37 @@ class TestFitHead:
         assert all(t.base is flat for t in tensors)
         assert flat.size == sum(t.size for t in tensors)
 
+    def test_frozen_backbone_runs_forward_on_each_batch_only(self, monkeypatch):
+        ds = blob_dataset()
+        backbone = Backbone.build(4, (5,), np.random.default_rng(0)).copy(frozen=True)
+        before = [w.copy() for w in backbone.weights + backbone.biases]
+        rows = []
+        features = Backbone.features
+        monkeypatch.setattr(Backbone, "features",
+                            lambda self, x: rows.append(len(x)) or features(self, x))
+        for name in ("forward_cached", "backward"):
+            monkeypatch.setattr(Backbone, name, lambda *args: pytest.fail("backbone trained"))
+        head = ClassifierHead(weight=np.zeros((2, 5)), bias=np.zeros(2))
+        spec = OptimSpec(epochs=2, warmup_epochs=1, batch_size=16, seed=0)
+        model_module.fit_head(head, ds.features, ds.labels, np.array([60, 40]), 1.0, spec,
+                              LossSpec(kind="cross_entropy"), backbone=backbone)
+        assert rows == ([16] * 6 + [4]) * 2
+        # Only the head's parameters are in the optimized vector.
+        assert head.weight.base.size == head.weight.size + head.bias.size
+        assert all(np.array_equal(a, b) for a, b in zip(before,
+                                                       backbone.weights + backbone.biases))
+
+    def test_frozen_identity_backbone_is_never_called(self, monkeypatch):
+        for name in ("features", "forward_cached", "backward"):
+            monkeypatch.setattr(Backbone, name, lambda *args: pytest.fail("backbone called"))
+        ds = blob_dataset()
+        head = ClassifierHead(weight=np.zeros((2, 4)), bias=np.zeros(2))
+        model_module.fit_head(head, ds.features, ds.labels, np.array([60, 40]), 1.0,
+                              OptimSpec(epochs=1, warmup_epochs=0, seed=0),
+                              LossSpec(kind="cross_entropy"),
+                              backbone=Backbone(weights=[], biases=[], frozen=True))
+        assert head.weight.any()
+
     @pytest.mark.parametrize("n_labels", [50, 150])
     def test_labels_and_rows_must_agree(self, n_labels):
         ds = blob_dataset(counts=(60, 40))
@@ -308,51 +339,50 @@ class TestStage2:
     def test_every_loss_kind_is_a_method_loss(self):
         assert set(LOSS_KINDS) == {m.loss for m in model_module.METHODS.values()}
 
+    # The reference fit: the same trainer on the backbone's output for every
+    # train row, computed in one pass and held.  A stage-2 fit passes each
+    # batch through the frozen backbone instead, so equal bytes rest on the
+    # BLAS kernel computing a row's product the same whatever rows share it.
     @pytest.mark.parametrize("method", ["sqrt_samp", "cb_focal", "bags", "ssb"])
     def test_given_features_save_same_bytes(self, stage1_setup, tmp_path, method):
         ds, model = stage1_setup
         loss = (LossSpec(kind="cb_focal", gamma=2.0, cb_beta=0.9)
                 if method == "cb_focal" else LossSpec(kind="cross_entropy"))
         optim = OptimSpec(seed=5).for_classifier()
-        given = train_stage2(model, ds, method, optim, loss,
-                             features=model.backbone.features(ds.features))
+        h = model.backbone.features(ds.features)
+        stats = compute_class_stats(ds)
+        owner = model_module.fit_owner(method)
+        if owner == "bags":
+            new, log = bags_train_heads(h, ds, optim)
+        else:
+            head, log = train_linear_head(h, ds.labels, stats.counts,
+                                          model_module.METHODS[owner].q, optim, loss)
+            new = {"sqrt_head" if method == "ssb" else "head": head}
+        given = TrainedModel(backbone=model.backbone.copy(frozen=True),
+                             heads={"head": model.heads["head"], **new}, stats=stats,
+                             method=method, train_log=log, class_names=ds.class_names)
         computed = train_stage2(model, ds, method, optim, loss)
         save_model(given, str(tmp_path / "given.ckpt"))
         save_model(computed, str(tmp_path / "computed.ckpt"))
         assert (tmp_path / "given.ckpt").read_bytes() == (tmp_path / "computed.ckpt").read_bytes()
 
-    @pytest.mark.parametrize("method", ["sqrt_samp", "bags"])
-    def test_dataset_on_its_features_saves_same_bytes(self, stage1_setup, tmp_path, method):
-        # Given the features, only the labels, names and background class of
-        # the dataset are read, so a dataset of the features themselves serves.
-        ds, model = stage1_setup
-        optim, loss = OptimSpec(seed=5).for_classifier(), LossSpec(kind="cross_entropy")
-        h = model.backbone.features(ds.features)
-        frozen = train_stage2(model, Dataset(h, ds.labels, ds.class_names), method, optim, loss, features=h)
-        computed = train_stage2(model, ds, method, optim, loss)
-        save_model(frozen, str(tmp_path / "frozen.ckpt"))
-        save_model(computed, str(tmp_path / "computed.ckpt"))
-        assert (tmp_path / "frozen.ckpt").read_bytes() == (tmp_path / "computed.ckpt").read_bytes()
-
     def test_features_checked_against_the_head_input(self, stage1_setup):
-        # With the identity backbone a dataset of the wrong features has their
-        # width, so only the head's input width tells that they are wrong.
+        # With the identity backbone the model's input is its head's input.
         ds, _ = stage1_setup
         model = train_stage1(ds, (),
                              OptimSpec(epochs=1, warmup_epochs=0, seed=21),
                              LossSpec(kind="cross_entropy"))
-        h = ds.features[:, :5]
-        with pytest.raises(ValueError, match=r"stage-2 features have shape \[738, 5\], "
-                                             r"expected \[738, 6\]"):
-            train_stage2(model, Dataset(h, ds.labels, ds.class_names), "ssb", OptimSpec(seed=5).for_classifier(),
-                         LossSpec(kind="cross_entropy"), features=h)
+        narrow = Dataset(ds.features[:, :5], ds.labels, ds.class_names)
+        with pytest.raises(ValueError, match="feature dimension 5 does not match model input 6"):
+            train_stage2(model, narrow, "ssb", OptimSpec(seed=5).for_classifier(),
+                         LossSpec(kind="cross_entropy"))
 
     def test_features_of_other_rows_rejected(self, stage1_setup):
         ds, model = stage1_setup
-        with pytest.raises(ValueError, match=r"stage-2 features have shape \[5, 10\]"):
-            train_stage2(model, ds, "ssb", OptimSpec(seed=5).for_classifier(),
-                         LossSpec(kind="cross_entropy"),
-                         features=model.backbone.features(ds.features[:5]))
+        with pytest.raises(ValueError, match="fit_head: 5 feature rows but 738 labels"):
+            train_linear_head(ds.features[:5], ds.labels, compute_class_stats(ds).counts, 0.5,
+                              OptimSpec(seed=5).for_classifier(), LossSpec(kind="cross_entropy"),
+                              backbone=model.backbone.copy(frozen=True))
 
     def test_identity_backbone_equivalence(self):
         ds = blob_dataset(counts=(50, 30, 10), dim=5, seed=13)
@@ -388,18 +418,6 @@ class TestPredict:
                            LossSpec(kind="cross_entropy"))
         preds, scores = predict(ssb, ds.features[:40])
         assert np.array_equal(np.argmax(scores * 3.7, axis=1), preds)
-
-    @pytest.mark.parametrize("method", ["sqrt_samp", "bags", "ssb"])
-    def test_backbone_output_scores_like_inputs(self, stage1_setup, method):
-        ds, model = stage1_setup
-        trained = train_stage2(model, ds, method, OptimSpec(seed=5).for_classifier(),
-                               LossSpec(kind="cross_entropy"))
-        preds, scores = predict(trained, ds.features)
-        h = trained.backbone.features(ds.features)
-        via_h = predict(trained, h, backbone_output=True)
-        assert np.array_equal(via_h[0], preds) and np.array_equal(via_h[1], scores)
-        with pytest.raises(ValueError, match="does not match backbone output 10"):
-            predict(trained, ds.features, backbone_output=True)
 
     def test_deterministic_predictions(self, stage1_setup):
         ds, model = stage1_setup
@@ -438,7 +456,6 @@ class TestBlockedScores:
         h = model.backbone.features(x)
         whole = model_module.METHODS[method].combine(model, h)
         assert np.array_equal(model_module.scores(model, x), whole)
-        assert np.array_equal(model_module.scores(model, h, backbone_output=True), whole)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_zero_rows(self, scoring_models, method):
@@ -453,12 +470,6 @@ class TestBlockedScores:
         x[row + 1, 0] = np.inf
         with pytest.raises(ValueError, match=f"features row {row} is not finite"):
             predict(scoring_models["ssb"], x)
-
-    def test_nonfinite_backbone_output_row_named(self, scoring_models):
-        h = scoring_models["bags"].backbone.features(np.zeros((30, 8)))
-        h[4, 0] = -np.inf
-        with pytest.raises(ValueError, match="features row 4 is not finite"):
-            predict(scoring_models["bags"], h, backbone_output=True)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_predict_holds_about_its_output(self, scoring_models, method):
@@ -485,7 +496,7 @@ class TestBlockedScores:
                              method=method, train_log=[],
                              class_names=tuple(f"c{j}" for j in range(classes)))
         h = rng.standard_normal((rows, dim))
-        s, peak = traced_peak(lambda: model_module.scores(model, h, backbone_output=True))
+        s, peak = traced_peak(lambda: model_module.scores(model, h))
         assert s.shape == (rows, classes)
         assert peak < most * s.nbytes, peak / s.nbytes
 

@@ -62,7 +62,7 @@ TWO_STAGE_CALLS = {
     "heads.bags_scores": 1, "heads.bags_train_heads": 1, "heads.build_group_layout": 3,
     "heads.ssb_aggregate": 1, "losses.batch_loss": 1024, "losses.softmax": 9,
     "metrics.compare_methods": 1, "metrics.evaluate": 5, "metrics.save_report": 5,
-    "model.backbone_bwd": 256, "model.backbone_features": 2, "model.backbone_fwd": 256,
+    "model.backbone_bwd": 256, "model.backbone_features": 773, "model.backbone_fwd": 256,
     "model.fit_head": 7, "model.head_logits": 1033, "model.predict": 5, "model.save_model": 5,
     "model.scores": 5, "model.train_linear_head": 2, "model.train_stage1": 1,
     "model.train_stage2.bags": 1, "model.train_stage2.cb_focal": 1,
