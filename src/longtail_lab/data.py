@@ -500,7 +500,7 @@ def _read_sidecar(path: str, source_sha256: str) -> Dataset | None:
     try:
         return read_framed(path, _SIDECAR_MAGIC, "embedding-cache", _SIDECAR_TYPES,
                            _dataset_from_sidecar, lambda ds: _sidecar_header(ds, source_sha256))
-    except (OSError, ValueError, RecursionError):
+    except (OSError, ValueError):
         return None
 
 

@@ -8,7 +8,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Iterator, get_type_hints
+from typing import Iterator, get_type_hints
 
 import numpy as np
 import yaml
@@ -273,15 +273,13 @@ def _resolve_background(dataset: Dataset, background: int | str | None) -> Datas
         raise ValueError(f"config key dataset.background_class: {exc}") from None
 
 
-def prepare_datasets(config: ExperimentConfig) -> tuple[Dataset, Callable[[str], Dataset]]:
-    """The train split, and a function that makes the evaluation split "val" or
-    "test" it is called with, once for each.
+def prepare_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
+    """Materialize the train/val/test partitions the configuration describes.
 
-    ``split`` mode partitions one dataset and hands over the other two parts;
-    ``fresh`` mode trains on the full synthetic draw and draws each balanced
-    evaluation split from the same class-conditional distributions only when
-    it is asked for (class counts below 10^3 in training would otherwise be
-    impossible to pair with a >= 10^3 head bin).
+    ``split`` mode partitions one dataset; ``fresh`` mode uses the full
+    synthetic draw for training and draws balanced evaluation sets from the
+    same class-conditional distributions (class counts below 10^3 in training
+    would otherwise be impossible to pair with a >= 10^3 head bin).
     """
     if config.synthetic is not None:
         base = generate_synthetic(config.synthetic)
@@ -289,16 +287,13 @@ def prepare_datasets(config: ExperimentConfig) -> tuple[Dataset, Callable[[str],
         base = load_embeddings(config.embeddings_path)
     base = _resolve_background(base, config.background)
     if config.eval_mode == "split":
-        train, val, test = split_dataset(base, config.split)
-        return train, {"val": val, "test": test}.pop
+        return split_dataset(base, config.split)
     eval_counts = np.full(config.synthetic.num_classes, config.eval_per_class, dtype=np.int64)
-
-    def draw(name: str) -> Dataset:
-        split = generate_synthetic(config.synthetic, counts=eval_counts,
-                                   noise_stream={"val": 1, "test": 2}[name])
-        return _resolve_background(split, config.background)
-
-    return base, draw
+    val = generate_synthetic(config.synthetic, counts=eval_counts, noise_stream=1)
+    test = generate_synthetic(config.synthetic, counts=eval_counts, noise_stream=2)
+    return (base,
+            _resolve_background(val, config.background),
+            _resolve_background(test, config.background))
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +306,9 @@ class RunManifest:
     """What a run produced: artifact paths, timings, and identity digests.
 
     ``prepare_seconds`` times loading or drawing the data and splitting it,
-    less fresh evaluation draws, which fall in the seconds of the first method
-    that evaluates; ``stage1_seconds`` times each stage-1 model's training, by
-    tag; ``methods.<m>.seconds`` times the method's own work.
+    fresh evaluation draws included; ``stage1_seconds`` times each stage-1
+    model's training, by tag; ``methods.<m>.seconds`` times the method's own
+    work.
     """
 
     config_digest: str
@@ -378,7 +373,7 @@ def load_manifest(path: str) -> RunManifest:
             stored = json.load(fh)
         return read_document(stored, "manifest", _MANIFEST_TYPES, _manifest_from_fields,
                              RunManifest.to_dict)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -395,11 +390,10 @@ def _loss(method: str, config: ExperimentConfig) -> LossSpec:
 
 def step_reads(step: str, tag: str | None) -> tuple[str, ...]:
     """The held arrays a ``step`` of ``plan`` on stage-1 model ``tag`` (None for
-    an own fit) reads, in order.  "train" and "test" are the raw splits, a fresh
-    test split made at its first read; "<tag>" is a stage-1 model and the
-    stage-2 fits made on it, by owner.  No backbone output is held: each step
-    passes the raw rows it reads through the frozen backbone one batch or
-    scoring block at a time."""
+    an own fit) reads, in order.  "train" and "test" are the raw splits; "<tag>"
+    is a stage-1 model and the stage-2 fits made on it, by owner.  No backbone
+    output is held: each step passes the raw rows it reads through the frozen
+    backbone one batch or scoring block at a time."""
     return {("stage-1 training", True): ("train",),
             ("one-stage training", False): ("train",),
             ("stage-2 training", True): (tag, "train"),
@@ -456,50 +450,28 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     """Run the steps of ``plan(config)``, which evaluate each method on the test
     partition, and persist checkpoints, reports, the comparison table, and the
     manifest.  Per-method seeds do not depend on execution order.  Each large
-    array is held by its ``step_reads`` name and dropped at its last read; a
-    fresh test split is made at its first read."""
+    array is held by its ``step_reads`` name and dropped at its last read."""
     out = Path(config.output_dir)
     for sub in ("checkpoints", "reports"):
         (out / sub).mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
-    train, evaluation_split = prepare_datasets(config)
+    train, val, test = prepare_datasets(config)
     prepare_seconds = round(time.perf_counter() - started, 3)
     stats = compute_class_stats(train)
-    train_digest, class_names = train.digest(), train.class_names
+    dataset_digest = hashlib.sha256(
+        (train.digest() + val.digest() + test.digest()).encode("ascii")).hexdigest()
+    del val  # hashed into the dataset digest; nothing else reads it
     config_digest = config.digest()
-    manifest = RunManifest(config_digest=config_digest, dataset_digest="",
+    manifest = RunManifest(config_digest=config_digest, dataset_digest=dataset_digest,
                            tool_version=__version__, one_stage=config.one_stage, methods={},
                            stage1_seconds={}, prepare_seconds=prepare_seconds)
-    test_labels = None
-
-    def make_test() -> Dataset:
-        """The test split, made after the validation split is made, hashed and
-        dropped, so that it can take that memory; sets the dataset digest."""
-        nonlocal test_labels
-        digests = train_digest + evaluation_split("val").digest()
-        test = evaluation_split("test")
-        manifest.dataset_digest = hashlib.sha256(
-            (digests + test.digest()).encode("ascii")).hexdigest()
-        test_labels = test.labels
-        return test
-
     steps = plan(config)
     last_read = {name: i for i, (step, _, tag) in enumerate(steps)
                  for name in step_reads(step, tag)}
-    held: dict[str, object] = {"train": train}
-    del train
-    unmade = {"test": make_test}  # by name, what makes an entry at its first read
-    if config.eval_mode == "split":
-        # The split has made both parts already: taking them now holds nothing
-        # longer.  A fresh draw waits for the first step that reads it.
-        held["test"] = unmade.pop("test")()
-
-    def read(name: str, i: int):
-        if name in unmade:
-            held[name] = unmade.pop(name)()
-        return held.pop(name) if last_read[name] == i else held[name]
-
+    held: dict[str, object] = {"train": train, "test": test}
+    class_names, test_labels = train.class_names, test.labels
+    del train, test
     reports: list[EvalReport] = []
     began: dict[str, float] = {}  # when each method's own work began
     model = None  # the model of the method under way, once it has trained one
@@ -507,7 +479,8 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     try:
         for i, (step, method, tag) in enumerate(steps):
             started = time.perf_counter()
-            inputs = (read(name, i) for name in step_reads(step, tag))
+            inputs = (held.pop(name) if last_read[name] == i else held[name]
+                      for name in step_reads(step, tag))
             if step == "stage-1 training":
                 spec = replace(config.stage1, seed=derive_seed(config.seed, tag))
                 held[tag] = (train_stage1(next(inputs), config.hidden, spec,
@@ -524,8 +497,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
             else:
                 model, preds = _predictions(model, tag, inputs)
                 report = evaluate(preds, test_labels, stats, method=method, seed=config.seed,
-                                  config_digest=config_digest,
-                                  dataset_digest=manifest.dataset_digest,
+                                  config_digest=config_digest, dataset_digest=dataset_digest,
                                   class_names=class_names)
                 step = "persistence"
                 ckpt_rel = f"checkpoints/{method}.ckpt"
@@ -550,8 +522,6 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
             write_text(str(out / "reports" / "f1_delta.csv"), delta.to_csv())
             manifest.f1_delta_csv = "reports/f1_delta.csv"
     except Exception as exc:
-        if not manifest.dataset_digest:  # failed before the test split was made
-            make_test()
         manifest.failure = {"method": method, "step": step, "error": str(exc)}
         manifest.save(str(out / "manifest.json"))
         raise RuntimeError(f"method {method!r} failed during {step}: {exc}") from exc

@@ -96,13 +96,12 @@ def ssb_aggregate(p_i, p_sqrt, head_mask) -> np.ndarray:
     return np.where(head_mask, p_i, p_sqrt)
 
 
-def bags_train_heads(features: np.ndarray, dataset: Dataset, optim: OptimSpec, *,
-                     backbone: Backbone | None = None, bags_beta: float = 8.0,
-                     with_background_group: bool | None = None
+def bags_train_heads(dataset: Dataset, optim: OptimSpec, backbone: Backbone, *,
+                     bags_beta: float = 8.0, with_background_group: bool | None = None
                      ) -> tuple[dict[str, ClassifierHead], list[EpochLog]]:
-    """Train the grouped heads of ``build_group_layout`` on fixed ``features``
-    for the rows of ``dataset``, or on the output of the frozen stage-1
-    ``backbone`` for the rows ``features``, computed batch by batch.
+    """Train the grouped heads of ``build_group_layout`` on the output of the
+    frozen stage-1 ``backbone`` for the rows of ``dataset``, computed batch by
+    batch.
 
     Each group head sees every in-group instance of a batch plus an
     undersampled set of out-of-group instances relabeled "others".  Heads use
@@ -117,8 +116,8 @@ def bags_train_heads(features: np.ndarray, dataset: Dataset, optim: OptimSpec, *
     # designated background class lives in group 0 even when its count shares
     # a decade with other classes.
     group_of = layout.group_of
-    labels = dataset.labels
-    dim = features.shape[1] if backbone is None else backbone.output_dim(features.shape[1])
+    features, labels = dataset.features, dataset.labels
+    dim = backbone.output_dim(dataset.feature_dim)
     loss = LossSpec(kind=METHODS["bags"].loss)
 
     slot_of = np.full(layout.num_classes, -1, dtype=np.int64)
@@ -146,7 +145,7 @@ def bags_train_heads(features: np.ndarray, dataset: Dataset, optim: OptimSpec, *
             return rows, np.where(in_group, local, slot)
 
         logs.append(fit_head(head, features, labels, stats.counts, METHODS["bags"].q, head_optim,
-                             loss, batch_hook=group_hook, backbone=backbone))
+                             loss, backbone, batch_hook=group_hook))
         heads[f"bags.group{k}"] = head
 
     if layout.has_background_group:
@@ -160,7 +159,7 @@ def bags_train_heads(features: np.ndarray, dataset: Dataset, optim: OptimSpec, *
             return batch, (labels[batch] == bg).astype(np.int64)
 
         logs.append(fit_head(background_head, features, labels, stats.counts, METHODS["bags"].q,
-                             bg_optim, loss, batch_hook=background_hook, backbone=backbone))
+                             bg_optim, loss, backbone, batch_hook=background_hook))
         heads["bags.background"] = background_head
 
     merged = [EpochLog(epoch=e, mean_loss=float(np.mean([lg[e].mean_loss for lg in logs])),

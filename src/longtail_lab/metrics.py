@@ -160,7 +160,7 @@ def report_from_json(text: str) -> EvalReport:
     """
     try:
         stored = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"report is not valid JSON: {exc}") from None
     report = read_document(stored, "report", _REPORT_TYPES, _report_from_fields,
                            _report_fields)

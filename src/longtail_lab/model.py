@@ -216,12 +216,10 @@ Stage2Fit = tuple[dict[str, ClassifierHead], list[EpochLog]]
 
 def fit_head(head: ClassifierHead, features: np.ndarray, labels: np.ndarray,
              counts: np.ndarray, q: float, optim: OptimSpec, loss: LossSpec,
-             batch_hook: BatchHook | None = None,
-             backbone: Backbone | None = None) -> list[EpochLog]:
+             backbone: Backbone, batch_hook: BatchHook | None = None) -> list[EpochLog]:
     """Train one linear head in place; the one training loop of the package.
 
-    Without ``backbone`` the head trains on fixed ``features``.  With one,
-    ``features`` are the backbone's raw inputs: each step's rows go through a
+    ``features`` are ``backbone``'s raw inputs: each step's rows go through a
     frozen backbone before the head, and an unfrozen one's layers train
     jointly with the head.  ``batch_hook(epoch, step, batch_indices) ->
     (kept_indices, targets)`` lets callers filter and relabel each batch (used
@@ -238,7 +236,7 @@ def fit_head(head: ClassifierHead, features: np.ndarray, labels: np.ndarray,
         raise ValueError(f"fit_head: {n} feature rows but {len(labels)} labels")
     if optim.epochs == 0:
         return []
-    layers = backbone.num_layers if backbone is not None else 0
+    layers = backbone.num_layers
     # The identity backbone is never called, and a frozen one only runs
     # forward: ``layers`` counts the layers that train.
     frozen = layers > 0 and backbone.frozen
@@ -313,15 +311,13 @@ def fit_head(head: ClassifierHead, features: np.ndarray, labels: np.ndarray,
 
 
 def train_linear_head(features: np.ndarray, labels: np.ndarray, counts: np.ndarray,
-                      q: float, optim: OptimSpec, loss: LossSpec,
-                      backbone: Backbone | None = None
+                      q: float, optim: OptimSpec, loss: LossSpec, backbone: Backbone
                       ) -> tuple[ClassifierHead, list[EpochLog]]:
-    """Fresh randomly initialized linear classifier trained on fixed features,
-    or on the output of the frozen ``backbone`` for the rows ``features``."""
+    """Fresh randomly initialized linear classifier trained on the output of
+    the frozen ``backbone`` for the rows ``features``."""
     features = np.asarray(features, dtype=np.float64)
     rng = np.random.default_rng(derive_seed(optim.seed, "init"))
-    width = features.shape[1] if backbone is None else backbone.output_dim(features.shape[1])
-    head = ClassifierHead.create(len(counts), width, rng)
+    head = ClassifierHead.create(len(counts), backbone.output_dim(features.shape[1]), rng)
     log = fit_head(head, features, np.asarray(labels, dtype=np.int64),
                    np.asarray(counts, dtype=np.int64), q, optim, loss, backbone=backbone)
     return head, log
@@ -330,13 +326,12 @@ def train_linear_head(features: np.ndarray, labels: np.ndarray, counts: np.ndarr
 def _fit_new_head(dataset, backbone, stats, q, optim, loss, **_):
     """Stage-2 trainer of one fresh ``head``."""
     head, log = train_linear_head(dataset.features, dataset.labels, stats.counts, q, optim, loss,
-                                  backbone=backbone)
+                                  backbone)
     return {"head": head}, log
 
 
 def _fit_bags(dataset, backbone, stats, q, optim, loss, bags_beta, bags_background):
-    return _heads_module().bags_train_heads(dataset.features, dataset, optim, backbone=backbone,
-                                            bags_beta=bags_beta,
+    return _heads_module().bags_train_heads(dataset, optim, backbone, bags_beta=bags_beta,
                                             with_background_group=bags_background)
 
 
@@ -431,7 +426,7 @@ def train_stage1(dataset: Dataset, hidden: tuple[int, ...], optim: OptimSpec,
     head = ClassifierHead.create(dataset.num_classes, backbone.output_dim(dataset.feature_dim),
                                  rng)
     log = fit_head(head, dataset.features, dataset.labels, stats.counts, METHODS[method].q,
-                   optim, loss, backbone=backbone)
+                   optim, loss, backbone)
     return TrainedModel(backbone=backbone, heads={"head": head}, stats=stats, method=method,
                         train_log=log, class_names=dataset.class_names,
                         background_class=dataset.background_class)

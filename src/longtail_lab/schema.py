@@ -208,7 +208,7 @@ def read_framed(path: str, magic: bytes, what: str, types: dict,
             raise ValueError(f"truncated header ({left} of {header_len} bytes)")
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"header is not valid JSON: {exc}") from None
         return read_document(header, what, types, lambda h: build(h, fh), render)
 

@@ -236,8 +236,7 @@ def generate_synthetic_small():
 class TestPrepareDatasets:
     def test_fresh_mode_keeps_full_training_profile(self):
         config = config_from_dict(tiny_doc("x"))
-        train, evaluation_split = prepare_datasets(config)
-        val, test = evaluation_split("val"), evaluation_split("test")
+        train, val, test = prepare_datasets(config)
         assert np.bincount(train.labels).min() >= 1
         assert train.num_instances == np.bincount(train.labels).sum()
         np.testing.assert_array_equal(np.bincount(test.labels), 25)
@@ -249,8 +248,7 @@ class TestPrepareDatasets:
         doc["dataset"]["eval"] = {"mode": "split"}
         doc["dataset"]["synthetic"]["head_count"] = 120
         config = config_from_dict(doc)
-        train, evaluation_split = prepare_datasets(config)
-        val, test = evaluation_split("val"), evaluation_split("test")
+        train, val, test = prepare_datasets(config)
         total = train.num_instances + val.num_instances + test.num_instances
         assert total == generate_synthetic(config.synthetic).num_instances
 
@@ -258,10 +256,10 @@ class TestPrepareDatasets:
         doc = tiny_doc("x")
         doc["dataset"]["background_class"] = "class_00"
         config = config_from_dict(doc)
-        train, evaluation_split = prepare_datasets(config)
+        train, val, test = prepare_datasets(config)
         assert train.background_class == 0
-        assert evaluation_split("val").background_class == 0
-        assert evaluation_split("test").background_class == 0
+        assert val.background_class == 0
+        assert test.background_class == 0
 
     def test_unknown_background_name_rejected(self):
         doc = tiny_doc("x")
@@ -329,8 +327,8 @@ class TestRunExperiment:
                                                         methods=["baseline"])))
         assert manifest.dataset_digest == done.dataset_digest
 
-    def test_failure_before_the_test_split_is_made_keeps_the_dataset_digest(self, tmp_path,
-                                                                           monkeypatch):
+    def test_failure_before_any_evaluation_keeps_the_dataset_digest(self, tmp_path,
+                                                                    monkeypatch):
         done = run_experiment(config_from_dict(tiny_doc(str(tmp_path / "done"))))
 
         def fail(*args, **kwargs):
@@ -413,20 +411,15 @@ class TestRunExperiment:
 
 def watch_splits(monkeypatch) -> dict[str, weakref.ref]:
     """Weak references to the feature rows of the splits the run prepares, by
-    split, each entered when the split is made."""
+    split."""
     refs: dict[str, weakref.ref] = {}
     prepare = experiment_module.prepare_datasets
 
     def watched(config):
-        train, evaluation_split = prepare(config)
-        refs["train"] = weakref.ref(train.features)
-
-        def made(name):
-            split = evaluation_split(name)
-            refs[name] = weakref.ref(split.features)
-            return split
-
-        return train, made
+        train, val, test = prepare(config)
+        refs.update(train=weakref.ref(train.features), val=weakref.ref(val.features),
+                    test=weakref.ref(test.features))
+        return train, val, test
 
     monkeypatch.setattr(experiment_module, "prepare_datasets", watched)
     return refs
@@ -568,18 +561,13 @@ class TestArrayLifetimes:
         run_experiment(config_from_dict(doc))
         return seen
 
-    def test_fresh_draws_are_made_after_stage1_by_the_first_evaluation(self, tmp_path,
-                                                                        monkeypatch):
-        seen = self.at_stage1_and_first_predict(monkeypatch, tiny_doc(
-            str(tmp_path / "run"), methods=["baseline", "sqrt_samp"], model={"hidden": [8]}))
-        # The validation draw is made, hashed and dropped before the test draw.
-        assert seen == [({"train"}, {"train"}), ({"train", "val", "test"}, {"train", "test"})]
-
-    def test_split_mode_drops_its_validation_part_before_stage1(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("mode", ["fresh", "split"])
+    def test_validation_split_is_dropped_before_stage1(self, tmp_path, monkeypatch, mode):
         doc = tiny_doc(str(tmp_path / "run"), methods=["baseline", "sqrt_samp"],
                        model={"hidden": [8]})
-        doc["dataset"]["eval"] = {"mode": "split"}
+        doc["dataset"]["eval"]["mode"] = mode
         doc["dataset"]["synthetic"]["head_count"] = 120
+        # Data prep makes all three splits; the validation split is hashed and dropped.
         made = {"train", "val", "test"}
         assert self.at_stage1_and_first_predict(monkeypatch, doc) == [
             (made, {"train", "test"})] * 2
@@ -593,8 +581,8 @@ class TestArrayLifetimes:
         run_experiment(config_from_dict(tiny_doc(
             str(tmp_path / "run"), methods=["baseline", "sqrt_samp", "cb_focal"],
             one_stage=True, model={"hidden": [8]})))
-        # The validation draw is gone before the test draw is made; the raw
-        # rows stay while a later own fit reads them.
+        # The validation split is gone; the raw rows stay while a later own
+        # fit reads them.
         assert at_evaluate[:2] == [{"train", "test"}] * 2
         assert at_predict[2] == {"test"}  # the last own fit has trained
         assert at_evaluate[2] == set()    # and has scored the test rows
@@ -631,8 +619,7 @@ class TestArrayLifetimes:
                                         "seed": 3},
                           "eval": {"mode": "fresh", "per_class": 2_500}}
         config = config_from_dict(doc)
-        train, evaluation_split = prepare_datasets(config)
-        val, test = evaluation_split("val"), evaluation_split("test")
+        train, val, test = prepare_datasets(config)
         raw = train.features.nbytes + test.features.nbytes
         frozen = model_module.SCORE_BLOCK_ROWS * 64 * 8
         slack = 1 << 20
@@ -779,6 +766,11 @@ class TestManifestReader:
         document = stored_manifest(manifest_file)
         edit(document)
         manifest_rejected(write_manifest(manifest_file, document), fragment)
+
+    def test_deeply_nested_document_names_the_file(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        manifest_rejected(path, "recursion")
 
     @settings(max_examples=50, deadline=None)
     @given(document=st.none() | st.booleans() | st.integers() | st.text()

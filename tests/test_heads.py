@@ -230,16 +230,14 @@ class TestBagsTraining:
     def test_backbone_untouched(self, toy):
         ds, model, _ = toy
         head_before = model.heads["head"].weight.copy()
-        feats = model.backbone.features(ds.features)
-        feats_before = feats.copy()
-        bags_train_heads(feats, ds, OptimSpec(seed=3).for_classifier())
-        assert np.array_equal(feats, feats_before)
+        feats_before = ds.features.copy()
+        bags_train_heads(ds, OptimSpec(seed=3).for_classifier(), model.backbone)
+        assert np.array_equal(ds.features, feats_before)
         assert np.array_equal(model.heads["head"].weight, head_before)
 
     def test_group_heads_have_expected_arity(self, toy):
         ds, model, _ = toy
-        heads, log = bags_train_heads(model.backbone.features(ds.features), ds,
-                                      OptimSpec(seed=3).for_classifier())
+        heads, log = bags_train_heads(ds, OptimSpec(seed=3).for_classifier(), model.backbone)
         assert set(heads) == {"bags.group1", "bags.group3"}
         assert heads["bags.group1"].num_outputs == 3  # 2 classes + others
         assert heads["bags.group3"].num_outputs == 3
@@ -247,8 +245,7 @@ class TestBagsTraining:
 
     def test_tail_group_head_beats_majority_baseline(self, toy):
         ds, model, centers = toy
-        heads, _ = bags_train_heads(model.backbone.features(ds.features), ds,
-                                    OptimSpec(seed=3).for_classifier())
+        heads, _ = bags_train_heads(ds, OptimSpec(seed=3).for_classifier(), model.backbone)
         rng = np.random.default_rng(9)
         val_feats = np.concatenate([centers[c] + rng.standard_normal((25, 6))
                                     for c in (0, 1)])
@@ -265,17 +262,14 @@ class TestBagsTraining:
         layout = build_group_layout(compute_class_stats(ds))
         assert layout.classes_in(2).size == 0
         with caplog.at_level("WARNING"):
-            heads, _ = bags_train_heads(model.backbone.features(ds.features), ds,
-                                        OptimSpec(seed=3).for_classifier())
+            heads, _ = bags_train_heads(ds, OptimSpec(seed=3).for_classifier(), model.backbone)
         assert "bags.group2" not in heads
         assert any("group 2" in message for message in caplog.messages)
 
     def test_deterministic_given_seed(self, toy):
         ds, model, _ = toy
-        a, _ = bags_train_heads(model.backbone.features(ds.features), ds,
-                                OptimSpec(seed=3).for_classifier())
-        b, _ = bags_train_heads(model.backbone.features(ds.features), ds,
-                                OptimSpec(seed=3).for_classifier())
+        a, _ = bags_train_heads(ds, OptimSpec(seed=3).for_classifier(), model.backbone)
+        b, _ = bags_train_heads(ds, OptimSpec(seed=3).for_classifier(), model.backbone)
         for name in a:
             assert np.array_equal(a[name].weight, b[name].weight)
 
@@ -289,8 +283,7 @@ class TestBagsTraining:
                              LossSpec(kind="cross_entropy"))
         layout = build_group_layout(compute_class_stats(ds), background_class=0)
         assert layout.group_of.tolist() == [0, 3, 2, 1]
-        heads, _ = bags_train_heads(model.backbone.features(ds.features), ds,
-                                    OptimSpec(seed=2).for_classifier())
+        heads, _ = bags_train_heads(ds, OptimSpec(seed=2).for_classifier(), model.backbone)
         assert heads["bags.group3"].num_outputs == 2  # class 1 + others
         scores = bags_scores(layout, heads, ds.features[:10])
         assert scores.shape == (10, 4)

@@ -201,6 +201,11 @@ class TestCorruptReport:
         for key in json.loads(report_file.read_text(encoding="utf-8")):
             report_rejected(write_edited(report_file, lambda r: r.pop(key)), f"'{key}'")
 
+    def test_deeply_nested_text_names_the_file(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        report_rejected(path, "report is not valid JSON", "recursion")
+
     def test_reformatted_text_rejected(self, report_file):
         path = report_file.with_name("compact.json")
         path.write_text(json.dumps(json.loads(report_file.read_text(encoding="utf-8"))),

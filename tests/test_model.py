@@ -3,6 +3,7 @@ import json
 import os
 import struct
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,7 +189,7 @@ class TestFitHead:
         head = ClassifierHead(weight=np.zeros((2, 4)), bias=np.zeros(2))
         with pytest.raises(RuntimeError, match=r"non-finite gradient for head\.weight at epoch 1"):
             model_module.fit_head(head, ds.features, ds.labels, np.array([60, 40]), 1.0, spec,
-                                  LossSpec(kind="cross_entropy"))
+                                  LossSpec(kind="cross_entropy"), Backbone([], []))
 
     def test_one_loss_and_one_update_per_step(self, monkeypatch):
         counted = {"batch_loss": 0, "optimizer_step": 0}
@@ -254,7 +255,7 @@ class TestFitHead:
         spec = OptimSpec(epochs=1, warmup_epochs=0, batch_size=16, seed=0)
         with pytest.raises(ValueError, match=rf"100 feature rows but {n_labels} labels"):
             model_module.fit_head(head, ds.features, labels, np.array([60, 40]), 1.0, spec,
-                                  LossSpec(kind="cross_entropy"))
+                                  LossSpec(kind="cross_entropy"), Backbone([], []))
         assert not head.weight.any()
 
 
@@ -339,24 +340,26 @@ class TestStage2:
     def test_every_loss_kind_is_a_method_loss(self):
         assert set(LOSS_KINDS) == {m.loss for m in model_module.METHODS.values()}
 
-    # The reference fit: the same trainer on the backbone's output for every
-    # train row, computed in one pass and held.  A stage-2 fit passes each
-    # batch through the frozen backbone instead, so equal bytes rest on the
-    # BLAS kernel computing a row's product the same whatever rows share it.
+    # The reference fit: the same trainer, through the identity backbone, on
+    # the backbone's output for every train row, computed in one pass and held.
+    # A stage-2 fit passes each batch through the frozen backbone instead, so
+    # equal bytes rest on the BLAS kernel computing a row's product the same
+    # whatever rows share it.
     @pytest.mark.parametrize("method", ["sqrt_samp", "cb_focal", "bags", "ssb"])
     def test_given_features_save_same_bytes(self, stage1_setup, tmp_path, method):
         ds, model = stage1_setup
         loss = (LossSpec(kind="cb_focal", gamma=2.0, cb_beta=0.9)
                 if method == "cb_focal" else LossSpec(kind="cross_entropy"))
         optim = OptimSpec(seed=5).for_classifier()
-        h = model.backbone.features(ds.features)
+        frozen = replace(ds, features=model.backbone.features(ds.features))
         stats = compute_class_stats(ds)
         owner = model_module.fit_owner(method)
         if owner == "bags":
-            new, log = bags_train_heads(h, ds, optim)
+            new, log = bags_train_heads(frozen, optim, Backbone([], []))
         else:
-            head, log = train_linear_head(h, ds.labels, stats.counts,
-                                          model_module.METHODS[owner].q, optim, loss)
+            head, log = train_linear_head(frozen.features, ds.labels, stats.counts,
+                                          model_module.METHODS[owner].q, optim, loss,
+                                          Backbone([], []))
             new = {"sqrt_head" if method == "ssb" else "head": head}
         given = TrainedModel(backbone=model.backbone.copy(frozen=True),
                              heads={"head": model.heads["head"], **new}, stats=stats,
@@ -392,7 +395,8 @@ class TestStage2:
         loss = LossSpec(kind="cross_entropy")
         via_stage2 = train_stage2(stage1, ds, "sqrt_samp", optim, loss)
         counts = np.bincount(ds.labels, minlength=3)
-        direct, _ = train_linear_head(ds.features, ds.labels, counts, 0.5, optim, loss)
+        direct, _ = train_linear_head(ds.features, ds.labels, counts, 0.5, optim, loss,
+                                      Backbone([], []))
         assert np.array_equal(via_stage2.heads["head"].weight, direct.weight)
         assert np.array_equal(via_stage2.heads["head"].bias, direct.bias)
 
@@ -649,6 +653,12 @@ class TestCorruptCheckpoint:
         path = tmp_path / "cut.ckpt"
         path.write_bytes(blob[:MAGIC_LEN] + struct.pack("<Q", len(new)) + new + body)
         rejects(path, f"'{head}'")
+
+    def test_deeply_nested_header_names_the_file(self, tmp_path):
+        header = b"[" * 100_000 + b"]" * 100_000
+        path = tmp_path / "deep.ckpt"
+        path.write_bytes(b"LTLABCKPT1\n" + struct.pack("<Q", len(header)) + header)
+        rejects(path, "header is not valid JSON", "recursion")
 
     def test_trailing_bytes(self, tmp_path, checkpoint_file):
         path = tmp_path / "long.ckpt"
