@@ -30,10 +30,19 @@ def _apply_set(doc: dict, path: str, value) -> None:
     node[key] = value
 
 
+def _parse_yaml(source, where: str):
+    """``yaml.safe_load(source)``; a value nested too deeply to parse raises
+    ValueError naming ``where``, the config file or the ``--set`` key."""
+    try:
+        return yaml.safe_load(source)
+    except RecursionError:
+        raise ValueError(f"{where}: nested too deeply to parse") from None
+
+
 def _load_doc(args: argparse.Namespace) -> dict:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = _parse_yaml(fh, args.config)
         if doc is None:
             doc = {}
     else:
@@ -49,7 +58,7 @@ def _load_doc(args: argparse.Namespace) -> dict:
         if "=" not in assignment:
             raise ValueError(f"--set expects dotted.path=value, got {assignment!r}")
         path, raw = assignment.split("=", 1)
-        _apply_set(doc, path, yaml.safe_load(raw))
+        _apply_set(doc, path, _parse_yaml(raw, f"--set {path}"))
     return doc
 
 

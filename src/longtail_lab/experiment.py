@@ -273,27 +273,43 @@ def _resolve_background(dataset: Dataset, background: int | str | None) -> Datas
         raise ValueError(f"config key dataset.background_class: {exc}") from None
 
 
-def prepare_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
-    """Materialize the train/val/test partitions the configuration describes.
+def prepare_datasets(config: ExperimentConfig) -> tuple[dict[str, Dataset], str]:
+    """The train/val/test splits the configuration describes that some step of
+    ``plan(config)`` reads (see ``step_reads``), by name, and the dataset
+    digest: the sha256 of the train, val and test digests, in that order.
 
     ``split`` mode partitions one dataset; ``fresh`` mode uses the full
     synthetic draw for training and draws balanced evaluation sets from the
     same class-conditional distributions (class counts below 10^3 in training
-    would otherwise be impossible to pair with a >= 10^3 head bin).
+    would otherwise be impossible to pair with a >= 10^3 head bin).  Each split
+    is hashed as it is made and dropped at once if no step reads it, so in
+    ``fresh`` mode an unread val draw is gone before the test draw is made.
     """
+    reads = {name for step, _, tag in plan(config) for name in step_reads(step, tag)}
+    kept: dict[str, Dataset] = {}
+    digests: list[str] = []
+
+    def keep(name: str, split: Dataset) -> None:
+        digests.append(split.digest())
+        if name in reads:
+            kept[name] = split
+
     if config.synthetic is not None:
         base = generate_synthetic(config.synthetic)
     else:
         base = load_embeddings(config.embeddings_path)
     base = _resolve_background(base, config.background)
     if config.eval_mode == "split":
-        return split_dataset(base, config.split)
-    eval_counts = np.full(config.synthetic.num_classes, config.eval_per_class, dtype=np.int64)
-    val = generate_synthetic(config.synthetic, counts=eval_counts, noise_stream=1)
-    test = generate_synthetic(config.synthetic, counts=eval_counts, noise_stream=2)
-    return (base,
-            _resolve_background(val, config.background),
-            _resolve_background(test, config.background))
+        for name, split in zip(("train", "val", "test"), split_dataset(base, config.split)):
+            keep(name, split)
+    else:
+        keep("train", base)
+        eval_counts = np.full(config.synthetic.num_classes, config.eval_per_class,
+                              dtype=np.int64)
+        for name, stream in (("val", 1), ("test", 2)):
+            keep(name, _resolve_background(generate_synthetic(
+                config.synthetic, counts=eval_counts, noise_stream=stream), config.background))
+    return kept, hashlib.sha256("".join(digests).encode("ascii")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +321,10 @@ def prepare_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, Datase
 class RunManifest:
     """What a run produced: artifact paths, timings, and identity digests.
 
-    ``prepare_seconds`` times loading or drawing the data and splitting it,
-    fresh evaluation draws included; ``stage1_seconds`` times each stage-1
-    model's training, by tag; ``methods.<m>.seconds`` times the method's own
-    work.
+    ``prepare_seconds`` times loading or drawing the data, splitting it and
+    hashing each split, fresh evaluation draws included; ``stage1_seconds``
+    times each stage-1 model's training, by tag; ``methods.<m>.seconds`` times
+    the method's own work.
     """
 
     config_digest: str
@@ -450,18 +466,16 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     """Run the steps of ``plan(config)``, which evaluate each method on the test
     partition, and persist checkpoints, reports, the comparison table, and the
     manifest.  Per-method seeds do not depend on execution order.  Each large
-    array is held by its ``step_reads`` name and dropped at its last read."""
+    array is held by its ``step_reads`` name, from data prep, which keeps only
+    the splits some step reads, and dropped at its last read."""
     out = Path(config.output_dir)
     for sub in ("checkpoints", "reports"):
         (out / sub).mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
-    train, val, test = prepare_datasets(config)
+    held, dataset_digest = prepare_datasets(config)
     prepare_seconds = round(time.perf_counter() - started, 3)
-    stats = compute_class_stats(train)
-    dataset_digest = hashlib.sha256(
-        (train.digest() + val.digest() + test.digest()).encode("ascii")).hexdigest()
-    del val  # hashed into the dataset digest; nothing else reads it
+    stats = compute_class_stats(held["train"])
     config_digest = config.digest()
     manifest = RunManifest(config_digest=config_digest, dataset_digest=dataset_digest,
                            tool_version=__version__, one_stage=config.one_stage, methods={},
@@ -469,9 +483,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     steps = plan(config)
     last_read = {name: i for i, (step, _, tag) in enumerate(steps)
                  for name in step_reads(step, tag)}
-    held: dict[str, object] = {"train": train, "test": test}
-    class_names, test_labels = train.class_names, test.labels
-    del train, test
+    class_names, test_labels = held["train"].class_names, held["test"].labels
     reports: list[EvalReport] = []
     began: dict[str, float] = {}  # when each method's own work began
     model = None  # the model of the method under way, once it has trained one

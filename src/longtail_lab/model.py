@@ -23,7 +23,7 @@ _CHECKPOINT_MAGIC = b"LTLABCKPT1\n"
 # Rows ``scores`` combines at once.  Blocks are near-equal, never a full-size
 # run plus a short tail: OpenBLAS takes other paths for small matrices, and
 # those change the bits of a block's scores.
-SCORE_BLOCK_ROWS = 4096
+SCORE_BLOCK_ROWS = 1024
 
 
 def _uniform_init(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
@@ -264,7 +264,6 @@ def fit_head(head: ClassifierHead, features: np.ndarray, labels: np.ndarray,
         sampler = make_sampler(counts, q, derive_seed(optim.seed, "stream", epoch))
         stream = make_epoch_stream(labels, sampler, n)
         loss_sum, rows = 0.0, 0
-        lr = 0.0
         for step in range(steps_per_epoch):
             batch = stream[step * optim.batch_size:(step + 1) * optim.batch_size]
             if batch_hook is None:

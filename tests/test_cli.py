@@ -294,6 +294,19 @@ class TestErrors:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_config_file_nested_too_deeply_named(self, tmp_path, capsys):
+        cfg = tmp_path / "deep.yaml"
+        cfg.write_text("methods: " + "[" * 5_000 + "]" * 5_000 + "\n")
+        assert main(["compare", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: nested too deeply to parse\n"
+
+    def test_set_value_nested_too_deeply_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.yaml", tmp_path / "run")
+        deep = "[" * 5_000 + "]" * 5_000
+        assert main(["compare", "--config", str(cfg), "--set", f"model.hidden={deep}"]) == 1
+        assert capsys.readouterr().err == "error: --set model.hidden: nested too deeply to parse\n"
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("out, code", [("d", errno.EISDIR), ("d/x/data.txt", errno.ENOENT)],
                              ids=["directory", "missing_parent"])
     def test_unwritable_output_named_not_its_temporary(self, tmp_path, monkeypatch, capsys,

@@ -1,5 +1,6 @@
 """Configuration document, experiment runner, manifest, and F1-delta table."""
 import copy
+import hashlib
 import json
 import time
 import weakref
@@ -13,9 +14,10 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longtail_lab import (LossSpec, OptimSpec, compute_class_stats, config_from_dict,
-                          default_config, emit_f1_delta, generate_synthetic, load_model,
-                          load_report, run_experiment, save_embeddings, train_stage1)
+from longtail_lab import (Dataset, LossSpec, OptimSpec, compute_class_stats,
+                          config_from_dict, default_config, emit_f1_delta, generate_synthetic,
+                          load_model, load_report, run_experiment, save_embeddings,
+                          train_stage1)
 from longtail_lab import experiment as experiment_module
 from longtail_lab import model as model_module
 from longtail_lab.experiment import (DEFAULT_CONFIG_YAML, F1DeltaTable, load_manifest, plan,
@@ -233,33 +235,57 @@ def generate_synthetic_small():
                                             noise_sigma=1.0, seed=1))
 
 
+def prepare_all(config, monkeypatch) -> tuple[dict, str]:
+    """``prepare_datasets(config)`` as if a step of the plan read the
+    validation split too, so that it keeps all three splits."""
+    reads = experiment_module.step_reads
+    monkeypatch.setattr(experiment_module, "step_reads",
+                        lambda step, tag: reads(step, tag) + ("val",))
+    return prepare_datasets(config)
+
+
 class TestPrepareDatasets:
-    def test_fresh_mode_keeps_full_training_profile(self):
+    def test_fresh_mode_keeps_full_training_profile(self, monkeypatch):
         config = config_from_dict(tiny_doc("x"))
-        train, val, test = prepare_datasets(config)
+        splits, _ = prepare_all(config, monkeypatch)
+        train, val, test = splits["train"], splits["val"], splits["test"]
         assert np.bincount(train.labels).min() >= 1
         assert train.num_instances == np.bincount(train.labels).sum()
         np.testing.assert_array_equal(np.bincount(test.labels), 25)
         np.testing.assert_array_equal(np.bincount(val.labels), 25)
         assert not np.array_equal(val.features[:5], test.features[:5])
 
-    def test_split_mode_partitions(self):
+    def test_split_mode_partitions(self, monkeypatch):
         doc = tiny_doc("x")
         doc["dataset"]["eval"] = {"mode": "split"}
         doc["dataset"]["synthetic"]["head_count"] = 120
         config = config_from_dict(doc)
-        train, val, test = prepare_datasets(config)
-        total = train.num_instances + val.num_instances + test.num_instances
-        assert total == generate_synthetic(config.synthetic).num_instances
+        splits, _ = prepare_all(config, monkeypatch)
+        assert sum(split.num_instances for split in splits.values()) == \
+            generate_synthetic(config.synthetic).num_instances
 
-    def test_background_by_name(self):
+    @pytest.mark.parametrize("mode", ["fresh", "split"])
+    def test_keeps_only_the_splits_a_step_reads(self, monkeypatch, mode):
+        doc = tiny_doc("x")
+        doc["dataset"]["eval"]["mode"] = mode
+        doc["dataset"]["synthetic"]["head_count"] = 120
+        config = config_from_dict(doc)
+        splits, digest = prepare_datasets(config)
+        assert list(splits) == ["train", "test"]
+        # The digest covers the validation split all the same, hashed after
+        # the train split and before the test split.
+        every, same_digest = prepare_all(config, monkeypatch)
+        assert list(every) == ["train", "val", "test"]
+        assert same_digest == digest == hashlib.sha256("".join(
+            every[name].digest() for name in ("train", "val", "test")).encode("ascii")
+        ).hexdigest()
+
+    def test_background_by_name(self, monkeypatch):
         doc = tiny_doc("x")
         doc["dataset"]["background_class"] = "class_00"
         config = config_from_dict(doc)
-        train, val, test = prepare_datasets(config)
-        assert train.background_class == 0
-        assert val.background_class == 0
-        assert test.background_class == 0
+        splits, _ = prepare_all(config, monkeypatch)
+        assert [split.background_class for split in splits.values()] == [0, 0, 0]
 
     def test_unknown_background_name_rejected(self):
         doc = tiny_doc("x")
@@ -410,18 +436,17 @@ class TestRunExperiment:
 
 
 def watch_splits(monkeypatch) -> dict[str, weakref.ref]:
-    """Weak references to the feature rows of the splits the run prepares, by
-    split."""
+    """Weak references to the feature rows of the splits a run makes, by
+    split: data prep hashes the train, val and test splits, in that order, as
+    it makes them."""
     refs: dict[str, weakref.ref] = {}
-    prepare = experiment_module.prepare_datasets
+    digest = Dataset.digest
 
-    def watched(config):
-        train, val, test = prepare(config)
-        refs.update(train=weakref.ref(train.features), val=weakref.ref(val.features),
-                    test=weakref.ref(test.features))
-        return train, val, test
+    def watched(self):
+        refs[("train", "val", "test")[len(refs)]] = weakref.ref(self.features)
+        return digest(self)
 
-    monkeypatch.setattr(experiment_module, "prepare_datasets", watched)
+    monkeypatch.setattr(Dataset, "digest", watched)
     return refs
 
 
@@ -567,10 +592,21 @@ class TestArrayLifetimes:
                        model={"hidden": [8]})
         doc["dataset"]["eval"]["mode"] = mode
         doc["dataset"]["synthetic"]["head_count"] = 120
-        # Data prep makes all three splits; the validation split is hashed and dropped.
+        # Data prep makes all three splits; the validation split is hashed and
+        # not kept, as no step reads it.
         made = {"train", "val", "test"}
         assert self.at_stage1_and_first_predict(monkeypatch, doc) == [
             (made, {"train", "test"})] * 2
+
+    def test_fresh_validation_draw_is_freed_before_the_test_draw(self, tmp_path, monkeypatch):
+        refs = watch_splits(monkeypatch)
+        seen = []
+        spy(monkeypatch, "generate_synthetic",
+            lambda *args, **kwargs: seen.append((set(refs), alive(refs))))
+        run_experiment(config_from_dict(tiny_doc(str(tmp_path / "run"))))
+        # The train draw, the val draw, then the test draw once val is gone.
+        assert seen == [(set(), set()), ({"train"}, {"train"}),
+                        ({"train", "val"}, {"train"})]
 
     def test_one_stage_run_frees_the_raw_splits_after_the_last_own_fit(self, tmp_path,
                                                                          monkeypatch):
@@ -606,10 +642,11 @@ class TestArrayLifetimes:
         assert seen == [[], [False], [False, False]]
 
     def test_peak_holds_no_more_than_the_raw_and_frozen_rows(self, tmp_path):
-        """The raw train and test rows, and the backbone's output on one
-        scoring block: the frozen rows of a whole split are never held.  A run
-        that kept the validation draw beside them would exceed the bound; the
-        slack covers labels, one batch, scores and checkpoint buffers."""
+        """The raw train and test rows, plus 3 MiB for labels, one batch's
+        backbone caches, one scoring block, and checkpoint buffers; a stage-1
+        fit, the peak, holds 1.75 MiB of it.  The backbone's output on the
+        test split (4.9 MiB), or the validation draw (2.4 MiB) beside what
+        the fits hold, would exceed the bound."""
         doc = tiny_doc(str(tmp_path / "run"), model={"hidden": [64]},
                        stage1={"epochs": 1, "warmup_epochs": 0, "batch_size": 512},
                        stage2={"epochs": 1, "warmup_epochs": 0})
@@ -619,14 +656,13 @@ class TestArrayLifetimes:
                                         "seed": 3},
                           "eval": {"mode": "fresh", "per_class": 2_500}}
         config = config_from_dict(doc)
-        train, val, test = prepare_datasets(config)
-        raw = train.features.nbytes + test.features.nbytes
-        frozen = model_module.SCORE_BLOCK_ROWS * 64 * 8
-        slack = 1 << 20
-        assert val.features.nbytes > slack
-        del train, val, test
+        splits, _ = prepare_datasets(config)
+        raw = splits["train"].features.nbytes + splits["test"].features.nbytes
+        slack = 3 << 20
+        assert splits["test"].num_instances * 64 * 8 > slack
+        del splits
         _, peak = traced_peak(run_experiment, config)
-        assert peak <= raw + frozen + slack, (peak - raw - frozen) / 2**20
+        assert peak <= raw + slack, (peak - raw) / 2**20
 
 
 class TestEvaluation:
@@ -650,7 +686,8 @@ class TestEvaluation:
                                         "noise_sigma": 1.0, "seed": 3},
                           "eval": {"mode": "fresh", "per_class": 100}}
         run_experiment(config_from_dict(doc))
-        # 20,000 test rows in 5 score blocks: one block's scores is a fifth of the matrix.
+        # 20,000 test rows in 20 score blocks: one block's scores is a twentieth of the
+        # matrix.
         matrix = 20_000 * 200 * 8
         assert len(peaks) == len(methods)
         assert max(peaks) < matrix, max(peaks) / matrix

@@ -126,6 +126,13 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="empty"):
             evaluate([], [], stats_for([5, 5]))
 
+    @pytest.mark.parametrize("name", ["predictions", "labels"])
+    def test_value_equal_to_the_class_count_rejected(self, name):
+        values = {"predictions": [0, 1, 2], "labels": [2, 1, 0]}
+        values[name] = [0, 1, 3]
+        with pytest.raises(ValueError, match=re.escape(f"{name} must lie in [0, 3)")):
+            evaluate(values["predictions"], values["labels"], stats_for([5, 5, 5]))
+
     def test_report_json_round_trip(self, tmp_path):
         stats = stats_for([500, 50, 5])
         rng = np.random.default_rng(2)

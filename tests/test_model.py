@@ -142,6 +142,10 @@ class TestStage1:
             train_stage1(blob_dataset(), hidden, OptimSpec(seed=0),
                          LossSpec(kind="cross_entropy"))
 
+    def test_width_one_layer_accepted(self):
+        backbone = Backbone.build(3, (1, 2), np.random.default_rng(0))
+        assert [w.shape for w in backbone.weights] == [(1, 3), (2, 1)]
+
     def test_one_stage_method_samples_at_its_q(self, monkeypatch):
         drawn_at, make_sampler = [], model_module.make_sampler
 
