@@ -14,7 +14,7 @@ import re
 import stat
 from array import array
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import IO
 
 import numpy as np
@@ -34,9 +34,9 @@ GROUP_LIMITS: tuple[tuple[float, float], ...] = (
 
 _HEADER_RE = re.compile(r"^C=(\d+) D=(\d+)$")
 
-# Rows the finiteness check of a Dataset reads at once: its temporary is one
-# block's flags, not a flag per value of the matrix.
-_FINITE_BLOCK_ROWS = 4096
+# Rows the finiteness check of a Dataset reads at once, and a fresh split draws
+# at once for its digest: its temporary is one block, not the whole matrix.
+_FINITE_BLOCK_ROWS = 1024
 
 
 @dataclass(eq=False)
@@ -63,10 +63,8 @@ class Dataset:
             raise ValueError("dataset needs at least one instance and one feature dimension")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must be one per feature row")
-        n = self.features.shape[0]
-        if not all(np.isfinite(self.features[lo:lo + _FINITE_BLOCK_ROWS]).all()
-                   for lo in range(0, n, _FINITE_BLOCK_ROWS)):
-            raise ValueError("features contain non-finite values")
+        for rows in _finite_blocks(self.features.shape[0]):
+            _check_finite(self.features[rows])
         c = len(self.class_names)
         if c < 1:
             raise ValueError("class_names is empty")
@@ -92,13 +90,11 @@ class Dataset:
 
     def digest(self) -> str:
         """Content hash covering features, labels, names, and background flag."""
-        h = hashlib.sha256()
-        h.update(repr(self.features.shape).encode())
-        h.update(np.ascontiguousarray(self.features))
-        h.update(np.ascontiguousarray(self.labels))
-        h.update("\x1f".join(self.class_names).encode())
-        h.update(str(self.background_class).encode())
-        return h.hexdigest()
+        return _digest(self, [self.features])
+
+    def row_blocks(self, blocks: Iterable[slice]) -> Iterator[np.ndarray]:
+        """The feature rows of each of ``blocks``, in turn."""
+        return (self.features[rows] for rows in blocks)
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
@@ -106,6 +102,31 @@ class Dataset:
 
     def with_background(self, background_class: int | None) -> "Dataset":
         return replace(self, background_class=background_class)
+
+
+def _finite_blocks(n: int) -> list[slice]:
+    """Consecutive slices of ``_FINITE_BLOCK_ROWS`` rows, the last shorter, over ``n`` rows."""
+    return [slice(lo, min(lo + _FINITE_BLOCK_ROWS, n)) for lo in range(0, n, _FINITE_BLOCK_ROWS)]
+
+
+def _check_finite(rows: np.ndarray) -> np.ndarray:
+    """``rows``, if every value is finite; else ValueError."""
+    if not np.isfinite(rows).all():
+        raise ValueError("features contain non-finite values")
+    return rows
+
+
+def _digest(split, feature_blocks: Iterable[np.ndarray]) -> str:
+    """The content hash of ``split``, whose feature rows are ``feature_blocks``
+    in turn: shape, features, labels, names and background flag."""
+    h = hashlib.sha256()
+    h.update(repr((split.num_instances, split.feature_dim)).encode())
+    for block in feature_blocks:
+        h.update(np.ascontiguousarray(block))
+    h.update(np.ascontiguousarray(split.labels))
+    h.update("\x1f".join(split.class_names).encode())
+    h.update(str(split.background_class).encode())
+    return h.hexdigest()
 
 
 @dataclass(eq=False)
@@ -193,6 +214,68 @@ def _class_centroids(spec: SyntheticSpec) -> np.ndarray:
     return rng.standard_normal((spec.num_classes, spec.feature_dim)) * scale
 
 
+@dataclass(eq=False)
+class FreshSplit:
+    """The draw of ``counts`` rows per class from noise substream
+    ``noise_stream`` of ``spec``, never held whole: each read draws its rows
+    again, a block at a time.  Its digest is that of the Dataset the whole draw
+    makes with ``background_class``."""
+
+    spec: SyntheticSpec
+    counts: np.ndarray
+    noise_stream: int
+    background_class: int | None = None
+    labels: np.ndarray = field(init=False)
+    class_names: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.counts = np.asarray(self.counts, dtype=np.int64)
+        if self.counts.shape != (self.spec.num_classes,) or self.counts.min() < 1:
+            raise ValueError("counts override must give every class at least one instance")
+        self.labels = np.repeat(np.arange(self.spec.num_classes, dtype=np.int64), self.counts)
+        width = max(2, len(str(self.spec.num_classes - 1)))
+        self.class_names = tuple(f"class_{c:0{width}d}" for c in range(self.spec.num_classes))
+
+    @property
+    def num_instances(self) -> int:
+        return self.labels.shape[0]
+
+    @property
+    def feature_dim(self) -> int:
+        return int(self.spec.feature_dim)
+
+    def row_blocks(self, blocks: Iterable[slice]) -> Iterator[np.ndarray]:
+        """The drawn rows of each of ``blocks``, in turn.  Rows are drawn class
+        by class, each as noise * sigma + its class centroid, so the blocks
+        must be consecutive from row 0; any such blocks hold the bytes of one
+        whole draw."""
+        spec, counts = self.spec, self.counts
+        centroids = _class_centroids(spec)
+        rng = np.random.default_rng(derive_seed(spec.seed, "noise", self.noise_stream))
+        starts = np.cumsum(counts) - counts
+        at = 0
+        for rows in blocks:
+            if rows.start != at or not at <= rows.stop <= self.num_instances:
+                raise ValueError(f"row blocks must be consecutive from row 0 to at most "
+                                 f"{self.num_instances}, got {rows} at row {at}")
+            out = np.empty((rows.stop - rows.start, spec.feature_dim))
+            first = int(np.searchsorted(starts, rows.start, side="right")) - 1
+            for c in range(first, int(np.searchsorted(starts, rows.stop, side="left"))):
+                lo, hi = max(starts[c], rows.start), min(starts[c] + counts[c], rows.stop)
+                part = out[lo - rows.start:hi - rows.start]
+                rng.standard_normal(out=part)
+                part *= spec.noise_sigma
+                part += centroids[c]
+            at = rows.stop
+            yield out
+
+    def digest(self) -> str:
+        """``Dataset.digest`` of the whole draw, drawn and hashed a block at a
+        time; a non-finite row raises ValueError as that Dataset would."""
+        blocks = _finite_blocks(self.num_instances)
+        return _digest(self, map(_check_finite, self.row_blocks(blocks)))
+
+
 def generate_synthetic(
     spec: SyntheticSpec,
     counts: np.ndarray | None = None,
@@ -202,31 +285,13 @@ def generate_synthetic(
 
     Deterministic in the spec: same spec, same bytes.  ``counts`` overrides
     the per-class instance counts and ``noise_stream`` selects an independent
-    noise substream; together they allow drawing extra evaluation sets from
-    the same centroids as the training draw.
+    noise substream; ``FreshSplit`` draws the same rows a block at a time.
     """
-    if counts is None:
-        counts = synthetic_class_counts(spec)
-    else:
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.shape != (spec.num_classes,) or counts.min() < 1:
-            raise ValueError("counts override must give every class at least one instance")
-    centroids = _class_centroids(spec)
-    rng = np.random.default_rng(derive_seed(spec.seed, "noise", noise_stream))
-    # Each class's rows are drawn in place, as noise * sigma + centroid.
-    features = np.empty((int(counts.sum()), spec.feature_dim))
-    ends = np.cumsum(counts)
-    for c in range(spec.num_classes):
-        block = features[ends[c] - counts[c]:ends[c]]
-        rng.standard_normal(out=block)
-        block *= spec.noise_sigma
-        block += centroids[c]
-    width = max(2, len(str(spec.num_classes - 1)))
-    return Dataset(
-        features=features,
-        labels=np.repeat(np.arange(spec.num_classes, dtype=np.int64), counts),
-        class_names=tuple(f"class_{c:0{width}d}" for c in range(spec.num_classes)),
-    )
+    split = FreshSplit(spec, synthetic_class_counts(spec) if counts is None else counts,
+                       noise_stream)
+    whole = slice(0, split.num_instances)
+    return Dataset(features=next(split.row_blocks([whole])), labels=split.labels,
+                   class_names=split.class_names)
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,14 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
-from pathlib import Path
+from pathlib import Path, PurePath
 from typing import Iterator, get_type_hints
 
 import numpy as np
 import yaml
 
 from . import __version__
-from .data import (Dataset, SplitSpec, SyntheticSpec, compute_class_stats,
+from .data import (Dataset, FreshSplit, SplitSpec, SyntheticSpec, compute_class_stats,
                    generate_synthetic, load_embeddings, split_dataset)
 from .losses import LossSpec
 from .metrics import EvalReport, compare_methods, evaluate, save_report
@@ -273,7 +273,8 @@ def _resolve_background(dataset: Dataset, background: int | str | None) -> Datas
         raise ValueError(f"config key dataset.background_class: {exc}") from None
 
 
-def prepare_datasets(config: ExperimentConfig) -> tuple[dict[str, Dataset], str]:
+def prepare_datasets(config: ExperimentConfig
+                     ) -> tuple[dict[str, Dataset | FreshSplit], str]:
     """The train/val/test splits the configuration describes that some step of
     ``plan(config)`` reads (see ``step_reads``), by name, and the dataset
     digest: the sha256 of the train, val and test digests, in that order.
@@ -282,14 +283,15 @@ def prepare_datasets(config: ExperimentConfig) -> tuple[dict[str, Dataset], str]
     synthetic draw for training and draws balanced evaluation sets from the
     same class-conditional distributions (class counts below 10^3 in training
     would otherwise be impossible to pair with a >= 10^3 head bin).  Each split
-    is hashed as it is made and dropped at once if no step reads it, so in
-    ``fresh`` mode an unread val draw is gone before the test draw is made.
+    is hashed as it is made and dropped at once if no step reads it.  A fresh
+    evaluation set is a ``FreshSplit``: it is drawn, checked and hashed a
+    block at a time, and each later read draws its rows again.
     """
     reads = {name for step, _, tag in plan(config) for name in step_reads(step, tag)}
-    kept: dict[str, Dataset] = {}
+    kept: dict[str, Dataset | FreshSplit] = {}
     digests: list[str] = []
 
-    def keep(name: str, split: Dataset) -> None:
+    def keep(name: str, split: Dataset | FreshSplit) -> None:
         digests.append(split.digest())
         if name in reads:
             kept[name] = split
@@ -307,8 +309,7 @@ def prepare_datasets(config: ExperimentConfig) -> tuple[dict[str, Dataset], str]
         eval_counts = np.full(config.synthetic.num_classes, config.eval_per_class,
                               dtype=np.int64)
         for name, stream in (("val", 1), ("test", 2)):
-            keep(name, _resolve_background(generate_synthetic(
-                config.synthetic, counts=eval_counts, noise_stream=stream), config.background))
+            keep(name, FreshSplit(config.synthetic, eval_counts, stream, base.background_class))
     return kept, hashlib.sha256("".join(digests).encode("ascii")).hexdigest()
 
 
@@ -322,9 +323,10 @@ class RunManifest:
     """What a run produced: artifact paths, timings, and identity digests.
 
     ``prepare_seconds`` times loading or drawing the data, splitting it and
-    hashing each split, fresh evaluation draws included; ``stage1_seconds``
-    times each stage-1 model's training, by tag; ``methods.<m>.seconds`` times
-    the method's own work.
+    hashing each split, the first draw of each fresh evaluation set included;
+    ``stage1_seconds`` times each stage-1 model's training, by tag;
+    ``methods.<m>.seconds`` times the method's own work, which redraws a fresh
+    test set as it scores it.
     """
 
     config_digest: str
@@ -372,9 +374,24 @@ _MANIFEST_TYPES = {
 _METHOD_ENTRY_TYPES = {"checkpoint": str, "report": str, "seconds": float}
 
 
+def _check_run_file(name: str | None, where: str) -> None:
+    """Raise ValueError naming the manifest field ``where`` unless ``name`` is
+    None or a relative file name that stays inside the run directory."""
+    if name is None:
+        return
+    path = PurePath(name)
+    if not path.parts or path.is_absolute() or ".." in path.parts:
+        raise ValueError(f"field {where!r} must name a file inside the run directory, "
+                         f"got {name!r}")
+
+
 def _manifest_from_fields(stored: dict) -> RunManifest:
     for method, entry in stored["methods"].items():
         check_types(entry, _METHOD_ENTRY_TYPES, f"methods.{method}")
+        for key in ("checkpoint", "report"):
+            _check_run_file(entry[key], f"methods.{method}.{key}")
+    for key in ("comparison_csv", "comparison_txt", "f1_delta_csv"):
+        _check_run_file(stored[key], key)
     for tag, seconds in stored["stage1_seconds"].items():
         check_types(seconds, float, f"stage1_seconds.{tag}")
     return RunManifest(**{f.name: stored[f.name] for f in fields(RunManifest)})
@@ -406,10 +423,11 @@ def _loss(method: str, config: ExperimentConfig) -> LossSpec:
 
 def step_reads(step: str, tag: str | None) -> tuple[str, ...]:
     """The held arrays a ``step`` of ``plan`` on stage-1 model ``tag`` (None for
-    an own fit) reads, in order.  "train" and "test" are the raw splits; "<tag>"
-    is a stage-1 model and the stage-2 fits made on it, by owner.  No backbone
-    output is held: each step passes the raw rows it reads through the frozen
-    backbone one batch or scoring block at a time."""
+    an own fit) reads, in order.  "train" and "test" are the raw splits, a fresh
+    "test" set drawn again at each read; "<tag>" is a stage-1 model and the
+    stage-2 fits made on it, by owner.  No backbone output is held: each step
+    passes the raw rows it reads through the frozen backbone one batch or
+    scoring block at a time."""
     return {("stage-1 training", True): ("train",),
             ("one-stage training", False): ("train",),
             ("stage-2 training", True): (tag, "train"),
@@ -449,16 +467,19 @@ def _stage2(config: ExperimentConfig, method: str, inputs: Iterator) -> TrainedM
 def _predictions(model: TrainedModel | None, tag: str | None,
                  inputs: Iterator) -> tuple[TrainedModel, np.ndarray]:
     """The model a method evaluates, ``model`` or else its stage-1 model, and its
-    test predictions.  Each block of ``score_blocks`` is scored by one ``predict``
-    call, of which only the class indices are kept, so neither a test-by-class
-    matrix nor the backbone's output on the whole test split is ever held."""
+    test predictions.  The test rows are read one block of ``score_blocks`` at a
+    time (a fresh test set draws each block again), and each block is scored by
+    one ``predict`` call of which only the class indices are kept, so neither a
+    whole fresh test draw, a test-by-class matrix nor the backbone's output on
+    the test split is ever held."""
     if tag is not None:
         stage1, _ = next(inputs)
         model = stage1 if model is None else model
-    x = next(inputs).features
-    preds = np.empty(len(x), dtype=np.intp)
-    for rows in score_blocks(len(x)):
-        preds[rows] = predict(model, x[rows], first_row=rows.start)[0]
+    test = next(inputs)
+    blocks = score_blocks(test.num_instances)
+    preds = np.empty(test.num_instances, dtype=np.intp)
+    for rows, x in zip(blocks, test.row_blocks(blocks)):
+        preds[rows] = predict(model, x, first_row=rows.start)[0]
     return model, preds
 
 

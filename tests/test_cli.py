@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, overrides, and error reporting."""
 import errno
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -244,6 +245,19 @@ class TestReport:
         table = (tmp_path / "run" / "reports" / "comparison.txt").read_text(encoding="utf-8")
         assert capsys.readouterr().out == table
         assert [line.split()[0] for line in table.splitlines()[2:4]] == ["ssb", "baseline"]
+
+    def test_run_dir_with_an_empty_report_name_names_the_manifest_field(self, tmp_path,
+                                                                        capsys):
+        cfg = write_config(tmp_path / "cfg.yaml", tmp_path / "run")
+        assert main(["compare", "--config", str(cfg)]) == 0
+        manifest = tmp_path / "run" / "manifest.json"
+        document = json.loads(manifest.read_text(encoding="utf-8"))
+        next(iter(document["methods"].values()))["report"] = ""
+        manifest.write_text(json.dumps(document), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert str(manifest) in err and ".report' must name a file" in err
 
     def test_run_dir_without_a_manifest_names_it(self, tmp_path, capsys):
         (tmp_path / "reports").mkdir()

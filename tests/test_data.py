@@ -13,7 +13,7 @@ from longtail_lab import (Dataset, SplitSpec, SyntheticSpec, compute_class_stats
                           generate_synthetic, load_embeddings, save_embeddings,
                           split_dataset)
 from longtail_lab import data as data_module
-from longtail_lab.data import GROUP_LIMITS, SIDECAR_SUFFIX, synthetic_class_counts
+from longtail_lab.data import GROUP_LIMITS, SIDECAR_SUFFIX, FreshSplit, synthetic_class_counts
 
 from conftest import dataset_with_counts, traced_peak
 
@@ -74,9 +74,56 @@ class TestGenerateSynthetic:
         ds = generate_synthetic(make_spec(), counts=np.array([7, 5, 3]))
         assert np.bincount(ds.labels).tolist() == [7, 5, 3]
 
+    @pytest.mark.parametrize("counts", [[7, 0, 3], [7, 5]], ids=["empty_class", "short"])
+    def test_bad_counts_override_rejected(self, counts):
+        with pytest.raises(ValueError, match="every class at least one instance"):
+            generate_synthetic(make_spec(), counts=np.array(counts))
+
     def test_seed_changes_dataset(self):
         assert not np.array_equal(generate_synthetic(make_spec()).features,
                                   generate_synthetic(make_spec(seed=6)).features)
+
+
+class TestFreshSplit:
+    """A fresh split draws ``generate_synthetic``'s rows a block at a time."""
+
+    # Class boundaries at rows 700, 1,600 and 3,100 fall inside the digest's
+    # 1,024-row blocks, so classes straddle them.
+    COUNTS = np.array([700, 900, 1500, 3])
+
+    @pytest.mark.parametrize("background", [None, 2])
+    def test_digest_equals_the_whole_draws(self, background):
+        spec = make_spec(num_classes=4)
+        whole = generate_synthetic(spec, self.COUNTS, noise_stream=2)
+        split = FreshSplit(spec, self.COUNTS, 2, background)
+        assert split.digest() == whole.with_background(background).digest()
+        assert split.labels.tobytes() == whole.labels.tobytes()
+        assert split.class_names == whole.class_names
+
+    @settings(max_examples=30, deadline=None)
+    @given(cuts=st.lists(st.integers(min_value=0, max_value=3103), max_size=6))
+    def test_blocks_hold_the_bytes_of_one_whole_draw(self, cuts):
+        spec = make_spec(num_classes=4)
+        whole = generate_synthetic(spec, self.COUNTS, noise_stream=1).features
+        edges = [0, *sorted(cuts), len(whole)]
+        blocks = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+        drawn = list(FreshSplit(spec, self.COUNTS, 1).row_blocks(blocks))
+        assert [block.tobytes() for block in drawn] == [whole[rows].tobytes() for rows in blocks]
+
+    @pytest.mark.parametrize("blocks", [[slice(1, 5)], [slice(0, 5), slice(6, 9)],
+                                        [slice(0, 3104)], [slice(0, 5), slice(5, 4)]],
+                             ids=["not_from_row_0", "gap", "past_the_end", "backwards"])
+    def test_blocks_not_consecutive_from_row_0_rejected(self, blocks):
+        split = FreshSplit(make_spec(num_classes=4), self.COUNTS, 1)
+        with pytest.raises(ValueError, match="row blocks must be consecutive from row 0"):
+            list(split.row_blocks(blocks))
+
+    def test_nonfinite_draw_rejected_by_the_digest(self):
+        split = FreshSplit(make_spec(num_classes=4, noise_sigma=1e308), self.COUNTS, 1)
+        # The product overflows to inf, which numpy warns of first.
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="features contain non-finite values"):
+            split.digest()
 
 
 class TestDatasetInvariants:

@@ -6,7 +6,6 @@ import time
 import weakref
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from longtail_lab import (Dataset, LossSpec, OptimSpec, compute_class_stats,
                           train_stage1)
 from longtail_lab import experiment as experiment_module
 from longtail_lab import model as model_module
+from longtail_lab.data import FreshSplit
 from longtail_lab.experiment import (DEFAULT_CONFIG_YAML, F1DeltaTable, load_manifest, plan,
                                      prepare_datasets, step_reads)
 from longtail_lab.metrics import ComparisonTable
@@ -253,7 +253,8 @@ class TestPrepareDatasets:
         assert train.num_instances == np.bincount(train.labels).sum()
         np.testing.assert_array_equal(np.bincount(test.labels), 25)
         np.testing.assert_array_equal(np.bincount(val.labels), 25)
-        assert not np.array_equal(val.features[:5], test.features[:5])
+        first = [next(split.row_blocks([slice(0, 5)])) for split in (val, test)]
+        assert not np.array_equal(*first)
 
     def test_split_mode_partitions(self, monkeypatch):
         doc = tiny_doc("x")
@@ -286,6 +287,27 @@ class TestPrepareDatasets:
         config = config_from_dict(doc)
         splits, _ = prepare_all(config, monkeypatch)
         assert [split.background_class for split in splits.values()] == [0, 0, 0]
+
+    def test_nonfinite_draw_rejected(self):
+        doc = tiny_doc("x")
+        doc["dataset"]["synthetic"]["noise_sigma"] = 1e308
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="^features contain non-finite values$"):
+            prepare_datasets(config_from_dict(doc))
+
+    def test_nonfinite_row_in_a_later_fresh_block_rejected(self, monkeypatch):
+        row_blocks = FreshSplit.row_blocks
+
+        def poisoned(self, blocks):
+            for i, block in enumerate(row_blocks(self, blocks)):
+                block[-1, 0] = np.nan if i == 1 else block[-1, 0]
+                yield block
+
+        monkeypatch.setattr(FreshSplit, "row_blocks", poisoned)
+        doc = tiny_doc("x")
+        doc["dataset"]["eval"]["per_class"] = 300  # 1,200 rows: two digest blocks
+        with pytest.raises(ValueError, match="^features contain non-finite values$"):
+            prepare_datasets(config_from_dict(doc))
 
     def test_unknown_background_name_rejected(self):
         doc = tiny_doc("x")
@@ -436,17 +458,22 @@ class TestRunExperiment:
 
 
 def watch_splits(monkeypatch) -> dict[str, weakref.ref]:
-    """Weak references to the feature rows of the splits a run makes, by
-    split: data prep hashes the train, val and test splits, in that order, as
-    it makes them."""
+    """Weak references to the splits a run makes, by split: to the feature rows
+    of a Dataset, and to a fresh evaluation set itself.  Data prep hashes the
+    train, val and test splits, in that order, as it makes them."""
     refs: dict[str, weakref.ref] = {}
-    digest = Dataset.digest
 
-    def watched(self):
-        refs[("train", "val", "test")[len(refs)]] = weakref.ref(self.features)
-        return digest(self)
+    def watch(cls, held):
+        digest = cls.digest
 
-    monkeypatch.setattr(Dataset, "digest", watched)
+        def watched(self):
+            refs[("train", "val", "test")[len(refs)]] = weakref.ref(held(self))
+            return digest(self)
+
+        monkeypatch.setattr(cls, "digest", watched)
+
+    watch(Dataset, lambda split: split.features)
+    watch(FreshSplit, lambda split: split)
     return refs
 
 
@@ -600,13 +627,17 @@ class TestArrayLifetimes:
 
     def test_fresh_validation_draw_is_freed_before_the_test_draw(self, tmp_path, monkeypatch):
         refs = watch_splits(monkeypatch)
-        seen = []
+        drawn, hashed = [], []
         spy(monkeypatch, "generate_synthetic",
-            lambda *args, **kwargs: seen.append((set(refs), alive(refs))))
+            lambda *args, **kwargs: drawn.append((set(refs), alive(refs))))
+        digest = FreshSplit.digest
+        monkeypatch.setattr(FreshSplit, "digest",
+                            lambda self: hashed.append((set(refs), alive(refs))) or digest(self))
         run_experiment(config_from_dict(tiny_doc(str(tmp_path / "run"))))
-        # The train draw, the val draw, then the test draw once val is gone.
-        assert seen == [(set(), set()), ({"train"}, {"train"}),
-                        ({"train", "val"}, {"train"})]
+        # generate_synthetic makes only the train draw.  The val set is drawn
+        # a block at a time as it is hashed, then the test set once val is gone.
+        assert drawn == [(set(), set())]
+        assert hashed == [({"train"}, {"train"}), ({"train", "val"}, {"train"})]
 
     def test_one_stage_run_frees_the_raw_splits_after_the_last_own_fit(self, tmp_path,
                                                                          monkeypatch):
@@ -642,11 +673,11 @@ class TestArrayLifetimes:
         assert seen == [[], [False], [False, False]]
 
     def test_peak_holds_no_more_than_the_raw_and_frozen_rows(self, tmp_path):
-        """The raw train and test rows, plus 3 MiB for labels, one batch's
-        backbone caches, one scoring block, and checkpoint buffers; a stage-1
-        fit, the peak, holds 1.75 MiB of it.  The backbone's output on the
-        test split (4.9 MiB), or the validation draw (2.4 MiB) beside what
-        the fits hold, would exceed the bound."""
+        """The raw train rows, plus 3 MiB for labels, one batch's backbone
+        caches, one drawn and scored test block, and checkpoint buffers; a
+        stage-1 fit, the peak, holds 1.75 MiB of it.  The backbone's output on
+        the test split (4.9 MiB), or the whole test or validation draw (2.4 MiB)
+        beside what the fits hold, would exceed the bound."""
         doc = tiny_doc(str(tmp_path / "run"), model={"hidden": [64]},
                        stage1={"epochs": 1, "warmup_epochs": 0, "batch_size": 512},
                        stage2={"epochs": 1, "warmup_epochs": 0})
@@ -657,7 +688,7 @@ class TestArrayLifetimes:
                           "eval": {"mode": "fresh", "per_class": 2_500}}
         config = config_from_dict(doc)
         splits, _ = prepare_datasets(config)
-        raw = splits["train"].features.nbytes + splits["test"].features.nbytes
+        raw = splits["train"].features.nbytes
         slack = 3 << 20
         assert splits["test"].num_instances * 64 * 8 > slack
         del splits
@@ -696,11 +727,12 @@ class TestEvaluation:
         model = train_stage1(dataset_with_counts([30, 20]), (),
                              OptimSpec(epochs=1, warmup_epochs=0, seed=1),
                              LossSpec(kind="cross_entropy"))
-        x = np.zeros((3 * model_module.SCORE_BLOCK_ROWS - 2, 3))
+        rows = 3 * model_module.SCORE_BLOCK_ROWS - 2
+        test = Dataset(np.zeros((rows, 3)), np.zeros(rows, dtype=np.int64), ("c0", "c1"))
         row = 2 * model_module.SCORE_BLOCK_ROWS + 5
-        x[row, 1] = np.nan
-        x[row + 1, 0] = np.inf
-        test = SimpleNamespace(features=x)  # a Dataset rejects the rows itself
+        # Written after the Dataset has checked its rows, which it would reject.
+        test.features[row, 1] = np.nan
+        test.features[row + 1, 0] = np.inf
         with pytest.raises(ValueError, match=f"features row {row} is not finite"):
             experiment_module._predictions(None, "stage1", iter([(model, {}), test]))
 
@@ -803,6 +835,24 @@ class TestManifestReader:
         document = stored_manifest(manifest_file)
         edit(document)
         manifest_rejected(write_manifest(manifest_file, document), fragment)
+
+    @pytest.mark.parametrize("field", ["report", "checkpoint"])
+    @pytest.mark.parametrize("name", ["", "/tmp/sqrt_samp.json", "../x"],
+                             ids=["empty", "absolute", "parent"])
+    def test_file_outside_the_run_directory_named(self, manifest_file, field, name):
+        document = stored_manifest(manifest_file)
+        document["methods"]["sqrt_samp"][field] = name
+        manifest_rejected(write_manifest(manifest_file, document),
+                          f"manifest field 'methods.sqrt_samp.{field}' must name a file "
+                          f"inside the run directory, got {name!r}")
+
+    @pytest.mark.parametrize("name", ["", "/tmp/comparison.csv", "reports/../../x"],
+                             ids=["empty", "absolute", "parent"])
+    def test_table_outside_the_run_directory_named(self, manifest_file, name):
+        document = stored_manifest(manifest_file)
+        document["comparison_csv"] = name
+        manifest_rejected(write_manifest(manifest_file, document), "'comparison_csv'",
+                          "inside the run directory")
 
     def test_deeply_nested_document_names_the_file(self, tmp_path):
         path = tmp_path / "manifest.json"

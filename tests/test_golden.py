@@ -122,16 +122,18 @@ def default_order_run(tmp_path_factory):
 
 
 # Each method's result is the same whatever else runs and in what order.
-# Report bytes differ: the config digest covers ``methods``.
+# Report bytes differ: the config digest covers ``methods``.  The checkpoints
+# are compared with the default order's own files, not with ``CHECKPOINTS``, so
+# the claim is checked under whichever BLAS kernel runs.
 @pytest.mark.parametrize("methods", [
     ["ssb", "bags", "cb_focal", "sqrt_samp", "baseline"],
     ["baseline", "ssb"],
 ], ids=["reversed", "baseline_and_ssb"])
 def test_results_do_not_depend_on_method_list_or_order(tmp_path, default_order_run, methods):
     run = short_run(tmp_path / "run", one_stage=False, methods=methods)
-    # CHECKPOINTS pins the default order's files.
+    default_order = checkpoint_digests(default_order_run / "checkpoints")
     assert checkpoint_digests(run / "checkpoints") == {
-        f"{m}.ckpt": CHECKPOINTS["two_stage"][f"{m}.ckpt"] for m in methods}
+        f"{m}.ckpt": default_order[f"{m}.ckpt"] for m in methods}
     for method in methods:
         got, want = (load_report(str(root / "reports" / f"{method}.json")).confusion
                      for root in (run, default_order_run))

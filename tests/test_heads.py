@@ -203,13 +203,19 @@ class TestBagsInfer:
 
     def test_arity_mismatch_rejected(self):
         layout = build_group_layout(stats_for([50, 20]))
-        with pytest.raises(ValueError, match="outputs"):
+        with pytest.raises(ValueError, match=r"^group 2 logits have 5 outputs, expected 3$"):
             bags_infer(layout, {2: np.zeros((1, 5))})
+
+    def test_background_arity_mismatch_rejected(self):
+        layout = build_group_layout(stats_for([50, 20, 5000]), background_class=2)
+        with pytest.raises(ValueError, match=r"^background logits have 3 outputs, expected 2$"):
+            bags_infer(layout, {2: np.zeros((1, 3))}, np.zeros((1, 3)))
 
     @pytest.mark.parametrize("group_logits", [{2: np.zeros(3)}, {}])
     def test_vector_or_no_logits_rejected(self, group_logits):
         layout = build_group_layout(stats_for([50, 20]))
-        with pytest.raises(ValueError, match=r"one or more \(batch, outputs\) matrices"):
+        with pytest.raises(ValueError, match=r"^group logits must be one or more "
+                                             r"\(batch, outputs\) matrices$"):
             bags_infer(layout, group_logits)
 
 
