@@ -248,9 +248,11 @@ class FreshSplit:
         """The drawn rows of each of ``blocks``, in turn.  Rows are drawn class
         by class, each as noise * sigma + its class centroid, so the blocks
         must be consecutive from row 0; any such blocks hold the bytes of one
-        whole draw."""
+        whole draw.  A scale that overflows draws infinite values without a
+        warning; the reader that checks the rows rejects them."""
         spec, counts = self.spec, self.counts
-        centroids = _class_centroids(spec)
+        with np.errstate(over="ignore"):
+            centroids = _class_centroids(spec)
         rng = np.random.default_rng(derive_seed(spec.seed, "noise", self.noise_stream))
         starts = np.cumsum(counts) - counts
         at = 0
@@ -260,12 +262,14 @@ class FreshSplit:
                                  f"{self.num_instances}, got {rows} at row {at}")
             out = np.empty((rows.stop - rows.start, spec.feature_dim))
             first = int(np.searchsorted(starts, rows.start, side="right")) - 1
-            for c in range(first, int(np.searchsorted(starts, rows.stop, side="left"))):
-                lo, hi = max(starts[c], rows.start), min(starts[c] + counts[c], rows.stop)
-                part = out[lo - rows.start:hi - rows.start]
-                rng.standard_normal(out=part)
-                part *= spec.noise_sigma
-                part += centroids[c]
+            # Not around the yield: the caller's arithmetic keeps its own error state.
+            with np.errstate(over="ignore"):
+                for c in range(first, int(np.searchsorted(starts, rows.stop, side="left"))):
+                    lo, hi = max(starts[c], rows.start), min(starts[c] + counts[c], rows.stop)
+                    part = out[lo - rows.start:hi - rows.start]
+                    rng.standard_normal(out=part)
+                    part *= spec.noise_sigma
+                    part += centroids[c]
             at = rows.stop
             yield out
 

@@ -6,6 +6,7 @@ import copy
 import hashlib
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path, PurePath
 from typing import Iterator, get_type_hints
@@ -18,8 +19,8 @@ from .data import (Dataset, FreshSplit, SplitSpec, SyntheticSpec, compute_class_
                    generate_synthetic, load_embeddings, split_dataset)
 from .losses import LossSpec
 from .metrics import EvalReport, compare_methods, evaluate, save_report
-from .model import (METHODS, TrainedModel, fit_owner, predict, save_model, score_blocks,
-                    train_stage1, train_stage2)
+from .model import (METHODS, TrainedModel, check_rows, fit_owner, head_view, predict,
+                    save_model, score_blocks, train_stage1, train_stage2)
 from .optim import OptimSpec
 from .schema import check_types, read_document, write_text
 from .seeding import derive_seed
@@ -297,7 +298,9 @@ def prepare_datasets(config: ExperimentConfig
             kept[name] = split
 
     if config.synthetic is not None:
-        base = generate_synthetic(config.synthetic)
+        drawn = "train" if config.eval_mode == "fresh" else "train, val and test"
+        with _named_draw(drawn):
+            base = generate_synthetic(config.synthetic)
     else:
         base = load_embeddings(config.embeddings_path)
     base = _resolve_background(base, config.background)
@@ -309,8 +312,22 @@ def prepare_datasets(config: ExperimentConfig
         eval_counts = np.full(config.synthetic.num_classes, config.eval_per_class,
                               dtype=np.int64)
         for name, stream in (("val", 1), ("test", 2)):
-            keep(name, FreshSplit(config.synthetic, eval_counts, stream, base.background_class))
+            with _named_draw(name):
+                keep(name, FreshSplit(config.synthetic, eval_counts, stream,
+                                      base.background_class))
     return kept, hashlib.sha256("".join(digests).encode("ascii")).hexdigest()
+
+
+@contextmanager
+def _named_draw(splits: str) -> Iterator[None]:
+    """Name the config keys and the ``splits`` of a synthetic draw whose rows
+    are not finite: a draw that overflows is rejected where its rows are
+    checked, and only that check raises a ValueError there."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"config section dataset.synthetic: the {splits} draw overflows "
+                         f"({exc}); lower noise_sigma or class_separation") from None
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +341,10 @@ class RunManifest:
 
     ``prepare_seconds`` times loading or drawing the data, splitting it and
     hashing each split, the first draw of each fresh evaluation set included;
-    ``stage1_seconds`` times each stage-1 model's training, by tag;
-    ``methods.<m>.seconds`` times the method's own work, which redraws a fresh
-    test set as it scores it.
+    ``scoring_seconds`` times the one pass that scores every method on the
+    test set, which draws a fresh test set once more; ``stage1_seconds`` times
+    each stage-1 model's training, by tag; ``methods.<m>.seconds`` sums the
+    method's own steps: its fits, its evaluation and its persistence.
     """
 
     config_digest: str
@@ -336,6 +354,7 @@ class RunManifest:
     methods: dict[str, dict]
     stage1_seconds: dict[str, float]
     prepare_seconds: float
+    scoring_seconds: float = 0.0
     comparison_csv: str | None = None
     comparison_txt: str | None = None
     f1_delta_csv: str | None = None
@@ -344,6 +363,7 @@ class RunManifest:
     def __post_init__(self) -> None:
         # Written as a JSON float, so a stored integer does not round-trip.
         self.prepare_seconds = float(self.prepare_seconds)
+        self.scoring_seconds = float(self.scoring_seconds)
 
     def referenced_files(self) -> list[str]:
         named = [p for e in self.methods.values() for p in (e.get("checkpoint"), e.get("report"))]
@@ -367,7 +387,7 @@ class RunManifest:
 # The type of each manifest field, and of each entry of its ``methods``.
 _MANIFEST_TYPES = {
     "config_digest": str, "dataset_digest": str, "tool_version": str, "one_stage": bool,
-    "methods": dict, "stage1_seconds": dict, "prepare_seconds": float,
+    "methods": dict, "stage1_seconds": dict, "prepare_seconds": float, "scoring_seconds": float,
     "comparison_csv": (str, None), "comparison_txt": (str, None), "f1_delta_csv": (str, None),
     "failure": ({"method": str, "step": str, "error": str}, None),
 }
@@ -423,11 +443,12 @@ def _loss(method: str, config: ExperimentConfig) -> LossSpec:
 
 def step_reads(step: str, tag: str | None) -> tuple[str, ...]:
     """The held arrays a ``step`` of ``plan`` on stage-1 model ``tag`` (None for
-    an own fit) reads, in order.  "train" and "test" are the raw splits, a fresh
-    "test" set drawn again at each read; "<tag>" is a stage-1 model and the
-    stage-2 fits made on it, by owner.  No backbone output is held: each step
-    passes the raw rows it reads through the frozen backbone one batch or
-    scoring block at a time."""
+    an own fit) reads, in order.  "train" and "test" are the raw splits;
+    "<tag>" is a stage-1 model and the stage-2 fits made on it, by owner.  The
+    evaluations read together, in one scoring pass over the test set, which
+    draws a fresh test set once.  No backbone output of a whole split is held:
+    each step passes the raw rows it reads through the frozen backbone one
+    batch or scoring block at a time."""
     return {("stage-1 training", True): ("train",),
             ("one-stage training", False): ("train",),
             ("stage-2 training", True): (tag, "train"),
@@ -437,20 +458,23 @@ def step_reads(step: str, tag: str | None) -> tuple[str, ...]:
 
 def plan(config: ExperimentConfig) -> list[tuple[str, str, str | None]]:
     """The steps ``run_experiment`` runs, in order, as (step, method, stage-1
-    tag): the first user of a tag trains it, an own fit (tag None) trains in
-    one stage, and each method ends in its evaluation."""
-    steps: list[tuple[str, str, str | None]] = []
+    tag): every fit first, in method order, then one evaluation per method, in
+    method order.  The first user of a tag trains it, an own fit (tag None)
+    trains in one stage, and a stage-2 fit follows its tag's training."""
+    fits: list[tuple[str, str, str | None]] = []
+    evaluations: list[tuple[str, str, str | None]] = []
     for method in config.methods:
         if config.one_stage and METHODS[method].one_stage and METHODS[method].stage2 is not None:
-            steps += [("one-stage training", method, None), ("evaluation", method, None)]
+            fits.append(("one-stage training", method, None))
+            evaluations.append(("evaluation", method, None))
             continue
         tag = "stage1" if config.shared_stage1 else f"stage1:{method}"
-        if ("stage-1 training", tag) not in [(s, t) for s, _, t in steps]:
-            steps.append(("stage-1 training", method, tag))
+        if ("stage-1 training", tag) not in [(s, t) for s, _, t in fits]:
+            fits.append(("stage-1 training", method, tag))
         if METHODS[fit_owner(method)].stage2 is not None:
-            steps.append(("stage-2 training", method, tag))
-        steps.append(("evaluation", method, tag))
-    return steps
+            fits.append(("stage-2 training", method, tag))
+        evaluations.append(("evaluation", method, tag))
+    return fits + evaluations
 
 
 def _stage2(config: ExperimentConfig, method: str, inputs: Iterator) -> TrainedModel:
@@ -464,31 +488,39 @@ def _stage2(config: ExperimentConfig, method: str, inputs: Iterator) -> TrainedM
                         bags_background=_BACKGROUND_GROUP[config.bags_background_group])
 
 
-def _predictions(model: TrainedModel | None, tag: str | None,
-                 inputs: Iterator) -> tuple[TrainedModel, np.ndarray]:
-    """The model a method evaluates, ``model`` or else its stage-1 model, and its
-    test predictions.  The test rows are read one block of ``score_blocks`` at a
-    time (a fresh test set draws each block again), and each block is scored by
-    one ``predict`` call of which only the class indices are kept, so neither a
-    whole fresh test draw, a test-by-class matrix nor the backbone's output on
-    the test split is ever held."""
-    if tag is not None:
-        stage1, _ = next(inputs)
-        model = stage1 if model is None else model
-    test = next(inputs)
+def _predictions(scored: list[tuple[str, TrainedModel]],
+                 test: Dataset | FreshSplit) -> list[np.ndarray]:
+    """The test predictions of each model of ``scored``, from one pass over the
+    test rows.  ``scored`` pairs each model with the key of its backbone:
+    models of one key share that backbone's weights.
+
+    The rows are read one block of ``score_blocks`` at a time (a fresh test set
+    draws each block once), and each block is checked for non-finite rows
+    once.  Each distinct backbone then runs once on it, and each model is
+    scored by one ``predict`` call on its backbone's output, through a view of
+    the model with the identity backbone, of which only the class indices are
+    kept.  So neither a whole fresh test draw, a test-by-class matrix nor a
+    backbone's output on the test split is ever held."""
+    backbones = {key: model.backbone for key, model in scored}
+    views = [(key, head_view(model)) for key, model in scored]
     blocks = score_blocks(test.num_instances)
-    preds = np.empty(test.num_instances, dtype=np.intp)
+    preds = [np.empty(test.num_instances, dtype=np.intp) for _ in scored]
     for rows, x in zip(blocks, test.row_blocks(blocks)):
-        preds[rows] = predict(model, x, first_row=rows.start)[0]
-    return model, preds
+        check_rows(x, rows.start)
+        h = {key: backbone.features(x) for key, backbone in backbones.items()}
+        for out, (key, view) in zip(preds, views):
+            out[rows] = predict(view, h[key], first_row=rows.start)[0]
+    return preds
 
 
 def run_experiment(config: ExperimentConfig) -> RunManifest:
-    """Run the steps of ``plan(config)``, which evaluate each method on the test
-    partition, and persist checkpoints, reports, the comparison table, and the
-    manifest.  Per-method seeds do not depend on execution order.  Each large
-    array is held by its ``step_reads`` name, from data prep, which keeps only
-    the splits some step reads, and dropped at its last read."""
+    """Run the steps of ``plan(config)``: every fit, then one scoring pass over
+    the test partition for all methods, then each method's evaluation, and
+    persist checkpoints, reports, the comparison table, and the manifest.
+    Per-method seeds do not depend on execution order.  Each large array is
+    held by its ``step_reads`` name, from data prep, which keeps only the
+    splits some step reads, and dropped at its last read: the train split
+    after the last fit, the test split after the scoring pass."""
     out = Path(config.output_dir)
     for sub in ("checkpoints", "reports"):
         (out / sub).mkdir(parents=True, exist_ok=True)
@@ -505,9 +537,10 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     last_read = {name: i for i, (step, _, tag) in enumerate(steps)
                  for name in step_reads(step, tag)}
     class_names, test_labels = held["train"].class_names, held["test"].labels
+    seconds = dict.fromkeys(config.methods, 0.0)  # the time of each method's own steps
+    models: dict[str, TrainedModel] = {}  # each method's model, once it has one
+    scored: list[tuple[str, str]] = []  # each evaluation's method and backbone key
     reports: list[EvalReport] = []
-    began: dict[str, float] = {}  # when each method's own work began
-    model = None  # the model of the method under way, once it has trained one
     step, method = "setup", ""
     try:
         for i, (step, method, tag) in enumerate(steps):
@@ -520,28 +553,38 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
                                           _loss("baseline", config)), {})
                 manifest.stage1_seconds[tag] = round(time.perf_counter() - started, 3)
                 continue
-            began.setdefault(method, started)
             if step == "one-stage training":
                 spec = replace(config.stage1, seed=derive_seed(config.seed, "one-stage", method))
-                model = train_stage1(next(inputs), config.hidden, spec, _loss(method, config),
-                                     method=method)
+                models[method] = train_stage1(next(inputs), config.hidden, spec,
+                                              _loss(method, config), method=method)
             elif step == "stage-2 training":
-                model = _stage2(config, method, inputs)
-            else:
-                model, preds = _predictions(model, tag, inputs)
-                report = evaluate(preds, test_labels, stats, method=method, seed=config.seed,
-                                  config_digest=config_digest, dataset_digest=dataset_digest,
-                                  class_names=class_names)
-                step = "persistence"
-                ckpt_rel = f"checkpoints/{method}.ckpt"
-                report_rel = f"reports/{method}.json"
-                save_model(model, str(out / ckpt_rel))
-                save_report(report, str(out / report_rel))
-                reports.append(report)
-                manifest.methods[method] = {
-                    "checkpoint": ckpt_rel, "report": report_rel,
-                    "seconds": round(time.perf_counter() - began[method], 3)}
-                model = None
+                models[method] = _stage2(config, method, inputs)
+            else:  # read here, scored below in one pass once every evaluation has read
+                if tag is not None:  # a method without a fit of its own scores the stage-1 model
+                    models.setdefault(method, next(inputs)[0])
+                test = next(inputs)
+                scored.append((method, method if tag is None else tag))
+            seconds[method] += time.perf_counter() - started
+        step, method = "scoring", scored[0][0]
+        started = time.perf_counter()
+        predictions = _predictions([(key, models[m]) for m, key in scored], test)
+        del test
+        manifest.scoring_seconds = round(time.perf_counter() - started, 3)
+        for (method, _), preds in zip(scored, predictions):
+            started = time.perf_counter()
+            step = "evaluation"
+            report = evaluate(preds, test_labels, stats, method=method, seed=config.seed,
+                              config_digest=config_digest, dataset_digest=dataset_digest,
+                              class_names=class_names)
+            step = "persistence"
+            ckpt_rel = f"checkpoints/{method}.ckpt"
+            report_rel = f"reports/{method}.json"
+            save_model(models.pop(method), str(out / ckpt_rel))
+            save_report(report, str(out / report_rel))
+            reports.append(report)
+            manifest.methods[method] = {
+                "checkpoint": ckpt_rel, "report": report_rel,
+                "seconds": round(seconds[method] + time.perf_counter() - started, 3)}
         step = "comparison"
         table = compare_methods(reports)
         write_text(str(out / "reports" / "comparison.csv"), table.to_csv())

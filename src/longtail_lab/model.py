@@ -2,6 +2,7 @@
 and the two-stage training orchestration (representation first, classifier second)."""
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Callable
@@ -10,7 +11,8 @@ import numpy as np
 
 from .data import GROUP_LIMITS, ClassStats, Dataset, compute_class_stats
 from .losses import LossSpec, batch_loss, softmax
-from .optim import OptimSpec, OptimState, lr_at, optimizer_step
+from .optim import (OptimSpec, OptimState, gradient_fault, lr_at, optimizer_step,
+                    square_sum_finite)
 from .sampling import make_epoch_stream, make_sampler
 from .schema import read_arrays, read_framed, write_framed
 from .seeding import derive_seed
@@ -260,52 +262,57 @@ def fit_head(head: ClassifierHead, features: np.ndarray, labels: np.ndarray,
     warmup_steps = optim.warmup_epochs * steps_per_epoch
     log: list[EpochLog] = []
     gstep = 0
-    for epoch in range(optim.epochs):
-        sampler = make_sampler(counts, q, derive_seed(optim.seed, "stream", epoch))
-        stream = make_epoch_stream(labels, sampler, n)
-        loss_sum, rows = 0.0, 0
-        for step in range(steps_per_epoch):
-            batch = stream[step * optim.batch_size:(step + 1) * optim.batch_size]
-            if batch_hook is None:
-                rows_idx, targets = batch, labels[batch]
-            else:
-                rows_idx, targets = batch_hook(epoch, step, batch)
-            h = features[rows_idx]
-            if frozen:
-                h = backbone.features(h)
-            elif layers:
-                h, caches = backbone.forward_cached(h)
-            logits = head.logits(h)
-            try:
-                value = batch_loss(logits, targets, counts, loss)
-            except ValueError:
-                # The loss's softmax checks the logits; name the epoch they failed at.
-                if np.isfinite(logits).all():
-                    raise
-                raise RuntimeError(f"training diverged: non-finite logits at epoch {epoch}"
-                                   ) from None
-            if not math.isfinite(value.total):
-                raise RuntimeError(f"training diverged: non-finite loss at epoch {epoch}")
-            np.matmul(value.grad_logits.T, h, out=gviews[-2])
-            np.add.reduce(value.grad_logits, axis=0, out=gviews[-1])
-            if layers:
-                for view, g in zip(gviews, backbone.backward(value.grad_logits @ head.weight,
-                                                             caches)):
-                    view[...] = g
-            lr = lr_at(gstep, total_steps, warmup_steps, optim.lr_init)
-            try:
-                optimizer_step([flat], [gflat], state, optim, lr)
-            except ValueError:
-                # The step checks the whole gradient; name the parameter that failed.
-                bad = [name for name, g in zip(params, gviews) if not np.isfinite(g).all()]
-                if not bad:
-                    raise
-                raise RuntimeError(f"training diverged: non-finite gradient for {bad[0]} "
-                                   f"at epoch {epoch}") from None
-            gstep += 1
-            loss_sum += value.total * rows_idx.shape[0]
-            rows += rows_idx.shape[0]
-        log.append(EpochLog(epoch=epoch, mean_loss=loss_sum / rows, lr=lr))
+    # An overflow leaves an infinite value that a check below names: the loss's
+    # softmax, the loss itself, or the optimizer step's sum of squares.
+    with np.errstate(over="ignore"):
+        for epoch in range(optim.epochs):
+            sampler = make_sampler(counts, q, derive_seed(optim.seed, "stream", epoch))
+            stream = make_epoch_stream(labels, sampler, n)
+            loss_sum, rows = 0.0, 0
+            for step in range(steps_per_epoch):
+                batch = stream[step * optim.batch_size:(step + 1) * optim.batch_size]
+                if batch_hook is None:
+                    rows_idx, targets = batch, labels[batch]
+                else:
+                    rows_idx, targets = batch_hook(epoch, step, batch)
+                h = features[rows_idx]
+                if frozen:
+                    h = backbone.features(h)
+                elif layers:
+                    h, caches = backbone.forward_cached(h)
+                logits = head.logits(h)
+                try:
+                    value = batch_loss(logits, targets, counts, loss)
+                except ValueError:
+                    # The loss's softmax checks the logits; name the epoch they failed at.
+                    if np.isfinite(logits).all():
+                        raise
+                    raise RuntimeError(f"training diverged: non-finite logits at epoch {epoch}"
+                                       ) from None
+                if not math.isfinite(value.total):
+                    raise RuntimeError(f"training diverged: non-finite loss at epoch {epoch}")
+                np.matmul(value.grad_logits.T, h, out=gviews[-2])
+                np.add.reduce(value.grad_logits, axis=0, out=gviews[-1])
+                if layers:
+                    for view, g in zip(gviews, backbone.backward(value.grad_logits @ head.weight,
+                                                                 caches)):
+                        view[...] = g
+                lr = lr_at(gstep, total_steps, warmup_steps, optim.lr_init)
+                try:
+                    optimizer_step([flat], [gflat], state, optim, lr)
+                except ValueError:
+                    # The step checks the whole gradient; name the parameter that failed.
+                    bad = [(name, g) for name, g in zip(params, gviews)
+                           if not square_sum_finite(g)]
+                    if not bad:
+                        raise
+                    name, g = bad[0]
+                    raise RuntimeError(f"training diverged: {gradient_fault(g)} gradient for "
+                                       f"{name} at epoch {epoch}") from None
+                gstep += 1
+                loss_sum += value.total * rows_idx.shape[0]
+                rows += rows_idx.shape[0]
+            log.append(EpochLog(epoch=epoch, mean_loss=loss_sum / rows, lr=lr))
     return log
 
 
@@ -493,12 +500,29 @@ def scores(model: TrainedModel, features: np.ndarray, *, first_row: int = 0) -> 
     return out
 
 
-def _score_block(model: TrainedModel, x: np.ndarray, first_row: int) -> np.ndarray:
-    """``scores`` of the rows ``x``, which start at row ``first_row`` of the input."""
+def check_rows(x: np.ndarray, first_row: int = 0) -> None:
+    """Reject rows ``x`` if one holds a NaN or infinite value, naming the first
+    such row by its index plus ``first_row``.  Raw rows are checked before a
+    backbone runs: ReLU maps a ``-inf`` pre-activation to 0."""
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size:
         raise ValueError(f"features row {first_row + bad[0]} is not finite")
-    return METHODS[model.method].combine(model, model.backbone.features(x))
+
+
+def _score_block(model: TrainedModel, x: np.ndarray, first_row: int) -> np.ndarray:
+    """``scores`` of the rows ``x``, which start at row ``first_row`` of the
+    input; the identity backbone is not called."""
+    check_rows(x, first_row)
+    h = model.backbone.features(x) if model.backbone.num_layers else x
+    return METHODS[model.method].combine(model, h)
+
+
+def head_view(model: TrainedModel) -> TrainedModel:
+    """``model`` with the identity backbone in place of its own, sharing its
+    heads: ``predict`` on it scores rows of the output of ``model``'s backbone."""
+    view = copy.copy(model)
+    view.backbone = Backbone(weights=[], biases=[])
+    return view
 
 
 def predict(model: TrainedModel, features: np.ndarray, *, first_row: int = 0

@@ -71,6 +71,20 @@ class OptimState:
         self.step = 0
 
 
+def square_sum_finite(g: np.ndarray) -> bool:
+    """Whether the sum of ``g``'s squares is finite: false when any value of
+    ``g`` is NaN or infinite, and when the squares the second moment adds
+    overflow.  One reduction, with no temporary; an overflow warns unless
+    the caller ignores it (``np.errstate(over="ignore")``), as ``fit_head``
+    does: a context per step would cost more than the reduction."""
+    return math.isfinite(np.vdot(g, g))
+
+
+def gradient_fault(g: np.ndarray) -> str:
+    """What is wrong with a gradient ``g`` whose square sum is not finite."""
+    return "overflowing" if np.isfinite(g).all() else "non-finite"
+
+
 def optimizer_step(params: list[np.ndarray], grads: list[np.ndarray],
                    state: OptimState, spec: OptimSpec, lr: float) -> None:
     """One bias-corrected adaptive update, weight decay decoupled from the gradient.
@@ -84,8 +98,8 @@ def optimizer_step(params: list[np.ndarray], grads: list[np.ndarray],
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("params, grads, and state must be aligned")
     for i, g in enumerate(grads):
-        if not np.isfinite(g).all():
-            raise ValueError(f"non-finite gradient for parameter tensor {i} "
+        if not square_sum_finite(g):
+            raise ValueError(f"{gradient_fault(g)} gradient for parameter tensor {i} "
                              f"(shape {np.shape(g)})")
     state.step += 1
     t = state.step

@@ -321,6 +321,19 @@ class TestErrors:
         assert capsys.readouterr().err == "error: --set model.hidden: nested too deeply to parse\n"
         assert not (tmp_path / "run").exists()
 
+    # No numpy warning is printed: under the test suite's warning filter one
+    # would end the command with its own text instead.
+    @pytest.mark.parametrize("key, fault", [
+        ("noise_sigma", "config section dataset.synthetic: the train draw overflows"),
+        ("class_separation", "method 'baseline' failed during stage-1 training: training "
+                             "diverged: overflowing gradient for head.weight at epoch 0"),
+    ])
+    def test_overflowing_synthetic_scale_named(self, tmp_path, capsys, key, fault):
+        cfg = write_config(tmp_path / "cfg.yaml", tmp_path / "run")
+        assert main(["compare", "--config", str(cfg),
+                     "--set", f"dataset.synthetic.{key}=1.0e+308"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {fault}")
+
     @pytest.mark.parametrize("out, code", [("d", errno.EISDIR), ("d/x/data.txt", errno.ENOENT)],
                              ids=["directory", "missing_parent"])
     def test_unwritable_output_named_not_its_temporary(self, tmp_path, monkeypatch, capsys,

@@ -26,6 +26,7 @@ from longtail_lab.metrics import ComparisonTable
 from longtail_lab.model import METHODS, fit_owner
 
 from conftest import dataset_with_counts, traced_peak
+from test_golden import short_config
 
 
 def tiny_doc(out_dir: str, **overrides) -> dict:
@@ -288,26 +289,34 @@ class TestPrepareDatasets:
         splits, _ = prepare_all(config, monkeypatch)
         assert [split.background_class for split in splits.values()] == [0, 0, 0]
 
+    @staticmethod
+    def overflow(splits: str) -> str:
+        return (f"^config section dataset.synthetic: the {splits} draw overflows "
+                r"\(features contain non-finite values\); lower noise_sigma or class_separation$")
+
     def test_nonfinite_draw_rejected(self):
-        doc = tiny_doc("x")
-        doc["dataset"]["synthetic"]["noise_sigma"] = 1e308
-        with np.errstate(over="ignore"), pytest.raises(
-                ValueError, match="^features contain non-finite values$"):
-            prepare_datasets(config_from_dict(doc))
+        # No np.errstate here: the draw overflows without a warning.
+        for mode, splits in (("fresh", "train"), ("split", "train, val and test")):
+            doc = tiny_doc("x")
+            doc["dataset"]["eval"]["mode"] = mode
+            doc["dataset"]["synthetic"]["noise_sigma"] = 1e308
+            with pytest.raises(ValueError, match=self.overflow(splits)):
+                prepare_datasets(config_from_dict(doc))
 
     def test_nonfinite_row_in_a_later_fresh_block_rejected(self, monkeypatch):
         row_blocks = FreshSplit.row_blocks
+        for name, stream in (("val", 1), ("test", 2)):
+            def poisoned(self, blocks, stream=stream):
+                for i, block in enumerate(row_blocks(self, blocks)):
+                    if i == 1 and self.noise_stream == stream:
+                        block[-1, 0] = np.nan
+                    yield block
 
-        def poisoned(self, blocks):
-            for i, block in enumerate(row_blocks(self, blocks)):
-                block[-1, 0] = np.nan if i == 1 else block[-1, 0]
-                yield block
-
-        monkeypatch.setattr(FreshSplit, "row_blocks", poisoned)
-        doc = tiny_doc("x")
-        doc["dataset"]["eval"]["per_class"] = 300  # 1,200 rows: two digest blocks
-        with pytest.raises(ValueError, match="^features contain non-finite values$"):
-            prepare_datasets(config_from_dict(doc))
+            monkeypatch.setattr(FreshSplit, "row_blocks", poisoned)
+            doc = tiny_doc("x")
+            doc["dataset"]["eval"]["per_class"] = 300  # 1,200 rows: two digest blocks
+            with pytest.raises(ValueError, match=self.overflow(name)):
+                prepare_datasets(config_from_dict(doc))
 
     def test_unknown_background_name_rejected(self):
         doc = tiny_doc("x")
@@ -374,6 +383,27 @@ class TestRunExperiment:
         done = run_experiment(config_from_dict(tiny_doc(str(tmp_path / "done"),
                                                         methods=["baseline"])))
         assert manifest.dataset_digest == done.dataset_digest
+
+    def test_a_failed_fit_fails_before_any_report_is_written(self, tmp_path):
+        doc = tiny_doc(str(tmp_path / "run"), methods=["baseline", "bags"])
+        doc["bags"] = {"background_group": "on"}  # no background class designated
+        with pytest.raises(RuntimeError, match="method 'bags' failed during stage-2 training"):
+            run_experiment(config_from_dict(doc))
+        for sub in ("reports", "checkpoints"):
+            assert list((tmp_path / "run" / sub).iterdir()) == []
+        manifest = load_manifest(str(tmp_path / "run" / "manifest.json"))
+        assert manifest.methods == {}
+        assert (manifest.failure["method"], manifest.failure["step"]) == ("bags",
+                                                                          "stage-2 training")
+
+    def test_an_overflowing_gradient_names_its_parameter_and_epoch(self, tmp_path):
+        # The squares of the gradient overflow while every value is finite.
+        doc = tiny_doc(str(tmp_path / "run"), methods=["baseline"])
+        doc["dataset"]["synthetic"]["class_separation"] = 1e308
+        with pytest.raises(RuntimeError, match="^method 'baseline' failed during stage-1 "
+                           "training: training diverged: overflowing gradient for head.weight "
+                           "at epoch 0$"):
+            run_experiment(config_from_dict(doc))
 
     def test_failure_before_any_evaluation_keeps_the_dataset_digest(self, tmp_path,
                                                                     monkeypatch):
@@ -492,12 +522,18 @@ def spy(monkeypatch, name: str, before) -> None:
     monkeypatch.setattr(experiment_module, name, spied)
 
 
-def stage2_then_evaluation(*methods):
-    return [pair for m in methods for pair in (("stage-2 training", m), ("evaluation", m))]
+def stage2(*methods):
+    return [("stage-2 training", m) for m in methods]
+
+
+def evaluations(*methods):
+    return [("evaluation", m) for m in methods]
 
 
 class TestPlan:
-    """``plan`` is pure: it reads only the method list and the two regime flags."""
+    """``plan`` is pure: it reads only the method list and the two regime flags.
+    Every fit comes first, then the evaluations, which ``run_experiment``
+    scores in one pass over the test set."""
 
     def pairs(self, **overrides) -> list[tuple[str, str]]:
         return [(step, method) for step, method, _ in
@@ -506,8 +542,8 @@ class TestPlan:
     def test_default_config(self):
         # The shape of the benchmark's desk and wide workloads.
         assert [(s, m) for s, m, _ in plan(default_config())] == [
-            ("stage-1 training", "baseline"), ("evaluation", "baseline"),
-            *stage2_then_evaluation("sqrt_samp", "cb_focal", "bags", "ssb")]
+            ("stage-1 training", "baseline"),
+            *stage2("sqrt_samp", "cb_focal", "bags", "ssb"), *evaluations(*METHODS)]
 
     def test_one_stage_with_a_background_class(self):
         # The shape of the benchmark's embed workload.
@@ -515,23 +551,24 @@ class TestPlan:
         doc["dataset"]["background_class"] = 0
         steps = plan(config_from_dict(doc))
         assert [(s, m) for s, m, _ in steps] == [
-            ("stage-1 training", "baseline"), ("evaluation", "baseline"),
-            ("one-stage training", "sqrt_samp"), ("evaluation", "sqrt_samp"),
-            ("one-stage training", "cb_focal"), ("evaluation", "cb_focal"),
-            *stage2_then_evaluation("bags", "ssb")]
+            ("stage-1 training", "baseline"),
+            ("one-stage training", "sqrt_samp"), ("one-stage training", "cb_focal"),
+            *stage2("bags", "ssb"), *evaluations(*METHODS)]
         assert {m: t for _, m, t in steps} == {
             "baseline": "stage1", "sqrt_samp": None, "cb_focal": None,
             "bags": "stage1", "ssb": "stage1"}
 
     def test_unshared_stage1(self):
         assert self.pairs(methods=list(METHODS), shared_stage1=False) == [
-            ("stage-1 training", "baseline"), ("evaluation", "baseline"),
+            ("stage-1 training", "baseline"),
             *[pair for m in ("sqrt_samp", "cb_focal", "bags", "ssb")
-              for pair in [("stage-1 training", m), *stage2_then_evaluation(m)]]]
+              for pair in [("stage-1 training", m), *stage2(m)]],
+            *evaluations(*METHODS)]
 
     def test_ssb_before_sqrt_samp(self):
         assert self.pairs(methods=["ssb", "sqrt_samp"]) == [
-            ("stage-1 training", "ssb"), *stage2_then_evaluation("ssb", "sqrt_samp")]
+            ("stage-1 training", "ssb"), *stage2("ssb", "sqrt_samp"),
+            *evaluations("ssb", "sqrt_samp")]
 
     @settings(max_examples=200, deadline=None)
     @given(methods=st.lists(st.sampled_from(tuple(METHODS)), min_size=1, max_size=len(METHODS),
@@ -546,6 +583,7 @@ class TestPlan:
             if step == "stage-1 training":
                 written.add(tag)
         assert [m for s, m, _ in steps if s == "evaluation"] == methods
+        assert [s for s, _, _ in steps][-len(methods):] == ["evaluation"] * len(methods)
         trained = Counter(t for s, _, t in steps if s == "stage-1 training")
         assert set(trained.values()) <= {1}
         assert set(trained) == {t for _, _, t in steps if t is not None}
@@ -573,6 +611,14 @@ class TestManifestTimings:
         assert manifest.stage1_seconds["stage1"] >= SLEEP
         assert manifest.methods["baseline"]["seconds"] < SLEEP
 
+    def test_the_scoring_pass_is_timed_once_apart_from_the_methods(self, tmp_path, monkeypatch):
+        spy(monkeypatch, "_predictions", lambda *args: time.sleep(SLEEP))
+        manifest = run_experiment(config_from_dict(tiny_doc(str(tmp_path / "run"),
+                                                            methods=["baseline", "sqrt_samp"])))
+        assert manifest.scoring_seconds >= SLEEP
+        assert manifest.methods["baseline"]["seconds"] < SLEEP
+        assert SLEEP <= manifest.methods["sqrt_samp"]["seconds"]  # its stage-2 fit
+
     def test_a_shared_stage2_fit_is_counted_once(self, tmp_path):
         manifest = run_experiment(config_from_dict(tiny_doc(str(tmp_path / "run"),
                                                             methods=["sqrt_samp", "ssb"])))
@@ -583,22 +629,26 @@ class TestManifestTimings:
 
 class TestArrayLifetimes:
     """A run holds each large array only until its last reader has run, and no
-    backbone output of a whole split.  The runs use an MLP backbone: the
-    identity backbone's output is the raw rows themselves."""
+    backbone output of a whole split: the raw train rows until the last fit,
+    the test split until the scoring pass ends.  The runs use an MLP backbone:
+    the identity backbone's output is the raw rows themselves."""
 
     def test_two_stage_run_holds_the_raw_train_rows_through_its_last_stage_2_fit(
             self, tmp_path, monkeypatch):
         refs = watch_splits(monkeypatch)
-        at_fit, at_evaluate = [], []
+        at_fit, at_scoring, at_evaluate = [], [], []
         spy(monkeypatch, "train_stage2", lambda *args, **kwargs: at_fit.append(alive(refs)))
+        spy(monkeypatch, "_predictions",
+            lambda *args, **kwargs: at_scoring.append(alive(refs)))
         spy(monkeypatch, "evaluate", lambda *args, **kwargs: at_evaluate.append(alive(refs)))
         run_experiment(config_from_dict(tiny_doc(
             str(tmp_path / "run"), methods=["baseline", "sqrt_samp", "bags", "ssb"],
             model={"hidden": [8]})))
-        # Every stage-2 fit reads the raw train rows, which go with the last;
-        # the raw test rows go with the last evaluation's scoring.
+        # Every stage-2 fit reads the raw train rows, which go with the last,
+        # before the one scoring pass; the raw test rows go with that pass.
         assert at_fit == [{"train", "test"}] * 3
-        assert at_evaluate == [{"train", "test"}] * 3 + [set()]
+        assert at_scoring == [{"test"}]
+        assert at_evaluate == [set()] * 4
 
     @staticmethod
     def at_stage1_and_first_predict(monkeypatch, doc: dict) -> list[tuple[set[str], set[str]]]:
@@ -620,10 +670,11 @@ class TestArrayLifetimes:
         doc["dataset"]["eval"]["mode"] = mode
         doc["dataset"]["synthetic"]["head_count"] = 120
         # Data prep makes all three splits; the validation split is hashed and
-        # not kept, as no step reads it.
+        # not kept, as no step reads it.  The raw train rows go with the last
+        # fit, before scoring.
         made = {"train", "val", "test"}
         assert self.at_stage1_and_first_predict(monkeypatch, doc) == [
-            (made, {"train", "test"})] * 2
+            (made, {"train", "test"}), (made, {"test"})]
 
     def test_fresh_validation_draw_is_freed_before_the_test_draw(self, tmp_path, monkeypatch):
         refs = watch_splits(monkeypatch)
@@ -648,13 +699,12 @@ class TestArrayLifetimes:
         run_experiment(config_from_dict(tiny_doc(
             str(tmp_path / "run"), methods=["baseline", "sqrt_samp", "cb_focal"],
             one_stage=True, model={"hidden": [8]})))
-        # The validation split is gone; the raw rows stay while a later own
-        # fit reads them.
-        assert at_evaluate[:2] == [{"train", "test"}] * 2
-        assert at_predict[2] == {"test"}  # the last own fit has trained
-        assert at_evaluate[2] == set()    # and has scored the test rows
+        # The validation split is gone, the raw train rows go with the last own
+        # fit, and the test rows with the scoring pass, before any evaluation.
+        assert set(map(frozenset, at_predict)) == {frozenset({"test"})}
+        assert at_evaluate == [set()] * 3
 
-    def test_unshared_stage1_frees_each_stage1_model_before_the_next_method(
+    def test_unshared_stage1_models_are_freed_before_scoring(
             self, tmp_path, monkeypatch):
         models: list[weakref.ref] = []
         seen = []
@@ -667,10 +717,15 @@ class TestArrayLifetimes:
             return model
 
         monkeypatch.setattr(experiment_module, "train_stage1", trained)
+        spy(monkeypatch, "_predictions",
+            lambda *args, **kwargs: seen.append([ref() is not None for ref in models]))
         run_experiment(config_from_dict(tiny_doc(
             str(tmp_path / "run"), methods=["sqrt_samp", "cb_focal", "ssb"],
             shared_stage1=False, model={"hidden": [8]})))
-        assert seen == [[], [False], [False, False]]
+        # Each stage-1 model is held until its method's evaluation has read it.
+        # Every method here scores its own stage-2 model, so the scoring pass
+        # holds no stage-1 model.
+        assert seen == [[], [True], [True, True], [False, False, False]]
 
     def test_peak_holds_no_more_than_the_raw_and_frozen_rows(self, tmp_path):
         """The raw train rows, plus 3 MiB for labels, one batch's backbone
@@ -717,11 +772,56 @@ class TestEvaluation:
                                         "noise_sigma": 1.0, "seed": 3},
                           "eval": {"mode": "fresh", "per_class": 100}}
         run_experiment(config_from_dict(doc))
-        # 20,000 test rows in 20 score blocks: one block's scores is a twentieth of the
-        # matrix.
+        # 20,000 test rows in 20 score blocks, every method in one pass: one
+        # block's scores is a twentieth of the matrix.
         matrix = 20_000 * 200 * 8
-        assert len(peaks) == len(methods)
+        assert len(peaks) == 1
         assert max(peaks) < matrix, max(peaks) / matrix
+
+    def test_a_fresh_test_set_is_drawn_once_for_scoring(self, tmp_path, monkeypatch):
+        drawn = []
+        row_blocks = FreshSplit.row_blocks
+
+        def counted(self, blocks):
+            drawn.append(self.noise_stream)
+            return row_blocks(self, blocks)
+
+        monkeypatch.setattr(FreshSplit, "row_blocks", counted)
+        run_experiment(config_from_dict(tiny_doc(str(tmp_path / "run"), methods=list(METHODS))))
+        # Data prep draws the train rows (stream 0) whole and hashes the val
+        # (stream 1) and test (stream 2) draws; the scoring pass draws the
+        # test set once more, for all five methods.
+        assert drawn == [0, 1, 2, 2]
+
+    # Two-stage, every method scores through the one stage-1 backbone; the
+    # benchmark's embed shape adds sqrt_samp's and cb_focal's own fits.
+    @pytest.mark.parametrize("one_stage, backbones", [(False, 1), (True, 3)],
+                             ids=["two_stage", "one_stage"])
+    def test_each_backbone_runs_once_per_score_block(self, tmp_path, monkeypatch, one_stage,
+                                                     backbones):
+        scoring, rows = [], []
+        features = model_module.Backbone.features
+
+        def counted(self, x):
+            if scoring:
+                rows.append(len(x))
+            return features(self, x)
+
+        inner = experiment_module._predictions
+
+        def flagged(*args):
+            scoring.append(True)
+            try:
+                return inner(*args)
+            finally:
+                scoring.clear()
+
+        monkeypatch.setattr(model_module.Backbone, "features", counted)
+        monkeypatch.setattr(experiment_module, "_predictions", flagged)
+        run_experiment(short_config(tmp_path / "run", one_stage, background_class=0))
+        blocks = model_module.score_blocks(20 * 100)
+        assert len(blocks) == 2
+        assert rows == [b.stop - b.start for b in blocks for _ in range(backbones)]
 
     def test_nonfinite_row_in_a_later_block_named_by_its_test_set_index(self):
         model = train_stage1(dataset_with_counts([30, 20]), (),
@@ -734,7 +834,7 @@ class TestEvaluation:
         test.features[row, 1] = np.nan
         test.features[row + 1, 0] = np.inf
         with pytest.raises(ValueError, match=f"features row {row} is not finite"):
-            experiment_module._predictions(None, "stage1", iter([(model, {}), test]))
+            experiment_module._predictions([("stage1", model)], test)
 
 
 class TestF1Delta:
@@ -828,9 +928,12 @@ class TestManifestReader:
         (lambda m: m["stage1_seconds"].update(stage1="1s"), "'stage1_seconds.stage1'"),
         (lambda m: m.update(prepare_seconds=None), "'prepare_seconds'"),
         (lambda m: m.update(prepare_seconds=2), "'prepare_seconds'"),
+        (lambda m: m.pop("scoring_seconds"), "'scoring_seconds'"),
+        (lambda m: m.update(scoring_seconds="1s"), "'scoring_seconds'"),
     ], ids=["methods_a_string", "digest_missing", "seconds_a_string", "entry_without_report",
             "failure_without_step", "unknown_field", "stage1_seconds_a_list",
-            "stage1_time_a_string", "prepare_seconds_null", "prepare_seconds_an_integer"])
+            "stage1_time_a_string", "prepare_seconds_null", "prepare_seconds_an_integer",
+            "scoring_seconds_missing", "scoring_seconds_a_string"])
     def test_bad_field_named(self, manifest_file, edit, fragment):
         document = stored_manifest(manifest_file)
         edit(document)

@@ -11,6 +11,10 @@ their last bits under another kernel, so on another CPU these pins may fail
 while the report pins hold.
 """
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,3 +172,28 @@ def test_backbone_reads_at_most_a_batch_or_a_score_block(tmp_path, monkeypatch, 
     monkeypatch.setattr(Backbone, "features", counted)
     run_experiment(config)
     assert seen and max(seen) <= max(config.stage2.batch_size, SCORE_BLOCK_ROWS)
+
+
+def _dynamic_arch_blas() -> bool:
+    """Whether numpy's OpenBLAS picks its kernel at run time, so that
+    ``OPENBLAS_CORETYPE`` can choose another."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+# The report pins hold under another BLAS kernel, which a refactor of how rows
+# are blocked or scored could break without changing a bit on this one.
+@pytest.mark.skipif(not _dynamic_arch_blas(), reason="OpenBLAS without DYNAMIC_ARCH")
+def test_two_stage_reports_hold_under_the_haswell_kernel(tmp_path):
+    tests = Path(__file__).resolve().parent
+    child = ("import sys\n"
+             "from pathlib import Path\n"
+             "from test_golden import reports_digest, short_run\n"
+             "print(reports_digest(short_run(Path(sys.argv[1]), one_stage=False) / 'reports'))\n")
+    path = os.pathsep.join([str(tests), str(tests.parent / "src"),
+                            os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", child, str(tmp_path / "run")], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == GOLDEN[False]

@@ -195,6 +195,16 @@ class TestFitHead:
             model_module.fit_head(head, ds.features, ds.labels, np.array([60, 40]), 1.0, spec,
                                   LossSpec(kind="cross_entropy"), Backbone([], []))
 
+    def test_overflowing_gradient_names_parameter_and_epoch(self):
+        # Each gradient value is finite; the sum of their squares is not.
+        ds = blob_dataset()
+        head = ClassifierHead(weight=np.zeros((2, 4)), bias=np.zeros(2))
+        spec = OptimSpec(epochs=2, warmup_epochs=1, batch_size=64, seed=0)
+        with pytest.raises(RuntimeError, match=r"^training diverged: overflowing gradient for "
+                                               r"head\.weight at epoch 0$"):
+            model_module.fit_head(head, ds.features * 1e300, ds.labels, np.array([60, 40]), 1.0,
+                                  spec, LossSpec(kind="cross_entropy"), Backbone([], []))
+
     def test_one_loss_and_one_update_per_step(self, monkeypatch):
         counted = {"batch_loss": 0, "optimizer_step": 0}
         for name in counted:

@@ -76,6 +76,22 @@ class TestOptimizerStep:
         with pytest.raises(ValueError, match="tensor 1"):
             optimizer_step(params, grads, state, spec, lr=0.01)
 
+    def test_overflowing_square_sum_identifies_tensor(self):
+        # Every value is finite, but the squares the second moment adds
+        # overflow.  Like fit_head, the caller ignores numpy's overflow warning.
+        spec = OptimSpec(seed=0)
+        params = [np.zeros(2), np.zeros(3)]
+        state = OptimState(params)
+        grads = [np.zeros(2), np.array([0.0, 1e200, 0.0])]
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match=r"^overflowing gradient for parameter tensor 1 "):
+            optimizer_step(params, grads, state, spec, lr=0.01)
+        grads[1][1] = -np.inf
+        with pytest.raises(ValueError, match=r"^non-finite gradient for parameter tensor 1 "):
+            optimizer_step(params, grads, state, spec, lr=0.01)
+        assert state.step == 0
+        assert not any(a.any() for a in params + state.m + state.v)
+
     def test_deterministic_trajectories(self):
         def run():
             rng = np.random.default_rng(7)
