@@ -104,8 +104,10 @@ def bags_train_heads(dataset: Dataset, optim: OptimSpec, backbone: Backbone, *,
     batch.
 
     Each group head sees every in-group instance of a batch plus an
-    undersampled set of out-of-group instances relabeled "others".  Heads use
-    independent derived seeds, so training order cannot affect results.
+    undersampled set of out-of-group instances relabeled "others"; one
+    generator per group head and epoch draws the "others" of every batch of
+    that epoch.  Heads use independent derived seeds, so training order cannot
+    affect results.
     Returns one head per non-empty group (group size + 1 "others" outputs)
     and, with a background group, the binary foreground/background head, by
     name; and a per-epoch log averaged across heads.
@@ -135,14 +137,13 @@ def bags_train_heads(dataset: Dataset, optim: OptimSpec, backbone: Backbone, *,
         head = ClassifierHead.create(members.size + 1, dim,
                                      np.random.default_rng(derive_seed(head_seed, "init")))
 
-        def group_hook(epoch: int, step: int, batch: np.ndarray,
+        def group_hook(epoch: int, stream: np.ndarray,
                        group: int = k, slot: int = others_slot) -> tuple[np.ndarray, np.ndarray]:
-            kept = bags_filter_batch(labels[batch], group, group_of, bags_beta,
-                                     seed=derive_seed(head_seed, "filter", epoch, step))
-            rows = batch[kept]
-            local = slot_of[labels[rows]]
-            in_group = group_of[labels[rows]] == group
-            return rows, np.where(in_group, local, slot)
+            kept = bags_filter_batch(labels[stream], group, group_of, bags_beta,
+                                     seed=derive_seed(head_seed, "filter", epoch),
+                                     batch_size=optim.batch_size)
+            kept_labels = labels[stream[kept]]
+            return kept, np.where(group_of[kept_labels] == group, slot_of[kept_labels], slot)
 
         logs.append(fit_head(head, features, labels, stats.counts, METHODS["bags"].q, head_optim,
                              loss, backbone, batch_hook=group_hook))
@@ -155,8 +156,8 @@ def bags_train_heads(dataset: Dataset, optim: OptimSpec, backbone: Backbone, *,
         background_head = ClassifierHead.create(2, dim,
                                                 np.random.default_rng(derive_seed(bg_seed, "init")))
 
-        def background_hook(epoch: int, step: int, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return batch, (labels[batch] == bg).astype(np.int64)
+        def background_hook(epoch: int, stream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return np.arange(stream.shape[0]), (labels[stream] == bg).astype(np.int64)
 
         logs.append(fit_head(background_head, features, labels, stats.counts, METHODS["bags"].q,
                              bg_optim, loss, backbone, batch_hook=background_hook))

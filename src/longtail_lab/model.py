@@ -211,7 +211,9 @@ def _inputs(model: TrainedModel, features: np.ndarray) -> np.ndarray:
     return x
 
 
-BatchHook = Callable[[int, int, np.ndarray], tuple[np.ndarray, np.ndarray]]
+# ``hook(epoch, stream) -> (kept positions, targets of the kept rows)``: which
+# positions of an epoch stream train, in ascending order, and their targets.
+BatchHook = Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray]]
 # What a stage-2 trainer returns: the heads it trained, by name, and its log.
 Stage2Fit = tuple[dict[str, ClassifierHead], list[EpochLog]]
 
@@ -223,10 +225,12 @@ def fit_head(head: ClassifierHead, features: np.ndarray, labels: np.ndarray,
 
     ``features`` are ``backbone``'s raw inputs: each step's rows go through a
     frozen backbone before the head, and an unfrozen one's layers train
-    jointly with the head.  ``batch_hook(epoch, step, batch_indices) ->
-    (kept_indices, targets)`` lets callers filter and relabel each batch (used
-    by the grouped heads); the default trains on the batch as drawn with the
-    dataset labels.
+    jointly with the head.  ``batch_hook(epoch, stream) -> (kept, targets)``
+    lets callers filter and relabel a whole epoch stream at once (used by the
+    grouped heads): ``kept`` holds the ascending stream positions that train,
+    ``targets`` their targets, and each step trains on the kept positions of
+    its batch.  The default trains on every batch as drawn with the dataset
+    labels.
 
     Every trained parameter lives in one flat float64 vector, so one optimizer
     update covers them all: after a fit of at least one epoch, ``head.weight``,
@@ -268,13 +272,17 @@ def fit_head(head: ClassifierHead, features: np.ndarray, labels: np.ndarray,
         for epoch in range(optim.epochs):
             sampler = make_sampler(counts, q, derive_seed(optim.seed, "stream", epoch))
             stream = make_epoch_stream(labels, sampler, n)
+            starts = np.arange(steps_per_epoch + 1) * optim.batch_size
+            if batch_hook is None:
+                epoch_rows, bounds = stream, np.minimum(starts, n)
+            else:
+                kept, epoch_targets = batch_hook(epoch, stream)
+                epoch_rows, bounds = stream[kept], np.searchsorted(kept, starts)
             loss_sum, rows = 0.0, 0
             for step in range(steps_per_epoch):
-                batch = stream[step * optim.batch_size:(step + 1) * optim.batch_size]
-                if batch_hook is None:
-                    rows_idx, targets = batch, labels[batch]
-                else:
-                    rows_idx, targets = batch_hook(epoch, step, batch)
+                lo, hi = bounds[step], bounds[step + 1]
+                rows_idx = epoch_rows[lo:hi]
+                targets = labels[rows_idx] if batch_hook is None else epoch_targets[lo:hi]
                 h = features[rows_idx]
                 if frozen:
                     h = backbone.features(h)

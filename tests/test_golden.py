@@ -26,32 +26,32 @@ from longtail_lab.experiment import DEFAULT_CONFIG_YAML
 from longtail_lab.model import SCORE_BLOCK_ROWS
 
 GOLDEN = {
-    False: "84751a36df3043074db9af0e2d71aba149f6a43213eb5edb43fa92ad3d727b55",
-    True: "24f6393e1a2ccce5b239e4765d10a85ea663d6ac26c1dd27bafdbfbc1ac4a2fe",
+    False: "7ed64a1e640697d4deddfac8e81e2a7877b6e9738a286cd3dbc2222ac55de7eb",
+    True: "09c62c35f6dc61fc0f5739879468fc301be09daddf1ced2e5a97f0fda38f6b9f",
 }
 
 # Two-stage with class 0 as background: bags trains its background head and
 # its layout has a background group.
-GOLDEN_BACKGROUND = "52c209915eccae210b551440c51c0eb14e642041452aaabe4ee18013045e8a7c"
+GOLDEN_BACKGROUND = "a1be8d77f4dd91c651db382bf8ad369c27dcee03450569da8f72172ab67eedf8"
 
 # sha256 of each checkpoints/*.ckpt, per run.
 CHECKPOINTS = {
     "two_stage": {
-        "bags.ckpt": "a0706c73a49fd890edd61db6a39603bbdf59beb8f907319d11586d7a164d95ed",
+        "bags.ckpt": "c0ed26db02cd7344bbb0e30e2b4decc3488e4b6b365e0620d8f2ce34da169f84",
         "baseline.ckpt": "a102fd7c567844a13033ea387ec38873d2b802062dab89621084f7dcfa8c2cfd",
         "cb_focal.ckpt": "c16bb8b2584d1d8d4b794c18be945014cb0e9c80cbe137ad0257c572564db4c6",
         "sqrt_samp.ckpt": "4e336bb3b89a860e138187c7dd2577add48b54ab3d305e9611be1486bbf85c68",
         "ssb.ckpt": "0839b773ef7a104aa4988e722a0cb987b88063e8099fb203eb3cf1149f073b5b",
     },
     "one_stage": {
-        "bags.ckpt": "a0706c73a49fd890edd61db6a39603bbdf59beb8f907319d11586d7a164d95ed",
+        "bags.ckpt": "c0ed26db02cd7344bbb0e30e2b4decc3488e4b6b365e0620d8f2ce34da169f84",
         "baseline.ckpt": "a102fd7c567844a13033ea387ec38873d2b802062dab89621084f7dcfa8c2cfd",
         "cb_focal.ckpt": "5772886567cbb294868e78419532d05ac68bd1b0e8a15724fa5787c2d362a1cf",
         "sqrt_samp.ckpt": "0900f678432905d51f6926c2cb890ae007163ef6d9f39a0c67a6c9ae673f38e7",
         "ssb.ckpt": "0839b773ef7a104aa4988e722a0cb987b88063e8099fb203eb3cf1149f073b5b",
     },
     "background": {
-        "bags.ckpt": "c81046c33dd1c728507c57dfd8b11b07b61b96de58ed04e3535fb08c082ffa03",
+        "bags.ckpt": "8d35b12599c88f39e997eabb703bb76cb2d3cc810a8e846db6bc9ab2309e96c9",
         "baseline.ckpt": "25da499b166a2603c16f2ec9c8c4be62f126fa8f089a89dda57c80a225cf2991",
         "cb_focal.ckpt": "19fb605e8fe5b8003adfac924c7f53cbdc7894086f5444918a69a6c834cb1fca",
         "sqrt_samp.ckpt": "a8c1b37d0445ad420e715d9dcc3e9c0f5ffad97a9e416ad009e58c7d83bec5ce",

@@ -4,12 +4,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from longtail_lab import (ClassifierHead, GroupLayout,
+from longtail_lab import (Backbone, ClassifierHead, GroupLayout,
                           LossSpec, OptimSpec, bags_infer, bags_scores,
                           bags_train_heads, build_group_layout, compute_class_stats,
                           softmax, ssb_aggregate, train_stage1, train_stage2)
+from longtail_lab import model as model_module
 from longtail_lab.heads import HEAD_GROUP
-from longtail_lab.model import scores
+from longtail_lab.model import METHODS, scores
+from longtail_lab.sampling import bags_filter_batch, make_epoch_stream, make_sampler
+from longtail_lab.seeding import derive_seed
 
 from conftest import dataset_with_counts
 
@@ -294,3 +297,51 @@ class TestBagsTraining:
         scores = bags_scores(layout, heads, ds.features[:10])
         assert scores.shape == (10, 4)
         assert np.isfinite(scores).all()
+
+    def test_each_step_trains_on_the_filtered_rows_of_its_batch(self, monkeypatch):
+        # 613 rows in batches of 64: the last batch of each epoch has 37.
+        # Feature 0 is the row index, which the identity backbone hands the
+        # head unchanged, so each step's rows can be read back.
+        ds = dataset_with_counts([7, 6, 320, 280], dim=2, seed=4)
+        ds = dataclasses.replace(ds, features=np.column_stack(
+            [np.arange(ds.num_instances, dtype=np.float64), ds.features[:, 1]]))
+        optim = OptimSpec(epochs=2, warmup_epochs=1, seed=5)
+        assert ds.num_instances % optim.batch_size != 0
+        seen_rows, steps = [], []
+        logits = ClassifierHead.logits
+
+        def reading_rows(head, h):
+            seen_rows.append(h[:, 0].astype(np.int64))
+            return logits(head, h)
+
+        loss = model_module.batch_loss
+
+        def recorded(logit_rows, targets, *args):
+            steps.append((seen_rows[-1], np.asarray(targets)))
+            return loss(logit_rows, targets, *args)
+
+        monkeypatch.setattr(ClassifierHead, "logits", reading_rows)
+        monkeypatch.setattr(model_module, "batch_loss", recorded)
+        bags_train_heads(ds, optim, Backbone(weights=[], biases=[]), bags_beta=2.0)
+
+        stats = compute_class_stats(ds)
+        layout = build_group_layout(stats)
+        expected = []
+        for k in (1, 3):
+            members = layout.classes_in(k)
+            local = {c: i for i, c in enumerate(members.tolist())}
+            head_seed = derive_seed(optim.seed, "bags-group", k)
+            for epoch in range(optim.epochs):
+                sampler = make_sampler(stats.counts, METHODS["bags"].q,
+                                       derive_seed(head_seed, "stream", epoch))
+                stream = make_epoch_stream(ds.labels, sampler, ds.num_instances)
+                kept = bags_filter_batch(ds.labels[stream], k, layout.group_of, 2.0,
+                                         seed=derive_seed(head_seed, "filter", epoch),
+                                         batch_size=optim.batch_size)
+                for start in range(0, ds.num_instances, optim.batch_size):
+                    end = start + optim.batch_size
+                    rows = stream[kept[(kept >= start) & (kept < end)]]
+                    targets = [local.get(c, members.size) for c in ds.labels[rows].tolist()]
+                    expected.append((rows.tolist(), targets))
+        assert len(expected) == 2 * 2 * 10
+        assert [(rows.tolist(), targets.tolist()) for rows, targets in steps] == expected

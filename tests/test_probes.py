@@ -63,7 +63,8 @@ def traced_short_run(probes, out_dir, one_stage: bool):
 # scoring block is twice the evaluations.  ``generate_synthetic`` and
 # ``Dataset.digest`` see only the train draw: the fresh validation and test
 # sets are ``FreshSplit``s, drawn a block at a time when hashed and once more
-# for the scoring pass, and each draw derives two seeds.
+# for the scoring pass, and each draw derives two seeds.  Bags filters each
+# group head's epoch stream in one call: 3 group heads times 2 epochs.
 TWO_STAGE_CALLS = {
     "data.compute_class_stats": 7, "data.digest": 1, "data.generate_synthetic": 1,
     "experiment.emit_f1_delta": 1, "experiment.prepare_datasets": 1, "heads.bags_infer": 2,
@@ -75,8 +76,8 @@ TWO_STAGE_CALLS = {
     "model.scores": 10, "model.train_linear_head": 2, "model.train_stage1": 1,
     "model.train_stage2.bags": 1, "model.train_stage2.cb_focal": 1,
     "model.train_stage2.sqrt_samp": 1, "model.train_stage2.ssb": 1, "optim.lr_at": 1024,
-    "optim.step": 1024, "sampling.bags_filter_batch": 384, "sampling.epoch_stream": 16,
-    "sampling.make_sampler": 16, "seeding.derive_seed": 426,
+    "optim.step": 1024, "sampling.bags_filter_batch": 6, "sampling.epoch_stream": 16,
+    "sampling.make_sampler": 16, "seeding.derive_seed": 48,
 }
 
 

@@ -149,6 +149,13 @@ class TestValidationEdges:
         with pytest.raises(ValueError, match="bags_beta must be > 0"):
             bags_filter_batch(labels, 1, group_of, 0.0, seed=0)
 
+    def test_bags_batch_size(self):
+        labels = np.array([0, 1])
+        group_of = np.array([1, 4])
+        assert bags_filter_batch(labels, 1, group_of, 1.0, seed=0, batch_size=1).tolist() == [0, 1]
+        with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
+            bags_filter_batch(labels, 1, group_of, 1.0, seed=0, batch_size=0)
+
 
 class TestBagsFilterBatch:
     def test_undersamples_others_to_beta_times_in_group(self):
@@ -195,3 +202,79 @@ class TestBagsFilterBatch:
         kept = bags_filter_batch(labels, 1, stats.bins, bags_beta, seed=3)
         assert (labels[kept] == 0).sum() == 2
         assert (labels[kept] == 1).sum() == others
+
+
+# Class 0 is in group 1, classes 1 and 2 are not; each batch's labels come
+# from one of these pools: wholly in group, no in-group row, or mixed.
+EPOCH_GROUP_OF = np.array([1, 2, 4])
+BATCH_POOLS = ((0,), (1, 2), (0, 1, 2))
+
+
+@st.composite
+def epoch_streams(draw):
+    """A stream of whole batches, with at least one wholly in group 1 and one
+    with no row of it, then a shorter last batch; and its batch size."""
+    size = draw(st.integers(min_value=2, max_value=12))
+
+    def batch(pool, length):
+        return draw(st.lists(st.sampled_from(pool), min_size=length, max_size=length))
+
+    batches = [batch(BATCH_POOLS[0], size), batch(BATCH_POOLS[1], size)]
+    batches += [batch(draw(st.sampled_from(BATCH_POOLS)), size)
+                for _ in range(draw(st.integers(min_value=0, max_value=4)))]
+    batches = draw(st.permutations(batches))
+    last = batch(draw(st.sampled_from(BATCH_POOLS)), draw(st.integers(1, size - 1)))
+    return np.array(sum(batches, []) + last, dtype=np.int64), size
+
+
+class TestBagsFilterEpoch:
+    @settings(max_examples=150, deadline=None)
+    @given(epoch_streams(),
+           st.one_of(st.floats(min_value=1e-3, max_value=1.0),
+                     st.floats(min_value=1.0, max_value=40.0, exclude_min=True)),
+           st.integers(min_value=0, max_value=2**32))
+    def test_each_batch_keeps_its_in_group_rows_and_the_rules_count_of_others(
+            self, stream, bags_beta, seed):
+        labels, size = stream
+        assert labels.size % size != 0
+        kept = bags_filter_batch(labels, 1, EPOCH_GROUP_OF, bags_beta, seed, batch_size=size)
+        assert kept.dtype == np.int64
+        assert (np.diff(kept) > 0).all()
+        assert 0 <= kept[0] and kept[-1] < labels.size
+        for start in range(0, labels.size, size):
+            positions = np.arange(start, min(start + size, labels.size))
+            in_group = positions[labels[positions] == 0]
+            others = positions.size - in_group.size
+            cap = math.ceil(bags_beta * in_group.size) if in_group.size else math.ceil(bags_beta)
+            batch_kept = kept[(kept >= start) & (kept < start + size)]
+            assert set(in_group.tolist()) <= set(batch_kept.tolist())
+            assert batch_kept.size == in_group.size + min(cap, others)
+
+    def test_every_other_of_a_batch_is_kept_equally_often(self):
+        # Two in-group rows and 30 others per batch: 6 of the 30 are kept.
+        batch = np.array([1] * 13 + [0] + [2] * 10 + [0] + [1] * 7)
+        trials = 3000
+        kept = bags_filter_batch(np.tile(batch, trials), 1, EPOCH_GROUP_OF, 3.0, seed=11,
+                                 batch_size=batch.size)
+        times = np.bincount(kept % batch.size, minlength=batch.size)
+        others = batch != 0
+        assert (times[~others] == trials).all()
+        assert times[others].sum() == trials * 6
+        assert chisquare(times[others]).pvalue > 0.001
+
+    def test_equal_seeds_give_equal_positions(self):
+        labels = np.random.default_rng(2).integers(0, 3, size=500)
+        a, b, c = (bags_filter_batch(labels, 1, EPOCH_GROUP_OF, 1.5, seed, batch_size=64)
+                   for seed in (7, 7, 8))
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+
+    def test_no_batch_size_is_one_batch(self):
+        labels = np.random.default_rng(3).integers(0, 3, size=90)
+        whole = bags_filter_batch(labels, 1, EPOCH_GROUP_OF, 0.5, seed=4)
+        assert np.array_equal(
+            whole, bags_filter_batch(labels, 1, EPOCH_GROUP_OF, 0.5, seed=4, batch_size=90))
+        assert np.array_equal(
+            whole, bags_filter_batch(labels, 1, EPOCH_GROUP_OF, 0.5, seed=4, batch_size=1000))
+        in_group = int((labels == 0).sum())
+        assert whole.size == in_group + math.ceil(0.5 * in_group)
