@@ -34,9 +34,11 @@ GROUP_LIMITS: tuple[tuple[float, float], ...] = (
 
 _HEADER_RE = re.compile(r"^C=(\d+) D=(\d+)$")
 
-# Rows the finiteness check of a Dataset reads at once, and a fresh split draws
-# at once for its digest: its temporary is one block, not the whole matrix.
-_FINITE_BLOCK_ROWS = 1024
+# The most rows a split is read at once: checked, hashed, drawn again or
+# scored (``model.scores``).  Blocks are near-equal, never a full-size run
+# plus a short tail: OpenBLAS takes other paths for small matrices, and those
+# change the bits of a block's scores.
+BLOCK_ROWS = 1024
 
 
 @dataclass(eq=False)
@@ -63,8 +65,8 @@ class Dataset:
             raise ValueError("dataset needs at least one instance and one feature dimension")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must be one per feature row")
-        for rows in _finite_blocks(self.features.shape[0]):
-            _check_finite(self.features[rows])
+        for rows, x in self.row_blocks():
+            check_rows(x, rows.start)
         c = len(self.class_names)
         if c < 1:
             raise ValueError("class_names is empty")
@@ -92,9 +94,9 @@ class Dataset:
         """Content hash covering features, labels, names, and background flag."""
         return _digest(self, [self.features])
 
-    def row_blocks(self, blocks: Iterable[slice]) -> Iterator[np.ndarray]:
-        """The feature rows of each of ``blocks``, in turn."""
-        return (self.features[rows] for rows in blocks)
+    def row_blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """Each of ``block_slices`` with its feature rows, in turn."""
+        return ((rows, self.features[rows]) for rows in block_slices(self.features.shape[0]))
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
@@ -104,16 +106,21 @@ class Dataset:
         return replace(self, background_class=background_class)
 
 
-def _finite_blocks(n: int) -> list[slice]:
-    """Consecutive slices of ``_FINITE_BLOCK_ROWS`` rows, the last shorter, over ``n`` rows."""
-    return [slice(lo, min(lo + _FINITE_BLOCK_ROWS, n)) for lo in range(0, n, _FINITE_BLOCK_ROWS)]
+def block_slices(n: int) -> list[slice]:
+    """The ``ceil(n / BLOCK_ROWS)`` near-equal consecutive row blocks, at
+    least one, that ``n`` rows are read in."""
+    blocks = max(1, math.ceil(n / BLOCK_ROWS))
+    return [slice(b * n // blocks, (b + 1) * n // blocks) for b in range(blocks)]
 
 
-def _check_finite(rows: np.ndarray) -> np.ndarray:
-    """``rows``, if every value is finite; else ValueError."""
-    if not np.isfinite(rows).all():
-        raise ValueError("features contain non-finite values")
-    return rows
+def check_rows(x: np.ndarray, first_row: int = 0) -> np.ndarray:
+    """``x``, unless a row holds a NaN or infinite value: then ValueError naming
+    the first such row by its index plus ``first_row``.  Raw rows are checked
+    before a backbone runs: ReLU maps a ``-inf`` pre-activation to 0."""
+    if not np.isfinite(x).all():
+        bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+        raise ValueError(f"features row {first_row + bad[0]} is not finite")
+    return x
 
 
 def _digest(split, feature_blocks: Iterable[np.ndarray]) -> str:
@@ -244,22 +251,24 @@ class FreshSplit:
     def feature_dim(self) -> int:
         return int(self.spec.feature_dim)
 
-    def row_blocks(self, blocks: Iterable[slice]) -> Iterator[np.ndarray]:
-        """The drawn rows of each of ``blocks``, in turn.  Rows are drawn class
-        by class, each as noise * sigma + its class centroid, so the blocks
-        must be consecutive from row 0; any such blocks hold the bytes of one
-        whole draw.  A scale that overflows draws infinite values without a
-        warning; the reader that checks the rows rejects them."""
+    def row_blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """Each of ``block_slices`` with its rows, drawn in turn.  A scale that
+        overflows draws infinite values without a warning; the reader that
+        checks the rows rejects them."""
+        blocks = block_slices(self.num_instances)
+        return zip(blocks, self._draw(blocks))
+
+    def _draw(self, blocks: list[slice]) -> Iterator[np.ndarray]:
+        """The rows of each of ``blocks``, which run consecutively from row 0,
+        drawn in turn.  Rows are drawn class by class, each as noise * sigma
+        + its class centroid, so any such blocks hold the bytes of one whole
+        draw."""
         spec, counts = self.spec, self.counts
         with np.errstate(over="ignore"):
             centroids = _class_centroids(spec)
         rng = np.random.default_rng(derive_seed(spec.seed, "noise", self.noise_stream))
         starts = np.cumsum(counts) - counts
-        at = 0
         for rows in blocks:
-            if rows.start != at or not at <= rows.stop <= self.num_instances:
-                raise ValueError(f"row blocks must be consecutive from row 0 to at most "
-                                 f"{self.num_instances}, got {rows} at row {at}")
             out = np.empty((rows.stop - rows.start, spec.feature_dim))
             first = int(np.searchsorted(starts, rows.start, side="right")) - 1
             # Not around the yield: the caller's arithmetic keeps its own error state.
@@ -270,14 +279,12 @@ class FreshSplit:
                     rng.standard_normal(out=part)
                     part *= spec.noise_sigma
                     part += centroids[c]
-            at = rows.stop
             yield out
 
     def digest(self) -> str:
         """``Dataset.digest`` of the whole draw, drawn and hashed a block at a
         time; a non-finite row raises ValueError as that Dataset would."""
-        blocks = _finite_blocks(self.num_instances)
-        return _digest(self, map(_check_finite, self.row_blocks(blocks)))
+        return _digest(self, (check_rows(x, rows.start) for rows, x in self.row_blocks()))
 
 
 def generate_synthetic(
@@ -294,7 +301,7 @@ def generate_synthetic(
     split = FreshSplit(spec, synthetic_class_counts(spec) if counts is None else counts,
                        noise_stream)
     whole = slice(0, split.num_instances)
-    return Dataset(features=next(split.row_blocks([whole])), labels=split.labels,
+    return Dataset(features=next(split._draw([whole])), labels=split.labels,
                    class_names=split.class_names)
 
 

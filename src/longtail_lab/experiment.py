@@ -15,12 +15,12 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .data import (Dataset, FreshSplit, SplitSpec, SyntheticSpec, compute_class_stats,
-                   generate_synthetic, load_embeddings, split_dataset)
+from .data import (Dataset, FreshSplit, SplitSpec, SyntheticSpec, check_rows,
+                   compute_class_stats, generate_synthetic, load_embeddings, split_dataset)
 from .losses import LossSpec
 from .metrics import EvalReport, compare_methods, evaluate, save_report
-from .model import (METHODS, TrainedModel, check_rows, fit_owner, head_view, predict,
-                    save_model, score_blocks, train_stage1, train_stage2)
+from .model import (METHODS, TrainedModel, fit_owner, head_view, predict, save_model,
+                    train_stage1, train_stage2)
 from .optim import OptimSpec
 from .schema import check_types, read_document, write_text
 from .seeding import derive_seed
@@ -494,18 +494,17 @@ def _predictions(scored: list[tuple[str, TrainedModel]],
     test rows.  ``scored`` pairs each model with the key of its backbone:
     models of one key share that backbone's weights.
 
-    The rows are read one block of ``score_blocks`` at a time (a fresh test set
-    draws each block once), and each block is checked for non-finite rows
-    once.  Each distinct backbone then runs once on it, and each model is
+    The rows are read one block of ``test.row_blocks()`` at a time (a fresh
+    test set draws each block once), and each block is checked for non-finite
+    rows once.  Each distinct backbone then runs once on it, and each model is
     scored by one ``predict`` call on its backbone's output, through a view of
     the model with the identity backbone, of which only the class indices are
     kept.  So neither a whole fresh test draw, a test-by-class matrix nor a
     backbone's output on the test split is ever held."""
     backbones = {key: model.backbone for key, model in scored}
     views = [(key, head_view(model)) for key, model in scored]
-    blocks = score_blocks(test.num_instances)
     preds = [np.empty(test.num_instances, dtype=np.intp) for _ in scored]
-    for rows, x in zip(blocks, test.row_blocks(blocks)):
+    for rows, x in test.row_blocks():
         check_rows(x, rows.start)
         h = {key: backbone.features(x) for key, backbone in backbones.items()}
         for out, (key, view) in zip(preds, views):

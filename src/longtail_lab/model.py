@@ -9,7 +9,8 @@ from typing import IO, TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .data import GROUP_LIMITS, ClassStats, Dataset, compute_class_stats
+from .data import (GROUP_LIMITS, ClassStats, Dataset, block_slices, check_rows,
+                   compute_class_stats)
 from .losses import LossSpec, batch_loss, softmax
 from .optim import (OptimSpec, OptimState, gradient_fault, lr_at, optimizer_step,
                     square_sum_finite)
@@ -21,11 +22,6 @@ if TYPE_CHECKING:
     from .heads import GroupLayout
 
 _CHECKPOINT_MAGIC = b"LTLABCKPT1\n"
-
-# Rows ``scores`` combines at once.  Blocks are near-equal, never a full-size
-# run plus a short tail: OpenBLAS takes other paths for small matrices, and
-# those change the bits of a block's scores.
-SCORE_BLOCK_ROWS = 1024
 
 
 def _uniform_init(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
@@ -260,7 +256,7 @@ def fit_head(head: ClassifierHead, features: np.ndarray, labels: np.ndarray,
     head.weight, head.bias = views[-2:]
     if layers:
         backbone.weights, backbone.biases = views[:-2:2], views[1:-2:2]
-    state = OptimState([flat])
+    state = OptimState(flat)
     steps_per_epoch = math.ceil(n / optim.batch_size)
     total_steps = optim.epochs * steps_per_epoch
     warmup_steps = optim.warmup_epochs * steps_per_epoch
@@ -307,7 +303,7 @@ def fit_head(head: ClassifierHead, features: np.ndarray, labels: np.ndarray,
                         view[...] = g
                 lr = lr_at(gstep, total_steps, warmup_steps, optim.lr_init)
                 try:
-                    optimizer_step([flat], [gflat], state, optim, lr)
+                    optimizer_step(flat, gflat, state, optim, lr)
                 except ValueError:
                     # The step checks the whole gradient; name the parameter that failed.
                     bad = [(name, g) for name, g in zip(params, gviews)
@@ -481,40 +477,24 @@ def train_stage2(model: TrainedModel, dataset: Dataset, method: str,
                         class_names=dataset.class_names, background_class=dataset.background_class)
 
 
-def score_blocks(n: int) -> list[slice]:
-    """The ``ceil(n / SCORE_BLOCK_ROWS)`` near-equal row blocks, at least one,
-    that ``scores`` splits ``n`` rows into."""
-    blocks = max(1, math.ceil(n / SCORE_BLOCK_ROWS))
-    return [slice(b * n // blocks, (b + 1) * n // blocks) for b in range(blocks)]
-
-
 def scores(model: TrainedModel, features: np.ndarray, *, first_row: int = 0) -> np.ndarray:
     """Final per-class score vectors: the backbone pass, then the ``combine``
     rule of the model's method.  The bags and ssb vectors need not sum to 1.
 
-    Rows are scored in the blocks of ``score_blocks``.  One block's result is
-    returned as it is; more are each written into one output matrix, so
-    scoring holds its output plus one block's temporaries.  A non-finite
-    feature row is rejected by its index plus ``first_row``, the index of
-    ``features``' first row in a larger set.
+    Rows are scored in the blocks of ``data.block_slices``.  One block's
+    result is returned as it is; more are each written into one output
+    matrix, so scoring holds its output plus one block's temporaries.  A
+    non-finite feature row is rejected by its index plus ``first_row``, the
+    index of ``features``' first row in a larger set.
     """
     x = _inputs(model, features)
-    blocks = score_blocks(x.shape[0])
+    blocks = block_slices(x.shape[0])
     if len(blocks) == 1:
         return _score_block(model, x, first_row)
     out = np.empty((x.shape[0], model.num_classes))
     for rows in blocks:
         out[rows] = _score_block(model, x[rows], first_row + rows.start)
     return out
-
-
-def check_rows(x: np.ndarray, first_row: int = 0) -> None:
-    """Reject rows ``x`` if one holds a NaN or infinite value, naming the first
-    such row by its index plus ``first_row``.  Raw rows are checked before a
-    backbone runs: ReLU maps a ``-inf`` pre-activation to 0."""
-    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
-    if bad.size:
-        raise ValueError(f"features row {first_row + bad[0]} is not finite")
 
 
 def _score_block(model: TrainedModel, x: np.ndarray, first_row: int) -> np.ndarray:

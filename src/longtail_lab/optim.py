@@ -61,13 +61,13 @@ def lr_at(step: int, total_steps: int, warmup_steps: int, lr_init: float) -> flo
 
 
 class OptimState:
-    """First/second-moment accumulators, the update's two temporaries and the
-    step counter; one training loop owns it."""
+    """First/second-moment accumulators of one parameter array, the update's
+    two temporaries and the step counter; one training loop owns it."""
 
-    def __init__(self, params: list[np.ndarray]):
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-        self.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+    def __init__(self, param: np.ndarray):
+        self.m = np.zeros_like(param)
+        self.v = np.zeros_like(param)
+        self.scratch = (np.empty_like(param), np.empty_like(param))
         self.step = 0
 
 
@@ -85,44 +85,41 @@ def gradient_fault(g: np.ndarray) -> str:
     return "overflowing" if np.isfinite(g).all() else "non-finite"
 
 
-def optimizer_step(params: list[np.ndarray], grads: list[np.ndarray],
-                   state: OptimState, spec: OptimSpec, lr: float) -> None:
+def optimizer_step(param: np.ndarray, grad: np.ndarray, state: OptimState,
+                   spec: OptimSpec, lr: float) -> None:
     """One bias-corrected adaptive update, weight decay decoupled from the gradient.
 
-    Parameters are scaled by (1 - lr * weight_decay) before the adaptive step.
-    Updates params and state in place.  The update is elementwise, so one
-    flat vector holding every tensor gets the same bits as the tensors do.
+    ``param`` is scaled by (1 - lr * weight_decay) before the adaptive step.
+    Updates ``param`` and ``state`` in place.  The update is elementwise, so
+    one flat vector holding several tensors gets the same bits as each tensor
+    would on its own.
     """
     if lr < 0:
         raise ValueError("lr must be >= 0")
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("params, grads, and state must be aligned")
-    for i, g in enumerate(grads):
-        if not square_sum_finite(g):
-            raise ValueError(f"{gradient_fault(g)} gradient for parameter tensor {i} "
-                             f"(shape {np.shape(g)})")
+    if not square_sum_finite(grad):
+        raise ValueError(f"{gradient_fault(grad)} gradient")
     state.step += 1
     t = state.step
     bias1 = 1.0 - spec.beta1 ** t
     bias2 = 1.0 - spec.beta2 ** t
-    for p, g, m, v, (step, denom) in zip(params, grads, state.m, state.v, state.scratch):
-        # m += (1-b1)*g; v += (1-b2)*g*g; p -= lr*(m/bias1) / (sqrt(v/bias2) + eps):
-        # the same operations in the same order, through the state's two temporaries.
-        p *= 1.0 - lr * spec.weight_decay
-        m *= spec.beta1
-        np.multiply(1.0 - spec.beta1, g, out=step)
-        m += step
-        v *= spec.beta2
-        np.multiply(1.0 - spec.beta2, g, out=step)
-        step *= g
-        v += step
-        np.divide(v, bias2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += spec.eps
-        if bias1 == 1.0:  # x / 1.0 == x: one pass fewer, the same bits
-            np.multiply(m, lr, out=step)
-        else:
-            np.divide(m, bias1, out=step)
-            step *= lr
-        step /= denom
-        p -= step
+    m, v, (step, denom) = state.m, state.v, state.scratch
+    # m += (1-b1)*g; v += (1-b2)*g*g; p -= lr*(m/bias1) / (sqrt(v/bias2) + eps):
+    # the same operations in the same order, through the state's two temporaries.
+    param *= 1.0 - lr * spec.weight_decay
+    m *= spec.beta1
+    np.multiply(1.0 - spec.beta1, grad, out=step)
+    m += step
+    v *= spec.beta2
+    np.multiply(1.0 - spec.beta2, grad, out=step)
+    step *= grad
+    v += step
+    np.divide(v, bias2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += spec.eps
+    if bias1 == 1.0:  # x / 1.0 == x: one pass fewer, the same bits
+        np.multiply(m, lr, out=step)
+    else:
+        np.divide(m, bias1, out=step)
+        step *= lr
+    step /= denom
+    param -= step

@@ -79,37 +79,36 @@ def make_epoch_stream(labels: np.ndarray, sampler: SamplerSpec, epoch_len: int) 
 
 
 def bags_filter_batch(batch_labels, group: int, group_of: np.ndarray,
-                      bags_beta: float, seed: int, batch_size: int | None = None) -> np.ndarray:
+                      bags_beta: float, seed: int, batch_size: int) -> np.ndarray:
     """Within-batch undersampling of out-of-group instances for one group head.
 
     ``batch_labels`` is split into consecutive batches of ``batch_size`` rows
-    (the last may be shorter); ``None`` makes it one batch.  ``group_of`` maps
-    each class to its group.  Each batch keeps every in-group instance and at
-    most ceil(bags_beta * n_k) "others", chosen uniformly without replacement,
-    where n_k is the batch's in-group count.  A batch with no in-group
-    instances keeps min(ceil(bags_beta), available) others so the head still
-    sees its "others" output.  One generator, seeded by ``seed``, draws every
+    (the last may be shorter).  ``group_of`` maps each class to its group.
+    Each batch keeps every in-group instance and at most ceil(bags_beta * n_k)
+    "others", chosen uniformly without replacement, where n_k is the batch's
+    in-group count.  A batch with no in-group instances keeps
+    min(ceil(bags_beta), available) others so the head still sees its
+    "others" output.  One generator, seeded by ``seed``, draws every
     batch's subset.  Returns the sorted kept positions.
     """
     if bags_beta <= 0:
         raise ValueError("bags_beta must be > 0")
     labels = np.asarray(batch_labels, dtype=np.int64)
     n = labels.shape[0]
-    size = max(n, 1) if batch_size is None else batch_size
-    if size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {size}")
-    batches = -(-n // size)
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    batches = -(-n // batch_size)
     in_group = group_of[labels] == group
-    n_k, others = (np.bincount(np.flatnonzero(rows) // size, minlength=batches)
+    n_k, others = (np.bincount(np.flatnonzero(rows) // batch_size, minlength=batches)
                    for rows in (in_group, ~in_group))
     cap = np.ceil(bags_beta * np.where(n_k > 0, n_k, 1))
     keep = n_k + np.minimum(cap, others).astype(np.int64)
     # One uniform key per row: in-group rows sort first, the padding of a short
     # last batch last, so each batch keeps its ``keep`` lowest keys.
-    keys = np.random.default_rng(seed).random(batches * size)
+    keys = np.random.default_rng(seed).random(batches * batch_size)
     keys[:n][in_group] = -1.0
     keys[n:] = 2.0
-    order = np.argsort(keys.reshape(batches, size), axis=1)
-    chosen = np.zeros((batches, size), dtype=bool)
-    np.put_along_axis(chosen, order, np.arange(size) < keep[:, None], axis=1)
+    order = np.argsort(keys.reshape(batches, batch_size), axis=1)
+    chosen = np.zeros((batches, batch_size), dtype=bool)
+    np.put_along_axis(chosen, order, np.arange(batch_size) < keep[:, None], axis=1)
     return np.flatnonzero(chosen.ravel())

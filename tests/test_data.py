@@ -13,7 +13,8 @@ from longtail_lab import (Dataset, SplitSpec, SyntheticSpec, compute_class_stats
                           generate_synthetic, load_embeddings, save_embeddings,
                           split_dataset)
 from longtail_lab import data as data_module
-from longtail_lab.data import GROUP_LIMITS, SIDECAR_SUFFIX, FreshSplit, synthetic_class_counts
+from longtail_lab.data import (GROUP_LIMITS, SIDECAR_SUFFIX, FreshSplit, block_slices,
+                               synthetic_class_counts)
 
 from conftest import dataset_with_counts, traced_peak
 
@@ -87,8 +88,9 @@ class TestGenerateSynthetic:
 class TestFreshSplit:
     """A fresh split draws ``generate_synthetic``'s rows a block at a time."""
 
-    # Class boundaries at rows 700, 1,600 and 3,100 fall inside the digest's
-    # 1,024-row blocks, so classes straddle them.
+    # Class boundaries at rows 700, 1,600 and 3,100 fall inside the four
+    # near-equal blocks (775 or 776 rows) that ``row_blocks`` reads, so
+    # classes straddle them.
     COUNTS = np.array([700, 900, 1500, 3])
 
     @pytest.mark.parametrize("background", [None, 2])
@@ -107,22 +109,22 @@ class TestFreshSplit:
         whole = generate_synthetic(spec, self.COUNTS, noise_stream=1).features
         edges = [0, *sorted(cuts), len(whole)]
         blocks = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-        drawn = list(FreshSplit(spec, self.COUNTS, 1).row_blocks(blocks))
+        drawn = list(FreshSplit(spec, self.COUNTS, 1)._draw(blocks))
         assert [block.tobytes() for block in drawn] == [whole[rows].tobytes() for rows in blocks]
 
-    @pytest.mark.parametrize("blocks", [[slice(1, 5)], [slice(0, 5), slice(6, 9)],
-                                        [slice(0, 3104)], [slice(0, 5), slice(5, 4)]],
-                             ids=["not_from_row_0", "gap", "past_the_end", "backwards"])
-    def test_blocks_not_consecutive_from_row_0_rejected(self, blocks):
-        split = FreshSplit(make_spec(num_classes=4), self.COUNTS, 1)
-        with pytest.raises(ValueError, match="row blocks must be consecutive from row 0"):
-            list(split.row_blocks(blocks))
+    def test_row_blocks_are_the_block_slices(self):
+        spec = make_spec(num_classes=4)
+        whole = generate_synthetic(spec, self.COUNTS, noise_stream=1)
+        pairs = list(FreshSplit(spec, self.COUNTS, 1).row_blocks())
+        assert [rows for rows, _ in pairs] == block_slices(whole.num_instances)
+        assert [(rows, x.tobytes()) for rows, x in whole.row_blocks()] == [
+            (rows, x.tobytes()) for rows, x in pairs]
 
     def test_nonfinite_draw_rejected_by_the_digest(self):
         split = FreshSplit(make_spec(num_classes=4, noise_sigma=1e308), self.COUNTS, 1)
         # The product overflows to inf, which numpy warns of first.
         with np.errstate(over="ignore"), pytest.raises(
-                ValueError, match="features contain non-finite values"):
+                ValueError, match="^features row 0 is not finite$"):
             split.digest()
 
 
@@ -681,7 +683,7 @@ class TestMemory:
     def test_finiteness_check_reaches_the_last_block(self):
         features = np.zeros((10_000, 2))
         features[-1, 1] = np.nan
-        with pytest.raises(ValueError, match="features contain non-finite values"):
+        with pytest.raises(ValueError, match="^features row 9999 is not finite$"):
             Dataset(features, np.zeros(10_000, dtype=np.int64), ("a",))
 
     def test_generate_draws_into_one_matrix(self):

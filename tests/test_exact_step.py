@@ -48,13 +48,14 @@ def reference_batch_loss(logits, labels, counts, spec):
     return float(per_instance.mean()), per_instance, grad
 
 
-def reference_optimizer_step(params, grads, state, spec, lr):
-    """The update tensor by tensor, one temporary per operation."""
-    state.step += 1
-    t = state.step
-    bias1 = 1.0 - spec.beta1 ** t
-    bias2 = 1.0 - spec.beta2 ** t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+def reference_optimizer_step(params, grads, states, spec, lr):
+    """The update tensor by tensor, each with its own state, one temporary per operation."""
+    for p, g, state in zip(params, grads, states):
+        state.step += 1
+        t = state.step
+        bias1 = 1.0 - spec.beta1 ** t
+        bias2 = 1.0 - spec.beta2 ** t
+        m, v = state.m, state.v
         p *= 1.0 - lr * spec.weight_decay
         m *= spec.beta1
         m += (1.0 - spec.beta1) * g
@@ -144,13 +145,12 @@ class TestFlatOptimizerBits:
         spec = OptimSpec(weight_decay=weight_decay, seed=0)
         tensors = [rng.standard_normal(s) for s in shapes]
         flat = np.concatenate([t.ravel() for t in tensors])
-        flat_state, tensor_state = OptimState([flat]), OptimState(tensors)
+        flat_state, tensor_states = OptimState(flat), [OptimState(t) for t in tensors]
         for lr in (0.0, 0.01, 0.003, 0.02):
             grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-4, 3) for s in shapes]
-            reference_optimizer_step(tensors, grads, tensor_state, spec, lr)
-            optimizer_step([flat], [np.concatenate([g.ravel() for g in grads])],
-                           flat_state, spec, lr)
+            reference_optimizer_step(tensors, grads, tensor_states, spec, lr)
+            optimizer_step(flat, np.concatenate([g.ravel() for g in grads]), flat_state, spec, lr)
             assert np.array_equal(flat, np.concatenate([t.ravel() for t in tensors]))
-        assert flat_state.step == tensor_state.step == 4
-        assert np.array_equal(flat_state.m[0], np.concatenate([m.ravel() for m in tensor_state.m]))
-        assert np.array_equal(flat_state.v[0], np.concatenate([v.ravel() for v in tensor_state.v]))
+        assert flat_state.step == 4 and all(state.step == 4 for state in tensor_states)
+        assert np.array_equal(flat_state.m, np.concatenate([s.m.ravel() for s in tensor_states]))
+        assert np.array_equal(flat_state.v, np.concatenate([s.v.ravel() for s in tensor_states]))

@@ -19,7 +19,7 @@ from longtail_lab import (Dataset, LossSpec, OptimSpec, compute_class_stats,
                           train_stage1)
 from longtail_lab import experiment as experiment_module
 from longtail_lab import model as model_module
-from longtail_lab.data import FreshSplit
+from longtail_lab.data import BLOCK_ROWS, FreshSplit, block_slices
 from longtail_lab.experiment import (DEFAULT_CONFIG_YAML, F1DeltaTable, load_manifest, plan,
                                      prepare_datasets, step_reads)
 from longtail_lab.metrics import ComparisonTable
@@ -254,7 +254,7 @@ class TestPrepareDatasets:
         assert train.num_instances == np.bincount(train.labels).sum()
         np.testing.assert_array_equal(np.bincount(test.labels), 25)
         np.testing.assert_array_equal(np.bincount(val.labels), 25)
-        first = [next(split.row_blocks([slice(0, 5)])) for split in (val, test)]
+        first = [next(split.row_blocks())[1][:5] for split in (val, test)]
         assert not np.array_equal(*first)
 
     def test_split_mode_partitions(self, monkeypatch):
@@ -290,9 +290,9 @@ class TestPrepareDatasets:
         assert [split.background_class for split in splits.values()] == [0, 0, 0]
 
     @staticmethod
-    def overflow(splits: str) -> str:
+    def overflow(splits: str, row: str = r"\d+") -> str:
         return (f"^config section dataset.synthetic: the {splits} draw overflows "
-                r"\(features contain non-finite values\); lower noise_sigma or class_separation$")
+                rf"\(features row {row} is not finite\); lower noise_sigma or class_separation$")
 
     def test_nonfinite_draw_rejected(self):
         # No np.errstate here: the draw overflows without a warning.
@@ -306,16 +306,16 @@ class TestPrepareDatasets:
     def test_nonfinite_row_in_a_later_fresh_block_rejected(self, monkeypatch):
         row_blocks = FreshSplit.row_blocks
         for name, stream in (("val", 1), ("test", 2)):
-            def poisoned(self, blocks, stream=stream):
-                for i, block in enumerate(row_blocks(self, blocks)):
+            def poisoned(self, stream=stream):
+                for i, (rows, block) in enumerate(row_blocks(self)):
                     if i == 1 and self.noise_stream == stream:
                         block[-1, 0] = np.nan
-                    yield block
+                    yield rows, block
 
             monkeypatch.setattr(FreshSplit, "row_blocks", poisoned)
             doc = tiny_doc("x")
-            doc["dataset"]["eval"]["per_class"] = 300  # 1,200 rows: two digest blocks
-            with pytest.raises(ValueError, match=self.overflow(name)):
+            doc["dataset"]["eval"]["per_class"] = 300  # 1,200 rows: two blocks of 600
+            with pytest.raises(ValueError, match=self.overflow(name, row="1199")):
                 prepare_datasets(config_from_dict(doc))
 
     def test_unknown_background_name_rejected(self):
@@ -780,13 +780,13 @@ class TestEvaluation:
 
     def test_a_fresh_test_set_is_drawn_once_for_scoring(self, tmp_path, monkeypatch):
         drawn = []
-        row_blocks = FreshSplit.row_blocks
+        draw = FreshSplit._draw
 
         def counted(self, blocks):
             drawn.append(self.noise_stream)
-            return row_blocks(self, blocks)
+            return draw(self, blocks)
 
-        monkeypatch.setattr(FreshSplit, "row_blocks", counted)
+        monkeypatch.setattr(FreshSplit, "_draw", counted)
         run_experiment(config_from_dict(tiny_doc(str(tmp_path / "run"), methods=list(METHODS))))
         # Data prep draws the train rows (stream 0) whole and hashes the val
         # (stream 1) and test (stream 2) draws; the scoring pass draws the
@@ -819,7 +819,7 @@ class TestEvaluation:
         monkeypatch.setattr(model_module.Backbone, "features", counted)
         monkeypatch.setattr(experiment_module, "_predictions", flagged)
         run_experiment(short_config(tmp_path / "run", one_stage, background_class=0))
-        blocks = model_module.score_blocks(20 * 100)
+        blocks = block_slices(20 * 100)
         assert len(blocks) == 2
         assert rows == [b.stop - b.start for b in blocks for _ in range(backbones)]
 
@@ -827,9 +827,9 @@ class TestEvaluation:
         model = train_stage1(dataset_with_counts([30, 20]), (),
                              OptimSpec(epochs=1, warmup_epochs=0, seed=1),
                              LossSpec(kind="cross_entropy"))
-        rows = 3 * model_module.SCORE_BLOCK_ROWS - 2
+        rows = 3 * BLOCK_ROWS - 2
         test = Dataset(np.zeros((rows, 3)), np.zeros(rows, dtype=np.int64), ("c0", "c1"))
-        row = 2 * model_module.SCORE_BLOCK_ROWS + 5
+        row = 2 * BLOCK_ROWS + 5
         # Written after the Dataset has checked its rows, which it would reject.
         test.features[row, 1] = np.nan
         test.features[row + 1, 0] = np.inf

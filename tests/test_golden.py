@@ -22,8 +22,8 @@ import yaml
 
 from longtail_lab import (Backbone, config_from_dict, load_model, load_report,
                           run_experiment, save_model, save_report)
+from longtail_lab.data import BLOCK_ROWS
 from longtail_lab.experiment import DEFAULT_CONFIG_YAML
-from longtail_lab.model import SCORE_BLOCK_ROWS
 
 GOLDEN = {
     False: "7ed64a1e640697d4deddfac8e81e2a7877b6e9738a286cd3dbc2222ac55de7eb",
@@ -171,7 +171,7 @@ def test_backbone_reads_at_most_a_batch_or_a_score_block(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(Backbone, "features", counted)
     run_experiment(config)
-    assert seen and max(seen) <= max(config.stage2.batch_size, SCORE_BLOCK_ROWS)
+    assert seen and max(seen) <= max(config.stage2.batch_size, BLOCK_ROWS)
 
 
 def _dynamic_arch_blas() -> bool:
@@ -181,10 +181,12 @@ def _dynamic_arch_blas() -> bool:
     return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
 
 
-# The report pins hold under another BLAS kernel, which a refactor of how rows
-# are blocked or scored could break without changing a bit on this one.
+# The report pins hold under each other BLAS kernel the module docstring
+# names, which a refactor of how rows are blocked or scored could break
+# without changing a bit on this one.
 @pytest.mark.skipif(not _dynamic_arch_blas(), reason="OpenBLAS without DYNAMIC_ARCH")
-def test_two_stage_reports_hold_under_the_haswell_kernel(tmp_path):
+@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge", "Prescott"])
+def test_two_stage_reports_hold_under_another_kernel(tmp_path, kernel):
     tests = Path(__file__).resolve().parent
     child = ("import sys\n"
              "from pathlib import Path\n"
@@ -192,7 +194,7 @@ def test_two_stage_reports_hold_under_the_haswell_kernel(tmp_path):
              "print(reports_digest(short_run(Path(sys.argv[1]), one_stage=False) / 'reports'))\n")
     path = os.pathsep.join([str(tests), str(tests.parent / "src"),
                             os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": path}
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": path}
     done = subprocess.run([sys.executable, "-c", child, str(tmp_path / "run")], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr

@@ -16,7 +16,7 @@ from longtail_lab import (Backbone, ClassifierHead, ClassStats, Dataset,
                           save_model, softmax, train_stage1, train_stage2)
 from longtail_lab import heads as heads_module
 from longtail_lab import model as model_module
-from longtail_lab.data import count_decade
+from longtail_lab.data import BLOCK_ROWS, block_slices, count_decade
 from longtail_lab.losses import LOSS_KINDS
 from longtail_lab.model import train_linear_head
 
@@ -469,7 +469,7 @@ class TestBlockedScores:
     @pytest.mark.parametrize("method", METHODS)
     def test_blocks_equal_one_pass(self, scoring_models, method):
         model = scoring_models[method]
-        rows = 2 * model_module.SCORE_BLOCK_ROWS + 1001
+        rows = 2 * BLOCK_ROWS + 1001
         x = np.random.default_rng(5).standard_normal((rows, 8)) * 6.0
         h = model.backbone.features(x)
         whole = model_module.METHODS[method].combine(model, h)
@@ -480,10 +480,10 @@ class TestBlockedScores:
         preds, s = predict(scoring_models[method], np.zeros((0, 8)))
         assert preds.shape == (0,) and s.shape == (0, 12)
 
-    @pytest.mark.parametrize("row", [17, 2 * model_module.SCORE_BLOCK_ROWS + 5])
+    @pytest.mark.parametrize("row", [17, 2 * BLOCK_ROWS + 5])
     def test_nonfinite_row_named(self, scoring_models, row):
         # The first bad row is named, also when it lies in a later block.
-        x = np.zeros((3 * model_module.SCORE_BLOCK_ROWS - 2, 8))
+        x = np.zeros((3 * BLOCK_ROWS - 2, 8))
         x[row, 3] = np.nan
         x[row + 1, 0] = np.inf
         with pytest.raises(ValueError, match=f"features row {row} is not finite"):
@@ -495,17 +495,18 @@ class TestBlockedScores:
         x = np.random.default_rng(6).standard_normal((60_000, 8))
         (preds, s), peak = traced_peak(predict, model, x)
         # One block's backbone features plus one block's scores.
-        block_bytes = model_module.SCORE_BLOCK_ROWS * (16 + 12) * 8
+        block_bytes = BLOCK_ROWS * (16 + 12) * 8
         extra = peak - s.nbytes - preds.nbytes
         assert extra <= 4 * block_bytes, extra / block_bytes
 
     # One block's scores are returned as the combine rule made them, not
     # copied into a second matrix: baseline holds one score-sized array, ssb
-    # its two head softmaxes and their combination.
+    # its two head softmaxes and their combination.  1,000 rows are one block.
     @pytest.mark.parametrize("method, most", [("baseline", 1.5), ("ssb", 3.5)])
     def test_one_block_is_not_copied(self, method, most):
         rng = np.random.default_rng(7)
-        classes, dim, rows = 200, 16, 4000
+        classes, dim, rows = 200, 16, 1000
+        assert len(block_slices(rows)) == 1
         heads = {name: ClassifierHead(weight=rng.standard_normal((classes, dim)),
                                       bias=rng.standard_normal(classes))
                  for name in ("head", "sqrt_head")[:2 if method == "ssb" else 1]}

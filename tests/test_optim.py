@@ -46,83 +46,79 @@ class TestSchedule:
 class TestOptimizerStep:
     def test_zero_lr_zero_decay_leaves_params(self):
         spec = OptimSpec(weight_decay=0.0, seed=0)
-        params = [np.array([1.0, -2.0])]
-        state = OptimState(params)
-        optimizer_step(params, [np.array([0.3, -0.7])], state, spec, lr=0.0)
-        np.testing.assert_array_equal(params[0], [1.0, -2.0])
+        param = np.array([1.0, -2.0])
+        state = OptimState(param)
+        optimizer_step(param, np.array([0.3, -0.7]), state, spec, lr=0.0)
+        np.testing.assert_array_equal(param, [1.0, -2.0])
 
     def test_single_step_moves_by_lr(self):
         # Bias correction makes the first update lr * g / (|g| + eps') ~ lr.
         spec = OptimSpec(weight_decay=0.0, seed=0)
-        params = [np.array([0.5])]
-        state = OptimState(params)
-        optimizer_step(params, [np.array([1.0])], state, spec, lr=1e-3)
-        assert params[0][0] == pytest.approx(0.5 - 1e-3, rel=1e-6)
+        param = np.array([0.5])
+        state = OptimState(param)
+        optimizer_step(param, np.array([1.0]), state, spec, lr=1e-3)
+        assert param[0] == pytest.approx(0.5 - 1e-3, rel=1e-6)
 
     def test_decoupled_decay_shrinks_geometrically(self):
         spec = OptimSpec(weight_decay=0.1, seed=0)
-        params = [np.array([2.0])]
-        state = OptimState(params)
+        param = np.array([2.0])
+        state = OptimState(param)
         lr = 0.5
         for _ in range(5):
-            optimizer_step(params, [np.zeros(1)], state, spec, lr=lr)
-        assert params[0][0] == pytest.approx(2.0 * (1 - lr * 0.1) ** 5, rel=1e-12)
+            optimizer_step(param, np.zeros(1), state, spec, lr=lr)
+        assert param[0] == pytest.approx(2.0 * (1 - lr * 0.1) ** 5, rel=1e-12)
 
     def test_nonfinite_gradient_identifies_tensor(self):
         spec = OptimSpec(seed=0)
-        params = [np.zeros(2), np.zeros(3)]
-        state = OptimState(params)
-        grads = [np.zeros(2), np.array([0.0, np.nan, 0.0])]
-        with pytest.raises(ValueError, match="tensor 1"):
-            optimizer_step(params, grads, state, spec, lr=0.01)
+        param = np.zeros(5)
+        state = OptimState(param)
+        grad = np.array([0.0, 0.0, 0.0, np.nan, 0.0])
+        with pytest.raises(ValueError, match="^non-finite gradient$"):
+            optimizer_step(param, grad, state, spec, lr=0.01)
 
     def test_overflowing_square_sum_identifies_tensor(self):
         # Every value is finite, but the squares the second moment adds
         # overflow.  Like fit_head, the caller ignores numpy's overflow warning.
         spec = OptimSpec(seed=0)
-        params = [np.zeros(2), np.zeros(3)]
-        state = OptimState(params)
-        grads = [np.zeros(2), np.array([0.0, 1e200, 0.0])]
-        with np.errstate(over="ignore"), pytest.raises(
-                ValueError, match=r"^overflowing gradient for parameter tensor 1 "):
-            optimizer_step(params, grads, state, spec, lr=0.01)
-        grads[1][1] = -np.inf
-        with pytest.raises(ValueError, match=r"^non-finite gradient for parameter tensor 1 "):
-            optimizer_step(params, grads, state, spec, lr=0.01)
+        param = np.zeros(5)
+        state = OptimState(param)
+        grad = np.array([0.0, 0.0, 0.0, 1e200, 0.0])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^overflowing gradient$"):
+            optimizer_step(param, grad, state, spec, lr=0.01)
+        grad[3] = -np.inf
+        with pytest.raises(ValueError, match="^non-finite gradient$"):
+            optimizer_step(param, grad, state, spec, lr=0.01)
         assert state.step == 0
-        assert not any(a.any() for a in params + state.m + state.v)
+        assert not any(a.any() for a in (param, state.m, state.v))
 
     def test_deterministic_trajectories(self):
         def run():
             rng = np.random.default_rng(7)
             spec = OptimSpec(seed=0)
-            params = [rng.normal(size=(3, 2)), rng.normal(size=3)]
-            state = OptimState(params)
+            param = rng.normal(size=9)
+            state = OptimState(param)
             for step in range(50):
-                grads = [rng.normal(size=p.shape) for p in params]
-                optimizer_step(params, grads, state, spec,
+                optimizer_step(param, rng.normal(size=param.shape), state, spec,
                                lr=lr_at(step, 50, 5, 0.01))
-            return params
+            return param
 
-        a, b = run(), run()
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert np.array_equal(run(), run())
 
     def test_quadratic_converges_under_default_schedule(self):
         # f(x) = 0.5 * (x0^2 + 4 x1^2), start at unit distance from the optimum.
         spec = OptimSpec(lr_init=0.01, weight_decay=1e-7, seed=0)
-        x = [np.array([1.0, 1.0]) / math.sqrt(2)]
+        x = np.array([1.0, 1.0]) / math.sqrt(2)
         state = OptimState(x)
         scale = np.array([1.0, 4.0])
 
         def objective(v):
             return 0.5 * float(v @ (scale * v))
 
-        start = objective(x[0])
+        start = objective(x)
         total, warmup = 500, 33
         for step in range(total):
-            grads = [scale * x[0]]
-            optimizer_step(x, grads, state, spec, lr=lr_at(step, total, warmup, spec.lr_init))
-        assert objective(x[0]) < 0.01 * start
+            optimizer_step(x, scale * x, state, spec, lr=lr_at(step, total, warmup, spec.lr_init))
+        assert objective(x) < 0.01 * start
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -56,8 +56,9 @@ def traced_short_run(probes, out_dir, one_stage: bool):
 
 # Calls per span name in the two-stage run.  A refactor that keeps the work
 # the same keeps these counts; one that moves a count says which and why.
-# One scoring pass reads the 2,000 test rows in two blocks of
-# ``SCORE_BLOCK_ROWS`` (1,024): the one stage-1 backbone runs once per block
+# One scoring pass reads the 2,000 test rows in the two 1,000-row blocks of
+# ``data.block_slices`` (at most ``BLOCK_ROWS``, 1,024, rows each), as every
+# split is read, checked and hashed: the one stage-1 backbone runs once per block
 # (2 of the 770 ``backbone_features`` calls; the rest are stage-2 batches),
 # and each method's ``predict`` once per block, so every count per method and
 # scoring block is twice the evaluations.  ``generate_synthetic`` and

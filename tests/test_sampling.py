@@ -145,9 +145,10 @@ class TestValidationEdges:
     def test_bags_beta(self):
         labels = np.array([0, 1])
         group_of = np.array([1, 4])
-        bags_filter_batch(labels, 1, group_of, math.nextafter(0.0, 1.0), seed=0)
+        bags_filter_batch(labels, 1, group_of, math.nextafter(0.0, 1.0), seed=0,
+                          batch_size=len(labels))
         with pytest.raises(ValueError, match="bags_beta must be > 0"):
-            bags_filter_batch(labels, 1, group_of, 0.0, seed=0)
+            bags_filter_batch(labels, 1, group_of, 0.0, seed=0, batch_size=len(labels))
 
     def test_bags_batch_size(self):
         labels = np.array([0, 1])
@@ -161,7 +162,8 @@ class TestBagsFilterBatch:
     def test_undersamples_others_to_beta_times_in_group(self):
         stats = compute_class_stats(dataset_with_counts([5, 2000]))
         labels = np.array([0, 0] + [1] * 64)  # class 0 is group 1, class 1 group 4
-        kept = bags_filter_batch(labels, group=1, group_of=stats.bins, bags_beta=8.0, seed=3)
+        kept = bags_filter_batch(labels, group=1, group_of=stats.bins, bags_beta=8.0, seed=3,
+                                 batch_size=len(labels))
         in_group = (labels[kept] == 0).sum()
         others = (labels[kept] == 1).sum()
         assert in_group == 2 and others == 16
@@ -169,13 +171,15 @@ class TestBagsFilterBatch:
     def test_batch_entirely_in_group_unchanged(self):
         stats = compute_class_stats(dataset_with_counts([5, 2000]))
         labels = np.zeros(10, dtype=np.int64)
-        kept = bags_filter_batch(labels, group=1, group_of=stats.bins, bags_beta=8.0, seed=0)
+        kept = bags_filter_batch(labels, group=1, group_of=stats.bins, bags_beta=8.0, seed=0,
+                                 batch_size=len(labels))
         assert kept.tolist() == list(range(10))
 
     def test_no_in_group_keeps_ceil_beta_others(self):
         stats = compute_class_stats(dataset_with_counts([5, 2000]))
         labels = np.ones(64, dtype=np.int64)
-        kept = bags_filter_batch(labels, group=1, group_of=stats.bins, bags_beta=8.0, seed=3)
+        kept = bags_filter_batch(labels, group=1, group_of=stats.bins, bags_beta=8.0, seed=3,
+                                 batch_size=len(labels))
         assert kept.size == 8
 
     def test_never_drops_in_group(self):
@@ -184,14 +188,16 @@ class TestBagsFilterBatch:
         for trial in range(50):
             labels = rng.integers(0, 3, size=rng.integers(1, 80))
             for group in (1, 2, 4):
-                kept = bags_filter_batch(labels, group, stats.bins, bags_beta=2.5, seed=trial)
+                kept = bags_filter_batch(labels, group, stats.bins, bags_beta=2.5, seed=trial,
+                                         batch_size=len(labels))
                 in_positions = np.flatnonzero(stats.bins[labels] == group)
                 assert set(in_positions.tolist()) <= set(kept.tolist())
 
     def test_cap_is_ceiling(self):
         stats = compute_class_stats(dataset_with_counts([5, 2000]))
         labels = np.array([0] + [1] * 30)
-        kept = bags_filter_batch(labels, group=1, group_of=stats.bins, bags_beta=2.5, seed=1)
+        kept = bags_filter_batch(labels, group=1, group_of=stats.bins, bags_beta=2.5, seed=1,
+                                 batch_size=len(labels))
         assert (labels[kept] == 1).sum() == math.ceil(2.5 * 1)
 
     @pytest.mark.parametrize("bags_beta, others", [(math.nextafter(0.0, 1.0), 1), (0.5, 1),
@@ -199,7 +205,8 @@ class TestBagsFilterBatch:
     def test_beta_at_most_one(self, bags_beta, others):
         stats = compute_class_stats(dataset_with_counts([5, 2000]))
         labels = np.array([0, 0] + [1] * 64)
-        kept = bags_filter_batch(labels, 1, stats.bins, bags_beta, seed=3)
+        kept = bags_filter_batch(labels, 1, stats.bins, bags_beta, seed=3,
+                                 batch_size=len(labels))
         assert (labels[kept] == 0).sum() == 2
         assert (labels[kept] == 1).sum() == others
 
@@ -270,10 +277,9 @@ class TestBagsFilterEpoch:
         assert not np.array_equal(a, c)
 
     def test_no_batch_size_is_one_batch(self):
+        # A batch size of the whole stream or more makes one batch.
         labels = np.random.default_rng(3).integers(0, 3, size=90)
-        whole = bags_filter_batch(labels, 1, EPOCH_GROUP_OF, 0.5, seed=4)
-        assert np.array_equal(
-            whole, bags_filter_batch(labels, 1, EPOCH_GROUP_OF, 0.5, seed=4, batch_size=90))
+        whole = bags_filter_batch(labels, 1, EPOCH_GROUP_OF, 0.5, seed=4, batch_size=len(labels))
         assert np.array_equal(
             whole, bags_filter_batch(labels, 1, EPOCH_GROUP_OF, 0.5, seed=4, batch_size=1000))
         in_group = int((labels == 0).sum())
