@@ -19,8 +19,8 @@ from .data import (Dataset, FreshSplit, SplitSpec, SyntheticSpec, check_rows,
                    compute_class_stats, generate_synthetic, load_embeddings, split_dataset)
 from .losses import LossSpec
 from .metrics import EvalReport, compare_methods, evaluate, save_report
-from .model import (METHODS, TrainedModel, fit_owner, head_view, predict, save_model,
-                    train_stage1, train_stage2)
+from .model import (METHODS, Stage2Fit, TrainedModel, fit_owner, head_view, predict,
+                    save_model, train_stage1, train_stage2)
 from .optim import OptimSpec
 from .schema import check_types, read_document, write_text
 from .seeding import derive_seed
@@ -275,28 +275,19 @@ def _resolve_background(dataset: Dataset, background: int | str | None) -> Datas
 
 
 def prepare_datasets(config: ExperimentConfig
-                     ) -> tuple[dict[str, Dataset | FreshSplit], str]:
-    """The train/val/test splits the configuration describes that some step of
-    ``plan(config)`` reads (see ``step_reads``), by name, and the dataset
+                     ) -> tuple[Dataset, Dataset | FreshSplit, str]:
+    """The train and test splits the configuration describes, and the dataset
     digest: the sha256 of the train, val and test digests, in that order.
 
     ``split`` mode partitions one dataset; ``fresh`` mode uses the full
     synthetic draw for training and draws balanced evaluation sets from the
     same class-conditional distributions (class counts below 10^3 in training
-    would otherwise be impossible to pair with a >= 10^3 head bin).  Each split
-    is hashed as it is made and dropped at once if no step reads it.  A fresh
-    evaluation set is a ``FreshSplit``: it is drawn, checked and hashed a
-    block at a time, and each later read draws its rows again.
+    would otherwise be impossible to pair with a >= 10^3 head bin).  No step
+    reads the validation split: it is made, hashed and dropped, a fresh one
+    before the test set is drawn.  A fresh evaluation set is a
+    ``FreshSplit``: it is drawn, checked and hashed a block at a time, and
+    each later read draws its rows again.
     """
-    reads = {name for step, _, tag in plan(config) for name in step_reads(step, tag)}
-    kept: dict[str, Dataset | FreshSplit] = {}
-    digests: list[str] = []
-
-    def keep(name: str, split: Dataset | FreshSplit) -> None:
-        digests.append(split.digest())
-        if name in reads:
-            kept[name] = split
-
     if config.synthetic is not None:
         drawn = "train" if config.eval_mode == "fresh" else "train, val and test"
         with _named_draw(drawn):
@@ -305,17 +296,18 @@ def prepare_datasets(config: ExperimentConfig
         base = load_embeddings(config.embeddings_path)
     base = _resolve_background(base, config.background)
     if config.eval_mode == "split":
-        for name, split in zip(("train", "val", "test"), split_dataset(base, config.split)):
-            keep(name, split)
+        train, val, test = split_dataset(base, config.split)
+        digests = [train.digest(), val.digest(), test.digest()]
     else:
-        keep("train", base)
-        eval_counts = np.full(config.synthetic.num_classes, config.eval_per_class,
-                              dtype=np.int64)
-        for name, stream in (("val", 1), ("test", 2)):
-            with _named_draw(name):
-                keep(name, FreshSplit(config.synthetic, eval_counts, stream,
-                                      base.background_class))
-    return kept, hashlib.sha256("".join(digests).encode("ascii")).hexdigest()
+        train = base
+        counts = np.full(config.synthetic.num_classes, config.eval_per_class, dtype=np.int64)
+        digests = [train.digest()]
+        with _named_draw("val"):
+            digests.append(FreshSplit(config.synthetic, counts, 1, base.background_class).digest())
+        with _named_draw("test"):
+            test = FreshSplit(config.synthetic, counts, 2, base.background_class)
+            digests.append(test.digest())
+    return train, test, hashlib.sha256("".join(digests).encode("ascii")).hexdigest()
 
 
 @contextmanager
@@ -441,21 +433,6 @@ def _loss(method: str, config: ExperimentConfig) -> LossSpec:
     return LossSpec(kind=METHODS[method].loss)
 
 
-def step_reads(step: str, tag: str | None) -> tuple[str, ...]:
-    """The held arrays a ``step`` of ``plan`` on stage-1 model ``tag`` (None for
-    an own fit) reads, in order.  "train" and "test" are the raw splits;
-    "<tag>" is a stage-1 model and the stage-2 fits made on it, by owner.  The
-    evaluations read together, in one scoring pass over the test set, which
-    draws a fresh test set once.  No backbone output of a whole split is held:
-    each step passes the raw rows it reads through the frozen backbone one
-    batch or scoring block at a time."""
-    return {("stage-1 training", True): ("train",),
-            ("one-stage training", False): ("train",),
-            ("stage-2 training", True): (tag, "train"),
-            ("evaluation", True): (tag, "test"),
-            ("evaluation", False): ("test",)}[step, tag is not None]
-
-
 def plan(config: ExperimentConfig) -> list[tuple[str, str, str | None]]:
     """The steps ``run_experiment`` runs, in order, as (step, method, stage-1
     tag): every fit first, in method order, then one evaluation per method, in
@@ -477,10 +454,11 @@ def plan(config: ExperimentConfig) -> list[tuple[str, str, str | None]]:
     return fits + evaluations
 
 
-def _stage2(config: ExperimentConfig, method: str, inputs: Iterator) -> TrainedModel:
-    """Stage-2 training: ``method``'s model, fitted on the raw train split
-    through a stage-1 entry's frozen backbone."""
-    (model, fits), train = inputs
+def _stage2(config: ExperimentConfig, method: str, model: TrainedModel,
+            fits: dict[str, Stage2Fit], train: Dataset) -> TrainedModel:
+    """Stage-2 training: ``method``'s model, fitted on the raw ``train`` rows
+    through the frozen backbone of stage-1 ``model``, on which ``fits`` holds
+    the stage-2 fits made so far."""
     owner = fit_owner(method)
     spec = replace(config.stage2, seed=derive_seed(config.seed, "stage2", owner))
     return train_stage2(model, train, method, spec, _loss(owner, config), fits=fits,
@@ -516,54 +494,49 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     """Run the steps of ``plan(config)``: every fit, then one scoring pass over
     the test partition for all methods, then each method's evaluation, and
     persist checkpoints, reports, the comparison table, and the manifest.
-    Per-method seeds do not depend on execution order.  Each large array is
-    held by its ``step_reads`` name, from data prep, which keeps only the
-    splits some step reads, and dropped at its last read: the train split
-    after the last fit, the test split after the scoring pass."""
+    Per-method seeds do not depend on execution order.  Data prep drops the
+    validation split; the train split and the stage-1 models are dropped after
+    the last fit, and the test split after the scoring pass."""
     out = Path(config.output_dir)
     for sub in ("checkpoints", "reports"):
         (out / sub).mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
-    held, dataset_digest = prepare_datasets(config)
+    train, test, dataset_digest = prepare_datasets(config)
     prepare_seconds = round(time.perf_counter() - started, 3)
-    stats = compute_class_stats(held["train"])
+    stats = compute_class_stats(train)
     config_digest = config.digest()
     manifest = RunManifest(config_digest=config_digest, dataset_digest=dataset_digest,
                            tool_version=__version__, one_stage=config.one_stage, methods={},
                            stage1_seconds={}, prepare_seconds=prepare_seconds)
-    steps = plan(config)
-    last_read = {name: i for i, (step, _, tag) in enumerate(steps)
-                 for name in step_reads(step, tag)}
-    class_names, test_labels = held["train"].class_names, held["test"].labels
+    class_names, test_labels = train.class_names, test.labels
     seconds = dict.fromkeys(config.methods, 0.0)  # the time of each method's own steps
+    stage1: dict[str, tuple[TrainedModel, dict[str, Stage2Fit]]] = {}  # model and fits, by tag
     models: dict[str, TrainedModel] = {}  # each method's model, once it has one
     scored: list[tuple[str, str]] = []  # each evaluation's method and backbone key
     reports: list[EvalReport] = []
     step, method = "setup", ""
     try:
-        for i, (step, method, tag) in enumerate(steps):
+        for step, method, tag in plan(config):
             started = time.perf_counter()
-            inputs = (held.pop(name) if last_read[name] == i else held[name]
-                      for name in step_reads(step, tag))
             if step == "stage-1 training":
                 spec = replace(config.stage1, seed=derive_seed(config.seed, tag))
-                held[tag] = (train_stage1(next(inputs), config.hidden, spec,
-                                          _loss("baseline", config)), {})
+                stage1[tag] = (train_stage1(train, config.hidden, spec,
+                                            _loss("baseline", config)), {})
                 manifest.stage1_seconds[tag] = round(time.perf_counter() - started, 3)
                 continue
             if step == "one-stage training":
                 spec = replace(config.stage1, seed=derive_seed(config.seed, "one-stage", method))
-                models[method] = train_stage1(next(inputs), config.hidden, spec,
+                models[method] = train_stage1(train, config.hidden, spec,
                                               _loss(method, config), method=method)
             elif step == "stage-2 training":
-                models[method] = _stage2(config, method, inputs)
-            else:  # read here, scored below in one pass once every evaluation has read
+                models[method] = _stage2(config, method, *stage1[tag], train)
+            else:  # scored below in one pass once every evaluation is listed
                 if tag is not None:  # a method without a fit of its own scores the stage-1 model
-                    models.setdefault(method, next(inputs)[0])
-                test = next(inputs)
+                    models.setdefault(method, stage1[tag][0])
                 scored.append((method, method if tag is None else tag))
             seconds[method] += time.perf_counter() - started
+        del train, stage1
         step, method = "scoring", scored[0][0]
         started = time.perf_counter()
         predictions = _predictions([(key, models[m]) for m, key in scored], test)

@@ -93,12 +93,10 @@ class Backbone:
         grads.reverse()
         return grads
 
-    def copy(self, frozen: bool | None = None) -> "Backbone":
-        return Backbone(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            frozen=self.frozen if frozen is None else frozen,
-        )
+    def frozen_copy(self) -> "Backbone":
+        """A copy of the layers, marked frozen: stage 2 trains none of them."""
+        return Backbone(weights=[w.copy() for w in self.weights],
+                        biases=[b.copy() for b in self.biases], frozen=True)
 
 
 @dataclass(eq=False)
@@ -157,6 +155,14 @@ class TrainedModel:
         if self.stats.num_classes != self.num_classes:
             raise ValueError(f"class_names has {self.num_classes} entries "
                              f"but stats.counts has {self.stats.num_classes}")
+        empty = np.flatnonzero(self.stats.counts < 1)
+        if empty.size:
+            raise ValueError(f"field 'stats.counts[{empty[0]}]' must be >= 1, "
+                             f"got {self.stats.counts[empty[0]]}")
+        if self.background_class is not None and \
+                not 0 <= self.background_class < self.num_classes:
+            raise ValueError(f"field 'background_class' must lie in [0, {self.num_classes}), "
+                             f"got {self.background_class}")
         # Each layer reads the previous layer's output; every head reads the backbone's.
         width = None
         layers = [(f"backbone.{i}", w, b)
@@ -461,7 +467,7 @@ def train_stage2(model: TrainedModel, dataset: Dataset, method: str,
         raise ValueError(f"unknown method {method!r}: it has no second stage")
     _check_loss(owner, loss)
     _inputs(model, dataset.features)
-    backbone = model.backbone.copy(frozen=True)
+    backbone = model.backbone.frozen_copy()
     stats = compute_class_stats(dataset)
     fits = {} if fits is None else fits
     if owner not in fits:

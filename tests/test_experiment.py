@@ -19,9 +19,9 @@ from longtail_lab import (Dataset, LossSpec, OptimSpec, compute_class_stats,
                           train_stage1)
 from longtail_lab import experiment as experiment_module
 from longtail_lab import model as model_module
-from longtail_lab.data import BLOCK_ROWS, FreshSplit, block_slices
+from longtail_lab.data import BLOCK_ROWS, FreshSplit, block_slices, split_dataset
 from longtail_lab.experiment import (DEFAULT_CONFIG_YAML, F1DeltaTable, load_manifest, plan,
-                                     prepare_datasets, step_reads)
+                                     prepare_datasets)
 from longtail_lab.metrics import ComparisonTable
 from longtail_lab.model import METHODS, fit_owner
 
@@ -236,20 +236,27 @@ def generate_synthetic_small():
                                             noise_sigma=1.0, seed=1))
 
 
-def prepare_all(config, monkeypatch) -> tuple[dict, str]:
-    """``prepare_datasets(config)`` as if a step of the plan read the
-    validation split too, so that it keeps all three splits."""
-    reads = experiment_module.step_reads
-    monkeypatch.setattr(experiment_module, "step_reads",
-                        lambda step, tag: reads(step, tag) + ("val",))
-    return prepare_datasets(config)
+def prepared(config) -> tuple[Dataset, Dataset | FreshSplit, Dataset | FreshSplit]:
+    """The train and test splits ``prepare_datasets(config)`` returns, with
+    the validation split between them, built apart from it: the draw on noise
+    stream 1 in fresh mode, the second part of the split in split mode.  The
+    dataset digest is checked to cover the three, in order."""
+    train, test, digest = prepare_datasets(config)
+    if config.eval_mode == "fresh":
+        counts = np.full(config.synthetic.num_classes, config.eval_per_class)
+        val = FreshSplit(config.synthetic, counts, 1, train.background_class)
+    else:
+        base = generate_synthetic(config.synthetic).with_background(train.background_class)
+        val = split_dataset(base, config.split)[1]
+    assert digest == hashlib.sha256("".join(
+        split.digest() for split in (train, val, test)).encode("ascii")).hexdigest()
+    return train, val, test
 
 
 class TestPrepareDatasets:
-    def test_fresh_mode_keeps_full_training_profile(self, monkeypatch):
+    def test_fresh_mode_keeps_full_training_profile(self):
         config = config_from_dict(tiny_doc("x"))
-        splits, _ = prepare_all(config, monkeypatch)
-        train, val, test = splits["train"], splits["val"], splits["test"]
+        train, val, test = prepared(config)
         assert np.bincount(train.labels).min() >= 1
         assert train.num_instances == np.bincount(train.labels).sum()
         np.testing.assert_array_equal(np.bincount(test.labels), 25)
@@ -257,37 +264,29 @@ class TestPrepareDatasets:
         first = [next(split.row_blocks())[1][:5] for split in (val, test)]
         assert not np.array_equal(*first)
 
-    def test_split_mode_partitions(self, monkeypatch):
+    def test_split_mode_partitions(self):
         doc = tiny_doc("x")
         doc["dataset"]["eval"] = {"mode": "split"}
         doc["dataset"]["synthetic"]["head_count"] = 120
         config = config_from_dict(doc)
-        splits, _ = prepare_all(config, monkeypatch)
-        assert sum(split.num_instances for split in splits.values()) == \
+        assert sum(split.num_instances for split in prepared(config)) == \
             generate_synthetic(config.synthetic).num_instances
 
     @pytest.mark.parametrize("mode", ["fresh", "split"])
-    def test_keeps_only_the_splits_a_step_reads(self, monkeypatch, mode):
+    def test_keeps_only_the_splits_a_step_reads(self, mode):
         doc = tiny_doc("x")
         doc["dataset"]["eval"]["mode"] = mode
         doc["dataset"]["synthetic"]["head_count"] = 120
-        config = config_from_dict(doc)
-        splits, digest = prepare_datasets(config)
-        assert list(splits) == ["train", "test"]
-        # The digest covers the validation split all the same, hashed after
-        # the train split and before the test split.
-        every, same_digest = prepare_all(config, monkeypatch)
-        assert list(every) == ["train", "val", "test"]
-        assert same_digest == digest == hashlib.sha256("".join(
-            every[name].digest() for name in ("train", "val", "test")).encode("ascii")
-        ).hexdigest()
+        # The train and test splits are returned; the digest covers the
+        # validation split all the same, hashed after the train split and
+        # before the test split.
+        train, val, test = prepared(config_from_dict(doc))
+        assert len({split.digest() for split in (train, val, test)}) == 3
 
-    def test_background_by_name(self, monkeypatch):
+    def test_background_by_name(self):
         doc = tiny_doc("x")
         doc["dataset"]["background_class"] = "class_00"
-        config = config_from_dict(doc)
-        splits, _ = prepare_all(config, monkeypatch)
-        assert [split.background_class for split in splits.values()] == [0, 0, 0]
+        assert [split.background_class for split in prepared(config_from_dict(doc))] == [0, 0, 0]
 
     @staticmethod
     def overflow(splits: str, row: str = r"\d+") -> str:
@@ -577,11 +576,12 @@ class TestPlan:
     def test_every_read_is_written_first(self, methods, one_stage, shared_stage1):
         steps = plan(config_from_dict(tiny_doc("unused", methods=methods, one_stage=one_stage,
                                                shared_stage1=shared_stage1)))
-        written = {"train", "test"}
+        ready = set()  # every tag trained so far
         for step, method, tag in steps:
-            assert set(step_reads(step, tag)) <= written, (step, method)
             if step == "stage-1 training":
-                written.add(tag)
+                ready.add(tag)
+            elif tag is not None:
+                assert tag in ready, (step, method)
         assert [m for s, m, _ in steps if s == "evaluation"] == methods
         assert [s for s, _, _ in steps][-len(methods):] == ["evaluation"] * len(methods)
         trained = Counter(t for s, _, t in steps if s == "stage-1 training")
@@ -742,11 +742,11 @@ class TestArrayLifetimes:
                                         "seed": 3},
                           "eval": {"mode": "fresh", "per_class": 2_500}}
         config = config_from_dict(doc)
-        splits, _ = prepare_datasets(config)
-        raw = splits["train"].features.nbytes
+        train, test, _ = prepare_datasets(config)
+        raw = train.features.nbytes
         slack = 3 << 20
-        assert splits["test"].num_instances * 64 * 8 > slack
-        del splits
+        assert test.num_instances * 64 * 8 > slack
+        del train, test
         _, peak = traced_peak(run_experiment, config)
         assert peak <= raw + slack, (peak - raw) / 2**20
 

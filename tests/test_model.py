@@ -232,7 +232,7 @@ class TestFitHead:
 
     def test_frozen_backbone_runs_forward_on_each_batch_only(self, monkeypatch):
         ds = blob_dataset()
-        backbone = Backbone.build(4, (5,), np.random.default_rng(0)).copy(frozen=True)
+        backbone = Backbone.build(4, (5,), np.random.default_rng(0)).frozen_copy()
         before = [w.copy() for w in backbone.weights + backbone.biases]
         rows = []
         features = Backbone.features
@@ -375,7 +375,7 @@ class TestStage2:
                                           model_module.METHODS[owner].q, optim, loss,
                                           Backbone([], []))
             new = {"sqrt_head" if method == "ssb" else "head": head}
-        given = TrainedModel(backbone=model.backbone.copy(frozen=True),
+        given = TrainedModel(backbone=model.backbone.frozen_copy(),
                              heads={"head": model.heads["head"], **new}, stats=stats,
                              method=method, train_log=log, class_names=ds.class_names)
         computed = train_stage2(model, ds, method, optim, loss)
@@ -399,7 +399,7 @@ class TestStage2:
         with pytest.raises(ValueError, match="fit_head: 5 feature rows but 738 labels"):
             train_linear_head(ds.features[:5], ds.labels, compute_class_stats(ds).counts, 0.5,
                               OptimSpec(seed=5).for_classifier(), LossSpec(kind="cross_entropy"),
-                              backbone=model.backbone.copy(frozen=True))
+                              backbone=model.backbone.frozen_copy())
 
     def test_identity_backbone_equivalence(self):
         ds = blob_dataset(counts=(50, 30, 10), dim=5, seed=13)
@@ -602,6 +602,15 @@ def checkpoint_file(tmp_path_factory, stage1_setup):
     return path
 
 
+@pytest.fixture(scope="module")
+def bags_checkpoint_file(tmp_path_factory, stage1_setup):
+    ds, model = stage1_setup
+    path = tmp_path_factory.mktemp("ckpt") / "bags.ckpt"
+    save_model(train_stage2(model, ds, "bags", OptimSpec(seed=5).for_classifier(),
+                            LossSpec(kind="cross_entropy")), str(path))
+    return path
+
+
 def rejects(path, *fragments) -> None:
     """load_model raises ValueError whose message names the path and each fragment."""
     with pytest.raises(ValueError) as info:
@@ -613,6 +622,17 @@ def rejects(path, *fragments) -> None:
 def checkpoint_header(blob: bytes) -> dict:
     (header_len,) = struct.unpack_from("<Q", blob, MAGIC_LEN)
     return json.loads(blob[MAGIC_LEN + 8:MAGIC_LEN + 8 + header_len])
+
+
+def edited_checkpoint(path, edit) -> bytes:
+    """The checkpoint at ``path`` with ``edit`` applied to its header."""
+    blob = path.read_bytes()
+    header = checkpoint_header(blob)
+    edit(header)
+    new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    (header_len,) = struct.unpack_from("<Q", blob, MAGIC_LEN)
+    return (blob[:MAGIC_LEN] + struct.pack("<Q", len(new)) + new
+            + blob[MAGIC_LEN + 8 + header_len:])
 
 
 def older_header(header: dict) -> None:
@@ -696,15 +716,30 @@ class TestCorruptCheckpoint:
             "unknown_method", "class_names_cut", "bins_disagree", "count_beyond_int64",
             "weight_transposed", "older_format"])
     def test_bad_header_field_named(self, tmp_path, checkpoint_file, edit, fragment):
-        blob = checkpoint_file.read_bytes()
-        (header_len,) = struct.unpack_from("<Q", blob, MAGIC_LEN)
-        start = MAGIC_LEN + 8
-        header = json.loads(blob[start:start + header_len])
-        edit(header)
-        new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
         path = tmp_path / "edited.ckpt"
-        path.write_bytes(blob[:MAGIC_LEN] + struct.pack("<Q", len(new)) + new
-                         + blob[start + header_len:])
+        path.write_bytes(edited_checkpoint(checkpoint_file, edit))
+        rejects(path, fragment)
+
+    # Well-typed values a model of the stored classes cannot have: a
+    # background class that is not one of the 4 classes, and a class with no
+    # training rows.  Bags reads the background class to group its heads.
+    @pytest.mark.parametrize("method", ["baseline", "bags"])
+    @pytest.mark.parametrize("edit, fragment", [
+        (lambda h: h.update(background_class=99),
+         "field 'background_class' must lie in [0, 4), got 99"),
+        (lambda h: h.update(background_class=-1),
+         "field 'background_class' must lie in [0, 4), got -1"),
+        (lambda h: h["stats"]["counts"].__setitem__(2, 0),
+         "field 'stats.counts[2]' must be >= 1, got 0"),
+        (lambda h: h["stats"]["counts"].__setitem__(2, -7),
+         "field 'stats.counts[2]' must be >= 1, got -7"),
+    ], ids=["background_beyond_classes", "negative_background", "zero_count",
+            "negative_count"])
+    def test_value_outside_the_classes_named(self, tmp_path, checkpoint_file,
+                                             bags_checkpoint_file, method, edit, fragment):
+        path = tmp_path / "edited.ckpt"
+        source = bags_checkpoint_file if method == "bags" else checkpoint_file
+        path.write_bytes(edited_checkpoint(source, edit))
         rejects(path, fragment)
 
     @settings(max_examples=200, deadline=None)
