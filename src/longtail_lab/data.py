@@ -321,6 +321,8 @@ class SplitSpec:
             raise ValueError("each split fraction must lie in (0, 1)")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise ValueError(f"split fractions must sum to 1, got {sum(fracs)}")
+        if self.seed < 0:
+            raise ValueError(f"split seed must be >= 0, got {self.seed}")
 
 
 def _allocate(n: int, spec: SplitSpec) -> tuple[int, int, int]:

@@ -83,6 +83,9 @@ class ExperimentConfig:
         if self.bags_background_group not in _BACKGROUND_GROUP:
             raise ValueError("config key bags.background_group must be one of "
                              f"{tuple(_BACKGROUND_GROUP)}")
+        if self.bags_background_group == "on" and self.background is None:
+            raise ValueError("config key bags.background_group: 'on' needs config key "
+                             "dataset.background_class")
         if self.bags_beta <= 0:
             raise ValueError(f"config key bags.beta must be > 0, got {self.bags_beta!r}")
         if not 0.0 <= self.cb_beta < 1.0:
@@ -167,6 +170,19 @@ _CONFIG_KEYS = {
 }
 
 
+# YAML reads ``1e-5``, ``1e5`` and ``1.0e5`` as text: a float needs a "." in
+# its mantissa and a sign on its exponent.
+_FLOAT_HINT = "; write it with a '.' and a signed exponent, such as 1.0e-5 or 1.0e+5"
+
+
+def _reads_as_number(value) -> bool:
+    """Whether ``value`` is text that Python reads as a finite float."""
+    try:
+        return isinstance(value, str) and bool(np.isfinite(float(value)))
+    except ValueError:
+        return False
+
+
 def _read(section: dict, keys: dict, where: str, doc: dict) -> dict:
     """``section`` with each of ``keys`` read as written or defaulted, then
     type-checked; ``doc`` is the document read so far."""
@@ -188,7 +204,8 @@ def _read(section: dict, keys: dict, where: str, doc: dict) -> dict:
             try:
                 check_types(value, kind, where + key)
             except ValueError as exc:
-                raise ValueError(f"config {exc}") from None
+                hint = _FLOAT_HINT if kind is float and _reads_as_number(value) else ""
+                raise ValueError(f"config {exc}{hint}") from None
         out[key] = float(value) if kind is float else value
     return out
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import GROUP_LIMITS, ClassStats, Dataset, compute_class_stats
 from .losses import LossSpec, softmax
-from .model import METHODS, Backbone, ClassifierHead, EpochLog, fit_head
+from .model import METHODS, Backbone, BatchHook, ClassifierHead, EpochLog, every_row, fit_head
 from .optim import OptimSpec
 from .sampling import bags_filter_batch
 from .seeding import derive_seed
@@ -122,46 +122,39 @@ def bags_train_heads(dataset: Dataset, optim: OptimSpec, backbone: Backbone, *,
     dim = backbone.output_dim(dataset.feature_dim)
     loss = LossSpec(kind=METHODS["bags"].loss)
 
+    # A class's slot in its group head never changes once set, so every hook
+    # may read slot_of, which is whole before the first fit.
     slot_of = np.full(layout.num_classes, -1, dtype=np.int64)
-    heads: dict[str, ClassifierHead] = {}
-    logs: list[list[EpochLog]] = []
+    fits: list[tuple[str, int, int, BatchHook]] = []
     for k in range(1, len(GROUP_LIMITS) + 1):
         members = layout.classes_in(k)
         if members.size == 0:
             logger.warning("grouped-head training: group %d has no classes; skipped", k)
             continue
         slot_of[members] = np.arange(members.size)
-        others_slot = members.size
         head_seed = derive_seed(optim.seed, "bags-group", k)
-        head_optim = replace(optim, seed=head_seed)
-        head = ClassifierHead.create(members.size + 1, dim,
-                                     np.random.default_rng(derive_seed(head_seed, "init")))
 
-        def group_hook(epoch: int, stream: np.ndarray,
-                       group: int = k, slot: int = others_slot) -> tuple[np.ndarray, np.ndarray]:
+        # The hooks run after this loop: bind this group's values now.
+        def group_hook(epoch: int, stream: np.ndarray, group: int = k, seed: int = head_seed,
+                       slot: int = members.size) -> tuple[np.ndarray, np.ndarray]:
             kept = bags_filter_batch(labels[stream], group, group_of, bags_beta,
-                                     seed=derive_seed(head_seed, "filter", epoch),
+                                     seed=derive_seed(seed, "filter", epoch),
                                      batch_size=optim.batch_size)
             kept_labels = labels[stream[kept]]
             return kept, np.where(group_of[kept_labels] == group, slot_of[kept_labels], slot)
 
-        logs.append(fit_head(head, features, labels, stats.counts, METHODS["bags"].q, head_optim,
-                             loss, backbone, batch_hook=group_hook))
-        heads[f"bags.group{k}"] = head
-
+        fits.append((f"bags.group{k}", head_seed, members.size + 1, group_hook))
     if layout.has_background_group:
-        bg = layout.background_class
-        bg_seed = derive_seed(optim.seed, "bags-background")
-        bg_optim = replace(optim, seed=bg_seed)
-        background_head = ClassifierHead.create(2, dim,
-                                                np.random.default_rng(derive_seed(bg_seed, "init")))
+        fits.append(("bags.background", derive_seed(optim.seed, "bags-background"), 2,
+                     every_row((labels == layout.background_class).astype(np.int64))))
 
-        def background_hook(epoch: int, stream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return np.arange(stream.shape[0]), (labels[stream] == bg).astype(np.int64)
-
-        logs.append(fit_head(background_head, features, labels, stats.counts, METHODS["bags"].q,
-                             bg_optim, loss, backbone, batch_hook=background_hook))
-        heads["bags.background"] = background_head
+    heads: dict[str, ClassifierHead] = {}
+    logs: list[list[EpochLog]] = []
+    for name, seed, outputs, hook in fits:
+        head = ClassifierHead.create(outputs, dim, np.random.default_rng(derive_seed(seed, "init")))
+        logs.append(fit_head(head, features, labels, stats.counts, METHODS["bags"].q,
+                             replace(optim, seed=seed), loss, backbone, batch_hook=hook))
+        heads[name] = head
 
     merged = [EpochLog(epoch=e, mean_loss=float(np.mean([lg[e].mean_loss for lg in logs])),
                        lr=logs[0][e].lr)

@@ -220,6 +220,11 @@ BatchHook = Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray]]
 Stage2Fit = tuple[dict[str, ClassifierHead], list[EpochLog]]
 
 
+def every_row(targets: np.ndarray) -> BatchHook:
+    """The batch hook that trains every stream position, on ``targets[stream]``."""
+    return lambda epoch, stream: (np.arange(stream.shape[0]), targets[stream])
+
+
 def fit_head(head: ClassifierHead, features: np.ndarray, labels: np.ndarray,
              counts: np.ndarray, q: float, optim: OptimSpec, loss: LossSpec,
              backbone: Backbone, batch_hook: BatchHook | None = None) -> list[EpochLog]:
@@ -228,10 +233,10 @@ def fit_head(head: ClassifierHead, features: np.ndarray, labels: np.ndarray,
     ``features`` are ``backbone``'s raw inputs: each step's rows go through a
     frozen backbone before the head, and an unfrozen one's layers train
     jointly with the head.  ``batch_hook(epoch, stream) -> (kept, targets)``
-    lets callers filter and relabel a whole epoch stream at once (used by the
-    grouped heads): ``kept`` holds the ascending stream positions that train,
-    ``targets`` their targets, and each step trains on the kept positions of
-    its batch.  The default trains on every batch as drawn with the dataset
+    filters and relabels a whole epoch stream at once: ``kept`` holds the
+    ascending stream positions that train, ``targets`` their targets, and
+    each step trains on the kept positions of its batch.  The default,
+    ``every_row(labels)``, trains on every batch as drawn with the dataset
     labels.
 
     Every trained parameter lives in one flat float64 vector, so one optimizer
@@ -244,6 +249,8 @@ def fit_head(head: ClassifierHead, features: np.ndarray, labels: np.ndarray,
         raise ValueError(f"fit_head: {n} feature rows but {len(labels)} labels")
     if optim.epochs == 0:
         return []
+    if batch_hook is None:
+        batch_hook = every_row(labels)
     layers = backbone.num_layers
     # The identity backbone is never called, and a frozen one only runs
     # forward: ``layers`` counts the layers that train.
@@ -268,23 +275,20 @@ def fit_head(head: ClassifierHead, features: np.ndarray, labels: np.ndarray,
     warmup_steps = optim.warmup_epochs * steps_per_epoch
     log: list[EpochLog] = []
     gstep = 0
-    # An overflow leaves an infinite value that a check below names: the loss's
-    # softmax, the loss itself, or the optimizer step's sum of squares.
-    with np.errstate(over="ignore"):
+    # An overflow leaves an infinite value, and arithmetic on it a NaN, that a
+    # check below names: the loss's softmax, the loss itself, or the optimizer
+    # step's sum of squares.
+    with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(optim.epochs):
             sampler = make_sampler(counts, q, derive_seed(optim.seed, "stream", epoch))
             stream = make_epoch_stream(labels, sampler, n)
-            starts = np.arange(steps_per_epoch + 1) * optim.batch_size
-            if batch_hook is None:
-                epoch_rows, bounds = stream, np.minimum(starts, n)
-            else:
-                kept, epoch_targets = batch_hook(epoch, stream)
-                epoch_rows, bounds = stream[kept], np.searchsorted(kept, starts)
+            kept, epoch_targets = batch_hook(epoch, stream)
+            epoch_rows = stream[kept]
+            bounds = np.searchsorted(kept, np.arange(steps_per_epoch + 1) * optim.batch_size)
             loss_sum, rows = 0.0, 0
             for step in range(steps_per_epoch):
                 lo, hi = bounds[step], bounds[step + 1]
-                rows_idx = epoch_rows[lo:hi]
-                targets = labels[rows_idx] if batch_hook is None else epoch_targets[lo:hi]
+                rows_idx, targets = epoch_rows[lo:hi], epoch_targets[lo:hi]
                 h = features[rows_idx]
                 if frozen:
                     h = backbone.features(h)

@@ -97,12 +97,18 @@ class TestConfig:
         ("", "methods", [], ["config key methods", "at least one"]),
         ("", "methods", ["baseline", "baseline"], ["config key methods", "duplicate"]),
         ("", "methods", ["baseline", "nope"], ["config key methods", "'nope'"]),
+        ("split", "seed", -1, ["split", "seed", ">= 0"]),
+        # YAML reads 1e-5 as text; the message says how to write it as a float.
+        ("stage2", "lr_init", "1e-5", ["stage2.lr_init", "'1e-5'", "such as 1.0e-5 or 1.0e+5"]),
+        ("bags", "background_group", "on", ["bags.background_group", "'on'",
+                                             "dataset.background_class"]),
     ], ids=["float_epochs", "nan_lr", "negative_decay", "string_batch", "scalar_hidden",
             "zero_width_hidden", "no_stage1_epochs", "no_stage2_epochs", "cb_beta_above_one",
             "negative_gamma", "zero_bags_beta", "string_one_stage", "string_shared_stage1",
             "string_stratified", "scalar_methods", "scalar_eval", "scalar_embeddings",
             "float_background", "bool_background", "scalar_output_dir", "list_stage1",
-            "empty_methods", "duplicate_methods", "unknown_method"])
+            "empty_methods", "duplicate_methods", "unknown_method", "negative_split_seed",
+            "exponent_without_dot", "background_group_on_without_background_class"])
     def test_bad_value_names_its_key(self, section, key, value, fragments):
         doc = tiny_doc("x")
         (doc.setdefault(section, {}) if section else doc)[key] = value
@@ -372,20 +378,20 @@ class TestRunExperiment:
 
     def test_failure_marker_written(self, tmp_path):
         doc = tiny_doc(str(tmp_path / "run"), methods=["bags"])
-        doc["bags"] = {"background_group": "on"}  # no background class designated
+        doc["stage2"]["lr_init"] = 1.0e+300  # stage 1 trains; bags' stage 2 diverges
         config = config_from_dict(doc)
         with pytest.raises(RuntimeError, match="bags.*stage-2"):
             run_experiment(config)
         manifest = load_manifest(str(tmp_path / "run" / "manifest.json"))
         assert manifest.failure["method"] == "bags"
-        assert "background" in manifest.failure["error"]
+        assert "training diverged: non-finite logits" in manifest.failure["error"]
         done = run_experiment(config_from_dict(tiny_doc(str(tmp_path / "done"),
                                                         methods=["baseline"])))
         assert manifest.dataset_digest == done.dataset_digest
 
     def test_a_failed_fit_fails_before_any_report_is_written(self, tmp_path):
         doc = tiny_doc(str(tmp_path / "run"), methods=["baseline", "bags"])
-        doc["bags"] = {"background_group": "on"}  # no background class designated
+        doc["stage2"]["lr_init"] = 1.0e+300  # stage 1 trains; bags' stage 2 diverges
         with pytest.raises(RuntimeError, match="method 'bags' failed during stage-2 training"):
             run_experiment(config_from_dict(doc))
         for sub in ("reports", "checkpoints"):

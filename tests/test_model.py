@@ -205,6 +205,17 @@ class TestFitHead:
             model_module.fit_head(head, ds.features * 1e300, ds.labels, np.array([60, 40]), 1.0,
                                   spec, LossSpec(kind="cross_entropy"), Backbone([], []))
 
+    def test_diverging_parameters_name_the_logits_and_epoch(self):
+        # The first step blows the parameters up and the next logits compute
+        # inf - inf.  numpy must not warn there: the suite turns warnings into errors.
+        ds = blob_dataset()
+        head = ClassifierHead(weight=np.zeros((2, 4)), bias=np.zeros(2))
+        spec = OptimSpec(lr_init=1.0e+300, epochs=2, warmup_epochs=0, batch_size=16, seed=0)
+        with pytest.raises(RuntimeError,
+                           match=r"^training diverged: non-finite logits at epoch \d+$"):
+            model_module.fit_head(head, ds.features, ds.labels, np.array([60, 40]), 1.0, spec,
+                                  LossSpec(kind="cross_entropy"), Backbone([], []))
+
     def test_one_loss_and_one_update_per_step(self, monkeypatch):
         counted = {"batch_loss": 0, "optimizer_step": 0}
         for name in counted:
