@@ -8,9 +8,8 @@ binned-accuracy and macro-F1 evaluation.
 
 __version__ = "0.1.0"
 
-from .data import (ClassStats, Dataset, SplitSpec, SyntheticSpec,
-                   compute_class_stats, generate_synthetic, load_embeddings,
-                   save_embeddings, split_dataset)
+from .data import (Dataset, SplitSpec, SyntheticSpec, compute_class_stats,
+                   generate_synthetic, load_embeddings, save_embeddings, split_dataset)
 from .experiment import (ExperimentConfig, RunManifest, config_from_dict,
                          default_config, emit_f1_delta, plan, run_experiment)
 from .heads import (GroupLayout, bags_infer, bags_scores, bags_train_heads,
@@ -24,8 +23,7 @@ from .sampling import (SamplerSpec, bags_filter_batch, make_epoch_stream,
                        make_sampler, sampling_weights)
 
 __all__ = [
-    "Backbone", "ClassStats", "ClassifierHead",
-    "Dataset", "EvalReport", "ExperimentConfig", "GroupLayout",
+    "Backbone", "ClassifierHead", "Dataset", "EvalReport", "ExperimentConfig", "GroupLayout",
     "LossSpec", "LossValue", "OptimSpec", "OptimState", "RunManifest",
     "SamplerSpec", "SplitSpec", "SyntheticSpec", "TrainedModel",
     "bags_filter_batch", "bags_infer", "bags_scores", "bags_train_heads",

@@ -1,8 +1,8 @@
 """Synthetic long-tail datasets, embedding-file ingestion, and per-class statistics.
 
-Class counts are summarized by decade: ``bins`` 1-4 are the half-open
-intervals of ``GROUP_LIMITS``, the top one open-ended.  They group classes
-both for binned accuracy and for the grouped classifier heads.
+Class counts are summarized by decade: ``count_decade`` gives bins 1-4, the
+half-open intervals of ``GROUP_LIMITS``, the top one open-ended.  They group
+classes both for binned accuracy and for the grouped classifier heads.
 """
 from __future__ import annotations
 
@@ -70,7 +70,7 @@ class Dataset:
         c = len(self.class_names)
         if c < 1:
             raise ValueError("class_names is empty")
-        _check_separator(self.class_names)
+        check_class_names(self.class_names)
         if self.labels.min() < 0 or self.labels.max() >= c:
             raise ValueError(f"labels must lie in [0, {c})")
         if self.background_class is not None:
@@ -136,34 +136,15 @@ def _digest(split, feature_blocks: Iterable[np.ndarray]) -> str:
     return h.hexdigest()
 
 
-@dataclass(eq=False)
-class ClassStats:
-    """Per-class training counts; their count-decade bins are derived."""
-
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.counts = np.ascontiguousarray(self.counts, dtype=np.int64)
-        if self.counts.ndim != 1:
-            raise ValueError("counts must have one entry per class")
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.counts.shape[0])
-
-    @property
-    def bins(self) -> np.ndarray:
-        return count_decade(self.counts)
-
-
 def count_decade(n: np.ndarray) -> np.ndarray:
     """Bin index 1-4 per training count: bin k holds the counts of ``GROUP_LIMITS[k - 1]``."""
     lower = [lo for lo, _ in GROUP_LIMITS[1:]]
     return 1 + np.searchsorted(lower, n, side="right").astype(np.int64)
 
 
-def compute_class_stats(dataset: Dataset) -> ClassStats:
-    """Count training instances per class and assign their count bins.
+def compute_class_stats(dataset: Dataset) -> np.ndarray:
+    """The training count of each class, as a 1-D int64 vector; its count bins
+    are ``count_decade(counts)``.
 
     Every class must appear at least once; classes with zero instances are a
     data error here, not something to drop silently.
@@ -172,7 +153,7 @@ def compute_class_stats(dataset: Dataset) -> ClassStats:
     if (counts == 0).any():
         missing = [dataset.class_names[j] for j in np.flatnonzero(counts == 0)]
         raise ValueError(f"classes with zero training instances: {', '.join(missing)}")
-    return ClassStats(counts=counts)
+    return counts.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -452,7 +433,7 @@ def _parse_embeddings(lines: Iterator[tuple[int, int, bytes]]) -> Dataset:
     if len(names) != num_classes:
         raise ValueError(f"line 2: expected {num_classes} class names, got {len(names)}")
     try:
-        _check_class_names(names)
+        check_class_names(names)
     except ValueError as exc:
         raise ValueError(f"line 2: {exc}") from None
 
@@ -495,21 +476,17 @@ def _parse_embeddings(lines: Iterator[tuple[int, int, bytes]]) -> Dataset:
     )
 
 
-def _check_separator(names: list[str] | tuple[str, ...]) -> None:
-    """Raise ValueError if a name holds "\x1f", which joins the names a digest covers."""
-    for name in names:
-        if "\x1f" in name:
-            raise ValueError(f"class name {name!r} holds '\\x1f', the digest's separator")
-
-
-def _check_class_names(names: list[str] | tuple[str, ...]) -> None:
-    """Raise ValueError if a name is blank, repeated or holds the digest's separator."""
+def check_class_names(names: list[str] | tuple[str, ...]) -> None:
+    """Raise ValueError if a name is blank, repeated or holds "\x1f", which
+    joins the names a digest covers."""
     if any(not n.strip() for n in names):
         raise ValueError("empty class name")
     if len(set(names)) != len(names):
         duplicate = next(n for i, n in enumerate(names) if n in names[:i])
         raise ValueError(f"duplicate class name {duplicate!r}")
-    _check_separator(names)
+    for name in names:
+        if "\x1f" in name:
+            raise ValueError(f"class name {name!r} holds '\\x1f', the digest's separator")
 
 
 def save_embeddings(dataset: Dataset, path: str) -> None:
@@ -520,7 +497,7 @@ def save_embeddings(dataset: Dataset, path: str) -> None:
     """
     if any("," in n or "\n" in n for n in dataset.class_names):
         raise ValueError("class names must not contain commas or newlines")
-    _check_class_names(dataset.class_names)
+    check_class_names(dataset.class_names)
     for name in dataset.class_names:
         try:
             name.encode("utf-8")

@@ -521,7 +521,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     started = time.perf_counter()
     train, test, dataset_digest = prepare_datasets(config)
     prepare_seconds = round(time.perf_counter() - started, 3)
-    stats = compute_class_stats(train)
+    train_counts = compute_class_stats(train)
     config_digest = config.digest()
     manifest = RunManifest(config_digest=config_digest, dataset_digest=dataset_digest,
                            tool_version=__version__, one_stage=config.one_stage, methods={},
@@ -562,7 +562,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
         for (method, _), preds in zip(scored, predictions):
             started = time.perf_counter()
             step = "evaluation"
-            report = evaluate(preds, test_labels, stats, method=method, seed=config.seed,
+            report = evaluate(preds, test_labels, train_counts, method=method, seed=config.seed,
                               config_digest=config_digest, dataset_digest=dataset_digest,
                               class_names=class_names)
             step = "persistence"

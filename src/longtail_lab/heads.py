@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import GROUP_LIMITS, ClassStats, Dataset, compute_class_stats
+from .data import GROUP_LIMITS, Dataset, compute_class_stats, count_decade
 from .losses import LossSpec, softmax
 from .model import METHODS, Backbone, BatchHook, ClassifierHead, EpochLog, every_row, fit_head
 from .optim import OptimSpec
@@ -60,15 +60,15 @@ class GroupLayout:
         return np.flatnonzero(self.group_of == group)
 
 
-def build_group_layout(stats: ClassStats, background_class: int | None = None,
+def build_group_layout(counts: np.ndarray, background_class: int | None = None,
                        with_background_group: bool | None = None) -> GroupLayout:
-    """Assign classes to their count bins, and the background class to group 0
-    when there is a background group.
+    """Assign classes to the count bins of their training ``counts``, and the
+    background class to group 0 when there is a background group.
 
     By default a background group is used exactly when a background class is
     designated; ``with_background_group`` forces it on or off.
     """
-    groups = stats.bins.copy()
+    groups = count_decade(counts)
     if with_background_group is None:
         with_background_group = background_class is not None
     if with_background_group:
@@ -112,8 +112,8 @@ def bags_train_heads(dataset: Dataset, optim: OptimSpec, backbone: Backbone, *,
     and, with a background group, the binary foreground/background head, by
     name; and a per-epoch log averaged across heads.
     """
-    stats = compute_class_stats(dataset)
-    layout = build_group_layout(stats, dataset.background_class, with_background_group)
+    counts = compute_class_stats(dataset)
+    layout = build_group_layout(counts, dataset.background_class, with_background_group)
     # Group membership must follow the layout, not the raw count decades: a
     # designated background class lives in group 0 even when its count shares
     # a decade with other classes.
@@ -152,7 +152,7 @@ def bags_train_heads(dataset: Dataset, optim: OptimSpec, backbone: Backbone, *,
     logs: list[list[EpochLog]] = []
     for name, seed, outputs, hook in fits:
         head = ClassifierHead.create(outputs, dim, np.random.default_rng(derive_seed(seed, "init")))
-        logs.append(fit_head(head, features, labels, stats.counts, METHODS["bags"].q,
+        logs.append(fit_head(head, features, labels, counts, METHODS["bags"].q,
                              replace(optim, seed=seed), loss, backbone, batch_hook=hook))
         heads[name] = head
 

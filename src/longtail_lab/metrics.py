@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GROUP_LIMITS, ClassStats, count_decade
+from .data import GROUP_LIMITS, count_decade
 from .schema import read_document, write_text
 
 
@@ -33,17 +33,19 @@ class EvalReport:
     class_bins: np.ndarray
 
 
-def evaluate(predictions, true_labels, stats: ClassStats, *, method: str = "",
+def evaluate(predictions, true_labels, train_counts, *, method: str = "",
              seed: int = 0, config_digest: str = "", dataset_digest: str = "",
              class_names: tuple[str, ...] | None = None) -> EvalReport:
-    """Score predictions against labels, binned by training-count decade."""
+    """Score predictions against labels, binned by the decade of each class's
+    count in ``train_counts``."""
+    train_counts = np.asarray(train_counts, dtype=np.int64)
     preds = np.asarray(predictions, dtype=np.int64)
     true = np.asarray(true_labels, dtype=np.int64)
     if preds.shape != true.shape or preds.ndim != 1:
         raise ValueError("predictions and labels must be equal-length 1-D sequences")
     if preds.size == 0:
         raise ValueError("empty test set")
-    num_classes = stats.num_classes
+    num_classes = len(train_counts)
     for name, arr in (("predictions", preds), ("labels", true)):
         if arr.min() < 0 or arr.max() >= num_classes:
             raise ValueError(f"{name} must lie in [0, {num_classes})")
@@ -51,7 +53,7 @@ def evaluate(predictions, true_labels, stats: ClassStats, *, method: str = "",
     np.add.at(confusion, (true, preds), 1)
     names = class_names if class_names is not None else tuple(
         str(j) for j in range(num_classes))
-    return build_report(confusion, stats.counts, method=method, seed=seed,
+    return build_report(confusion, train_counts, method=method, seed=seed,
                         config_digest=config_digest, dataset_digest=dataset_digest,
                         class_names=names)
 

@@ -9,8 +9,8 @@ from typing import IO, TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .data import (GROUP_LIMITS, ClassStats, Dataset, block_slices, check_rows,
-                   compute_class_stats)
+from .data import (GROUP_LIMITS, Dataset, block_slices, check_class_names, check_rows,
+                   compute_class_stats, count_decade)
 from .losses import LossSpec, batch_loss, softmax
 from .optim import (OptimSpec, OptimState, gradient_fault, lr_at, optimizer_step,
                     square_sum_finite)
@@ -133,7 +133,8 @@ class EpochLog:
 
 @dataclass(eq=False)
 class TrainedModel:
-    """Backbone plus the named heads a method produced, with its training log.
+    """Backbone plus the named heads a method produced, with the per-class
+    training counts and its training log.
 
     ``heads`` maps each head's checkpoint prefix to the head: ``head`` (the
     stage-1 or retrained classifier), ``sqrt_head`` (ssb's square-root
@@ -143,7 +144,7 @@ class TrainedModel:
 
     backbone: Backbone
     heads: dict[str, ClassifierHead]
-    stats: ClassStats
+    counts: np.ndarray
     method: str
     train_log: list[EpochLog]
     class_names: tuple[str, ...]
@@ -152,13 +153,21 @@ class TrainedModel:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method tag must be one of {tuple(METHODS)}, got {self.method!r}")
-        if self.stats.num_classes != self.num_classes:
-            raise ValueError(f"class_names has {self.num_classes} entries "
-                             f"but stats.counts has {self.stats.num_classes}")
-        empty = np.flatnonzero(self.stats.counts < 1)
+        try:
+            check_class_names(self.class_names)
+        except ValueError as exc:
+            raise ValueError(f"field 'class_names': {exc}") from None
+        self.counts = np.ascontiguousarray(self.counts, dtype=np.int64)
+        if self.counts.shape != (self.num_classes,):
+            raise ValueError(f"class_names has {self.num_classes} entries but field "
+                             f"'stats.counts' has shape {list(self.counts.shape)}")
+        empty = np.flatnonzero(self.counts < 1)
         if empty.size:
             raise ValueError(f"field 'stats.counts[{empty[0]}]' must be >= 1, "
-                             f"got {self.stats.counts[empty[0]]}")
+                             f"got {self.counts[empty[0]]}")
+        if self.background_class is None and "bags.background" in self.heads:
+            raise ValueError("field 'background_class' is null, but head 'bags.background' "
+                             "scores a background class")
         if self.background_class is not None and \
                 not 0 <= self.background_class < self.num_classes:
             raise ValueError(f"field 'background_class' must lie in [0, {self.num_classes}), "
@@ -197,7 +206,7 @@ def _heads_module():
 def _group_layout(model: TrainedModel) -> "GroupLayout":
     """Bags' class grouping; with a background group iff a background head trained."""
     return _heads_module().build_group_layout(
-        model.stats, background_class=model.background_class,
+        model.counts, background_class=model.background_class,
         with_background_group="bags.background" in model.heads)
 
 
@@ -343,14 +352,14 @@ def train_linear_head(features: np.ndarray, labels: np.ndarray, counts: np.ndarr
     return head, log
 
 
-def _fit_new_head(dataset, backbone, stats, q, optim, loss, **_):
+def _fit_new_head(dataset, backbone, counts, q, optim, loss, **_):
     """Stage-2 trainer of one fresh ``head``."""
-    head, log = train_linear_head(dataset.features, dataset.labels, stats.counts, q, optim, loss,
+    head, log = train_linear_head(dataset.features, dataset.labels, counts, q, optim, loss,
                                   backbone)
     return {"head": head}, log
 
 
-def _fit_bags(dataset, backbone, stats, q, optim, loss, bags_beta, bags_background):
+def _fit_bags(dataset, backbone, counts, q, optim, loss, bags_beta, bags_background):
     return _heads_module().bags_train_heads(dataset, optim, backbone, bags_beta=bags_beta,
                                             with_background_group=bags_background)
 
@@ -375,7 +384,7 @@ def _ssb_combine(model: TrainedModel, h: np.ndarray) -> np.ndarray:
     """``head`` on the top count bin, ``sqrt_head`` elsewhere."""
     module = _heads_module()
     return module.ssb_aggregate(_head_probs(model, "head", h), _head_probs(model, "sqrt_head", h),
-                                model.stats.bins == module.HEAD_GROUP)
+                                count_decade(model.counts) == module.HEAD_GROUP)
 
 
 @dataclass(frozen=True)
@@ -384,7 +393,7 @@ class Method:
 
     ``q`` and ``loss`` are the sampling exponent and loss kind of the method's
     own fit: stage 2, or one stage where ``one_stage`` allows it.  ``stage2(dataset,
-    backbone, stats, q, optim, loss, bags_beta=, bags_background=)`` returns the
+    backbone, counts, q, optim, loss, bags_beta=, bags_background=)`` returns the
     heads it trained on the rows of ``dataset``, each batch passed through the
     frozen stage-1 ``backbone``, and the log.  ``fit_of = (owner, name)`` makes the
     method's stage 2 the stage-2 fit of the method ``owner``, whose ``q``,
@@ -440,14 +449,14 @@ def train_stage1(dataset: Dataset, hidden: tuple[int, ...], optim: OptimSpec,
     _check_loss(method, loss)
     if dataset.num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {dataset.num_classes}")
-    stats = compute_class_stats(dataset)
+    counts = compute_class_stats(dataset)
     rng = np.random.default_rng(derive_seed(optim.seed, "init"))
     backbone = Backbone.build(dataset.feature_dim, hidden, rng)
     head = ClassifierHead.create(dataset.num_classes, backbone.output_dim(dataset.feature_dim),
                                  rng)
-    log = fit_head(head, dataset.features, dataset.labels, stats.counts, METHODS[method].q,
+    log = fit_head(head, dataset.features, dataset.labels, counts, METHODS[method].q,
                    optim, loss, backbone)
-    return TrainedModel(backbone=backbone, heads={"head": head}, stats=stats, method=method,
+    return TrainedModel(backbone=backbone, heads={"head": head}, counts=counts, method=method,
                         train_log=log, class_names=dataset.class_names,
                         background_class=dataset.background_class)
 
@@ -470,20 +479,23 @@ def train_stage2(model: TrainedModel, dataset: Dataset, method: str,
     if owner is None or METHODS[owner].stage2 is None:
         raise ValueError(f"unknown method {method!r}: it has no second stage")
     _check_loss(owner, loss)
+    if dataset.class_names != model.class_names:
+        raise ValueError(f"dataset classes {list(dataset.class_names)} are not the "
+                         f"model's classes {list(model.class_names)}")
     _inputs(model, dataset.features)
     backbone = model.backbone.frozen_copy()
-    stats = compute_class_stats(dataset)
+    counts = compute_class_stats(dataset)
     fits = {} if fits is None else fits
     if owner not in fits:
         trainer = METHODS[owner]
-        fits[owner] = trainer.stage2(dataset, backbone, stats, trainer.q, optim, loss,
+        fits[owner] = trainer.stage2(dataset, backbone, counts, trainer.q, optim, loss,
                                      bags_beta=bags_beta, bags_background=bags_background)
     new, log = fits[owner]
     if METHODS[method].fit_of is not None:
         new = {METHODS[method].fit_of[1]: new["head"]}
     # The stage-1 head stays unless the trainer retrained it.
     return TrainedModel(backbone=backbone, heads={"head": model.heads["head"].copy(), **new},
-                        stats=stats, method=method, train_log=log,
+                        counts=counts, method=method, train_log=log,
                         class_names=dataset.class_names, background_class=dataset.background_class)
 
 
@@ -559,7 +571,7 @@ def _header(model: TrainedModel) -> dict:
         "class_names": list(model.class_names),
         "background_class": model.background_class,
         "backbone_frozen": model.backbone.frozen,
-        "stats": {"counts": model.stats.counts.tolist()},
+        "stats": {"counts": model.counts.tolist()},
         "train_log": [{"epoch": e.epoch, "mean_loss": e.mean_loss, "lr": e.lr}
                       for e in model.train_log],
         "params": [{"name": name, "shape": list(arr.shape)} for name, arr in _model_params(model)],
@@ -614,7 +626,7 @@ def _model_from_header(header: dict, fh: IO[bytes]) -> TrainedModel:
                           frozen=header["backbone_frozen"]),
         heads={p: ClassifierHead(weight=arrays[f"{p}.weight"], bias=arrays[f"{p}.bias"])
                for p in prefixes if not p.startswith("backbone.")},
-        stats=ClassStats(counts=header["stats"]["counts"]),
+        counts=header["stats"]["counts"],
         method=header["method"],
         train_log=[EpochLog(e["epoch"], e["mean_loss"], e["lr"]) for e in header["train_log"]],
         class_names=tuple(header["class_names"]),

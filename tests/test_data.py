@@ -14,7 +14,7 @@ from longtail_lab import (Dataset, SplitSpec, SyntheticSpec, compute_class_stats
                           split_dataset)
 from longtail_lab import data as data_module
 from longtail_lab.data import (GROUP_LIMITS, SIDECAR_SUFFIX, FreshSplit, block_slices,
-                               synthetic_class_counts)
+                               count_decade, synthetic_class_counts)
 
 from conftest import dataset_with_counts, traced_peak
 
@@ -158,6 +158,15 @@ class TestDatasetInvariants:
         bad = next(n for n in names if "\x1f" in n)
         assert str(info.value) == f"class name {bad!r} holds '\\x1f', the digest's separator"
 
+    @pytest.mark.parametrize("names, message", [
+        (("a", "a"), "duplicate class name 'a'"),
+        (("a", " "), "empty class name"),
+    ])
+    def test_rejects_a_blank_or_repeated_class_name(self, names, message):
+        with pytest.raises(ValueError) as info:
+            Dataset(features=np.zeros((2, 2)), labels=np.array([0, 1]), class_names=names)
+        assert str(info.value) == message
+
     def test_rejects_bad_background(self):
         with pytest.raises(ValueError):
             Dataset(features=np.zeros((1, 2)), labels=np.array([0]),
@@ -165,18 +174,21 @@ class TestDatasetInvariants:
 
 
 class TestClassStats:
+    """``compute_class_stats``: one int64 count per class; ``count_decade`` bins them."""
+
     @pytest.mark.parametrize("count,expected", [(5, 1), (9, 1), (10, 2), (99, 2),
                                                 (100, 3), (999, 3), (1000, 4), (50000, 4)])
     def test_decade_boundaries_half_open(self, count, expected):
-        ds = dataset_with_counts([count, 20])
-        stats = compute_class_stats(ds)
-        assert stats.bins[0] == expected
+        counts = compute_class_stats(dataset_with_counts([count, 20]))
+        assert count_decade(counts)[0] == expected
         low, high = GROUP_LIMITS[expected - 1]
         assert low <= count < high
 
     def test_counts_sum_to_n(self, tiny_dataset):
-        stats = compute_class_stats(tiny_dataset)
-        assert stats.counts.sum() == tiny_dataset.num_instances
+        counts = compute_class_stats(tiny_dataset)
+        assert isinstance(counts, np.ndarray) and counts.dtype == np.int64
+        assert counts.shape == (tiny_dataset.num_classes,)
+        assert counts.sum() == tiny_dataset.num_instances
 
     def test_zero_count_class_rejected(self):
         ds = dataset_with_counts([4, 4])
@@ -377,10 +389,10 @@ FINITE_FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
 )
 
-# Class names: any text without a comma, a newline or the digest's separator
-# "\x1f", plus the blank, repeated, separator-holding and unencodable names that
-# save_embeddings must refuse.
-TEXT_NAMES = st.text(st.characters(blacklist_characters=",\n\x1f"), max_size=4)
+# Class names: any UTF-8 text without a comma, a newline or the digest's
+# separator "\x1f", plus the blank, repeated, separator-holding and unencodable
+# names that save_embeddings must refuse.
+TEXT_NAMES = st.text(st.characters(codec="utf-8", blacklist_characters=",\n\x1f"), max_size=4)
 CLASS_NAMES = st.one_of(st.sampled_from(["a", " ", "", "a\x1fb", "\ud800"]), TEXT_NAMES)
 
 
@@ -453,7 +465,8 @@ class TestEmbeddingLines:
         (("a", "b\ud800"), "class name 'b\\ud800' is not UTF-8 text"),
     ])
     def test_save_refuses_names_the_loader_rejects(self, tmp_path, names, message):
-        ds = Dataset(np.zeros((2, 1)), np.array([0, 1]), names)
+        ds = Dataset(np.zeros((2, 1)), np.array([0, 1]), ("a", "b"))
+        ds.class_names = names  # Dataset itself refuses the blank and repeated ones
         with pytest.raises(ValueError) as info:
             save_embeddings(ds, str(tmp_path / "emb.txt"))
         assert str(info.value) == message

@@ -9,6 +9,7 @@ from longtail_lab import (Backbone, ClassifierHead, GroupLayout,
                           bags_train_heads, build_group_layout, compute_class_stats,
                           softmax, ssb_aggregate, train_stage1, train_stage2)
 from longtail_lab import model as model_module
+from longtail_lab.data import count_decade
 from longtail_lab.heads import HEAD_GROUP
 from longtail_lab.model import METHODS, scores
 from longtail_lab.sampling import bags_filter_batch, make_epoch_stream, make_sampler
@@ -25,15 +26,15 @@ class TestGroupLayout:
     def test_ssb_layout_by_count(self):
         stats = stats_for([5000, 500, 50, 5])
         layout = build_group_layout(stats)
-        assert layout.group_of.tolist() == stats.bins.tolist() == [4, 3, 2, 1]
+        assert layout.group_of.tolist() == count_decade(stats).tolist() == [4, 3, 2, 1]
         assert not layout.has_background_group
-        assert (stats.bins == HEAD_GROUP).tolist() == [True, False, False, False]
+        assert (count_decade(stats) == HEAD_GROUP).tolist() == [True, False, False, False]
 
     def test_all_head_classes_identity_mask(self):
-        assert (stats_for([2000, 1500, 1000]).bins == HEAD_GROUP).all()
+        assert (count_decade(stats_for([2000, 1500, 1000])) == HEAD_GROUP).all()
 
     def test_no_head_classes_zero_mask(self):
-        assert not (stats_for([999, 50, 5]).bins == HEAD_GROUP).any()
+        assert not (count_decade(stats_for([999, 50, 5])) == HEAD_GROUP).any()
 
     def test_ssb_background_placed_by_count(self):
         # ssb scores a background class by its count bin, like any other class.
@@ -97,7 +98,7 @@ class TestGroupLayout:
 
 class TestSSBMask:
     def test_idempotent_and_diagonal(self):
-        mask = stats_for([5000, 500, 5000, 5]).bins == HEAD_GROUP
+        mask = count_decade(stats_for([5000, 500, 5000, 5])) == HEAD_GROUP
         assert mask.tolist() == [True, False, True, False]
         # The paper's form: p = Q p_i + (I - Q) p_sqrt with Q the diagonal head mask.
         q = np.diag(mask.astype(np.float64))
@@ -332,7 +333,7 @@ class TestBagsTraining:
             local = {c: i for i, c in enumerate(members.tolist())}
             head_seed = derive_seed(optim.seed, "bags-group", k)
             for epoch in range(optim.epochs):
-                sampler = make_sampler(stats.counts, METHODS["bags"].q,
+                sampler = make_sampler(stats, METHODS["bags"].q,
                                        derive_seed(head_seed, "stream", epoch))
                 stream = make_epoch_stream(ds.labels, sampler, ds.num_instances)
                 kept = bags_filter_batch(ds.labels[stream], k, layout.group_of, 2.0,

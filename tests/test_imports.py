@@ -2,7 +2,7 @@
 
 No linter runs on the suite, so an import left behind by a deletion would
 otherwise go unseen.  ``__init__.py`` is left out: its imports are the
-package's exports.
+package's exports, which must be ``__all__`` exactly.
 """
 import ast
 from pathlib import Path
@@ -62,3 +62,15 @@ def test_every_imported_name_is_read(path):
     unread = {name: line for name, line in imported(tree).items() if name not in names}
     assert not unread, f"{path.name} imports names it never reads: " + ", ".join(
         f"{name} (line {line})" for name, line in sorted(unread.items()))
+
+
+def test_the_exports_are_the_imports():
+    import longtail_lab
+
+    init = PACKAGE / "__init__.py"
+    exported = longtail_lab.__all__
+    assert len(set(exported)) == len(exported), "__all__ names a name twice"
+    assert set(imported(ast.parse(init.read_text(encoding="utf-8")))) == set(exported)
+    namespace = {}
+    exec("from longtail_lab import *", namespace)
+    assert set(exported) <= set(namespace)

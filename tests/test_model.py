@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longtail_lab import (Backbone, ClassifierHead, ClassStats, Dataset,
+from longtail_lab import (Backbone, ClassifierHead, Dataset,
                           LossSpec, OptimSpec, TrainedModel, bags_train_heads, batch_loss,
                           compute_class_stats, generate_synthetic, load_model, predict,
                           save_model, softmax, train_stage1, train_stage2)
@@ -293,6 +293,17 @@ def stage1_setup():
     return ds, model
 
 
+@pytest.fixture
+def no_fit(monkeypatch):
+    """Any ``fit_head`` call fails the test."""
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("fit_head called")
+
+    monkeypatch.setattr(model_module, "fit_head", no_training)
+    monkeypatch.setattr(heads_module, "fit_head", no_training)
+
+
 class TestStage2:
     @pytest.mark.parametrize("method", ["sqrt_samp", "cb_focal", "bags", "ssb"])
     def test_backbone_frozen_bit_identical(self, stage1_setup, method):
@@ -347,20 +358,25 @@ class TestStage2:
         ("ssb", 2, CB_FOCAL_UNWEIGHTED, "sqrt_samp trains with cross_entropy, not cb_focal"),
         ("sqrt_samp", 1, CB_FOCAL_UNWEIGHTED, "sqrt_samp trains with cross_entropy, not cb_focal"),
     ], ids=["bags", "cb_focal", "ssb", "one_stage_sqrt_samp"])
-    def test_other_loss_kind_rejected_before_training(self, stage1_setup, monkeypatch,
+    def test_other_loss_kind_rejected_before_training(self, stage1_setup, no_fit,
                                                       method, stage, loss, message):
         ds, model = stage1_setup
-
-        def no_training(*args, **kwargs):
-            raise AssertionError("fit_head called")
-
-        monkeypatch.setattr(model_module, "fit_head", no_training)
-        monkeypatch.setattr(heads_module, "fit_head", no_training)
         with pytest.raises(ValueError, match=message):
             if stage == 1:
                 train_stage1(ds, (), OptimSpec(seed=5), loss, method=method)
             else:
                 train_stage2(model, ds, method, OptimSpec(seed=5).for_classifier(), loss)
+
+    # A stage-1 model of 4 classes, fitted again on 3 of them.
+    @pytest.mark.parametrize("method", ["sqrt_samp", "bags", "ssb"])
+    def test_dataset_of_other_classes_rejected_before_training(self, stage1_setup, no_fit,
+                                                               method):
+        _, model = stage1_setup
+        fewer = blob_dataset(counts=(400, 300, 30), dim=6)
+        with pytest.raises(ValueError, match=r"dataset classes \['c0', 'c1', 'c2'\] are not "
+                                             r"the model's classes \['c0', 'c1', 'c2', 'c3'\]"):
+            train_stage2(model, fewer, method, OptimSpec(seed=5).for_classifier(),
+                         LossSpec(kind="cross_entropy"))
 
     def test_every_loss_kind_is_a_method_loss(self):
         assert set(LOSS_KINDS) == {m.loss for m in model_module.METHODS.values()}
@@ -382,12 +398,12 @@ class TestStage2:
         if owner == "bags":
             new, log = bags_train_heads(frozen, optim, Backbone([], []))
         else:
-            head, log = train_linear_head(frozen.features, ds.labels, stats.counts,
+            head, log = train_linear_head(frozen.features, ds.labels, stats,
                                           model_module.METHODS[owner].q, optim, loss,
                                           Backbone([], []))
             new = {"sqrt_head" if method == "ssb" else "head": head}
         given = TrainedModel(backbone=model.backbone.frozen_copy(),
-                             heads={"head": model.heads["head"], **new}, stats=stats,
+                             heads={"head": model.heads["head"], **new}, counts=stats,
                              method=method, train_log=log, class_names=ds.class_names)
         computed = train_stage2(model, ds, method, optim, loss)
         save_model(given, str(tmp_path / "given.ckpt"))
@@ -408,7 +424,7 @@ class TestStage2:
     def test_features_of_other_rows_rejected(self, stage1_setup):
         ds, model = stage1_setup
         with pytest.raises(ValueError, match="fit_head: 5 feature rows but 738 labels"):
-            train_linear_head(ds.features[:5], ds.labels, compute_class_stats(ds).counts, 0.5,
+            train_linear_head(ds.features[:5], ds.labels, compute_class_stats(ds), 0.5,
                               OptimSpec(seed=5).for_classifier(), LossSpec(kind="cross_entropy"),
                               backbone=model.backbone.frozen_copy())
 
@@ -522,7 +538,7 @@ class TestBlockedScores:
                                       bias=rng.standard_normal(classes))
                  for name in ("head", "sqrt_head")[:2 if method == "ssb" else 1]}
         model = TrainedModel(backbone=Backbone(weights=[], biases=[]), heads=heads,
-                             stats=ClassStats(counts=np.arange(1, classes + 1) * 10),
+                             counts=np.arange(1, classes + 1) * 10,
                              method=method, train_log=[],
                              class_names=tuple(f"c{j}" for j in range(classes)))
         h = rng.standard_normal((rows, dim))
@@ -562,7 +578,7 @@ class TestCheckpoint:
             assert np.array_equal(wa, wb)
         assert loaded.method == trained.method
         assert loaded.class_names == trained.class_names
-        assert np.array_equal(loaded.stats.counts, trained.stats.counts)
+        assert np.array_equal(loaded.counts, trained.counts)
         assert [e.mean_loss for e in loaded.train_log] == \
                [e.mean_loss for e in trained.train_log]
         # Saving the loaded model reproduces the file byte for byte.
@@ -719,12 +735,14 @@ class TestCorruptCheckpoint:
         (lambda h: h.update(train_log=[{"epoch": "a"}]), "'train_log[0].epoch'"),
         (lambda h: h.update(method="nope"), "method"),
         (lambda h: h.update(class_names=h["class_names"][:3]), "class_names"),
+        (lambda h: h.update(class_names=["c0"] * len(h["class_names"])),
+         "field 'class_names': duplicate class name 'c0'"),
         (lambda h: h["stats"].update(bins=[1] * len(h["stats"]["counts"])), "'stats.bins'"),
         (lambda h: h["stats"]["counts"].__setitem__(0, 2**70), "'stats.counts[0]'"),
         (lambda h: h["params"][0]["shape"].reverse(), "'backbone.0.weight'"),
         (older_header, "'bags'"),
     ], ids=["params_not_a_list", "layout_not_an_object", "epoch_not_an_int",
-            "unknown_method", "class_names_cut", "bins_disagree", "count_beyond_int64",
+            "unknown_method", "class_names_cut", "class_names_repeated", "bins_disagree", "count_beyond_int64",
             "weight_transposed", "older_format"])
     def test_bad_header_field_named(self, tmp_path, checkpoint_file, edit, fragment):
         path = tmp_path / "edited.ckpt"
@@ -753,6 +771,13 @@ class TestCorruptCheckpoint:
         path.write_bytes(edited_checkpoint(source, edit))
         rejects(path, fragment)
 
+    def test_background_head_without_background_class_named(self, tmp_path, scoring_models):
+        full = tmp_path / "bags.ckpt"
+        save_model(scoring_models["bags"], str(full))
+        path = tmp_path / "edited.ckpt"
+        path.write_bytes(edited_checkpoint(full, lambda h: h.update(background_class=None)))
+        rejects(path, "field 'background_class' is null", "head 'bags.background'")
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_any_truncation_rejected(self, checkpoint_file, data):
@@ -768,8 +793,44 @@ def wide_head_model() -> TrainedModel:
     rng = np.random.default_rng(0)
     head = ClassifierHead(weight=rng.standard_normal((50, 4096)), bias=rng.standard_normal(50))
     return TrainedModel(backbone=Backbone(weights=[], biases=[]), heads={"head": head},
-                        stats=ClassStats(counts=np.arange(1, 51)), method="baseline",
+                        counts=np.arange(1, 51), method="baseline",
                         train_log=[], class_names=tuple(f"c{j}" for j in range(50)))
+
+
+class TestModelFields:
+    """What ``TrainedModel`` refuses when it is built in memory."""
+
+    @staticmethod
+    def model(counts=(5, 4, 3, 2), class_names=("a", "b", "c", "d")) -> TrainedModel:
+        head = ClassifierHead(weight=np.zeros((len(class_names), 2)),
+                              bias=np.zeros(len(class_names)))
+        return TrainedModel(backbone=Backbone(weights=[], biases=[]), heads={"head": head},
+                            counts=counts, method="baseline", train_log=[],
+                            class_names=class_names)
+
+    def test_counts_become_an_int64_vector(self):
+        counts = self.model(counts=[5.0, 4.0, 3.0, 2.0]).counts
+        assert counts.dtype == np.int64 and counts.tolist() == [5, 4, 3, 2]
+
+    @pytest.mark.parametrize("counts, shape", [
+        (np.full((2, 2), 5), [2, 2]),
+        ((5, 4, 3), [3]),
+        ((5, 4, 3, 2, 1), [5]),
+    ], ids=["two_d", "short", "long"])
+    def test_counts_one_per_class(self, counts, shape):
+        with pytest.raises(ValueError) as info:
+            self.model(counts=counts)
+        assert str(info.value) == ("class_names has 4 entries but field 'stats.counts' "
+                                   f"has shape {shape}")
+
+    @pytest.mark.parametrize("names, message", [
+        (("a", "b", "a", "d"), "duplicate class name 'a'"),
+        (("a", "b", " ", "d"), "empty class name"),
+    ])
+    def test_class_names_blank_or_repeated(self, names, message):
+        with pytest.raises(ValueError) as info:
+            self.model(class_names=names)
+        assert str(info.value) == f"field 'class_names': {message}"
 
 
 class TestCheckpointFile:

@@ -11,6 +11,8 @@ from scipy.stats import chisquare
 from longtail_lab import (SamplerSpec, bags_filter_batch, compute_class_stats,
                           make_epoch_stream, make_sampler, sampling_weights)
 
+from longtail_lab.data import count_decade
+
 from conftest import dataset_with_counts
 
 counts_strategy = st.lists(st.integers(min_value=1, max_value=10**6),
@@ -162,7 +164,7 @@ class TestBagsFilterBatch:
     def test_undersamples_others_to_beta_times_in_group(self):
         stats = compute_class_stats(dataset_with_counts([5, 2000]))
         labels = np.array([0, 0] + [1] * 64)  # class 0 is group 1, class 1 group 4
-        kept = bags_filter_batch(labels, group=1, group_of=stats.bins, bags_beta=8.0, seed=3,
+        kept = bags_filter_batch(labels, group=1, group_of=count_decade(stats), bags_beta=8.0, seed=3,
                                  batch_size=len(labels))
         in_group = (labels[kept] == 0).sum()
         others = (labels[kept] == 1).sum()
@@ -171,14 +173,14 @@ class TestBagsFilterBatch:
     def test_batch_entirely_in_group_unchanged(self):
         stats = compute_class_stats(dataset_with_counts([5, 2000]))
         labels = np.zeros(10, dtype=np.int64)
-        kept = bags_filter_batch(labels, group=1, group_of=stats.bins, bags_beta=8.0, seed=0,
+        kept = bags_filter_batch(labels, group=1, group_of=count_decade(stats), bags_beta=8.0, seed=0,
                                  batch_size=len(labels))
         assert kept.tolist() == list(range(10))
 
     def test_no_in_group_keeps_ceil_beta_others(self):
         stats = compute_class_stats(dataset_with_counts([5, 2000]))
         labels = np.ones(64, dtype=np.int64)
-        kept = bags_filter_batch(labels, group=1, group_of=stats.bins, bags_beta=8.0, seed=3,
+        kept = bags_filter_batch(labels, group=1, group_of=count_decade(stats), bags_beta=8.0, seed=3,
                                  batch_size=len(labels))
         assert kept.size == 8
 
@@ -188,15 +190,15 @@ class TestBagsFilterBatch:
         for trial in range(50):
             labels = rng.integers(0, 3, size=rng.integers(1, 80))
             for group in (1, 2, 4):
-                kept = bags_filter_batch(labels, group, stats.bins, bags_beta=2.5, seed=trial,
+                kept = bags_filter_batch(labels, group, count_decade(stats), bags_beta=2.5, seed=trial,
                                          batch_size=len(labels))
-                in_positions = np.flatnonzero(stats.bins[labels] == group)
+                in_positions = np.flatnonzero(count_decade(stats)[labels] == group)
                 assert set(in_positions.tolist()) <= set(kept.tolist())
 
     def test_cap_is_ceiling(self):
         stats = compute_class_stats(dataset_with_counts([5, 2000]))
         labels = np.array([0] + [1] * 30)
-        kept = bags_filter_batch(labels, group=1, group_of=stats.bins, bags_beta=2.5, seed=1,
+        kept = bags_filter_batch(labels, group=1, group_of=count_decade(stats), bags_beta=2.5, seed=1,
                                  batch_size=len(labels))
         assert (labels[kept] == 1).sum() == math.ceil(2.5 * 1)
 
@@ -205,7 +207,7 @@ class TestBagsFilterBatch:
     def test_beta_at_most_one(self, bags_beta, others):
         stats = compute_class_stats(dataset_with_counts([5, 2000]))
         labels = np.array([0, 0] + [1] * 64)
-        kept = bags_filter_batch(labels, 1, stats.bins, bags_beta, seed=3,
+        kept = bags_filter_batch(labels, 1, count_decade(stats), bags_beta, seed=3,
                                  batch_size=len(labels))
         assert (labels[kept] == 0).sum() == 2
         assert (labels[kept] == 1).sum() == others
